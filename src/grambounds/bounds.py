@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -24,12 +25,13 @@ import numpy as np
 from .core import Vector, VectorFamily, inner_each, norm
 from .errors import DomainError, ShapeError
 from .norms import (
+    _abs_1d,
     _normalize_exponent,
+    _pnorm_nonneg,
     conjugate_exponent,
     gram_entry_qnorm,
     max_row_abs_sum,
     power_mean_exponent,
-    seq_pnorm,
 )
 
 __all__ = [
@@ -129,31 +131,123 @@ def _coeffs(c, n: int) -> np.ndarray:
     return out
 
 
+def _sum_sq(v: np.ndarray) -> float:
+    return float(v.real @ v.real) + float(v.imag @ v.imag)
+
+
+_ABSENT = object()  # an argument not given, unlike a given None, which is rejected
+
+
+class _Ingredients:
+    """Everything the bound formulas read from one input (x, family, c).
+
+    x and c are validated once, here; every other quantity is computed on first use
+    and kept, so evaluating all bounds at many exponents reads each left-hand side,
+    p-norm and Gram q-norm once.  Every formula below is the single arithmetic path
+    for its bound, which is what makes the p = 2 and composition identities bitwise.
+    """
+
+    def __init__(self, family: VectorFamily, x=_ABSENT, c=_ABSENT):
+        self.family = family
+        self.x = self.t = self.c = None
+        if x is not _ABSENT:
+            self.x = x if isinstance(x, Vector) else Vector(x)
+            self.t = inner_each(self.x, family)  # also the dimension check
+        if c is not _ABSENT:
+            self.c = _coeffs(c, family.size)
+        self._memo: dict = {}
+
+    def _memoised(self, key, compute):
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
+
+    # The ingredients, each computed on first use.
+    nx = cached_property(lambda self: norm(self.x))
+    nx2 = cached_property(lambda self: self.nx * self.nx)
+    abs_t = cached_property(lambda self: _abs_1d(self.t))
+    abs_c = cached_property(lambda self: _abs_1d(self.c))
+    abs_norms = cached_property(lambda self: _abs_1d(self.family.member_norms()))
+    bessel_sum = cached_property(lambda self: _sum_sq(self.t))
+    c_sq = cached_property(lambda self: _sum_sq(self.c))
+    row_sum_max = cached_property(lambda self: max_row_abs_sum(self.family.gram()))
+    combination_norm_sq = cached_property(lambda self: _sum_sq(self.c @ self.family.vectors))
+
+    @cached_property
+    def weighted_inner_sum_sq(self) -> float:
+        s = complex(self.c @ self.t)
+        return s.real * s.real + s.imag * s.imag
+
+    @cached_property
+    def norms_sq_total(self) -> float:
+        v = self.family.vectors
+        return float((v.real * v.real).sum() + (v.imag * v.imag).sum())
+
+    def pnorm(self, name: str, p: float) -> float:
+        """The p-norm of the magnitudes in attribute ``name``, memoised per p."""
+        return self._memoised((name, p), lambda: _pnorm_nonneg(getattr(self, name), _normalize_exponent(p)))
+
+    def qnorm(self, q: float) -> float:
+        """gram_entry_qnorm of the family's Gram matrix, memoised per q."""
+        return self._memoised(q, lambda: gram_entry_qnorm(self.family.gram(), q))
+
+    # One function per bound: p is normalized and q = conjugate_exponent(p).
+
+    def span(self, p: float, q: float, flavor: str) -> float:
+        if flavor == "gram":
+            fam_factor = self.qnorm(q)
+        else:
+            member_factor = self.pnorm("abs_norms", q)
+            fam_factor = member_factor * member_factor
+        coef = self.pnorm("abs_c", p)
+        return (coef * coef) * fam_factor
+
+    def combo(self, span_value: float) -> float:
+        return self.nx2 * span_value
+
+    def chain(self) -> ChainBounds:
+        return ChainBounds(self.c_sq * self.qnorm(2.0), self.c_sq * self.norms_sq_total)
+
+    def thm27(self, p: float, q: float) -> float:
+        return self.nx * self.pnorm("abs_t", p) * math.sqrt(self.qnorm(q))
+
+    def orthonormal_27a(self, p: float, q: float) -> float:
+        expo = 0.0 if math.isinf(q) else 1.0 / (2.0 * q)
+        return self.nx * float(self.family.size) ** expo * self.pnorm("abs_t", p)
+
+    def power_mean(self, p: float, q: float) -> float:
+        # Frobenius is this at p = q = 2, where scale = n^0 = 1.0 exactly.
+        scale = float(self.family.size) ** (2.0 / p - 1.0)
+        return scale * self.nx2 * self.qnorm(q)
+
+    def bombieri(self) -> float:
+        return self.nx2 * self.row_sum_max
+
+
+def _span_ids(flavor: str) -> tuple[BoundId, BoundId]:
+    """The (span, combo) bound ids of a flavor."""
+    if flavor not in ("gram", "norms"):
+        raise ValueError(f"flavor must be 'gram' or 'norms', got {flavor!r}")
+    return BoundId(f"span_{flavor}"), BoundId(f"combo_{flavor}")
+
+
 # ---------------------------------------------------------------------------
 # Left-hand sides
 
 
 def combination_norm_sq(alphas, family: VectorFamily) -> float:
     """‖Σ_i α_i z_i‖² — squared norm of a coefficient combination."""
-    a = _coeffs(alphas, family.size)
-    if family.size == 0:
-        return 0.0
-    w = a @ family.vectors
-    return float(w.real @ w.real) + float(w.imag @ w.imag)
+    return _Ingredients(family, c=alphas).combination_norm_sq
 
 
 def weighted_inner_sum_sq(x, family: VectorFamily, c) -> float:
     """|Σ_i c_i (x, y_i)|² — squared modulus of a weighted inner-product sum."""
-    cc = _coeffs(c, family.size)
-    t = inner_each(x, family)
-    s = complex(cc @ t) if family.size else 0j
-    return s.real * s.real + s.imag * s.imag
+    return _Ingredients(family, x, c).weighted_inner_sum_sq
 
 
 def bessel_sum(x, family: VectorFamily) -> float:
     """Σ_i |(x, y_i)|² — the quantity every Bessel-type bound ceilings."""
-    t = inner_each(x, family)
-    return float(t.real @ t.real) + float(t.imag @ t.imag)
+    return _Ingredients(family, x).bessel_sum
 
 
 # ---------------------------------------------------------------------------
@@ -167,49 +261,31 @@ def span_bound(alphas, family: VectorFamily, p, flavor: str = "gram") -> BoundRe
     flavor="norms" uses seq_pnorm of the member norms, squared.  The gram
     flavor is never larger (entrywise |g_ij| ≤ ‖z_i‖‖z_j‖).
     """
-    if flavor not in ("gram", "norms"):
-        raise ValueError(f"flavor must be 'gram' or 'norms', got {flavor!r}")
-    a = _coeffs(alphas, family.size)
-    lhs = combination_norm_sq(a, family)
+    bound_id = _span_ids(flavor)[0]
+    ing = _Ingredients(family, c=alphas)
     pf = _normalize_exponent(p)
-    q = conjugate_exponent(pf)
-    coef = seq_pnorm(a, pf)
-    if flavor == "gram":
-        fam_factor = gram_entry_qnorm(family.gram(), q)
-        bound_id = BoundId.SPAN_GRAM
-    else:
-        member_factor = seq_pnorm(family.member_norms(), q)
-        fam_factor = member_factor * member_factor
-        bound_id = BoundId.SPAN_NORMS
-    value = (coef * coef) * fam_factor
-    return BoundResult(bound_id, lhs, value, p=pf, flavor=flavor)
+    value = ing.span(pf, conjugate_exponent(pf), flavor)
+    return BoundResult(bound_id, ing.combination_norm_sq, value, p=pf, flavor=flavor)
 
 
 def combo_bound(x, family: VectorFamily, c, p, flavor: str = "gram") -> BoundResult:
     """Ceiling for |Σ c_i (x, y_i)|²: ‖x‖² times the span ceiling at ᾱ = c̄.
 
     The value is literally norm(x)² * span_bound(conj(c), ...).value — the
-    same arithmetic path — so the composition identity holds bitwise.
+    same arithmetic path, and |c̄_i| = |c_i| bitwise — so the composition
+    identity holds bitwise.
     """
-    cc = _coeffs(c, family.size)
-    lhs = weighted_inner_sum_sq(x, family, cc)
-    sb = span_bound(np.conj(cc), family, p, flavor)
-    nx = norm(x)
-    value = (nx * nx) * sb.value
-    bound_id = BoundId.COMBO_GRAM if flavor == "gram" else BoundId.COMBO_NORMS
-    return BoundResult(bound_id, lhs, value, p=sb.p, flavor=flavor)
+    ing = _Ingredients(family, x, c)
+    bound_id = _span_ids(flavor)[1]
+    pf = _normalize_exponent(p)
+    value = ing.combo(ing.span(pf, conjugate_exponent(pf), flavor))
+    return BoundResult(bound_id, ing.weighted_inner_sum_sq, value, p=pf, flavor=flavor)
 
 
 def refinement_chain(alphas, family: VectorFamily) -> ChainBounds:
     """Two nested ceilings for ‖Σ α_i z_i‖²: the Frobenius middle term
     Σ|α_i|² (Σ|g_ij|²)^(1/2) and the classical outer term Σ|α_i|² Σ‖z_i‖²."""
-    a = _coeffs(alphas, family.size)
-    asq = float(a.real @ a.real) + float(a.imag @ a.imag)
-    middle = asq * gram_entry_qnorm(family.gram(), 2.0)
-    v = family.vectors
-    norms_sq_total = float((v.real * v.real).sum() + (v.imag * v.imag).sum())
-    outer = asq * norms_sq_total
-    return ChainBounds(middle, outer)
+    return _Ingredients(family, c=alphas).chain()
 
 
 # ---------------------------------------------------------------------------
@@ -219,12 +295,10 @@ def refinement_chain(alphas, family: VectorFamily) -> ChainBounds:
 def bessel_sum_bound(x, family: VectorFamily, p) -> BoundResult:
     """Ceiling ‖x‖ · seq_pnorm(t, p) · gram_entry_qnorm(G, q)^(1/2) with
     t_i = |(x, y_i)| — the square root of the combo bound at c_i = conj(x, y_i)."""
-    lhs = bessel_sum(x, family)
+    ing = _Ingredients(family, x)
     pf = _normalize_exponent(p)
-    q = conjugate_exponent(pf)
-    t = np.abs(inner_each(x, family))
-    value = norm(x) * seq_pnorm(t, pf) * math.sqrt(gram_entry_qnorm(family.gram(), q))
-    return BoundResult(BoundId.WEIGHTED_BESSEL, lhs, value, p=pf)
+    value = ing.thm27(pf, conjugate_exponent(pf))
+    return BoundResult(BoundId.WEIGHTED_BESSEL, ing.bessel_sum, value, p=pf)
 
 
 def orthonormal_bessel_bound(x, family: VectorFamily, p, tol: float = ORTHONORMAL_TOL) -> BoundResult:
@@ -235,27 +309,16 @@ def orthonormal_bessel_bound(x, family: VectorFamily, p, tol: float = ORTHONORMA
     ``tol`` from the identity in max-entry norm.
     """
     family.require_orthonormal(tol)
-    lhs = bessel_sum(x, family)
+    ing = _Ingredients(family, x)
     pf = _normalize_exponent(p)
-    q = conjugate_exponent(pf)
-    expo = 0.0 if math.isinf(q) else 1.0 / (2.0 * q)
-    t = np.abs(inner_each(x, family))
-    value = norm(x) * float(family.size) ** expo * seq_pnorm(t, pf)
-    return BoundResult(BoundId.ORTHONORMAL_BESSEL, lhs, value, p=pf)
+    value = ing.orthonormal_27a(pf, conjugate_exponent(pf))
+    return BoundResult(BoundId.ORTHONORMAL_BESSEL, ing.bessel_sum, value, p=pf)
 
 
-def _scaled_gram_qnorm(x, family: VectorFamily, scale: float, q: float) -> float:
-    # Shared arithmetic path: the p=2 power-mean bound must reproduce the
-    # Frobenius bound bitwise, so both are this exact expression.
-    nx = norm(x)
-    return scale * (nx * nx) * gram_entry_qnorm(family.gram(), q)
-
-
-def frobenius_bound(x, family: VectorFamily) -> BoundResult:
-    """Ceiling ‖x‖² (Σ|g_ij|²)^(1/2) for the Bessel sum."""
-    lhs = bessel_sum(x, family)
-    value = _scaled_gram_qnorm(x, family, 1.0, 2.0)
-    return BoundResult(BoundId.FROBENIUS, lhs, value)
+def frobenius_bound(x, family: VectorFamily, _ing: Optional[_Ingredients] = None) -> BoundResult:
+    """Ceiling ‖x‖² (Σ|g_ij|²)^(1/2) for the Bessel sum; batch paths pass their ingredients as _ing."""
+    ing = _Ingredients(family, x) if _ing is None else _ing
+    return BoundResult(BoundId.FROBENIUS, ing.bessel_sum, ing.power_mean(2.0, 2.0))
 
 
 def power_mean_bound(x, family: VectorFamily, p) -> BoundResult:
@@ -266,21 +329,17 @@ def power_mean_bound(x, family: VectorFamily, p) -> BoundResult:
     the power-mean step behind this ceiling needs 1 < p ≤ 2, and we do not
     extend it by limits.
     """
-    lhs = bessel_sum(x, family)
+    ing = _Ingredients(family, x)
     pf = power_mean_exponent(p)
-    q = conjugate_exponent(pf)
-    scale = float(family.size) ** (2.0 / pf - 1.0)
-    value = _scaled_gram_qnorm(x, family, scale, q)
-    return BoundResult(BoundId.POWER_MEAN, lhs, value, p=pf)
+    value = ing.power_mean(pf, conjugate_exponent(pf))
+    return BoundResult(BoundId.POWER_MEAN, ing.bessel_sum, value, p=pf)
 
 
 def bombieri_bound(x, family: VectorFamily) -> BoundResult:
     """The classical ceiling ‖x‖² max_i Σ_j |g_ij|; equals ‖x‖² itself on
     orthonormal families, recovering the plain Bessel inequality."""
-    lhs = bessel_sum(x, family)
-    nx = norm(x)
-    value = (nx * nx) * max_row_abs_sum(family.gram())
-    return BoundResult(BoundId.BOMBIERI, lhs, value)
+    ing = _Ingredients(family, x)
+    return BoundResult(BoundId.BOMBIERI, ing.bessel_sum, ing.bombieri())
 
 
 def power_mean_gap(values, p) -> PowerMeanGap:
@@ -294,12 +353,17 @@ def power_mean_gap(values, p) -> PowerMeanGap:
     if np.issubdtype(arr.dtype, np.complexfloating):
         raise DomainError("values must be real and nonnegative")
     v = arr.astype(np.float64, copy=False)
-    if v.size == 0:
-        return PowerMeanGap(0.0, 0.0)
     if not np.all(np.isfinite(v)):
         raise DomainError("values contain non-finite entries")
-    if float(v.min()) < 0.0:
+    if v.size and float(v.min()) < 0.0:
         raise DomainError(f"values must be nonnegative, got {float(v.min())}")
+    return _power_mean_gap(v, pf)
+
+
+def _power_mean_gap(v: np.ndarray, pf: float) -> PowerMeanGap:
+    """power_mean_gap on finite nonnegative float64 values and a validated p."""
+    if v.size == 0:
+        return PowerMeanGap(0.0, 0.0)
     n = v.size
     m = float(v.max())
     if m == 0.0:

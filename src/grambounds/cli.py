@@ -15,23 +15,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bounds import (
-    ORTHONORMAL_TOL,
-    bessel_sum_bound,
-    bombieri_bound,
-    combination_norm_sq,
-    combo_bound,
-    frobenius_bound,
-    orthonormal_bessel_bound,
-    power_mean_bound,
-    refinement_chain,
-    span_bound,
-)
+from .bounds import ORTHONORMAL_TOL, _Ingredients, frobenius_bound
 from .compare import sign_scan
 from .core import Vector, VectorFamily
 from .errors import GramBoundsError
 from .norms import _normalize_exponent
-from .verify import ABS_TOL, REL_TOL, STANDARD_P_LIST, random_specs, verify_corpus
+from .verify import ABS_TOL, REL_TOL, STANDARD_P_LIST, _cases, random_specs, verify_corpus
 
 __all__ = ["main", "cmd_compute", "cmd_verify", "cmd_scan", "CASE_HEADER", "SCAN_HEADER"]
 
@@ -162,15 +151,6 @@ def parse_input_document(path: str):
     return x, family, coefficients, p_list
 
 
-def _dedup(p_values) -> list[float]:
-    out: list[float] = []
-    for p in p_values:
-        pf = _normalize_exponent(p)
-        if pf not in out:
-            out.append(pf)
-    return out
-
-
 def compute_rows(x, family, coefficients, p_values) -> list[str]:
     """CSV rows for every bound evaluable from the document's ingredients.
 
@@ -178,33 +158,9 @@ def compute_rows(x, family, coefficients, p_values) -> list[str]:
     orthonormal specialization appears only when the family passes its
     orthonormality check.
     """
-    rows = []
-    r = bombieri_bound(x, family)
-    rows.append(case_row(str(r.bound_id), None, None, r.lhs, r.value))
-    r = frobenius_bound(x, family)
-    rows.append(case_row(str(r.bound_id), None, None, r.lhs, r.value))
-    if coefficients is not None:
-        lhs_span = combination_norm_sq(coefficients, family)
-        chain = refinement_chain(coefficients, family)
-        rows.append(case_row("cor22_chain", None, "middle", lhs_span, chain.middle))
-        rows.append(case_row("cor22_chain", None, "outer", chain.middle, chain.outer))
+    ing = _Ingredients(family, x) if coefficients is None else _Ingredients(family, x, coefficients)
     orthonormal = family.is_orthonormal(ORTHONORMAL_TOL)
-    for pf in _dedup(p_values):
-        if coefficients is not None:
-            for flavor in ("gram", "norms"):
-                r = span_bound(coefficients, family, pf, flavor)
-                rows.append(case_row(str(r.bound_id), pf, flavor, r.lhs, r.value))
-                r = combo_bound(x, family, coefficients, pf, flavor)
-                rows.append(case_row(str(r.bound_id), pf, flavor, r.lhs, r.value))
-        r = bessel_sum_bound(x, family, pf)
-        rows.append(case_row(str(r.bound_id), pf, None, r.lhs, r.value))
-        if 1.0 < pf <= 2.0:
-            r = power_mean_bound(x, family, pf)
-            rows.append(case_row(str(r.bound_id), pf, None, r.lhs, r.value))
-        if orthonormal:
-            r = orthonormal_bessel_bound(x, family, pf)
-            rows.append(case_row(str(r.bound_id), pf, None, r.lhs, r.value))
-    return rows
+    return [case_row(*r) for r in _cases(ing, p_values, frobenius_bound, gap=False, orthonormal=orthonormal)]
 
 
 def _write_lines(path: str, lines: list[str]) -> None:

@@ -15,20 +15,10 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from .bounds import (
-    bessel_sum_bound,
-    bombieri_bound,
-    combination_norm_sq,
-    combo_bound,
-    frobenius_bound,
-    power_mean_bound,
-    power_mean_gap,
-    refinement_chain,
-    span_bound,
-)
-from .core import Vector, VectorFamily, inner_each
+from .bounds import BoundId, _Ingredients, _power_mean_gap, _span_ids, frobenius_bound
+from .core import Vector, VectorFamily
 from .errors import DomainError
-from .norms import _normalize_exponent
+from .norms import _normalize_exponent, conjugate_exponent, power_mean_exponent
 
 __all__ = [
     "REL_TOL",
@@ -188,12 +178,36 @@ class CheckedCase(NamedTuple):
 
 
 def _dedup_p(p_list: Iterable) -> list[float]:
-    out: list[float] = []
-    for p in p_list:
-        pf = _normalize_exponent(p)
-        if pf not in out:
-            out.append(pf)
-    return out
+    """Normalized exponents, first occurrence of each kept, in order."""
+    return list(dict.fromkeys(_normalize_exponent(p) for p in p_list))
+
+
+def _cases(ing: _Ingredients, p_list, frobenius, *, gap=True, orthonormal=False) -> Iterator[BoundCase]:
+    """Every case of one input in report order (see evaluate_cases); coefficient cases need ing.c.
+    cor28 goes through the caller's frobenius_bound, so a patched one there reaches the batch."""
+    yield BoundCase(str(BoundId.BOMBIERI), None, None, ing.bessel_sum, ing.bombieri())
+    r = frobenius(ing.x, ing.family, ing)
+    yield BoundCase(str(r.bound_id), None, None, r.lhs, r.value)
+    if ing.c is not None:
+        chain = ing.chain()
+        yield BoundCase(str(BoundId.REFINEMENT_CHAIN), None, "middle", ing.combination_norm_sq, chain.middle)
+        yield BoundCase(str(BoundId.REFINEMENT_CHAIN), None, "outer", chain.middle, chain.outer)
+    for pf in _dedup_p(p_list):
+        q = conjugate_exponent(pf)
+        if ing.c is not None:
+            for flavor in ("gram", "norms"):
+                span_id, combo_id = _span_ids(flavor)
+                span = ing.span(pf, q, flavor)
+                yield BoundCase(str(span_id), pf, flavor, ing.combination_norm_sq, span)
+                yield BoundCase(str(combo_id), pf, flavor, ing.weighted_inner_sum_sq, ing.combo(span))
+        yield BoundCase(str(BoundId.WEIGHTED_BESSEL), pf, None, ing.bessel_sum, ing.thm27(pf, q))
+        if 1.0 < pf <= 2.0:
+            eq211 = ing.power_mean(power_mean_exponent(pf), q)
+            yield BoundCase(str(BoundId.POWER_MEAN), pf, None, ing.bessel_sum, eq211)
+            if gap:
+                yield BoundCase("power_mean", pf, None, *_power_mean_gap(ing.abs_t, pf))
+        if orthonormal:
+            yield BoundCase(str(BoundId.ORTHONORMAL_BESSEL), pf, None, ing.bessel_sum, ing.orthonormal_27a(pf, q))
 
 
 def evaluate_cases(x, family: VectorFamily, c, p_list=STANDARD_P_LIST) -> list[BoundCase]:
@@ -206,33 +220,7 @@ def evaluate_cases(x, family: VectorFamily, c, p_list=STANDARD_P_LIST) -> list[B
     Bessel-sum bound, and — for p ∈ (1, 2] — the power-mean bound plus the
     raw power-mean comparison on the values |(x, y_i)|.
     """
-    cases: list[BoundCase] = []
-
-    r = bombieri_bound(x, family)
-    cases.append(BoundCase(str(r.bound_id), None, None, r.lhs, r.value))
-    r = frobenius_bound(x, family)
-    cases.append(BoundCase(str(r.bound_id), None, None, r.lhs, r.value))
-
-    lhs_span = combination_norm_sq(c, family)
-    chain = refinement_chain(c, family)
-    cases.append(BoundCase("cor22_chain", None, "middle", lhs_span, chain.middle))
-    cases.append(BoundCase("cor22_chain", None, "outer", chain.middle, chain.outer))
-
-    for pf in _dedup_p(p_list):
-        for flavor in ("gram", "norms"):
-            r = span_bound(c, family, pf, flavor)
-            cases.append(BoundCase(str(r.bound_id), pf, flavor, r.lhs, r.value))
-            r = combo_bound(x, family, c, pf, flavor)
-            cases.append(BoundCase(str(r.bound_id), pf, flavor, r.lhs, r.value))
-        r = bessel_sum_bound(x, family, pf)
-        cases.append(BoundCase(str(r.bound_id), pf, None, r.lhs, r.value))
-        if 1.0 < pf <= 2.0:
-            r = power_mean_bound(x, family, pf)
-            cases.append(BoundCase(str(r.bound_id), pf, None, r.lhs, r.value))
-            t = np.abs(inner_each(x, family))
-            gap = power_mean_gap(t, pf)
-            cases.append(BoundCase("power_mean", pf, None, gap.lhs, gap.rhs))
-    return cases
+    return list(_cases(_Ingredients(family, x, c), p_list, frobenius_bound))
 
 
 @dataclass(frozen=True)
@@ -269,15 +257,7 @@ def verify_all(
     worst: Optional[CheckedCase] = None
     n_pass = 0
     for case in evaluate_cases(x, family, c, p_list):
-        cc = CheckedCase(
-            case.bound_id,
-            case.p,
-            case.flavor,
-            case.lhs,
-            case.rhs,
-            case.rhs - case.lhs,
-            case.passes(rel_tol, abs_tol),
-        )
+        cc = CheckedCase(*case, case.margin, case.passes(rel_tol, abs_tol))
         checked.append(cc)
         n_pass += cc.passed
         if worst is None or cc.margin < worst.margin:

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from grambounds import (
+    DimensionError,
     DomainError,
     FamilySpec,
+    ShapeError,
     STANDARD_P_LIST,
     Vector,
     VectorFamily,
@@ -22,6 +24,7 @@ from grambounds import (
     verify_all,
     verify_corpus,
 )
+from grambounds.cli import compute_rows
 
 
 class TestFamilySpec:
@@ -241,3 +244,134 @@ class TestCheckSchwarzChain:
 
     def test_empty(self):
         assert check_schwarz_chain(VectorFamily([], dim=3))
+
+
+def _pn(v, p):
+    """Plain sequence p-norm of |v|; max at p = inf, 0 for an empty v."""
+    a = np.abs(np.asarray(v))
+    if a.size == 0:
+        return 0.0
+    if math.isinf(p):
+        return float(a.max())
+    return float(np.sum(a**p) ** (1.0 / p))
+
+
+def oracle_cases(x, fam, c, p_list, *, gap=True, orthonormal=False):
+    """Every case recomputed from raw coordinates with plain numpy.
+
+    Returns {(bound_id, p, flavor): (lhs, rhs)}.  Independent of the package
+    arithmetic: complex matmuls instead of real dot products, no shared
+    ingredients, no max-factoring in the p-norms.
+    """
+    xv, y = np.asarray(x.coords), fam.vectors
+    n = y.shape[0]
+    t = y.conj() @ xv  # t_i = (x, y_i)
+    g = y @ y.conj().T  # G[i, j] = (y_i, y_j)
+    nx2 = float(np.sum(np.abs(xv) ** 2))
+    bessel = float(np.sum(np.abs(t) ** 2))
+    norms = np.sqrt(np.sum(np.abs(y) ** 2, axis=1))
+    row = float(np.abs(g).sum(axis=1).max()) if n else 0.0
+    out = {
+        ("bombieri", None, None): (bessel, nx2 * row),
+        ("cor28", None, None): (bessel, nx2 * _pn(g.ravel(), 2.0)),
+    }
+    if c is not None:
+        comb = float(np.sum(np.abs(c @ y) ** 2))
+        weighted = abs(complex(np.sum(c * t))) ** 2
+        c2 = float(np.sum(np.abs(c) ** 2))
+        out[("cor22_chain", None, "middle")] = (comb, c2 * _pn(g.ravel(), 2.0))
+        out[("cor22_chain", None, "outer")] = (c2 * _pn(g.ravel(), 2.0), c2 * float(np.sum(norms**2)))
+    for p in p_list:
+        q = math.inf if p == 1.0 else 1.0 if math.isinf(p) else p / (p - 1.0)
+        gq, nq = _pn(g.ravel(), q), _pn(norms, q)
+        if c is not None:
+            cp2 = _pn(c, p) ** 2
+            out[("span_gram", p, "gram")] = (comb, cp2 * gq)
+            out[("span_norms", p, "norms")] = (comb, cp2 * nq**2)
+            out[("combo_gram", p, "gram")] = (weighted, nx2 * cp2 * gq)
+            out[("combo_norms", p, "norms")] = (weighted, nx2 * cp2 * nq**2)
+        out[("thm27", p, None)] = (bessel, math.sqrt(nx2) * _pn(t, p) * math.sqrt(gq))
+        if 1.0 < p <= 2.0:
+            out[("eq211", p, None)] = (bessel, n ** (2.0 / p - 1.0) * nx2 * gq)
+            if gap:
+                out[("power_mean", p, None)] = (_pn(t, p) ** 2, n ** (2.0 / p - 1.0) * bessel)
+        if orthonormal:
+            expo = 0.0 if math.isinf(q) else 1.0 / (2.0 * q)
+            out[("orthonormal_27a", p, None)] = (bessel, math.sqrt(nx2) * n**expo * _pn(t, p))
+    return out
+
+
+def _assert_matches_oracle(got, want):
+    assert set(got) == set(want)
+    for key, (lhs, rhs) in want.items():
+        assert got[key][0] == pytest.approx(lhs, rel=1e-12), key
+        assert got[key][1] == pytest.approx(rhs, rel=1e-12), key
+
+
+def _parse_row(row):
+    bound_id, p, flavor, lhs, rhs, _ = row.split(",")
+    key = (bound_id, None if p == "-" else float(p), None if flavor == "-" else flavor)
+    return key, (float(lhs), float(rhs))
+
+
+class TestOracle:
+    """Each case's value, not only its verdict: a wrong but looser ceiling
+    wired to a case (q-norm at p instead of q, swapped flavors) still passes
+    the soundness corpus, so every case is recomputed independently."""
+
+    SPECS = list(random_specs(200, master_seed=2024))
+
+    def test_sample_covers_edges(self):
+        assert {s.n for s in self.SPECS} >= {0, 1}
+        assert {s.field for s in self.SPECS} == {"real", "complex"}
+
+    def test_evaluate_cases(self):
+        for spec in self.SPECS:
+            x, fam, c = random_family(spec)
+            cases = evaluate_cases(x, fam, c, STANDARD_P_LIST)
+            assert len(cases) == 40
+            got = {(k.bound_id, k.p, k.flavor): (k.lhs, k.rhs) for k in cases}
+            assert len(got) == 40
+            _assert_matches_oracle(got, oracle_cases(x, fam, c, STANDARD_P_LIST))
+
+    def test_compute_rows(self):
+        for spec in self.SPECS[:60]:
+            x, fam, c = random_family(spec)
+            g = fam.vectors @ fam.vectors.conj().T
+            orthonormal = spec.n == 0 or np.max(np.abs(g - np.eye(spec.n))) <= 1e-10
+            for coeffs in (c, None):
+                got = dict(_parse_row(r) for r in compute_rows(x, fam, coeffs, STANDARD_P_LIST))
+                want = oracle_cases(x, fam, coeffs, STANDARD_P_LIST, gap=False, orthonormal=orthonormal)
+                _assert_matches_oracle(got, want)
+
+    def test_compute_rows_orthonormal(self):
+        for seed, field in enumerate(("real", "complex") * 5):
+            n = 1 + seed % 5
+            fam = random_orthonormal_family(6, n, field=field, seed=seed)
+            x, _, c = random_family(FamilySpec(dim=6, n=n, field=field, seed=seed))
+            rows = compute_rows(x, fam, c, STANDARD_P_LIST)
+            got = dict(_parse_row(r) for r in rows)
+            assert sum(key[0] == "orthonormal_27a" for key in got) == len(STANDARD_P_LIST)
+            want = oracle_cases(x, fam, c, STANDARD_P_LIST, gap=False, orthonormal=True)
+            _assert_matches_oracle(got, want)
+
+
+class TestBatchValidation:
+    FAM = VectorFamily([[1.0, 2.0], [3.0, 4.0]])
+
+    @pytest.mark.parametrize(
+        "x, c, error",
+        [
+            ([1.0, 2.0], [1.0], ShapeError),
+            ([1.0, 2.0], [1.0, 2.0, 3.0], ShapeError),
+            ([1.0, 2.0, 3.0], [1.0, 1.0], DimensionError),
+            ([math.nan, 1.0], [1.0, 1.0], DomainError),
+            ([1.0, math.inf], [1.0, 1.0], DomainError),
+            ([1.0, 2.0], [math.inf, 1.0], DomainError),
+            ([1.0, 2.0], [1.0, complex(0.0, math.nan)], DomainError),
+        ],
+    )
+    @pytest.mark.parametrize("entry", [evaluate_cases, verify_all])
+    def test_raises(self, entry, x, c, error):
+        with pytest.raises(error):
+            entry(x, self.FAM, c)
