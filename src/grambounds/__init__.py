@@ -30,7 +30,6 @@ from .compare import (
     DominancePair,
     GridCell,
     SignScanReport,
-    bombieri_factor,
     dominance_search,
     gap_closed_form,
     power_mean_factor,
@@ -48,7 +47,6 @@ from .errors import (
 )
 from .norms import (
     SNAP_TOL,
-    HolderExponent,
     conjugate_exponent,
     gram_entry_qnorm,
     max_row_abs_sum,
@@ -60,8 +58,6 @@ from .verify import (
     CORPUS_SEED,
     REL_TOL,
     STANDARD_P_LIST,
-    BoundCase,
-    CheckedCase,
     CorpusResult,
     FamilySpec,
     VerificationReport,
@@ -97,7 +93,6 @@ __all__ = [
     "inner_each",
     # norms
     "SNAP_TOL",
-    "HolderExponent",
     "conjugate_exponent",
     "seq_pnorm",
     "gram_entry_qnorm",
@@ -126,7 +121,6 @@ __all__ = [
     "GridCell",
     "SignScanReport",
     "DominancePair",
-    "bombieri_factor",
     "power_mean_factor",
     "gap_closed_form",
     "sign_scan",
@@ -137,8 +131,6 @@ __all__ = [
     "STANDARD_P_LIST",
     "CORPUS_SEED",
     "FamilySpec",
-    "BoundCase",
-    "CheckedCase",
     "VerificationReport",
     "CorpusResult",
     "random_family",

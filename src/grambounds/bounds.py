@@ -22,8 +22,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import Vector, VectorFamily, inner_each, norm
-from .errors import DomainError, ShapeError
+from .core import Vector, VectorFamily, _as_complex_1d, inner_each, norm
+from .errors import DomainError
 from .norms import (
     _abs_1d,
     _normalize_exponent,
@@ -35,6 +35,8 @@ from .norms import (
 )
 
 __all__ = [
+    "REL_TOL",
+    "ABS_TOL",
     "BoundId",
     "BoundResult",
     "ChainBounds",
@@ -58,6 +60,12 @@ __all__ = [
 #: orthonormal for the specialized Bessel-sum bound.
 ORTHONORMAL_TOL = 1e-10
 
+#: Default slack of BoundResult.holds.  Every inequality is exact in real
+#: arithmetic, so the slack absorbs only floating-point rounding: a formula
+#: error produces violations of order one and cannot hide in it.
+REL_TOL = 1e-10
+ABS_TOL = 1e-12
+
 
 class BoundId(str, Enum):
     """Stable identifiers for the bound families, used in reports and CSV output."""
@@ -72,6 +80,7 @@ class BoundId(str, Enum):
     POWER_MEAN = "eq211"
     BOMBIERI = "bombieri"
     ORTHONORMAL_BESSEL = "orthonormal_27a"
+    POWER_MEAN_GAP = "power_mean"  # the raw power-mean comparison behind eq211
 
     def __str__(self) -> str:  # CSV-friendly
         return self.value
@@ -79,7 +88,11 @@ class BoundId(str, Enum):
 
 @dataclass(frozen=True)
 class BoundResult:
-    """One evaluated inequality: lhs is the bounded quantity, value its ceiling."""
+    """One evaluated inequality: lhs is the bounded quantity, value (= rhs) its ceiling.
+
+    The only record of an evaluated case: every evaluator, evaluate_cases,
+    verify_all and verify_corpus's on_case hand out this type.
+    """
 
     bound_id: BoundId
     lhs: float
@@ -95,7 +108,7 @@ class BoundResult:
     def margin(self) -> float:
         return self.value - self.lhs
 
-    def holds(self, rel_tol: float = 1e-10, abs_tol: float = 1e-12) -> bool:
+    def holds(self, rel_tol: float = REL_TOL, abs_tol: float = ABS_TOL) -> bool:
         return self.lhs <= self.value * (1.0 + rel_tol) + abs_tol
 
 
@@ -111,24 +124,6 @@ class PowerMeanGap(NamedTuple):
 
     lhs: float
     rhs: float
-
-
-def _coeffs(c, n: int) -> np.ndarray:
-    """Coerce a coefficient sequence to complex128 of length n (n may be 0)."""
-    if isinstance(c, Vector):
-        arr = c.coords
-    else:
-        arr = np.asarray(c)
-    if arr.ndim != 1:
-        raise ShapeError(f"coefficients must be one-dimensional, got shape {arr.shape}")
-    if arr.size and not np.issubdtype(arr.dtype, np.number):
-        raise DomainError(f"coefficients must be numeric, got dtype {arr.dtype}")
-    if arr.shape[0] != n:
-        raise ShapeError(f"got {arr.shape[0]} coefficients for a family of size {n}")
-    out = arr.astype(np.complex128, copy=True)
-    if out.size and (not np.all(np.isfinite(out.real)) or not np.all(np.isfinite(out.imag))):
-        raise DomainError("coefficients contain non-finite entries")
-    return out
 
 
 def _sum_sq(v: np.ndarray) -> float:
@@ -154,7 +149,7 @@ class _Ingredients:
             self.x = x if isinstance(x, Vector) else Vector(x)
             self.t = inner_each(self.x, family)  # also the dimension check
         if c is not _ABSENT:
-            self.c = _coeffs(c, family.size)
+            self.c = _as_complex_1d(c, what="coefficients", allow_empty=True, size=family.size)
         self._memo: dict = {}
 
     def _memoised(self, key, compute):
@@ -346,15 +341,10 @@ def power_mean_gap(values, p) -> PowerMeanGap:
     """Evaluate (Σv^p)^(2/p) against n^(2/p-1) Σv² for nonnegative v, p ∈ (1, 2]."""
     pf = power_mean_exponent(p)
     arr = np.asarray(values)
-    if arr.ndim != 1:
-        raise ShapeError(f"values must be one-dimensional, got shape {arr.shape}")
-    if arr.size and not np.issubdtype(arr.dtype, np.number):
-        raise DomainError(f"values must be numeric, got dtype {arr.dtype}")
+    z = _as_complex_1d(arr, what="values", allow_empty=True)
     if np.issubdtype(arr.dtype, np.complexfloating):
         raise DomainError("values must be real and nonnegative")
-    v = arr.astype(np.float64, copy=False)
-    if not np.all(np.isfinite(v)):
-        raise DomainError("values contain non-finite entries")
+    v = np.ascontiguousarray(z.real)  # a strided v @ v can round differently
     if v.size and float(v.min()) < 0.0:
         raise DomainError(f"values must be nonnegative, got {float(v.min())}")
     return _power_mean_gap(v, pf)

@@ -160,7 +160,8 @@ def compute_rows(x, family, coefficients, p_values) -> list[str]:
     """
     ing = _Ingredients(family, x) if coefficients is None else _Ingredients(family, x, coefficients)
     orthonormal = family.is_orthonormal(ORTHONORMAL_TOL)
-    return [case_row(*r) for r in _cases(ing, p_values, frobenius_bound, gap=False, orthonormal=orthonormal)]
+    cases = _cases(ing, p_values, frobenius_bound, gap=False, orthonormal=orthonormal)
+    return [case_row(r.bound_id, r.p, r.flavor, r.lhs, r.rhs) for r in cases]
 
 
 def _write_lines(path: str, lines: list[str]) -> None:

@@ -29,7 +29,6 @@ __all__ = [
     "GridCell",
     "SignScanReport",
     "DominancePair",
-    "bombieri_factor",
     "power_mean_factor",
     "gap_closed_form",
     "sign_scan",
@@ -38,11 +37,6 @@ __all__ = [
 
 #: A factor gap must exceed this magnitude before it counts as a strict sign.
 DOMINANCE_TOL = 1e-9
-
-
-def bombieri_factor(gram) -> float:
-    """max_i Σ_j |g_ij| — the ‖x‖²-stripped factor of the classical bound."""
-    return max_row_abs_sum(gram)
 
 
 def power_mean_factor(gram, p) -> float:
@@ -54,7 +48,7 @@ def power_mean_factor(gram, p) -> float:
 
 
 def gap_closed_form(b, p) -> float:
-    """power_mean_factor minus bombieri_factor for the family (1), (b), in closed form.
+    """power_mean_factor minus max_row_abs_sum for the family (1), (b), in closed form.
 
     Requires 0 ≤ b ≤ 1 and 1 < p ≤ 2; b^q at b = 0 is the continuous
     extension 0, matching the realized family (1), (0).
@@ -209,7 +203,7 @@ def dominance_search(seed: int, max_trials: int, p) -> Optional[DominancePair]:
         b = float(rng.uniform())
         fam = VectorFamily(np.array([[1.0], [b]]), field="real")
         g = fam.gram()
-        f_row = bombieri_factor(g)
+        f_row = max_row_abs_sum(g)
         f_pm = power_mean_factor(g, pf)
         gap = f_pm - f_row
         if pos is None and gap > DOMINANCE_TOL:

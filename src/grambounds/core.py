@@ -34,20 +34,29 @@ ArrayLike = Union["Vector", Sequence, np.ndarray]
 HERMITIAN_TOL = 1e-12
 
 
-def _as_complex_1d(data: ArrayLike, *, what: str = "vector") -> np.ndarray:
-    """Coerce ``data`` to a 1-D complex128 array, rejecting bad shapes."""
-    if isinstance(data, Vector):
-        return data.coords
-    arr = np.asarray(data)
+def _as_complex_1d(
+    data: ArrayLike, *, what: str = "vector", allow_empty: bool = False, size: int | None = None
+) -> np.ndarray:
+    """Coerce ``data`` to a 1-D complex128 array of finite numbers.
+
+    The one coercion path for vectors, coefficients and sequences.  Checks
+    run in a fixed order: shape, emptiness (rejected unless ``allow_empty``),
+    dtype, length (when ``size`` is given), finiteness.
+    """
+    arr = data.coords if isinstance(data, Vector) else np.asarray(data)
     if arr.ndim != 1:
         raise ShapeError(f"{what} must be one-dimensional, got shape {arr.shape}")
-    if arr.size == 0:
+    if arr.size == 0 and not allow_empty:
         raise ShapeError(f"{what} must have at least one coordinate")
-    if not np.issubdtype(arr.dtype, np.number):
+    if arr.size and not np.issubdtype(arr.dtype, np.number):
         raise DomainError(f"{what} must be numeric, got dtype {arr.dtype}")
+    if size is not None and arr.shape[0] != size:
+        raise ShapeError(f"got {arr.shape[0]} {what} for a family of size {size}")
+    if isinstance(data, Vector):
+        return arr  # finite complex128 by construction
     out = arr.astype(np.complex128, copy=True)
-    if not np.all(np.isfinite(out.real)) or not np.all(np.isfinite(out.imag)):
-        raise DomainError(f"{what} contains non-finite entries")
+    if not np.isfinite(out).all():  # complex isfinite: both parts finite
+        raise DomainError(f"{what} must be finite")
     return out
 
 
@@ -305,25 +314,6 @@ class GramMatrix:
             out.setflags(write=False)
             self._abs = out
         return self._abs
-
-    def quad_form(self, coeffs: np.ndarray) -> float:
-        """Real part of c* G c for a coefficient column c.
-
-        For Hermitian G the form is real; we compute it as a real number
-        directly instead of rounding away an imaginary dust term.
-        """
-        c = _as_complex_1d(coeffs, what="coefficients") if len(coeffs) else np.zeros(
-            0, dtype=np.complex128
-        )
-        if c.shape[0] != self.size:
-            raise ShapeError(
-                f"coefficient length {c.shape[0]} does not match family size {self.size}"
-            )
-        if self.size == 0:
-            return 0.0
-        g = self._entries
-        gc = g @ c
-        return float(c.real @ gc.real) + float(c.imag @ gc.imag)
 
 
 def gram(family: VectorFamily) -> GramMatrix:

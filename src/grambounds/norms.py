@@ -10,16 +10,14 @@ and makes the limit behavior testable instead of assumed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GramMatrix, Vector
-from .errors import DomainError, ExponentError, ExponentRangeError, ShapeError
+from .core import GramMatrix, _as_complex_1d
+from .errors import DomainError, ExponentError, ExponentRangeError
 
 __all__ = [
     "SNAP_TOL",
-    "HolderExponent",
     "conjugate_exponent",
     "seq_pnorm",
     "gram_entry_qnorm",
@@ -59,42 +57,6 @@ def conjugate_exponent(p) -> float:
     return pf / (pf - 1.0)
 
 
-@dataclass(frozen=True)
-class HolderExponent:
-    """A conjugate exponent pair (p, q).
-
-    ``of(p)`` computes q once; ``conjugate()`` swaps the stored pair, so
-    round-tripping is exact by construction rather than by re-division.
-    """
-
-    p: float
-    q: float
-
-    def __post_init__(self):
-        pf = _normalize_exponent(self.p)
-        qf = _normalize_exponent(self.q)
-        object.__setattr__(self, "p", pf)
-        object.__setattr__(self, "q", qf)
-        if pf == 1.0:
-            ok = math.isinf(qf)
-        elif math.isinf(pf):
-            ok = qf == 1.0
-        elif math.isinf(qf):
-            ok = False  # finite p > 1 has a finite conjugate
-        else:
-            ok = abs(1.0 / pf + 1.0 / qf - 1.0) <= 1e-9
-        if not ok:
-            raise ExponentError(f"{pf} and {qf} are not Hölder conjugates")
-
-    @classmethod
-    def of(cls, p) -> "HolderExponent":
-        pf = _normalize_exponent(p)
-        return cls(pf, conjugate_exponent(pf))
-
-    def conjugate(self) -> "HolderExponent":
-        return HolderExponent(self.q, self.p)
-
-
 def power_mean_exponent(p) -> float:
     """Validate an exponent required to lie strictly inside (1, 2].
 
@@ -111,18 +73,11 @@ def power_mean_exponent(p) -> float:
 
 
 def _abs_1d(values) -> np.ndarray:
-    """|values| as a float64 array; accepts Vector, sequence, or ndarray."""
-    if isinstance(values, Vector):
-        arr = values.coords
-    else:
-        arr = np.asarray(values)
-    if arr.ndim != 1:
-        raise ShapeError(f"expected a one-dimensional sequence, got shape {arr.shape}")
-    if arr.size and not np.issubdtype(arr.dtype, np.number):
-        raise DomainError(f"sequence must be numeric, got dtype {arr.dtype}")
-    a = np.abs(arr.astype(np.complex128)).astype(np.float64)
-    if a.size and not np.all(np.isfinite(a)):
-        raise DomainError("sequence contains non-finite entries")
+    """|values| as a float64 array; accepts Vector, sequence, or ndarray, empty too."""
+    a = np.abs(_as_complex_1d(values, what="sequence", allow_empty=True))
+    # Finite entries can still overflow here: |z| of two huge components is inf.
+    if not np.isfinite(a).all():
+        raise DomainError("sequence contains non-finite magnitudes")
     return a
 
 

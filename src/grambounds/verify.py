@@ -1,9 +1,7 @@
 """Randomized input generation and batch verification of every inequality.
 
-The inequalities are exact in real arithmetic; the tolerance policy here
-(rel 1e-10 plus abs 1e-12) absorbs only floating-point rounding.  It is
-tight enough that a formula error — which produces violations of order
-one — cannot hide, and loose enough for double precision at n ≤ 32.
+Every case is a bounds.BoundResult, checked with BoundResult.holds at the
+tolerances REL_TOL and ABS_TOL (re-exported here from bounds).
 """
 
 from __future__ import annotations
@@ -11,11 +9,21 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional
+from operator import attrgetter
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
-from .bounds import BoundId, _Ingredients, _power_mean_gap, _span_ids, frobenius_bound
+from .bounds import (
+    ABS_TOL,
+    REL_TOL,
+    BoundId,
+    BoundResult,
+    _Ingredients,
+    _power_mean_gap,
+    _span_ids,
+    frobenius_bound,
+)
 from .core import Vector, VectorFamily
 from .errors import DomainError
 from .norms import _normalize_exponent, conjugate_exponent, power_mean_exponent
@@ -26,8 +34,6 @@ __all__ = [
     "STANDARD_P_LIST",
     "CORPUS_SEED",
     "FamilySpec",
-    "BoundCase",
-    "CheckedCase",
     "VerificationReport",
     "CorpusResult",
     "random_family",
@@ -39,9 +45,6 @@ __all__ = [
     "verify_corpus",
     "check_schwarz_chain",
 ]
-
-REL_TOL = 1e-10
-ABS_TOL = 1e-12
 
 #: Exponents exercised by default: both limit branches, a near-1 value with
 #: a large conjugate, the self-conjugate point, and one value beyond 2.
@@ -148,69 +151,39 @@ def standard_corpus() -> Iterator[FamilySpec]:
     return random_specs(CORPUS_SIZE, CORPUS_SEED, dim_max=CORPUS_DIM_MAX, n_max=CORPUS_N_MAX, field="both")
 
 
-class BoundCase(NamedTuple):
-    """One evaluated inequality, before any tolerance verdict."""
-
-    bound_id: str
-    p: Optional[float]
-    flavor: Optional[str]
-    lhs: float
-    rhs: float
-
-    @property
-    def margin(self) -> float:
-        return self.rhs - self.lhs
-
-    def passes(self, rel_tol: float = REL_TOL, abs_tol: float = ABS_TOL) -> bool:
-        return self.lhs <= self.rhs * (1.0 + rel_tol) + abs_tol
-
-
-class CheckedCase(NamedTuple):
-    """A BoundCase together with its margin and pass/fail verdict."""
-
-    bound_id: str
-    p: Optional[float]
-    flavor: Optional[str]
-    lhs: float
-    rhs: float
-    margin: float
-    passed: bool
-
-
 def _dedup_p(p_list: Iterable) -> list[float]:
     """Normalized exponents, first occurrence of each kept, in order."""
     return list(dict.fromkeys(_normalize_exponent(p) for p in p_list))
 
 
-def _cases(ing: _Ingredients, p_list, frobenius, *, gap=True, orthonormal=False) -> Iterator[BoundCase]:
+def _cases(ing: _Ingredients, p_list, frobenius, *, gap=True, orthonormal=False) -> Iterator[BoundResult]:
     """Every case of one input in report order (see evaluate_cases); coefficient cases need ing.c.
     cor28 goes through the caller's frobenius_bound, so a patched one there reaches the batch."""
-    yield BoundCase(str(BoundId.BOMBIERI), None, None, ing.bessel_sum, ing.bombieri())
-    r = frobenius(ing.x, ing.family, ing)
-    yield BoundCase(str(r.bound_id), None, None, r.lhs, r.value)
+    yield BoundResult(BoundId.BOMBIERI, ing.bessel_sum, ing.bombieri())
+    yield frobenius(ing.x, ing.family, ing)
     if ing.c is not None:
         chain = ing.chain()
-        yield BoundCase(str(BoundId.REFINEMENT_CHAIN), None, "middle", ing.combination_norm_sq, chain.middle)
-        yield BoundCase(str(BoundId.REFINEMENT_CHAIN), None, "outer", chain.middle, chain.outer)
+        yield BoundResult(BoundId.REFINEMENT_CHAIN, ing.combination_norm_sq, chain.middle, None, "middle")
+        yield BoundResult(BoundId.REFINEMENT_CHAIN, chain.middle, chain.outer, None, "outer")
     for pf in _dedup_p(p_list):
         q = conjugate_exponent(pf)
         if ing.c is not None:
             for flavor in ("gram", "norms"):
                 span_id, combo_id = _span_ids(flavor)
                 span = ing.span(pf, q, flavor)
-                yield BoundCase(str(span_id), pf, flavor, ing.combination_norm_sq, span)
-                yield BoundCase(str(combo_id), pf, flavor, ing.weighted_inner_sum_sq, ing.combo(span))
-        yield BoundCase(str(BoundId.WEIGHTED_BESSEL), pf, None, ing.bessel_sum, ing.thm27(pf, q))
+                yield BoundResult(span_id, ing.combination_norm_sq, span, pf, flavor)
+                yield BoundResult(combo_id, ing.weighted_inner_sum_sq, ing.combo(span), pf, flavor)
+        yield BoundResult(BoundId.WEIGHTED_BESSEL, ing.bessel_sum, ing.thm27(pf, q), pf)
         if 1.0 < pf <= 2.0:
             eq211 = ing.power_mean(power_mean_exponent(pf), q)
-            yield BoundCase(str(BoundId.POWER_MEAN), pf, None, ing.bessel_sum, eq211)
+            yield BoundResult(BoundId.POWER_MEAN, ing.bessel_sum, eq211, pf)
             if gap:
-                yield BoundCase("power_mean", pf, None, *_power_mean_gap(ing.abs_t, pf))
+                yield BoundResult(BoundId.POWER_MEAN_GAP, *_power_mean_gap(ing.abs_t, pf), pf)
         if orthonormal:
-            yield BoundCase(str(BoundId.ORTHONORMAL_BESSEL), pf, None, ing.bessel_sum, ing.orthonormal_27a(pf, q))
+            yield BoundResult(BoundId.ORTHONORMAL_BESSEL, ing.bessel_sum, ing.orthonormal_27a(pf, q), pf)
 
 
-def evaluate_cases(x, family: VectorFamily, c, p_list=STANDARD_P_LIST) -> list[BoundCase]:
+def evaluate_cases(x, family: VectorFamily, c, p_list=STANDARD_P_LIST) -> list[BoundResult]:
     """Evaluate every implemented inequality on one input.
 
     Exponent-free bounds come first (classical row-sum, Frobenius, and the
@@ -225,12 +198,11 @@ def evaluate_cases(x, family: VectorFamily, c, p_list=STANDARD_P_LIST) -> list[B
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Batch of checked inequalities with totals and the tightest case."""
+    """Batch of checked inequalities: every case, the failing ones, and the tightest."""
 
-    cases: tuple[CheckedCase, ...]
-    n_pass: int
-    n_fail: int
-    worst_margin_case: Optional[CheckedCase]
+    cases: tuple[BoundResult, ...]
+    failures: tuple[BoundResult, ...]
+    worst_margin_case: Optional[BoundResult]
     rel_tol: float
     abs_tol: float
 
@@ -239,8 +211,12 @@ class VerificationReport:
         return len(self.cases)
 
     @property
-    def failures(self) -> tuple[CheckedCase, ...]:
-        return tuple(case for case in self.cases if not case.passed)
+    def n_fail(self) -> int:
+        return len(self.failures)
+
+    @property
+    def n_pass(self) -> int:
+        return len(self.cases) - len(self.failures)
 
 
 def verify_all(
@@ -252,21 +228,12 @@ def verify_all(
     rel_tol: float = REL_TOL,
     abs_tol: float = ABS_TOL,
 ) -> VerificationReport:
-    """Evaluate and check every inequality on one input."""
-    checked = []
-    worst: Optional[CheckedCase] = None
-    n_pass = 0
-    for case in evaluate_cases(x, family, c, p_list):
-        cc = CheckedCase(*case, case.margin, case.passes(rel_tol, abs_tol))
-        checked.append(cc)
-        n_pass += cc.passed
-        if worst is None or cc.margin < worst.margin:
-            worst = cc
+    """Evaluate and check every inequality on one input; each verdict is computed once."""
+    cases = tuple(evaluate_cases(x, family, c, p_list))
     return VerificationReport(
-        cases=tuple(checked),
-        n_pass=n_pass,
-        n_fail=len(checked) - n_pass,
-        worst_margin_case=worst,
+        cases=cases,
+        failures=tuple(case for case in cases if not case.holds(rel_tol, abs_tol)),
+        worst_margin_case=min(cases, key=attrgetter("margin"), default=None),
         rel_tol=rel_tol,
         abs_tol=abs_tol,
     )
@@ -282,8 +249,8 @@ class CorpusResult:
     n_fail: int
     cases_by_id: dict
     fails_by_id: dict
-    failures: tuple[tuple[FamilySpec, CheckedCase], ...]
-    worst: Optional[tuple[FamilySpec, CheckedCase]]
+    failures: tuple[tuple[FamilySpec, BoundResult], ...]
+    worst: Optional[tuple[FamilySpec, BoundResult]]
 
 
 def verify_corpus(
@@ -292,40 +259,42 @@ def verify_corpus(
     *,
     rel_tol: float = REL_TOL,
     abs_tol: float = ABS_TOL,
-    on_case: Optional[Callable[[FamilySpec, CheckedCase], None]] = None,
+    on_case: Optional[Callable[[FamilySpec, BoundResult], None]] = None,
 ) -> CorpusResult:
     """Run verify_all over a stream of specs and aggregate the verdicts.
 
     on_case, when given, observes every checked case in deterministic
-    order (useful for streaming serialization or hashing).
+    order (useful for streaming serialization or hashing).  cases_by_id and
+    fails_by_id are keyed by the plain-string bound id.
     """
-    n_specs = n_cases = n_pass = 0
+    n_specs = n_cases = n_fail = 0
     cases_by_id: dict = {}
     fails_by_id: dict = {}
-    failures: list[tuple[FamilySpec, CheckedCase]] = []
-    worst: Optional[tuple[FamilySpec, CheckedCase]] = None
+    failures: list[tuple[FamilySpec, BoundResult]] = []
+    worst: Optional[tuple[FamilySpec, BoundResult]] = None
     for spec in specs:
         x, fam, c = random_family(spec)
         report = verify_all(x, fam, c, p_list, rel_tol=rel_tol, abs_tol=abs_tol)
         n_specs += 1
         n_cases += report.n_cases
-        n_pass += report.n_pass
+        n_fail += report.n_fail
         for case in report.cases:
+            # A BoundId hashes and compares as its string, so the keys become str below.
             cases_by_id[case.bound_id] = cases_by_id.get(case.bound_id, 0) + 1
-            if not case.passed:
-                fails_by_id[case.bound_id] = fails_by_id.get(case.bound_id, 0) + 1
-                failures.append((spec, case))
             if worst is None or case.margin < worst[1].margin:
                 worst = (spec, case)
             if on_case is not None:
                 on_case(spec, case)
+        for case in report.failures:
+            fails_by_id[case.bound_id] = fails_by_id.get(case.bound_id, 0) + 1
+            failures.append((spec, case))
     return CorpusResult(
         n_specs=n_specs,
         n_cases=n_cases,
-        n_pass=n_pass,
-        n_fail=n_cases - n_pass,
-        cases_by_id=cases_by_id,
-        fails_by_id=fails_by_id,
+        n_pass=n_cases - n_fail,
+        n_fail=n_fail,
+        cases_by_id={str(k): v for k, v in cases_by_id.items()},
+        fails_by_id={str(k): v for k, v in fails_by_id.items()},
         failures=tuple(failures),
         worst=worst,
     )

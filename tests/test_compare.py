@@ -9,10 +9,10 @@ from grambounds import (
     DomainError,
     ExponentRangeError,
     VectorFamily,
-    bombieri_factor,
     dominance_search,
     gap_closed_form,
     gram,
+    max_row_abs_sum,
     power_mean_factor,
     sign_scan,
 )
@@ -24,9 +24,9 @@ F_01_11 = 0.6631825099952482  # high-precision evaluation of the closed form
 
 class TestFactors:
     def test_bombieri_factor_examples(self):
-        assert bombieri_factor(HALF) == 1.5
-        assert bombieri_factor(gram(VectorFamily(np.eye(2)))) == 1.0
-        assert bombieri_factor(TENTH) == pytest.approx(1.1, rel=1e-15)
+        assert max_row_abs_sum(HALF) == 1.5
+        assert max_row_abs_sum(gram(VectorFamily(np.eye(2)))) == 1.0
+        assert max_row_abs_sum(TENTH) == pytest.approx(1.1, rel=1e-15)
 
     def test_power_mean_factor_p2(self):
         assert power_mean_factor(HALF, 2.0) == 1.25
@@ -80,7 +80,7 @@ class TestGapClosedForm:
             p = float(rng.uniform(1.0 + 1e-6, 2.0))
             fam = VectorFamily([[1.0], [b]])
             g = gram(fam)
-            direct = power_mean_factor(g, p) - bombieri_factor(g)
+            direct = power_mean_factor(g, p) - max_row_abs_sum(g)
             f = gap_closed_form(b, p)
             assert abs(f - direct) <= 1e-10 * max(1.0, abs(f))
 
@@ -160,7 +160,7 @@ class TestDominanceSearch:
             (pair.family_b, pair.bombieri_b, pair.power_mean_b),
         ):
             g = gram(fam)
-            assert bombieri_factor(g) == m1
+            assert max_row_abs_sum(g) == m1
             assert power_mean_factor(g, pair.p) == m2
 
     def test_p2_finds_nothing(self):

@@ -9,7 +9,6 @@ from grambounds import (
     DomainError,
     ExponentError,
     ExponentRangeError,
-    HolderExponent,
     VectorFamily,
     conjugate_exponent,
     gram,
@@ -60,36 +59,6 @@ class TestConjugateExponent:
                 assert math.isinf(back)
             else:
                 assert back == pytest.approx(p, rel=1e-9)
-
-
-class TestHolderExponent:
-    def test_of(self):
-        he = HolderExponent.of(3.0)
-        assert he.p == 3.0
-        assert he.q == 1.5
-
-    def test_limit_pairs(self):
-        assert HolderExponent.of(1.0).q == math.inf
-        assert HolderExponent.of(math.inf).q == 1.0
-
-    def test_conjugate_round_trip_exact(self):
-        for p in (1.0, 1.1, 1.7, 2.0, 5.0, math.inf):
-            he = HolderExponent.of(p)
-            assert he.conjugate().conjugate() == he
-
-    def test_rejects_non_conjugate_pair(self):
-        with pytest.raises(ExponentError):
-            HolderExponent(2.0, 3.0)
-        with pytest.raises(ExponentError):
-            HolderExponent(1.5, math.inf)
-
-    def test_accepts_valid_pair(self):
-        assert HolderExponent(1.5, 3.0).q == 3.0
-
-    def test_frozen(self):
-        he = HolderExponent.of(2.0)
-        with pytest.raises(AttributeError):
-            he.p = 3.0
 
 
 class TestPowerMeanExponent:

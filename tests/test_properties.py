@@ -8,13 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from grambounds import (
     FamilySpec,
-    HolderExponent,
     Vector,
     VectorFamily,
     bessel_sum,
     bessel_sum_bound,
     bombieri_bound,
-    bombieri_factor,
     check_schwarz_chain,
     combo_bound,
     conjugate_exponent,
@@ -24,6 +22,7 @@ from grambounds import (
     gram,
     gram_entry_qnorm,
     inner,
+    max_row_abs_sum,
     norm,
     orthonormal_bessel_bound,
     power_mean_bound,
@@ -83,12 +82,6 @@ class TestExponentProperties:
         back = conjugate_exponent(conjugate_exponent(p))
         assert back == pytest.approx(p, rel=1e-9)
 
-    @FAST
-    @given(st.floats(min_value=1.0, max_value=50.0, allow_nan=False))
-    def test_holder_round_trip_exact(self, p):
-        he = HolderExponent.of(p)
-        assert he.conjugate().conjugate() == he
-
     @SLOW
     @given(st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=1, max_size=10), p_any)
     def test_pnorm_between_max_and_sum(self, values, p):
@@ -112,7 +105,7 @@ class TestBoundSoundness:
     def test_every_case_holds(self, dim, n, field, scale, seed):
         x, fam, c = draw_triple(dim, n, field, scale, seed)
         for case in evaluate_cases(x, fam, c):
-            assert case.passes(), (case.bound_id, case.p, case.flavor, case.margin)
+            assert case.holds(), (case.bound_id, case.p, case.flavor, case.margin)
 
     @SLOW
     @given(dims, st.integers(min_value=1, max_value=10), fields, seeds, p_any)
@@ -196,7 +189,7 @@ class TestComparisonProperties:
     def test_closed_form_matches_factors(self, b, p):
         f = gap_closed_form(b, p)
         g = gram(VectorFamily([[1.0], [b]]))
-        direct = power_mean_factor(g, p) - bombieri_factor(g)
+        direct = power_mean_factor(g, p) - max_row_abs_sum(g)
         assert abs(f - direct) <= 1e-10 * max(1.0, abs(f))
 
     @FAST
@@ -215,12 +208,11 @@ class TestGramProperties:
     @given(dims, st.integers(min_value=1, max_value=10), fields, seeds)
     def test_quad_form_nonnegative(self, dim, n, field, seed):
         _, fam, c = draw_triple(dim, n, field, 1.0, seed)
-        g = gram(fam)
-        q = g.quad_form(c)
-        slack = 1e-10 * float((np.abs(c) ** 2).sum()) * float(
-            np.max(g.entries.real.diagonal(), initial=0.0)
-        )
-        assert q >= -slack
+        g = gram(fam).entries
+        q = complex(c.conj() @ g @ c)  # c* G c
+        slack = 1e-10 * float((np.abs(c) ** 2).sum()) * float(np.max(g.real.diagonal(), initial=0.0))
+        assert abs(q.imag) <= slack
+        assert q.real >= -slack
 
     @SLOW
     @given(dims, sizes, fields, seeds)

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from grambounds import (
+    BoundId,
+    BoundResult,
     DimensionError,
     DomainError,
     FamilySpec,
@@ -14,17 +16,31 @@ from grambounds import (
     Vector,
     VectorFamily,
     bessel_sum,
+    bessel_sum_bound,
+    bombieri_bound,
     check_schwarz_chain,
+    combination_norm_sq,
+    combo_bound,
     evaluate_cases,
+    frobenius_bound,
     gram,
+    inner,
+    inner_each,
     norm,
+    orthonormal_bessel_bound,
+    power_mean_bound,
+    power_mean_gap,
     random_family,
     random_orthonormal_family,
     random_specs,
+    refinement_chain,
+    seq_pnorm,
+    span_bound,
     verify_all,
     verify_corpus,
+    weighted_inner_sum_sq,
 )
-from grambounds.cli import compute_rows
+from grambounds.cli import case_row, compute_rows
 
 
 class TestFamilySpec:
@@ -356,8 +372,102 @@ class TestOracle:
             _assert_matches_oracle(got, want)
 
 
+def _public_record(x, fam, c, case):
+    """The record the public evaluator returns for the case's (bound_id, p, flavor)."""
+    bid, p, flavor = case.bound_id, case.p, case.flavor
+    if bid == BoundId.REFINEMENT_CHAIN:
+        chain = refinement_chain(c, fam)
+        if flavor == "middle":
+            return BoundResult(bid, combination_norm_sq(c, fam), chain.middle, p, flavor)
+        return BoundResult(bid, chain.middle, chain.outer, p, flavor)
+    if bid == BoundId.POWER_MEAN_GAP:
+        return BoundResult(bid, *power_mean_gap(np.abs(inner_each(x, fam)), p), p)
+    evaluators = {
+        BoundId.BOMBIERI: lambda: bombieri_bound(x, fam),
+        BoundId.FROBENIUS: lambda: frobenius_bound(x, fam),
+        BoundId.SPAN_GRAM: lambda: span_bound(c, fam, p, flavor),
+        BoundId.SPAN_NORMS: lambda: span_bound(c, fam, p, flavor),
+        BoundId.COMBO_GRAM: lambda: combo_bound(x, fam, c, p, flavor),
+        BoundId.COMBO_NORMS: lambda: combo_bound(x, fam, c, p, flavor),
+        BoundId.WEIGHTED_BESSEL: lambda: bessel_sum_bound(x, fam, p),
+        BoundId.POWER_MEAN: lambda: power_mean_bound(x, fam, p),
+    }
+    return evaluators[bid]()
+
+
+class TestBatchMatchesEvaluators:
+    """The batch path and the public evaluators must agree bitwise: each
+    record of evaluate_cases equals (==) the public evaluator's record."""
+
+    SPECS = TestOracle.SPECS
+
+    def test_evaluate_cases(self):
+        seen = set()
+        for spec in self.SPECS:
+            x, fam, c = random_family(spec)
+            for case in evaluate_cases(x, fam, c, STANDARD_P_LIST):
+                assert case == _public_record(x, fam, c, case), (spec, case)
+                seen.add(case.bound_id)
+        assert seen == set(BoundId) - {BoundId.ORTHONORMAL_BESSEL}
+
+    def test_compute_rows_orthonormal(self):
+        for seed, field in enumerate(("real", "complex") * 5):
+            n = 1 + seed % 5
+            fam = random_orthonormal_family(6, n, field=field, seed=seed)
+            x, _, c = random_family(FamilySpec(dim=6, n=n, field=field, seed=seed))
+            rows = [r for r in compute_rows(x, fam, c, STANDARD_P_LIST) if r.startswith("orthonormal_27a,")]
+            want = [orthonormal_bessel_bound(x, fam, p) for p in STANDARD_P_LIST]
+            assert rows == [case_row(r.bound_id, r.p, r.flavor, r.lhs, r.rhs) for r in want]
+
+
+_FAM = VectorFamily([[1.0, 2.0], [3.0, 4.0]])
+_GOOD = [1.0, 2.0]
+_BAD = [
+    ("2d", [[1.0, 2.0]], ShapeError),
+    ("text", ["a", "b"], DomainError),
+    ("nan", [math.nan, 1.0], DomainError),
+    ("inf", [1.0, math.inf], DomainError),
+]
+_BAD_X = _BAD + [("empty", [], ShapeError)]
+_BAD_C = _BAD + [
+    ("short", [1.0], ShapeError),
+    ("long", [1.0, 2.0, 3.0], ShapeError),
+    # two faults: the length check comes before the finiteness check
+    ("long_nan", [1.0, math.nan, 2.0], ShapeError),
+]
+_BAD_GAP = _BAD + [("complex", [1.0 + 1.0j, 2.0], DomainError), ("negative", [-1.0, 2.0], DomainError)]
+_ENTRY_POINTS = [  # (name, call on the bad value, bad values with the error each raises)
+    ("Vector", Vector, _BAD_X),
+    ("inner", lambda v: inner(v, _GOOD), _BAD_X),
+    ("inner_second", lambda v: inner(_GOOD, v), _BAD_X),
+    ("norm", norm, _BAD_X),
+    ("inner_each", lambda v: inner_each(v, _FAM), _BAD_X),
+    ("combo_bound_x", lambda v: combo_bound(v, _FAM, _GOOD, 2.0), _BAD_X),
+    ("weighted_inner_sum_sq_x", lambda v: weighted_inner_sum_sq(v, _FAM, _GOOD), _BAD_X),
+    ("evaluate_cases_x", lambda v: evaluate_cases(v, _FAM, _GOOD), _BAD_X),
+    ("span_bound", lambda c: span_bound(c, _FAM, 2.0), _BAD_C),
+    ("combo_bound_c", lambda c: combo_bound(_GOOD, _FAM, c, 2.0), _BAD_C),
+    ("weighted_inner_sum_sq_c", lambda c: weighted_inner_sum_sq(_GOOD, _FAM, c), _BAD_C),
+    ("evaluate_cases_c", lambda c: evaluate_cases(_GOOD, _FAM, c), _BAD_C),
+    ("seq_pnorm", lambda v: seq_pnorm(v, 2.0), _BAD),
+    ("power_mean_gap", lambda v: power_mean_gap(v, 1.5), _BAD_GAP),
+]
+
+
 class TestBatchValidation:
-    FAM = VectorFamily([[1.0, 2.0], [3.0, 4.0]])
+    FAM = _FAM
+
+    @pytest.mark.parametrize(
+        "call, value, error",
+        [
+            pytest.param(call, value, error, id=f"{name}-{label}")
+            for name, call, bad in _ENTRY_POINTS
+            for label, value, error in bad
+        ],
+    )
+    def test_entry_point_errors(self, call, value, error):
+        with pytest.raises(error):
+            call(value)
 
     @pytest.mark.parametrize(
         "x, c, error",
