@@ -50,7 +50,7 @@ print()
 
 mid, outer = refinement_chain(coeffs, family)
 print("refinement chain: lhs <= middle <= outer")
-print(f"  {combination_norm_sq(coeffs, family):.6f} <= {mid:.6f} <= {outer:.6f}")
+print(f"  {combination_norm_sq(coeffs, family):.6f} <= {mid.value:.6f} <= {outer.value:.6f}")
 print()
 
 print("weighted-sum ceilings for |c1*(x,y1) + c2*(x,y2)|^2")

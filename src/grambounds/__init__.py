@@ -10,8 +10,6 @@ from .bounds import (
     ORTHONORMAL_TOL,
     BoundId,
     BoundResult,
-    ChainBounds,
-    PowerMeanGap,
     bessel_sum,
     bessel_sum_bound,
     bombieri_bound,
@@ -102,8 +100,6 @@ __all__ = [
     "ORTHONORMAL_TOL",
     "BoundId",
     "BoundResult",
-    "ChainBounds",
-    "PowerMeanGap",
     "combination_norm_sq",
     "weighted_inner_sum_sq",
     "bessel_sum",

@@ -18,14 +18,14 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
 from .core import Vector, VectorFamily, _as_complex_1d, inner_each, norm
 from .errors import DomainError
 from .norms import (
-    _abs_1d,
+    _magnitudes,
     _normalize_exponent,
     _pnorm_nonneg,
     conjugate_exponent,
@@ -39,8 +39,6 @@ __all__ = [
     "ABS_TOL",
     "BoundId",
     "BoundResult",
-    "ChainBounds",
-    "PowerMeanGap",
     "ORTHONORMAL_TOL",
     "combination_norm_sq",
     "weighted_inner_sum_sq",
@@ -112,20 +110,6 @@ class BoundResult:
         return self.lhs <= self.value * (1.0 + rel_tol) + abs_tol
 
 
-class ChainBounds(NamedTuple):
-    """The two ceilings of the Frobenius refinement chain: lhs ≤ middle ≤ outer."""
-
-    middle: float
-    outer: float
-
-
-class PowerMeanGap(NamedTuple):
-    """Both sides of the power-mean comparison (Σv^p)^(2/p) ≤ n^(2/p-1) Σv²."""
-
-    lhs: float
-    rhs: float
-
-
 def _sum_sq(v: np.ndarray) -> float:
     return float(v.real @ v.real) + float(v.imag @ v.imag)
 
@@ -138,8 +122,10 @@ class _Ingredients:
 
     x and c are validated once, here; every other quantity is computed on first use
     and kept, so evaluating all bounds at many exponents reads each left-hand side,
-    p-norm and Gram q-norm once.  Every formula below is the single arithmetic path
-    for its bound, which is what makes the p = 2 and composition identities bitwise.
+    p-norm and Gram q-norm once.  Each bound is one method below that returns its
+    finished BoundResult: the one place that names the bound's id, left-hand side, p
+    and flavor, and the single arithmetic path for its value, which is what makes the
+    p = 2 and composition identities bitwise.
     """
 
     def __init__(self, family: VectorFamily, x=_ABSENT, c=_ABSENT):
@@ -160,9 +146,9 @@ class _Ingredients:
     # The ingredients, each computed on first use.
     nx = cached_property(lambda self: norm(self.x))
     nx2 = cached_property(lambda self: self.nx * self.nx)
-    abs_t = cached_property(lambda self: _abs_1d(self.t))
-    abs_c = cached_property(lambda self: _abs_1d(self.c))
-    abs_norms = cached_property(lambda self: _abs_1d(self.family.member_norms()))
+    abs_t = cached_property(lambda self: _magnitudes(self.t))
+    abs_c = cached_property(lambda self: _magnitudes(self.c))
+    abs_norms = cached_property(lambda self: _magnitudes(self.family.member_norms()))
     bessel_sum = cached_property(lambda self: _sum_sq(self.t))
     c_sq = cached_property(lambda self: _sum_sq(self.c))
     row_sum_max = cached_property(lambda self: max_row_abs_sum(self.family.gram()))
@@ -186,44 +172,61 @@ class _Ingredients:
         """gram_entry_qnorm of the family's Gram matrix, memoised per q."""
         return self._memoised(q, lambda: gram_entry_qnorm(self.family.gram(), q))
 
-    # One function per bound: p is normalized and q = conjugate_exponent(p).
+    # One method per bound, returning its record: p is normalized and q = conjugate_exponent(p).
 
-    def span(self, p: float, q: float, flavor: str) -> float:
+    def _span_value(self, p: float, q: float, flavor: str) -> float:
         if flavor == "gram":
             fam_factor = self.qnorm(q)
-        else:
+        elif flavor == "norms":
             member_factor = self.pnorm("abs_norms", q)
             fam_factor = member_factor * member_factor
+        else:
+            raise ValueError(f"flavor must be 'gram' or 'norms', got {flavor!r}")
         coef = self.pnorm("abs_c", p)
         return (coef * coef) * fam_factor
 
-    def combo(self, span_value: float) -> float:
-        return self.nx2 * span_value
+    def span(self, p: float, q: float, flavor: str) -> BoundResult:
+        value = self._span_value(p, q, flavor)
+        return BoundResult(BoundId(f"span_{flavor}"), self.combination_norm_sq, value, p, flavor)
 
-    def chain(self) -> ChainBounds:
-        return ChainBounds(self.c_sq * self.qnorm(2.0), self.c_sq * self.norms_sq_total)
+    def combo(self, p: float, q: float, flavor: str) -> BoundResult:
+        # ‖x‖² times the span value, not a span record: its lhs ‖Σ c_i y_i‖² would go unused.
+        value = self.nx2 * self._span_value(p, q, flavor)
+        return BoundResult(BoundId(f"combo_{flavor}"), self.weighted_inner_sum_sq, value, p, flavor)
 
-    def thm27(self, p: float, q: float) -> float:
-        return self.nx * self.pnorm("abs_t", p) * math.sqrt(self.qnorm(q))
+    def chain(self) -> tuple[BoundResult, BoundResult]:
+        """The middle link (lhs ≤ middle) and the outer link (middle ≤ outer)."""
+        middle = self.c_sq * self.qnorm(2.0)
+        return (
+            BoundResult(BoundId.REFINEMENT_CHAIN, self.combination_norm_sq, middle, None, "middle"),
+            BoundResult(BoundId.REFINEMENT_CHAIN, middle, self.c_sq * self.norms_sq_total, None, "outer"),
+        )
 
-    def orthonormal_27a(self, p: float, q: float) -> float:
+    def thm27(self, p: float, q: float) -> BoundResult:
+        value = self.nx * self.pnorm("abs_t", p) * math.sqrt(self.qnorm(q))
+        return BoundResult(BoundId.WEIGHTED_BESSEL, self.bessel_sum, value, p)
+
+    def orthonormal_27a(self, p: float, q: float) -> BoundResult:
         expo = 0.0 if math.isinf(q) else 1.0 / (2.0 * q)
-        return self.nx * float(self.family.size) ** expo * self.pnorm("abs_t", p)
+        value = self.nx * float(self.family.size) ** expo * self.pnorm("abs_t", p)
+        return BoundResult(BoundId.ORTHONORMAL_BESSEL, self.bessel_sum, value, p)
 
-    def power_mean(self, p: float, q: float) -> float:
+    def _power_mean_value(self, p: float, q: float) -> float:
         # Frobenius is this at p = q = 2, where scale = n^0 = 1.0 exactly.
         scale = float(self.family.size) ** (2.0 / p - 1.0)
         return scale * self.nx2 * self.qnorm(q)
 
-    def bombieri(self) -> float:
-        return self.nx2 * self.row_sum_max
+    def power_mean(self, p: float, q: float) -> BoundResult:
+        return BoundResult(BoundId.POWER_MEAN, self.bessel_sum, self._power_mean_value(p, q), p)
 
+    def frobenius(self) -> BoundResult:
+        return BoundResult(BoundId.FROBENIUS, self.bessel_sum, self._power_mean_value(2.0, 2.0))
 
-def _span_ids(flavor: str) -> tuple[BoundId, BoundId]:
-    """The (span, combo) bound ids of a flavor."""
-    if flavor not in ("gram", "norms"):
-        raise ValueError(f"flavor must be 'gram' or 'norms', got {flavor!r}")
-    return BoundId(f"span_{flavor}"), BoundId(f"combo_{flavor}")
+    def bombieri(self) -> BoundResult:
+        return BoundResult(BoundId.BOMBIERI, self.bessel_sum, self.nx2 * self.row_sum_max)
+
+    def gap(self, p: float) -> BoundResult:
+        return _power_mean_gap(self.abs_t, p)
 
 
 # ---------------------------------------------------------------------------
@@ -256,11 +259,8 @@ def span_bound(alphas, family: VectorFamily, p, flavor: str = "gram") -> BoundRe
     flavor="norms" uses seq_pnorm of the member norms, squared.  The gram
     flavor is never larger (entrywise |g_ij| ≤ ‖z_i‖‖z_j‖).
     """
-    bound_id = _span_ids(flavor)[0]
-    ing = _Ingredients(family, c=alphas)
     pf = _normalize_exponent(p)
-    value = ing.span(pf, conjugate_exponent(pf), flavor)
-    return BoundResult(bound_id, ing.combination_norm_sq, value, p=pf, flavor=flavor)
+    return _Ingredients(family, c=alphas).span(pf, conjugate_exponent(pf), flavor)
 
 
 def combo_bound(x, family: VectorFamily, c, p, flavor: str = "gram") -> BoundResult:
@@ -270,16 +270,14 @@ def combo_bound(x, family: VectorFamily, c, p, flavor: str = "gram") -> BoundRes
     same arithmetic path, and |c̄_i| = |c_i| bitwise — so the composition
     identity holds bitwise.
     """
-    ing = _Ingredients(family, x, c)
-    bound_id = _span_ids(flavor)[1]
     pf = _normalize_exponent(p)
-    value = ing.combo(ing.span(pf, conjugate_exponent(pf), flavor))
-    return BoundResult(bound_id, ing.weighted_inner_sum_sq, value, p=pf, flavor=flavor)
+    return _Ingredients(family, x, c).combo(pf, conjugate_exponent(pf), flavor)
 
 
-def refinement_chain(alphas, family: VectorFamily) -> ChainBounds:
-    """Two nested ceilings for ‖Σ α_i z_i‖²: the Frobenius middle term
-    Σ|α_i|² (Σ|g_ij|²)^(1/2) and the classical outer term Σ|α_i|² Σ‖z_i‖²."""
+def refinement_chain(alphas, family: VectorFamily) -> tuple[BoundResult, BoundResult]:
+    """Two nested ceilings for ‖Σ α_i z_i‖² as two links: the middle link bounds
+    it by the Frobenius term Σ|α_i|² (Σ|g_ij|²)^(1/2), the outer link bounds that
+    term by the classical Σ|α_i|² Σ‖z_i‖²."""
     return _Ingredients(family, c=alphas).chain()
 
 
@@ -290,10 +288,8 @@ def refinement_chain(alphas, family: VectorFamily) -> ChainBounds:
 def bessel_sum_bound(x, family: VectorFamily, p) -> BoundResult:
     """Ceiling ‖x‖ · seq_pnorm(t, p) · gram_entry_qnorm(G, q)^(1/2) with
     t_i = |(x, y_i)| — the square root of the combo bound at c_i = conj(x, y_i)."""
-    ing = _Ingredients(family, x)
     pf = _normalize_exponent(p)
-    value = ing.thm27(pf, conjugate_exponent(pf))
-    return BoundResult(BoundId.WEIGHTED_BESSEL, ing.bessel_sum, value, p=pf)
+    return _Ingredients(family, x).thm27(pf, conjugate_exponent(pf))
 
 
 def orthonormal_bessel_bound(x, family: VectorFamily, p, tol: float = ORTHONORMAL_TOL) -> BoundResult:
@@ -304,16 +300,13 @@ def orthonormal_bessel_bound(x, family: VectorFamily, p, tol: float = ORTHONORMA
     ``tol`` from the identity in max-entry norm.
     """
     family.require_orthonormal(tol)
-    ing = _Ingredients(family, x)
     pf = _normalize_exponent(p)
-    value = ing.orthonormal_27a(pf, conjugate_exponent(pf))
-    return BoundResult(BoundId.ORTHONORMAL_BESSEL, ing.bessel_sum, value, p=pf)
+    return _Ingredients(family, x).orthonormal_27a(pf, conjugate_exponent(pf))
 
 
 def frobenius_bound(x, family: VectorFamily, _ing: Optional[_Ingredients] = None) -> BoundResult:
     """Ceiling ‖x‖² (Σ|g_ij|²)^(1/2) for the Bessel sum; batch paths pass their ingredients as _ing."""
-    ing = _Ingredients(family, x) if _ing is None else _ing
-    return BoundResult(BoundId.FROBENIUS, ing.bessel_sum, ing.power_mean(2.0, 2.0))
+    return (_Ingredients(family, x) if _ing is None else _ing).frobenius()
 
 
 def power_mean_bound(x, family: VectorFamily, p) -> BoundResult:
@@ -324,23 +317,20 @@ def power_mean_bound(x, family: VectorFamily, p) -> BoundResult:
     the power-mean step behind this ceiling needs 1 < p ≤ 2, and we do not
     extend it by limits.
     """
-    ing = _Ingredients(family, x)
     pf = power_mean_exponent(p)
-    value = ing.power_mean(pf, conjugate_exponent(pf))
-    return BoundResult(BoundId.POWER_MEAN, ing.bessel_sum, value, p=pf)
+    return _Ingredients(family, x).power_mean(pf, conjugate_exponent(pf))
 
 
 def bombieri_bound(x, family: VectorFamily) -> BoundResult:
     """The classical ceiling ‖x‖² max_i Σ_j |g_ij|; equals ‖x‖² itself on
     orthonormal families, recovering the plain Bessel inequality."""
-    ing = _Ingredients(family, x)
-    return BoundResult(BoundId.BOMBIERI, ing.bessel_sum, ing.bombieri())
+    return _Ingredients(family, x).bombieri()
 
 
-def power_mean_gap(values, p) -> PowerMeanGap:
-    """Evaluate (Σv^p)^(2/p) against n^(2/p-1) Σv² for nonnegative v, p ∈ (1, 2]."""
+def power_mean_gap(values, p) -> BoundResult:
+    """Evaluate (Σv^p)^(2/p) (lhs) against n^(2/p-1) Σv² (value) for nonnegative v, p ∈ (1, 2]."""
     pf = power_mean_exponent(p)
-    arr = np.asarray(values)
+    arr = values.coords if isinstance(values, Vector) else np.asarray(values)
     z = _as_complex_1d(arr, what="values", allow_empty=True)
     if np.issubdtype(arr.dtype, np.complexfloating):
         raise DomainError("values must be real and nonnegative")
@@ -350,16 +340,12 @@ def power_mean_gap(values, p) -> PowerMeanGap:
     return _power_mean_gap(v, pf)
 
 
-def _power_mean_gap(v: np.ndarray, pf: float) -> PowerMeanGap:
+def _power_mean_gap(v: np.ndarray, pf: float) -> BoundResult:
     """power_mean_gap on finite nonnegative float64 values and a validated p."""
-    if v.size == 0:
-        return PowerMeanGap(0.0, 0.0)
-    n = v.size
-    m = float(v.max())
-    if m == 0.0:
-        lhs = 0.0
-    else:
+    lhs = rhs = 0.0
+    m = float(v.max()) if v.size else 0.0
+    if m != 0.0:
         s = float(((v / m) ** pf).sum())
         lhs = (m * m) * s ** (2.0 / pf)
-    rhs = float(n) ** (2.0 / pf - 1.0) * float(v @ v)
-    return PowerMeanGap(lhs, rhs)
+        rhs = float(v.size) ** (2.0 / pf - 1.0) * float(v @ v)
+    return BoundResult(BoundId.POWER_MEAN_GAP, lhs, rhs, pf)

@@ -60,21 +60,22 @@ def conjugate_exponent(p) -> float:
 def power_mean_exponent(p) -> float:
     """Validate an exponent required to lie strictly inside (1, 2].
 
-    Values within SNAP_TOL of 1 count as 1 and are rejected: the operations
-    gated by this check are not stated at p = 1 and are not extended there.
+    Values that _normalize_exponent snaps to 1 (within SNAP_TOL of it) are
+    rejected: the operations gated by this check are not stated at p = 1 and
+    are not extended there.
     """
     try:
         pf = float(p)
     except (TypeError, ValueError) as exc:
         raise ExponentRangeError(f"exponent must be a real number in (1, 2], got {p!r}") from exc
-    if math.isnan(pf) or pf <= 1.0 + SNAP_TOL or pf > 2.0:
+    if math.isnan(pf) or pf - 1.0 <= SNAP_TOL or pf > 2.0:
         raise ExponentRangeError(f"exponent must lie in (1, 2], got {pf}")
     return pf
 
 
-def _abs_1d(values) -> np.ndarray:
-    """|values| as a float64 array; accepts Vector, sequence, or ndarray, empty too."""
-    a = np.abs(_as_complex_1d(values, what="sequence", allow_empty=True))
+def _magnitudes(arr: np.ndarray) -> np.ndarray:
+    """|arr| as a float64 array, for an array already coerced and checked finite."""
+    a = np.abs(arr)
     # Finite entries can still overflow here: |z| of two huge components is inf.
     if not np.isfinite(a).all():
         raise DomainError("sequence contains non-finite magnitudes")
@@ -104,7 +105,7 @@ def _pnorm_nonneg(a: np.ndarray, pf: float) -> float:
 def seq_pnorm(values, p) -> float:
     """(Σ|v_i|^p)^(1/p) for finite p; max|v_i| at p = ∞; 0 for an empty sequence."""
     pf = _normalize_exponent(p)
-    return _pnorm_nonneg(_abs_1d(values), pf)
+    return _pnorm_nonneg(_magnitudes(_as_complex_1d(values, what="sequence", allow_empty=True)), pf)
 
 
 def _as_gram(gram) -> GramMatrix:

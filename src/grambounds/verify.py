@@ -14,19 +14,10 @@ from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
-from .bounds import (
-    ABS_TOL,
-    REL_TOL,
-    BoundId,
-    BoundResult,
-    _Ingredients,
-    _power_mean_gap,
-    _span_ids,
-    frobenius_bound,
-)
+from .bounds import ABS_TOL, REL_TOL, BoundResult, _Ingredients, frobenius_bound
 from .core import Vector, VectorFamily
 from .errors import DomainError
-from .norms import _normalize_exponent, conjugate_exponent, power_mean_exponent
+from .norms import _normalize_exponent, conjugate_exponent
 
 __all__ = [
     "REL_TOL",
@@ -157,30 +148,26 @@ def _dedup_p(p_list: Iterable) -> list[float]:
 
 
 def _cases(ing: _Ingredients, p_list, frobenius, *, gap=True, orthonormal=False) -> Iterator[BoundResult]:
-    """Every case of one input in report order (see evaluate_cases); coefficient cases need ing.c.
-    cor28 goes through the caller's frobenius_bound, so a patched one there reaches the batch."""
-    yield BoundResult(BoundId.BOMBIERI, ing.bessel_sum, ing.bombieri())
+    """Every case of one input in report order (see evaluate_cases), each the record of one
+    ing method; coefficient cases need ing.c.  cor28 goes through the caller's
+    frobenius_bound, so a patched one there reaches the batch."""
+    yield ing.bombieri()
     yield frobenius(ing.x, ing.family, ing)
     if ing.c is not None:
-        chain = ing.chain()
-        yield BoundResult(BoundId.REFINEMENT_CHAIN, ing.combination_norm_sq, chain.middle, None, "middle")
-        yield BoundResult(BoundId.REFINEMENT_CHAIN, chain.middle, chain.outer, None, "outer")
+        yield from ing.chain()
     for pf in _dedup_p(p_list):
         q = conjugate_exponent(pf)
         if ing.c is not None:
             for flavor in ("gram", "norms"):
-                span_id, combo_id = _span_ids(flavor)
-                span = ing.span(pf, q, flavor)
-                yield BoundResult(span_id, ing.combination_norm_sq, span, pf, flavor)
-                yield BoundResult(combo_id, ing.weighted_inner_sum_sq, ing.combo(span), pf, flavor)
-        yield BoundResult(BoundId.WEIGHTED_BESSEL, ing.bessel_sum, ing.thm27(pf, q), pf)
+                yield ing.span(pf, q, flavor)
+                yield ing.combo(pf, q, flavor)
+        yield ing.thm27(pf, q)
         if 1.0 < pf <= 2.0:
-            eq211 = ing.power_mean(power_mean_exponent(pf), q)
-            yield BoundResult(BoundId.POWER_MEAN, ing.bessel_sum, eq211, pf)
+            yield ing.power_mean(pf, q)
             if gap:
-                yield BoundResult(BoundId.POWER_MEAN_GAP, *_power_mean_gap(ing.abs_t, pf), pf)
+                yield ing.gap(pf)
         if orthonormal:
-            yield BoundResult(BoundId.ORTHONORMAL_BESSEL, ing.bessel_sum, ing.orthonormal_27a(pf, q), pf)
+            yield ing.orthonormal_27a(pf, q)
 
 
 def evaluate_cases(x, family: VectorFamily, c, p_list=STANDARD_P_LIST) -> list[BoundResult]:
@@ -198,7 +185,11 @@ def evaluate_cases(x, family: VectorFamily, c, p_list=STANDARD_P_LIST) -> list[B
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Batch of checked inequalities: every case, the failing ones, and the tightest."""
+    """Batch of checked inequalities: every case, the failing ones, and the tightest.
+
+    The tightest is the first case of least margin among those whose margin is
+    not NaN (an overflowed inf ≤ inf case has margin NaN).
+    """
 
     cases: tuple[BoundResult, ...]
     failures: tuple[BoundResult, ...]
@@ -233,7 +224,9 @@ def verify_all(
     return VerificationReport(
         cases=cases,
         failures=tuple(case for case in cases if not case.holds(rel_tol, abs_tol)),
-        worst_margin_case=min(cases, key=attrgetter("margin"), default=None),
+        worst_margin_case=min(
+            (case for case in cases if not math.isnan(case.margin)), key=attrgetter("margin"), default=None
+        ),
         rel_tol=rel_tol,
         abs_tol=abs_tol,
     )
@@ -278,11 +271,12 @@ def verify_corpus(
         n_specs += 1
         n_cases += report.n_cases
         n_fail += report.n_fail
+        tightest = report.worst_margin_case
+        if tightest is not None and (worst is None or tightest.margin < worst[1].margin):
+            worst = (spec, tightest)
         for case in report.cases:
             # A BoundId hashes and compares as its string, so the keys become str below.
             cases_by_id[case.bound_id] = cases_by_id.get(case.bound_id, 0) + 1
-            if worst is None or case.margin < worst[1].margin:
-                worst = (spec, case)
             if on_case is not None:
                 on_case(spec, case)
         for case in report.failures:

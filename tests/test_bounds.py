@@ -10,7 +10,6 @@ from grambounds import (
     DomainError,
     ExponentRangeError,
     NotOrthonormalError,
-    PowerMeanGap,
     ShapeError,
     Vector,
     VectorFamily,
@@ -143,36 +142,47 @@ class TestComboBound:
                 assert cb.value == (nx * nx) * sb.value
 
 
+def _chain_links(alphas, family):
+    """refinement_chain's two links, after checking they chain: the middle link
+    bounds the combination, the outer link bounds the middle term."""
+    middle, outer = refinement_chain(alphas, family)
+    assert (middle.bound_id, middle.flavor, outer.bound_id, outer.flavor) == (
+        BoundId.REFINEMENT_CHAIN, "middle", BoundId.REFINEMENT_CHAIN, "outer"
+    )
+    assert middle.lhs == combination_norm_sq(alphas, family)
+    assert outer.lhs == middle.value
+    return middle, outer
+
+
 class TestRefinementChain:
     def test_orthonormal(self):
-        ch = refinement_chain([1, 1], E2)
-        assert ch.middle == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-14)
-        assert ch.outer == 4.0
+        middle, outer = _chain_links([1, 1], E2)
+        assert middle.value == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-14)
+        assert outer.value == 4.0
 
     def test_single_unit(self):
-        ch = refinement_chain([1.0], VectorFamily([[1.0]]))
-        assert ch.middle == 1.0
-        assert ch.outer == 1.0
+        middle, outer = _chain_links([1.0], VectorFamily([[1.0]]))
+        assert middle.value == 1.0
+        assert outer.value == 1.0
 
     def test_full_equality(self):
-        ch = refinement_chain([1, 1], ONES_1D)
-        assert ch.middle == 4.0
-        assert ch.outer == 4.0
-        assert combination_norm_sq([1, 1], ONES_1D) == 4.0
+        middle, outer = _chain_links([1, 1], ONES_1D)
+        assert middle.value == 4.0
+        assert outer.value == 4.0
+        assert middle.lhs == 4.0
 
     def test_chain_order_random(self):
         rng = np.random.default_rng(53)
         for _ in range(40):
             fam = VectorFamily(rng.normal(size=(6, 4)) + 1j * rng.normal(size=(6, 4)))
             a = rng.normal(size=6) + 1j * rng.normal(size=6)
-            lhs = combination_norm_sq(a, fam)
-            ch = refinement_chain(a, fam)
-            assert lhs <= ch.middle * (1 + 1e-10) + 1e-12
-            assert ch.middle <= ch.outer * (1 + 1e-10) + 1e-12
+            middle, outer = _chain_links(a, fam)
+            assert middle.holds()
+            assert outer.holds()
 
     def test_empty(self):
-        ch = refinement_chain([], EMPTY)
-        assert ch == (0.0, 0.0)
+        middle, outer = _chain_links([], EMPTY)
+        assert (middle.lhs, middle.value, outer.value) == (0.0, 0.0, 0.0)
 
 
 class TestBesselSumBound:
@@ -300,7 +310,7 @@ class TestBombieriBound:
 class TestPowerMeanGap:
     def test_p2_pair_equality(self):
         gp = power_mean_gap([1.0, 1.0], 2.0)
-        assert gp == PowerMeanGap(2.0, 2.0)
+        assert (gp.bound_id, gp.lhs, gp.rhs, gp.p) == (BoundId.POWER_MEAN_GAP, 2.0, 2.0, 2.0)
 
     def test_constant_sequences(self):
         for n in (1, 3, 7):
@@ -322,10 +332,12 @@ class TestPowerMeanGap:
                 assert gp.lhs <= gp.rhs * (1 + 1e-12)
 
     def test_empty(self):
-        assert power_mean_gap([], 1.5) == PowerMeanGap(0.0, 0.0)
+        gp = power_mean_gap([], 1.5)
+        assert (gp.lhs, gp.rhs) == (0.0, 0.0)
 
     def test_all_zero(self):
-        assert power_mean_gap([0.0, 0.0], 1.5) == PowerMeanGap(0.0, 0.0)
+        gp = power_mean_gap([0.0, 0.0], 1.5)
+        assert (gp.lhs, gp.rhs) == (0.0, 0.0)
 
     def test_rejects_negative(self):
         with pytest.raises(DomainError):

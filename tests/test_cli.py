@@ -192,6 +192,12 @@ class TestVerifyCommand:
     def test_bad_flags(self, argv):
         assert main(argv) == 2
 
+    def test_smallest_unsnapped_p(self, capsys):
+        # 1 + 4504 * 2**-52: not snapped to 1, so inside the power-mean domain (1, 2]
+        code = main(["verify", "--trials", "50", "--p", "1.000000000001"])
+        assert code == 0
+        assert "fail=0" in capsys.readouterr().out
+
     def test_single_field_flag(self, capsys):
         code = main(["verify", "--trials", "25", "--field", "complex"])
         assert code == 0

@@ -7,9 +7,9 @@ import pytest
 
 from grambounds import (
     BoundId,
-    BoundResult,
     DimensionError,
     DomainError,
+    ExponentRangeError,
     FamilySpec,
     ShapeError,
     STANDARD_P_LIST,
@@ -19,7 +19,6 @@ from grambounds import (
     bessel_sum_bound,
     bombieri_bound,
     check_schwarz_chain,
-    combination_norm_sq,
     combo_bound,
     evaluate_cases,
     frobenius_bound,
@@ -29,6 +28,7 @@ from grambounds import (
     norm,
     orthonormal_bessel_bound,
     power_mean_bound,
+    power_mean_exponent,
     power_mean_gap,
     random_family,
     random_orthonormal_family,
@@ -220,6 +220,49 @@ class TestVerifyAll:
         assert report.n_pass + report.n_fail == report.n_cases
 
 
+class TestTightestCase:
+    """At coordinate scale 1e100 the first case, bombieri, compares inf with inf
+    (margin NaN); the tightest case must be a compared one, not that NaN."""
+
+    SPEC = FamilySpec(4, 5, seed=3, scale=1e100)
+
+    def test_nan_margins_skipped(self):
+        x, fam, c = random_family(self.SPEC)
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = verify_all(x, fam, c)
+            result = verify_corpus([self.SPEC])
+        assert math.isnan(report.cases[0].margin)
+        finite = [case.margin for case in report.cases if not math.isnan(case.margin)]
+        assert math.isfinite(report.worst_margin_case.margin)
+        assert report.worst_margin_case.margin == min(finite)
+        assert result.worst == (self.SPEC, report.worst_margin_case)
+
+
+class TestPowerMeanDomain:
+    """The eq211 p-domain (1, 2] is one rule: an exponent counts as 1 exactly
+    when _normalize_exponent snaps it to 1."""
+
+    P_KEPT = 1.0 + 4504 * 2.0**-52  # prints as 1.000000000001, just past SNAP_TOL
+    P_SNAPPED = 1.0 + 4503 * 2.0**-52  # within SNAP_TOL of 1
+
+    def test_smallest_unsnapped_p_is_in_domain(self):
+        x, fam, c = random_family(FamilySpec(dim=4, n=5, field="complex", seed=7))
+        cases = [case for case in evaluate_cases(x, fam, c, [self.P_KEPT]) if case.p == self.P_KEPT]
+        eq211, gap = [case for case in cases if case.bound_id in ("eq211", "power_mean")]
+        assert (eq211.bound_id, gap.bound_id) == ("eq211", "power_mean")
+        assert eq211.holds() and gap.holds()
+        assert power_mean_bound(x, fam, self.P_KEPT) == eq211
+        assert power_mean_gap(np.abs(inner_each(x, fam)), self.P_KEPT) == gap
+
+    def test_snapped_p_is_rejected(self):
+        x, fam, c = random_family(FamilySpec(dim=4, n=5, field="complex", seed=7))
+        for call in (power_mean_exponent, lambda p: power_mean_bound(x, fam, p), lambda p: power_mean_gap([1.0], p)):
+            with pytest.raises(ExponentRangeError):
+                call(self.P_SNAPPED)
+        ids = {case.bound_id for case in evaluate_cases(x, fam, c, [self.P_SNAPPED])}
+        assert not ids & {"eq211", "power_mean"}
+
+
 class TestVerifyCorpus:
     def test_small_corpus_clean(self):
         result = verify_corpus(random_specs(150, master_seed=37))
@@ -375,14 +418,9 @@ class TestOracle:
 def _public_record(x, fam, c, case):
     """The record the public evaluator returns for the case's (bound_id, p, flavor)."""
     bid, p, flavor = case.bound_id, case.p, case.flavor
-    if bid == BoundId.REFINEMENT_CHAIN:
-        chain = refinement_chain(c, fam)
-        if flavor == "middle":
-            return BoundResult(bid, combination_norm_sq(c, fam), chain.middle, p, flavor)
-        return BoundResult(bid, chain.middle, chain.outer, p, flavor)
-    if bid == BoundId.POWER_MEAN_GAP:
-        return BoundResult(bid, *power_mean_gap(np.abs(inner_each(x, fam)), p), p)
     evaluators = {
+        BoundId.REFINEMENT_CHAIN: lambda: refinement_chain(c, fam)[("middle", "outer").index(flavor)],
+        BoundId.POWER_MEAN_GAP: lambda: power_mean_gap(np.abs(inner_each(x, fam)), p),
         BoundId.BOMBIERI: lambda: bombieri_bound(x, fam),
         BoundId.FROBENIUS: lambda: frobenius_bound(x, fam),
         BoundId.SPAN_GRAM: lambda: span_bound(c, fam, p, flavor),
@@ -435,7 +473,12 @@ _BAD_C = _BAD + [
     # two faults: the length check comes before the finiteness check
     ("long_nan", [1.0, math.nan, 2.0], ShapeError),
 ]
-_BAD_GAP = _BAD + [("complex", [1.0 + 1.0j, 2.0], DomainError), ("negative", [-1.0, 2.0], DomainError)]
+_BAD_GAP = _BAD + [
+    ("complex", [1.0 + 1.0j, 2.0], DomainError),
+    ("negative", [-1.0, 2.0], DomainError),
+    # a Vector's coordinates are complex128, so it is complex values, not a 0-d array
+    ("vector", Vector([1.0, 2.0]), DomainError),
+]
 _ENTRY_POINTS = [  # (name, call on the bad value, bad values with the error each raises)
     ("Vector", Vector, _BAD_X),
     ("inner", lambda v: inner(v, _GOOD), _BAD_X),
