@@ -27,9 +27,8 @@ from .errors import DomainError
 from .norms import (
     _magnitudes,
     _normalize_exponent,
-    _pnorm_nonneg,
+    _Scaled,
     conjugate_exponent,
-    gram_entry_qnorm,
     max_row_abs_sum,
     power_mean_exponent,
 )
@@ -122,10 +121,11 @@ class _Ingredients:
 
     x and c are validated once, here; every other quantity is computed on first use
     and kept, so evaluating all bounds at many exponents reads each left-hand side,
-    p-norm and Gram q-norm once.  Each bound is one method below that returns its
-    finished BoundResult: the one place that names the bound's id, left-hand side, p
-    and flavor, and the single arithmetic path for its value, which is what makes the
-    p = 2 and composition identities bitwise.
+    p-norm and Gram q-norm once, and divides each magnitude array (|t|, |c|, the
+    member norms, |G|) by its maximum once for all exponents.  Each bound is one
+    method below that returns its finished BoundResult: the one place that names the
+    bound's id, left-hand side, p and flavor, and the single arithmetic path for its
+    value, which is what makes the p = 2 and composition identities bitwise.
     """
 
     def __init__(self, family: VectorFamily, x=_ABSENT, c=_ABSENT):
@@ -138,17 +138,13 @@ class _Ingredients:
             self.c = _as_complex_1d(c, what="coefficients", allow_empty=True, size=family.size)
         self._memo: dict = {}
 
-    def _memoised(self, key, compute):
-        if key not in self._memo:
-            self._memo[key] = compute()
-        return self._memo[key]
-
     # The ingredients, each computed on first use.
     nx = cached_property(lambda self: norm(self.x))
     nx2 = cached_property(lambda self: self.nx * self.nx)
-    abs_t = cached_property(lambda self: _magnitudes(self.t))
-    abs_c = cached_property(lambda self: _magnitudes(self.c))
-    abs_norms = cached_property(lambda self: _magnitudes(self.family.member_norms()))
+    abs_t = cached_property(lambda self: _Scaled(_magnitudes(self.t)))
+    abs_c = cached_property(lambda self: _Scaled(_magnitudes(self.c)))
+    abs_norms = cached_property(lambda self: _Scaled(_magnitudes(self.family.member_norms())))
+    abs_g = cached_property(lambda self: _Scaled(self.family.gram().abs_entries().ravel()))
     bessel_sum = cached_property(lambda self: _sum_sq(self.t))
     c_sq = cached_property(lambda self: _sum_sq(self.c))
     row_sum_max = cached_property(lambda self: max_row_abs_sum(self.family.gram()))
@@ -165,18 +161,20 @@ class _Ingredients:
         return float((v.real * v.real).sum() + (v.imag * v.imag).sum())
 
     def pnorm(self, name: str, p: float) -> float:
-        """The p-norm of the magnitudes in attribute ``name``, memoised per p."""
-        return self._memoised((name, p), lambda: _pnorm_nonneg(getattr(self, name), _normalize_exponent(p)))
+        """The p-norm of the magnitudes in attribute ``name``, memoised per p.
 
-    def qnorm(self, q: float) -> float:
-        """gram_entry_qnorm of the family's Gram matrix, memoised per q."""
-        return self._memoised(q, lambda: gram_entry_qnorm(self.family.gram(), q))
+        ``pnorm("abs_g", q)`` is gram_entry_qnorm of the family's Gram matrix.
+        """
+        key = (name, p)
+        if key not in self._memo:
+            self._memo[key] = getattr(self, name).pnorm(_normalize_exponent(p))
+        return self._memo[key]
 
     # One method per bound, returning its record: p is normalized and q = conjugate_exponent(p).
 
     def _span_value(self, p: float, q: float, flavor: str) -> float:
         if flavor == "gram":
-            fam_factor = self.qnorm(q)
+            fam_factor = self.pnorm("abs_g", q)
         elif flavor == "norms":
             member_factor = self.pnorm("abs_norms", q)
             fam_factor = member_factor * member_factor
@@ -196,14 +194,14 @@ class _Ingredients:
 
     def chain(self) -> tuple[BoundResult, BoundResult]:
         """The middle link (lhs ≤ middle) and the outer link (middle ≤ outer)."""
-        middle = self.c_sq * self.qnorm(2.0)
+        middle = self.c_sq * self.pnorm("abs_g", 2.0)
         return (
             BoundResult(BoundId.REFINEMENT_CHAIN, self.combination_norm_sq, middle, None, "middle"),
             BoundResult(BoundId.REFINEMENT_CHAIN, middle, self.c_sq * self.norms_sq_total, None, "outer"),
         )
 
     def thm27(self, p: float, q: float) -> BoundResult:
-        value = self.nx * self.pnorm("abs_t", p) * math.sqrt(self.qnorm(q))
+        value = self.nx * self.pnorm("abs_t", p) * math.sqrt(self.pnorm("abs_g", q))
         return BoundResult(BoundId.WEIGHTED_BESSEL, self.bessel_sum, value, p)
 
     def orthonormal_27a(self, p: float, q: float) -> BoundResult:
@@ -214,7 +212,7 @@ class _Ingredients:
     def _power_mean_value(self, p: float, q: float) -> float:
         # Frobenius is this at p = q = 2, where scale = n^0 = 1.0 exactly.
         scale = float(self.family.size) ** (2.0 / p - 1.0)
-        return scale * self.nx2 * self.qnorm(q)
+        return scale * self.nx2 * self.pnorm("abs_g", q)
 
     def power_mean(self, p: float, q: float) -> BoundResult:
         return BoundResult(BoundId.POWER_MEAN, self.bessel_sum, self._power_mean_value(p, q), p)
@@ -332,20 +330,20 @@ def power_mean_gap(values, p) -> BoundResult:
     pf = power_mean_exponent(p)
     arr = values.coords if isinstance(values, Vector) else np.asarray(values)
     z = _as_complex_1d(arr, what="values", allow_empty=True)
-    if np.issubdtype(arr.dtype, np.complexfloating):
+    # A Vector is always complex128, so it counts as complex only with a nonzero imaginary part.
+    if np.issubdtype(arr.dtype, np.complexfloating) and not (isinstance(values, Vector) and values.is_real):
         raise DomainError("values must be real and nonnegative")
     v = np.ascontiguousarray(z.real)  # a strided v @ v can round differently
     if v.size and float(v.min()) < 0.0:
         raise DomainError(f"values must be nonnegative, got {float(v.min())}")
-    return _power_mean_gap(v, pf)
+    return _power_mean_gap(_Scaled(v), pf)
 
 
-def _power_mean_gap(v: np.ndarray, pf: float) -> BoundResult:
-    """power_mean_gap on finite nonnegative float64 values and a validated p."""
+def _power_mean_gap(v: _Scaled, pf: float) -> BoundResult:
+    """power_mean_gap on scaled finite nonnegative float64 values and a validated p."""
     lhs = rhs = 0.0
-    m = float(v.max()) if v.size else 0.0
+    m = v.max
     if m != 0.0:
-        s = float(((v / m) ** pf).sum())
-        lhs = (m * m) * s ** (2.0 / pf)
-        rhs = float(v.size) ** (2.0 / pf - 1.0) * float(v @ v)
+        lhs = (m * m) * v.power_sum(pf) ** (2.0 / pf)
+        rhs = float(v.a.size) ** (2.0 / pf - 1.0) * float(v.a @ v.a)
     return BoundResult(BoundId.POWER_MEAN_GAP, lhs, rhs, pf)

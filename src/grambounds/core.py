@@ -133,17 +133,28 @@ def norm(x: ArrayLike) -> float:
 def _gram_entries(mat: np.ndarray) -> np.ndarray:
     """Hermitian Gram matrix of the rows of ``mat``, exact by mirroring.
 
-    The strict lower triangle is computed once via real block products
-    (same arithmetic as :func:`inner`) and reflected, so G[i, j] and
-    conj(G[j, i]) are the same float pair and the diagonal is real.
+    The lower triangle is computed via real block products (same arithmetic
+    as :func:`inner`) and reflected, so G[i, j] and conj(G[j, i]) are the same
+    float pair and the diagonal is real.  When every imaginary part is zero
+    one product suffices: the other three are zero, and adding +0.0 changes
+    no nonzero float.
     """
-    re_part = mat.real @ mat.real.T + mat.imag @ mat.imag.T
-    im_part = mat.imag @ mat.real.T - mat.real @ mat.imag.T
-    lo = np.tril(re_part)
-    re_h = lo + np.tril(re_part, -1).T
-    im_lo = np.tril(im_part, -1)
-    im_h = im_lo - im_lo.T
-    return re_h + 1j * im_h
+    n = mat.shape[0]
+    out = np.zeros((n, n), dtype=np.complex128)
+    lower = np.tri(n, dtype=bool)  # i >= j
+    if mat.imag.any():
+        re_part = mat.real @ mat.real.T + mat.imag @ mat.imag.T
+        im_part = mat.imag @ mat.real.T - mat.real @ mat.imag.T
+        im = out.imag
+        np.subtract(0.0, im_part.T, out=im)  # 0 - x, not -x: a zero stays +0.0
+        np.copyto(im, im_part, where=lower)
+        np.fill_diagonal(im, 0.0)
+    else:
+        re_part = mat.real @ mat.real.T
+    re = out.real
+    np.copyto(re, re_part.T)
+    np.copyto(re, re_part, where=lower)
+    return out
 
 
 class VectorFamily:
@@ -168,7 +179,7 @@ class VectorFamily:
 
         if isinstance(members, np.ndarray) and members.ndim == 2:
             rows = members.astype(np.complex128, copy=True)
-            if not np.all(np.isfinite(rows.real)) or not np.all(np.isfinite(rows.imag)):
+            if not np.isfinite(rows).all():  # complex isfinite: both parts finite
                 raise DomainError("family contains non-finite entries")
             if rows.shape[1] == 0:
                 raise ShapeError("family members must have at least one coordinate")
@@ -251,6 +262,9 @@ class VectorFamily:
         if self.size == 0:
             return True
         g = self.gram().entries
+        # The diagonal alone can already decide False, before the n-by-n temporaries.
+        if np.max(np.abs(g.diagonal() - 1.0)) > tol:
+            return False
         return bool(np.max(np.abs(g - np.eye(self.size))) <= tol)
 
     def require_orthonormal(self, tol: float = 1e-10) -> None:
@@ -276,11 +290,9 @@ class GramMatrix:
         arr = np.asarray(entries)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ShapeError(f"Gram matrix must be square, got shape {arr.shape}")
-        arr = arr.astype(np.complex128, copy=True)
-        if not _trust:
-            if arr.size and (
-                not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag))
-            ):
+        if not _trust:  # a trusted array is a fresh private complex128 array: take it as is
+            arr = arr.astype(np.complex128, copy=True)
+            if not np.isfinite(arr).all():  # complex isfinite: both parts finite
                 raise DomainError("Gram matrix contains non-finite entries")
             if arr.size:
                 dev = float(np.max(np.abs(arr - arr.conj().T)))

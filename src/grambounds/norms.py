@@ -10,6 +10,7 @@ and makes the limit behavior testable instead of assumed.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -82,30 +83,41 @@ def _magnitudes(arr: np.ndarray) -> np.ndarray:
     return a
 
 
-def _pnorm_nonneg(a: np.ndarray, pf: float) -> float:
-    """p-norm of a flat nonnegative float array, overflow-safe for large p.
+class _Scaled:
+    """A flat nonnegative float array with its maximum factored out, for p-norms at many p.
 
     The maximum is factored out before powering: q = p/(p-1) grows without
     bound as p -> 1 (q = 11 already at p = 1.1), and raising raw magnitudes
-    to such powers overflows long before the norm itself does.
+    to such powers overflows long before the norm itself does.  The maximum
+    and the ratios a / max are computed once and shared by every exponent.
     """
-    if a.size == 0:
-        return 0.0
-    if math.isinf(pf):
-        return float(a.max())
-    if pf == 1.0:
-        return float(a.sum())
-    m = float(a.max())
-    if m == 0.0:
-        return 0.0
-    s = float(((a / m) ** pf).sum())
-    return float(m * s ** (1.0 / pf))
+
+    def __init__(self, a: np.ndarray):
+        self.a = a
+        self.max = float(a.max()) if a.size else 0.0
+
+    ratio = cached_property(lambda self: self.a / self.max)
+
+    def power_sum(self, pf: float) -> float:
+        """Σ (a_i / max)^p, for a nonzero maximum."""
+        return float((self.ratio ** pf).sum())
+
+    def pnorm(self, pf: float) -> float:
+        """(Σ a_i^p)^(1/p) for a normalized p; max at p = ∞; 0 for an empty array."""
+        if math.isinf(pf):
+            return self.max
+        if pf == 1.0:
+            return float(self.a.sum())
+        if self.max == 0.0:
+            return 0.0
+        # A Python float root: numpy's array power can round differently.
+        return float(self.max * self.power_sum(pf) ** (1.0 / pf))
 
 
 def seq_pnorm(values, p) -> float:
     """(Σ|v_i|^p)^(1/p) for finite p; max|v_i| at p = ∞; 0 for an empty sequence."""
     pf = _normalize_exponent(p)
-    return _pnorm_nonneg(_magnitudes(_as_complex_1d(values, what="sequence", allow_empty=True)), pf)
+    return _Scaled(_magnitudes(_as_complex_1d(values, what="sequence", allow_empty=True))).pnorm(pf)
 
 
 def _as_gram(gram) -> GramMatrix:
@@ -115,8 +127,7 @@ def _as_gram(gram) -> GramMatrix:
 def gram_entry_qnorm(gram, q) -> float:
     """Entrywise q-norm over all n² magnitudes |g_ij|; max entry at q = ∞."""
     qf = _normalize_exponent(q)
-    g = _as_gram(gram)
-    return _pnorm_nonneg(g.abs_entries().ravel(), qf)
+    return _Scaled(_as_gram(gram).abs_entries().ravel()).pnorm(qf)
 
 
 def max_row_abs_sum(gram) -> float:

@@ -339,6 +339,9 @@ class TestPowerMeanGap:
         gp = power_mean_gap([0.0, 0.0], 1.5)
         assert (gp.lhs, gp.rhs) == (0.0, 0.0)
 
+    def test_real_vector_same_as_list(self):
+        assert power_mean_gap(Vector([1.0, 2.0]), 1.5) == power_mean_gap([1.0, 2.0], 1.5)
+
     def test_rejects_negative(self):
         with pytest.raises(DomainError):
             power_mean_gap([1.0, -0.5], 1.5)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from grambounds import (
+    STANDARD_P_LIST,
     DimensionError,
     DomainError,
     GramMatrix,
@@ -13,11 +14,15 @@ from grambounds import (
     ShapeError,
     Vector,
     VectorFamily,
+    conjugate_exponent,
     gram,
+    gram_entry_qnorm,
     inner,
     inner_each,
     norm,
+    seq_pnorm,
 )
+from grambounds.bounds import _Ingredients
 
 
 class TestVector:
@@ -175,6 +180,16 @@ class TestVectorFamily:
         assert not VectorFamily([[1.0], [0.5]]).is_orthonormal()
         assert VectorFamily([], dim=4).is_orthonormal()
 
+    def test_orthonormal_diagonal_and_off_diagonal(self):
+        assert not VectorFamily([[1.0, 0.0], [1e-6, 1.0]]).is_orthonormal()  # unit diagonal, off entry 1e-6
+        assert VectorFamily([[1.0, 0.0], [1e-12, 1.0]]).is_orthonormal()
+        assert not VectorFamily([[1.0 + 1e-6, 0.0], [0.0, 1.0]]).is_orthonormal()
+
+    def test_require_orthonormal_reports_largest_deviation(self):
+        # The diagonal is off by 0.21 and decides False; the message still names the 1.1 off it.
+        with pytest.raises(NotOrthonormalError, match="1.100e"):
+            VectorFamily([[1.1, 0.0], [1.0, 0.1]]).require_orthonormal()
+
     def test_require_orthonormal_raises(self):
         with pytest.raises(NotOrthonormalError):
             VectorFamily([[1.0], [0.5]]).require_orthonormal()
@@ -221,6 +236,74 @@ class TestGram:
     def test_orthonormal_within_tol(self):
         g = gram(VectorFamily(np.eye(4))).entries
         assert np.max(np.abs(g - np.eye(4))) <= 1e-12
+
+
+def _four_product_gram(mat):
+    """The Gram matrix from four real products, mirrored: the reference for the build."""
+    re_part = mat.real @ mat.real.T + mat.imag @ mat.imag.T
+    im_part = mat.imag @ mat.real.T - mat.real @ mat.imag.T
+    re_h = np.tril(re_part) + np.tril(re_part, -1).T
+    im_lo = np.tril(im_part, -1)
+    return re_h + 1j * (im_lo - im_lo.T)
+
+
+def _build_family(kind, shape, seed=41):
+    rng = np.random.default_rng(seed)
+    if kind == "real":
+        return VectorFamily(rng.normal(size=shape), field="real")
+    if kind == "complex":
+        return VectorFamily(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    if kind == "complex_zero_imag":  # labelled complex, every imaginary part zero
+        return VectorFamily(rng.normal(size=shape).astype(np.complex128), field="complex")
+    return VectorFamily(np.zeros(shape), field="real")  # "zero"
+
+
+_GRAM_KINDS = ("real", "complex", "complex_zero_imag", "zero")
+_GRAM_SHAPES = ((0, 3), (1, 1), (5, 3), (40, 8), (200, 64))
+_P_KEPT = 1.0 + 4504 * 2.0**-52  # the exponent closest to 1 that is not snapped to 1
+_NORM_EXPONENTS = sorted(
+    {e for p in (*STANDARD_P_LIST, _P_KEPT) for e in (p, conjugate_exponent(p))}
+)
+
+
+class TestGramBuild:
+    """The Gram build (one product for real data, four otherwise) and the scaled norms read from it."""
+
+    @pytest.mark.parametrize("shape", _GRAM_SHAPES)
+    @pytest.mark.parametrize("kind", _GRAM_KINDS)
+    def test_matches_four_product_formula(self, kind, shape):
+        fam = _build_family(kind, shape)
+        g = gram(fam).entries
+        # Float equality: only the sign of an exactly-zero entry may differ.
+        assert np.array_equal(g, _four_product_gram(fam.vectors))
+        assert g.dtype == np.complex128 and g.shape == (shape[0], shape[0])
+        if kind != "complex":
+            assert not g.imag.any()
+
+    @pytest.mark.parametrize("shape", _GRAM_SHAPES)
+    @pytest.mark.parametrize("kind", _GRAM_KINDS)
+    def test_exactly_hermitian_and_read_only(self, kind, shape):
+        g = gram(_build_family(kind, shape)).entries
+        assert np.array_equal(g, g.conj().T)
+        assert not g.imag.diagonal().any()
+        assert not g.flags.writeable
+        with pytest.raises(ValueError):
+            g[..., :1] = 0.0
+
+    @pytest.mark.parametrize("shape", _GRAM_SHAPES)
+    @pytest.mark.parametrize("kind", _GRAM_KINDS)
+    def test_ingredient_norms_match_public_norms(self, kind, shape):
+        fam = _build_family(kind, shape)
+        rng = np.random.default_rng(43)
+        x = rng.normal(size=shape[1]) + 1j * rng.normal(size=shape[1])
+        c = rng.normal(size=shape[0]) + 1j * rng.normal(size=shape[0])
+        ing = _Ingredients(fam, x, c)
+        t = inner_each(x, fam)
+        for p in _NORM_EXPONENTS:  # one ingredients object: every p reuses one scaling
+            assert ing.pnorm("abs_g", p).hex() == gram_entry_qnorm(gram(fam), p).hex()
+            assert ing.pnorm("abs_t", p).hex() == seq_pnorm(t, p).hex()
+            assert ing.pnorm("abs_c", p).hex() == seq_pnorm(c, p).hex()
+            assert ing.pnorm("abs_norms", p).hex() == seq_pnorm(fam.member_norms(), p).hex()
 
 
 class TestGramMatrix:

@@ -476,8 +476,8 @@ _BAD_C = _BAD + [
 _BAD_GAP = _BAD + [
     ("complex", [1.0 + 1.0j, 2.0], DomainError),
     ("negative", [-1.0, 2.0], DomainError),
-    # a Vector's coordinates are complex128, so it is complex values, not a 0-d array
-    ("vector", Vector([1.0, 2.0]), DomainError),
+    # a Vector with a nonzero imaginary part is complex values, not a 0-d array
+    ("vector", Vector([1.0 + 1.0j, 2.0]), DomainError),
 ]
 _ENTRY_POINTS = [  # (name, call on the bad value, bad values with the error each raises)
     ("Vector", Vector, _BAD_X),
