@@ -56,6 +56,7 @@ from .verify import (
     CORPUS_SEED,
     REL_TOL,
     STANDARD_P_LIST,
+    CaseTable,
     CorpusResult,
     FamilySpec,
     VerificationReport,
@@ -129,6 +130,7 @@ __all__ = [
     "FamilySpec",
     "VerificationReport",
     "CorpusResult",
+    "CaseTable",
     "random_family",
     "random_orthonormal_family",
     "random_specs",

@@ -22,16 +22,10 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Vector, VectorFamily, _as_complex_1d, inner_each, norm
-from .errors import DomainError
-from .norms import (
-    _magnitudes,
-    _normalize_exponent,
-    _Scaled,
-    conjugate_exponent,
-    max_row_abs_sum,
-    power_mean_exponent,
-)
+from .core import Vector, VectorFamily, _as_complex_1d, _dot, _gram_entries, _inner_each, _member_norms, _sum_sq
+from .core import inner_each
+from .errors import DomainError, ShapeError
+from .norms import _magnitudes, _normalize_exponent, _row_sum_max, _Scaled, conjugate_exponent, power_mean_exponent
 
 __all__ = [
     "REL_TOL",
@@ -79,8 +73,7 @@ class BoundId(str, Enum):
     ORTHONORMAL_BESSEL = "orthonormal_27a"
     POWER_MEAN_GAP = "power_mean"  # the raw power-mean comparison behind eq211
 
-    def __str__(self) -> str:  # CSV-friendly
-        return self.value
+    __str__ = str.__str__  # the plain value, CSV-friendly; a C-level str is cheap per case row
 
 
 @dataclass(frozen=True)
@@ -109,61 +102,84 @@ class BoundResult:
         return self.lhs <= self.value * (1.0 + rel_tol) + abs_tol
 
 
-def _sum_sq(v: np.ndarray) -> float:
-    return float(v.real @ v.real) + float(v.imag @ v.imag)
-
-
 _ABSENT = object()  # an argument not given, unlike a given None, which is rejected
 
 
 class _Ingredients:
-    """Everything the bound formulas read from one input (x, family, c).
+    """Everything the bound formulas read from a batch of B inputs of one shape.
 
-    x and c are validated once, here; every other quantity is computed on first use
-    and kept, so evaluating all bounds at many exponents reads each left-hand side,
-    p-norm and Gram q-norm once, and divides each magnitude array (|t|, |c|, the
-    member norms, |G|) by its maximum once for all exponents.  Each bound is one
-    method below that returns its finished BoundResult: the one place that names the
-    bound's id, left-hand side, p and flavor, and the single arithmetic path for its
-    value, which is what makes the p = 2 and composition identities bitwise.
+    The inputs are stacked complex128 arrays: the family rows (B, n, d), x (B, d) and
+    c (B, n), x or c None when absent; a single input is a batch of one (views, no
+    copies).  Every quantity is a (B,) column computed on first use and kept, so
+    evaluating all bounds at many exponents reads each left-hand side, p-norm and Gram
+    q-norm once, and divides each magnitude array (|t|, |c|, the member norms, |G|) by
+    its maximum once for all exponents.  Each bound is one method below that returns
+    its finished BoundResult, whose lhs and value are (B,) columns: the one place that
+    names the bound's id, left-hand side, p and flavor, and the single arithmetic path
+    for its value, which is what makes the p = 2 and composition identities bitwise.
     """
 
-    def __init__(self, family: VectorFamily, x=_ABSENT, c=_ABSENT):
-        self.family = family
-        self.x = self.t = self.c = None
-        if x is not _ABSENT:
-            self.x = x if isinstance(x, Vector) else Vector(x)
-            self.t = inner_each(self.x, family)  # also the dimension check
-        if c is not _ABSENT:
-            self.c = _as_complex_1d(c, what="coefficients", allow_empty=True, size=family.size)
+    def __init__(self, rows: np.ndarray, x=None, c=None, family: Optional[VectorFamily] = None):
+        self.rows, self.x, self.c, self.family = rows, x, c, family
+        self.n = rows.shape[1]
         self._memo: dict = {}
 
+    @classmethod
+    def of(cls, family: VectorFamily, x=_ABSENT, c=_ABSENT) -> "_Ingredients":
+        """One input as a batch of one, of views; x and c are validated here, in this order."""
+        ing = cls(family.vectors[None], family=family)
+        if x is not _ABSENT:
+            x = x if isinstance(x, Vector) else Vector(x)
+            ing.x, ing.t = x.coords[None], inner_each(x, family)[None]  # inner_each also checks the dimension
+        if c is not _ABSENT:
+            ing.c = _as_complex_1d(c, what="coefficients", allow_empty=True, size=family.size)[None]
+        return ing
+
+    @classmethod
+    def stack(cls, x, rows, c) -> "_Ingredients":
+        """B inputs given as stacks x (B, d), family rows (B, n, d) and c (B, n)."""
+        x, rows, c = arrays = [np.asarray(a, dtype=np.complex128) for a in (x, rows, c)]
+        if rows.ndim != 3 or not rows.shape[2] or x.shape != rows.shape[::2] or c.shape != rows.shape[:2]:
+            raise ShapeError(f"need stacks x (B, d), family (B, n, d), c (B, n) with d > 0, "
+                             f"got {x.shape}, {rows.shape}, {c.shape}")
+        if not all(np.isfinite(a).all() for a in arrays):  # complex isfinite: both parts finite
+            raise DomainError("stacked inputs must be finite")
+        return cls(rows, x, c)
+
     # The ingredients, each computed on first use.
-    nx = cached_property(lambda self: norm(self.x))
+    t = cached_property(lambda self: _inner_each(self.rows, self.x))
+    nx = cached_property(lambda self: np.sqrt(_sum_sq(self.x)))
     nx2 = cached_property(lambda self: self.nx * self.nx)
     abs_t = cached_property(lambda self: _Scaled(_magnitudes(self.t)))
     abs_c = cached_property(lambda self: _Scaled(_magnitudes(self.c)))
-    abs_norms = cached_property(lambda self: _Scaled(_magnitudes(self.family.member_norms())))
-    abs_g = cached_property(lambda self: _Scaled(self.family.gram().abs_entries().ravel()))
+    abs_norms = cached_property(lambda self: _Scaled(_magnitudes(_member_norms(self.rows))))
+    abs_g = cached_property(lambda self: _Scaled(self.gram_abs.reshape(len(self.rows), self.n * self.n)))
     bessel_sum = cached_property(lambda self: _sum_sq(self.t))
     c_sq = cached_property(lambda self: _sum_sq(self.c))
-    row_sum_max = cached_property(lambda self: max_row_abs_sum(self.family.gram()))
-    combination_norm_sq = cached_property(lambda self: _sum_sq(self.c @ self.family.vectors))
+    row_sum_max = cached_property(lambda self: _row_sum_max(self.gram_abs))
+    combination_norm_sq = cached_property(lambda self: _sum_sq((self.c[:, None, :] @ self.rows)[:, 0]))
 
     @cached_property
-    def weighted_inner_sum_sq(self) -> float:
-        s = complex(self.c @ self.t)
+    def gram_abs(self) -> np.ndarray:
+        """|G| (B, n, n); a single family's from its cached Gram matrix."""
+        if self.family is not None:
+            return self.family.gram().abs_entries()[None]
+        return np.abs(_gram_entries(self.rows))
+
+    @cached_property
+    def weighted_inner_sum_sq(self) -> np.ndarray:
+        s = _dot(self.c, self.t)
         return s.real * s.real + s.imag * s.imag
 
     @cached_property
-    def norms_sq_total(self) -> float:
-        v = self.family.vectors
-        return float((v.real * v.real).sum() + (v.imag * v.imag).sum())
+    def norms_sq_total(self) -> np.ndarray:
+        v = self.rows
+        return (v.real * v.real).sum(axis=(1, 2)) + (v.imag * v.imag).sum(axis=(1, 2))
 
-    def pnorm(self, name: str, p: float) -> float:
-        """The p-norm of the magnitudes in attribute ``name``, memoised per p.
+    def pnorm(self, name: str, p: float) -> np.ndarray:
+        """The p-norm column of the magnitudes in attribute ``name``, memoised per p.
 
-        ``pnorm("abs_g", q)`` is gram_entry_qnorm of the family's Gram matrix.
+        ``pnorm("abs_g", q)`` is gram_entry_qnorm of each input's Gram matrix.
         """
         key = (name, p)
         if key not in self._memo:
@@ -172,7 +188,7 @@ class _Ingredients:
 
     # One method per bound, returning its record: p is normalized and q = conjugate_exponent(p).
 
-    def _span_value(self, p: float, q: float, flavor: str) -> float:
+    def _span_value(self, p: float, q: float, flavor: str) -> np.ndarray:
         if flavor == "gram":
             fam_factor = self.pnorm("abs_g", q)
         elif flavor == "norms":
@@ -201,17 +217,17 @@ class _Ingredients:
         )
 
     def thm27(self, p: float, q: float) -> BoundResult:
-        value = self.nx * self.pnorm("abs_t", p) * math.sqrt(self.pnorm("abs_g", q))
+        value = self.nx * self.pnorm("abs_t", p) * np.sqrt(self.pnorm("abs_g", q))
         return BoundResult(BoundId.WEIGHTED_BESSEL, self.bessel_sum, value, p)
 
     def orthonormal_27a(self, p: float, q: float) -> BoundResult:
         expo = 0.0 if math.isinf(q) else 1.0 / (2.0 * q)
-        value = self.nx * float(self.family.size) ** expo * self.pnorm("abs_t", p)
+        value = self.nx * float(self.n) ** expo * self.pnorm("abs_t", p)
         return BoundResult(BoundId.ORTHONORMAL_BESSEL, self.bessel_sum, value, p)
 
-    def _power_mean_value(self, p: float, q: float) -> float:
+    def _power_mean_value(self, p: float, q: float) -> np.ndarray:
         # Frobenius is this at p = q = 2, where scale = n^0 = 1.0 exactly.
-        scale = float(self.family.size) ** (2.0 / p - 1.0)
+        scale = float(self.n) ** (2.0 / p - 1.0)
         return scale * self.nx2 * self.pnorm("abs_g", q)
 
     def power_mean(self, p: float, q: float) -> BoundResult:
@@ -227,23 +243,28 @@ class _Ingredients:
         return _power_mean_gap(self.abs_t, p)
 
 
+def _one(column: BoundResult) -> BoundResult:
+    """The record of a batch of one."""
+    return BoundResult(column.bound_id, float(column.lhs[0]), float(column.value[0]), column.p, column.flavor)
+
+
 # ---------------------------------------------------------------------------
 # Left-hand sides
 
 
 def combination_norm_sq(alphas, family: VectorFamily) -> float:
     """‖Σ_i α_i z_i‖² — squared norm of a coefficient combination."""
-    return _Ingredients(family, c=alphas).combination_norm_sq
+    return float(_Ingredients.of(family, c=alphas).combination_norm_sq[0])
 
 
 def weighted_inner_sum_sq(x, family: VectorFamily, c) -> float:
     """|Σ_i c_i (x, y_i)|² — squared modulus of a weighted inner-product sum."""
-    return _Ingredients(family, x, c).weighted_inner_sum_sq
+    return float(_Ingredients.of(family, x, c).weighted_inner_sum_sq[0])
 
 
 def bessel_sum(x, family: VectorFamily) -> float:
     """Σ_i |(x, y_i)|² — the quantity every Bessel-type bound ceilings."""
-    return _Ingredients(family, x).bessel_sum
+    return float(_Ingredients.of(family, x).bessel_sum[0])
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +279,7 @@ def span_bound(alphas, family: VectorFamily, p, flavor: str = "gram") -> BoundRe
     flavor is never larger (entrywise |g_ij| ≤ ‖z_i‖‖z_j‖).
     """
     pf = _normalize_exponent(p)
-    return _Ingredients(family, c=alphas).span(pf, conjugate_exponent(pf), flavor)
+    return _one(_Ingredients.of(family, c=alphas).span(pf, conjugate_exponent(pf), flavor))
 
 
 def combo_bound(x, family: VectorFamily, c, p, flavor: str = "gram") -> BoundResult:
@@ -269,14 +290,15 @@ def combo_bound(x, family: VectorFamily, c, p, flavor: str = "gram") -> BoundRes
     identity holds bitwise.
     """
     pf = _normalize_exponent(p)
-    return _Ingredients(family, x, c).combo(pf, conjugate_exponent(pf), flavor)
+    return _one(_Ingredients.of(family, x, c).combo(pf, conjugate_exponent(pf), flavor))
 
 
 def refinement_chain(alphas, family: VectorFamily) -> tuple[BoundResult, BoundResult]:
     """Two nested ceilings for ‖Σ α_i z_i‖² as two links: the middle link bounds
     it by the Frobenius term Σ|α_i|² (Σ|g_ij|²)^(1/2), the outer link bounds that
     term by the classical Σ|α_i|² Σ‖z_i‖²."""
-    return _Ingredients(family, c=alphas).chain()
+    middle, outer = _Ingredients.of(family, c=alphas).chain()
+    return _one(middle), _one(outer)
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +309,7 @@ def bessel_sum_bound(x, family: VectorFamily, p) -> BoundResult:
     """Ceiling ‖x‖ · seq_pnorm(t, p) · gram_entry_qnorm(G, q)^(1/2) with
     t_i = |(x, y_i)| — the square root of the combo bound at c_i = conj(x, y_i)."""
     pf = _normalize_exponent(p)
-    return _Ingredients(family, x).thm27(pf, conjugate_exponent(pf))
+    return _one(_Ingredients.of(family, x).thm27(pf, conjugate_exponent(pf)))
 
 
 def orthonormal_bessel_bound(x, family: VectorFamily, p, tol: float = ORTHONORMAL_TOL) -> BoundResult:
@@ -299,12 +321,12 @@ def orthonormal_bessel_bound(x, family: VectorFamily, p, tol: float = ORTHONORMA
     """
     family.require_orthonormal(tol)
     pf = _normalize_exponent(p)
-    return _Ingredients(family, x).orthonormal_27a(pf, conjugate_exponent(pf))
+    return _one(_Ingredients.of(family, x).orthonormal_27a(pf, conjugate_exponent(pf)))
 
 
 def frobenius_bound(x, family: VectorFamily, _ing: Optional[_Ingredients] = None) -> BoundResult:
     """Ceiling ‖x‖² (Σ|g_ij|²)^(1/2) for the Bessel sum; batch paths pass their ingredients as _ing."""
-    return (_Ingredients(family, x) if _ing is None else _ing).frobenius()
+    return _one(_Ingredients.of(family, x).frobenius()) if _ing is None else _ing.frobenius()
 
 
 def power_mean_bound(x, family: VectorFamily, p) -> BoundResult:
@@ -316,34 +338,32 @@ def power_mean_bound(x, family: VectorFamily, p) -> BoundResult:
     extend it by limits.
     """
     pf = power_mean_exponent(p)
-    return _Ingredients(family, x).power_mean(pf, conjugate_exponent(pf))
+    return _one(_Ingredients.of(family, x).power_mean(pf, conjugate_exponent(pf)))
 
 
 def bombieri_bound(x, family: VectorFamily) -> BoundResult:
     """The classical ceiling ‖x‖² max_i Σ_j |g_ij|; equals ‖x‖² itself on
     orthonormal families, recovering the plain Bessel inequality."""
-    return _Ingredients(family, x).bombieri()
+    return _one(_Ingredients.of(family, x).bombieri())
 
 
 def power_mean_gap(values, p) -> BoundResult:
-    """Evaluate (Σv^p)^(2/p) (lhs) against n^(2/p-1) Σv² (value) for nonnegative v, p ∈ (1, 2]."""
+    """Evaluate (Σv^p)^(2/p) (lhs) against n^(2/p-1) Σv² (value) for nonnegative v, p ∈ (1, 2].
+
+    Values count as complex, and are rejected, only when some imaginary part is nonzero.
+    """
     pf = power_mean_exponent(p)
-    arr = values.coords if isinstance(values, Vector) else np.asarray(values)
-    z = _as_complex_1d(arr, what="values", allow_empty=True)
-    # A Vector is always complex128, so it counts as complex only with a nonzero imaginary part.
-    if np.issubdtype(arr.dtype, np.complexfloating) and not (isinstance(values, Vector) and values.is_real):
+    z = _as_complex_1d(values, what="values", allow_empty=True)
+    if z.imag.any():
         raise DomainError("values must be real and nonnegative")
     v = np.ascontiguousarray(z.real)  # a strided v @ v can round differently
     if v.size and float(v.min()) < 0.0:
         raise DomainError(f"values must be nonnegative, got {float(v.min())}")
-    return _power_mean_gap(_Scaled(v), pf)
+    return _one(_power_mean_gap(_Scaled(v[None]), pf))
 
 
 def _power_mean_gap(v: _Scaled, pf: float) -> BoundResult:
-    """power_mean_gap on scaled finite nonnegative float64 values and a validated p."""
-    lhs = rhs = 0.0
-    m = v.max
-    if m != 0.0:
-        lhs = (m * m) * v.power_sum(pf) ** (2.0 / pf)
-        rhs = float(v.a.size) ** (2.0 / pf - 1.0) * float(v.a @ v.a)
+    """power_mean_gap on rows of scaled finite nonnegative float64 values and a validated p."""
+    lhs = (v.max * v.max) * v.root_power_sum(pf, 2.0 / pf)
+    rhs = float(v.a.shape[1]) ** (2.0 / pf - 1.0) * _dot(v.a, v.a)
     return BoundResult(BoundId.POWER_MEAN_GAP, lhs, rhs, pf)

@@ -47,9 +47,8 @@ def format_p(p: Optional[float]) -> str:
 
 
 def case_row(bound_id: str, p: Optional[float], flavor: Optional[str], lhs: float, rhs: float) -> str:
-    return ",".join(
-        (str(bound_id), format_p(p), flavor or "-", format_number(lhs), format_number(rhs), format_number(rhs - lhs))
-    )
+    # str(bound_id), not {bound_id}: format() of a str-mixin Enum changed in Python 3.12.
+    return f"{str(bound_id)},{format_p(p)},{flavor or '-'},{float(lhs)!r},{float(rhs)!r},{float(rhs - lhs)!r}"
 
 
 class _InputError(ValueError):
@@ -158,7 +157,7 @@ def compute_rows(x, family, coefficients, p_values) -> list[str]:
     orthonormal specialization appears only when the family passes its
     orthonormality check.
     """
-    ing = _Ingredients(family, x) if coefficients is None else _Ingredients(family, x, coefficients)
+    ing = _Ingredients.of(family, x) if coefficients is None else _Ingredients.of(family, x, coefficients)
     orthonormal = family.is_orthonormal(ORTHONORMAL_TOL)
     cases = _cases(ing, p_values, frobenius_bound, gap=False, orthonormal=orthonormal)
     return [case_row(r.bound_id, r.p, r.flavor, r.lhs, r.rhs) for r in cases]

@@ -124,14 +124,35 @@ def inner(x: ArrayLike, y: ArrayLike) -> complex:
 
 def norm(x: ArrayLike) -> float:
     """Euclidean norm ||x|| = sqrt((x, x))."""
-    xa = _as_complex_1d(x)
     # (x, x) is a sum of squares of real numbers; take it directly.
-    s = float(xa.real @ xa.real) + float(xa.imag @ xa.imag)
-    return float(np.sqrt(s))
+    return float(np.sqrt(_sum_sq(_as_complex_1d(x))))
+
+
+# The kernels below take any number of leading batch axes: one input is a batch
+# of one.  A stacked matmul computes each slice with the kernel, and so the
+# bits, that numpy picks for that slice on its own.
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Σ_k a_k b_k along the last axis, as the vector dot product numpy gives a @ b."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _sum_sq(v: np.ndarray) -> np.ndarray:
+    """Σ |v_k|² along the last axis of a complex array, from two real dot products."""
+    return _dot(v.real, v.real) + _dot(v.imag, v.imag)
+
+
+def _inner_each(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(x, y_i) for the rows y_i of ``rows`` (..., n, d) and ``x`` (..., d), as in :func:`inner`."""
+    xr, xi = x.real[..., None], x.imag[..., None]
+    re = rows.real @ xr + rows.imag @ xi
+    im = rows.real @ xi - rows.imag @ xr
+    return (re + 1j * im)[..., 0]
 
 
 def _gram_entries(mat: np.ndarray) -> np.ndarray:
-    """Hermitian Gram matrix of the rows of ``mat``, exact by mirroring.
+    """Hermitian Gram matrices of the rows of each (n, d) slice of ``mat`` (..., n, d), exact by mirroring.
 
     The lower triangle is computed via real block products (same arithmetic
     as :func:`inner`) and reflected, so G[i, j] and conj(G[j, i]) are the same
@@ -139,22 +160,26 @@ def _gram_entries(mat: np.ndarray) -> np.ndarray:
     one product suffices: the other three are zero, and adding +0.0 changes
     no nonzero float.
     """
-    n = mat.shape[0]
-    out = np.zeros((n, n), dtype=np.complex128)
+    n = mat.shape[-2]
+    out = np.zeros(mat.shape[:-1] + (n,), dtype=np.complex128)
     lower = np.tri(n, dtype=bool)  # i >= j
-    if mat.imag.any():
-        re_part = mat.real @ mat.real.T + mat.imag @ mat.imag.T
-        im_part = mat.imag @ mat.real.T - mat.real @ mat.imag.T
-        im = out.imag
-        np.subtract(0.0, im_part.T, out=im)  # 0 - x, not -x: a zero stays +0.0
-        np.copyto(im, im_part, where=lower)
-        np.fill_diagonal(im, 0.0)
+    re, im = mat.real, mat.imag
+    if im.any():
+        re_part = re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2)
+        im_part = im @ re.swapaxes(-1, -2) - re @ im.swapaxes(-1, -2)
+        np.subtract(0.0, im_part.swapaxes(-1, -2), out=out.imag)  # 0 - x, not -x: a zero stays +0.0
+        np.copyto(out.imag, im_part, where=lower)
+        out.imag[..., range(n), range(n)] = 0.0
     else:
-        re_part = mat.real @ mat.real.T
-    re = out.real
-    np.copyto(re, re_part.T)
-    np.copyto(re, re_part, where=lower)
+        re_part = re @ re.swapaxes(-1, -2)
+    np.copyto(out.real, re_part.swapaxes(-1, -2))
+    np.copyto(out.real, re_part, where=lower)
     return out
+
+
+def _member_norms(rows: np.ndarray) -> np.ndarray:
+    """‖y_i‖ for the rows of ``rows`` (..., n, d)."""
+    return np.sqrt((rows.real * rows.real).sum(axis=-1) + (rows.imag * rows.imag).sum(axis=-1))
 
 
 class VectorFamily:
@@ -250,9 +275,7 @@ class VectorFamily:
     def member_norms(self) -> np.ndarray:
         """Array of ||y_i||; cached.  Equals sqrt of the Gram diagonal."""
         if self._norms is None:
-            v = self._vectors
-            sq = (v.real * v.real).sum(axis=1) + (v.imag * v.imag).sum(axis=1)
-            out = np.sqrt(sq)
+            out = _member_norms(self._vectors)
             out.setflags(write=False)
             self._norms = out
         return self._norms
@@ -343,7 +366,4 @@ def inner_each(x: ArrayLike, family: VectorFamily) -> np.ndarray:
         raise DimensionError(
             f"vector dimension {xa.shape[0]} does not match family dimension {family.dim}"
         )
-    v = family.vectors
-    re = v.real @ xa.real + v.imag @ xa.imag
-    im = v.real @ xa.imag - v.imag @ xa.real
-    return re + 1j * im
+    return _inner_each(family.vectors, xa)

@@ -84,40 +84,42 @@ def _magnitudes(arr: np.ndarray) -> np.ndarray:
 
 
 class _Scaled:
-    """A flat nonnegative float array with its maximum factored out, for p-norms at many p.
+    """Rows (B, m) of nonnegative floats with each row's maximum factored out, for p-norms at many p.
 
     The maximum is factored out before powering: q = p/(p-1) grows without
     bound as p -> 1 (q = 11 already at p = 1.1), and raising raw magnitudes
-    to such powers overflows long before the norm itself does.  The maximum
+    to such powers overflows long before the norm itself does.  The maxima
     and the ratios a / max are computed once and shared by every exponent.
     """
 
     def __init__(self, a: np.ndarray):
         self.a = a
-        self.max = float(a.max()) if a.size else 0.0
+        self.max = a.max(axis=-1, initial=0.0)
 
-    ratio = cached_property(lambda self: self.a / self.max)
+    # A row of zeros is divided by 1, not 0, and stays zero.
+    ratio = cached_property(lambda self: self.a / np.where(self.max > 0.0, self.max, 1.0)[:, None])
 
-    def power_sum(self, pf: float) -> float:
-        """Σ (a_i / max)^p, for a nonzero maximum."""
-        return float((self.ratio ** pf).sum())
+    def root_power_sum(self, pf: float, e: float) -> np.ndarray:
+        """(Σ_i (a_i / max)^p)^e per row; 0 for a row of zeros.
 
-    def pnorm(self, pf: float) -> float:
-        """(Σ a_i^p)^(1/p) for a normalized p; max at p = ∞; 0 for an empty array."""
+        The root is a Python float power per row: numpy's array power can round differently.
+        """
+        return np.array([s**e for s in (self.ratio**pf).sum(axis=-1).tolist()])
+
+    def pnorm(self, pf: float) -> np.ndarray:
+        """(Σ a_i^p)^(1/p) per row for a normalized p; max at p = ∞; 0 for an empty row."""
         if math.isinf(pf):
             return self.max
         if pf == 1.0:
-            return float(self.a.sum())
-        if self.max == 0.0:
-            return 0.0
-        # A Python float root: numpy's array power can round differently.
-        return float(self.max * self.power_sum(pf) ** (1.0 / pf))
+            return self.a.sum(axis=-1)
+        return self.max * self.root_power_sum(pf, 1.0 / pf)
 
 
 def seq_pnorm(values, p) -> float:
     """(Σ|v_i|^p)^(1/p) for finite p; max|v_i| at p = ∞; 0 for an empty sequence."""
     pf = _normalize_exponent(p)
-    return _Scaled(_magnitudes(_as_complex_1d(values, what="sequence", allow_empty=True))).pnorm(pf)
+    a = _magnitudes(_as_complex_1d(values, what="sequence", allow_empty=True))
+    return float(_Scaled(a[None]).pnorm(pf)[0])
 
 
 def _as_gram(gram) -> GramMatrix:
@@ -127,12 +129,14 @@ def _as_gram(gram) -> GramMatrix:
 def gram_entry_qnorm(gram, q) -> float:
     """Entrywise q-norm over all n² magnitudes |g_ij|; max entry at q = ∞."""
     qf = _normalize_exponent(q)
-    return _Scaled(_as_gram(gram).abs_entries().ravel()).pnorm(qf)
+    return float(_Scaled(_as_gram(gram).abs_entries().reshape(1, -1)).pnorm(qf)[0])
+
+
+def _row_sum_max(abs_g: np.ndarray) -> np.ndarray:
+    """max_i Σ_j |g_ij| of each (n, n) slice of |G|; 0 for n = 0."""
+    return abs_g.sum(axis=-1).max(axis=-1, initial=0.0)
 
 
 def max_row_abs_sum(gram) -> float:
     """max_i Σ_j |g_ij| — the row factor of the classical Bessel-sum bound."""
-    g = _as_gram(gram)
-    if g.size == 0:
-        return 0.0
-    return float(g.abs_entries().sum(axis=1).max())
+    return float(_row_sum_max(_as_gram(gram).abs_entries()))

@@ -6,11 +6,13 @@ tolerances REL_TOL and ABS_TOL (re-exported here from bounds).
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
+from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
-from operator import attrgetter
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -27,6 +29,7 @@ __all__ = [
     "FamilySpec",
     "VerificationReport",
     "CorpusResult",
+    "CaseTable",
     "random_family",
     "random_orthonormal_family",
     "random_specs",
@@ -147,30 +150,73 @@ def _dedup_p(p_list: Iterable) -> list[float]:
     return list(dict.fromkeys(_normalize_exponent(p) for p in p_list))
 
 
-def _cases(ing: _Ingredients, p_list, frobenius, *, gap=True, orthonormal=False) -> Iterator[BoundResult]:
-    """Every case of one input in report order (see evaluate_cases), each the record of one
-    ing method; coefficient cases need ing.c.  cor28 goes through the caller's
-    frobenius_bound, so a patched one there reaches the batch."""
-    yield ing.bombieri()
-    yield frobenius(ing.x, ing.family, ing)
+@dataclass(eq=False)
+class CaseTable(Sequence):
+    """The cases of B inputs of one shape, K per input, as columns.
+
+    ``keys`` holds the K cases' (bound_id, p, flavor), and ``lhs`` and ``value``
+    are (B, K) matrices.  As a sequence it holds the B·K BoundResults input by
+    input, each built only when it is read.
+    """
+
+    keys: list
+    lhs: np.ndarray
+    value: np.ndarray
+
+    # The record's margin and its one tolerance predicate, here on whole (B, K) matrices.
+    margin = BoundResult.margin
+    holds = BoundResult.holds
+
+    def verdicts(self, rel_tol: float, abs_tol: float) -> tuple[list[int], Optional[int]]:
+        """The indices of the failing cases, and of the first case of least non-NaN margin, if any."""
+        with np.errstate(invalid="ignore"):  # inf - inf gives a NaN margin, which is never the least
+            margin = self.margin
+        least = np.fmin.reduce(margin, axis=None)  # NaN when every margin is
+        worst = None if np.isnan(least) else int(np.argmax(margin == least))  # row-major: input, then case
+        return np.flatnonzero(~self.holds(rel_tol, abs_tol)).tolist(), worst
+
+    def records(self, b: int) -> list[BoundResult]:
+        """The K records of input b, in case order."""
+        rows = zip(self.keys, self.lhs[b].tolist(), self.value[b].tolist())
+        return [BoundResult(bound_id, lhs, value, p, flavor) for (bound_id, p, flavor), lhs, value in rows]
+
+    def __len__(self) -> int:
+        return self.lhs.size
+
+    def __getitem__(self, j: int) -> BoundResult:
+        b, k = divmod(range(len(self))[j], len(self.keys))
+        bound_id, p, flavor = self.keys[k]
+        return BoundResult(bound_id, float(self.lhs[b, k]), float(self.value[b, k]), p, flavor)
+
+    def __iter__(self) -> Iterator[BoundResult]:
+        for b in range(len(self.lhs)):
+            yield from self.records(b)
+
+
+def _cases(ing: _Ingredients, p_list, frobenius, *, gap=True, orthonormal=False) -> CaseTable:
+    """Every case of the ingredients' inputs, in report order (see evaluate_cases), each
+    column the record of one ing method; coefficient cases need ing.c.  cor28 goes through
+    the caller's frobenius_bound, so a patched one there reaches the batch."""
+    columns = [ing.bombieri(), frobenius(ing.x, ing.family, ing)]
     if ing.c is not None:
-        yield from ing.chain()
+        columns += ing.chain()
     for pf in _dedup_p(p_list):
         q = conjugate_exponent(pf)
         if ing.c is not None:
             for flavor in ("gram", "norms"):
-                yield ing.span(pf, q, flavor)
-                yield ing.combo(pf, q, flavor)
-        yield ing.thm27(pf, q)
+                columns += (ing.span(pf, q, flavor), ing.combo(pf, q, flavor))
+        columns.append(ing.thm27(pf, q))
         if 1.0 < pf <= 2.0:
-            yield ing.power_mean(pf, q)
+            columns.append(ing.power_mean(pf, q))
             if gap:
-                yield ing.gap(pf)
+                columns.append(ing.gap(pf))
         if orthonormal:
-            yield ing.orthonormal_27a(pf, q)
+            columns.append(ing.orthonormal_27a(pf, q))
+    return CaseTable([(c.bound_id, c.p, c.flavor) for c in columns],
+                     np.stack([c.lhs for c in columns], axis=1), np.stack([c.value for c in columns], axis=1))
 
 
-def evaluate_cases(x, family: VectorFamily, c, p_list=STANDARD_P_LIST) -> list[BoundResult]:
+def evaluate_cases(x, family, c, p_list=STANDARD_P_LIST) -> Union[list[BoundResult], CaseTable]:
     """Evaluate every implemented inequality on one input.
 
     Exponent-free bounds come first (classical row-sum, Frobenius, and the
@@ -179,8 +225,15 @@ def evaluate_cases(x, family: VectorFamily, c, p_list=STANDARD_P_LIST) -> list[B
     exponent: both span flavors, both combo flavors, the weighted
     Bessel-sum bound, and — for p ∈ (1, 2] — the power-mean bound plus the
     raw power-mean comparison on the values |(x, y_i)|.
+
+    Given B inputs of one shape as stacks instead of a VectorFamily — x
+    (B, d), the family rows (B, n, d) and c (B, n) — it evaluates them in one
+    pass and returns their CaseTable, whose B·K records are those of the B
+    single calls, in order.
     """
-    return list(_cases(_Ingredients(family, x, c), p_list, frobenius_bound))
+    if isinstance(family, VectorFamily):
+        return list(_cases(_Ingredients.of(family, x, c), p_list, frobenius_bound))
+    return _cases(_Ingredients.stack(x, family, c), p_list, frobenius_bound)
 
 
 @dataclass(frozen=True)
@@ -220,13 +273,13 @@ def verify_all(
     abs_tol: float = ABS_TOL,
 ) -> VerificationReport:
     """Evaluate and check every inequality on one input; each verdict is computed once."""
-    cases = tuple(evaluate_cases(x, family, c, p_list))
+    table = _cases(_Ingredients.of(family, x, c), p_list, frobenius_bound)
+    failing, worst = table.verdicts(rel_tol, abs_tol)
+    cases = tuple(table)
     return VerificationReport(
         cases=cases,
-        failures=tuple(case for case in cases if not case.holds(rel_tol, abs_tol)),
-        worst_margin_case=min(
-            (case for case in cases if not math.isnan(case.margin)), key=attrgetter("margin"), default=None
-        ),
+        failures=tuple(cases[j] for j in failing),
+        worst_margin_case=None if worst is None else cases[worst],
         rel_tol=rel_tol,
         abs_tol=abs_tol,
     )
@@ -246,6 +299,11 @@ class CorpusResult:
     worst: Optional[tuple[FamilySpec, BoundResult]]
 
 
+#: Specs generated and evaluated together by verify_corpus.  Each chunk is
+#: split into (dim, n, field) groups, each evaluated in one pass.
+_CHUNK = 4096
+
+
 def verify_corpus(
     specs: Iterable[FamilySpec],
     p_list=STANDARD_P_LIST,
@@ -254,41 +312,57 @@ def verify_corpus(
     abs_tol: float = ABS_TOL,
     on_case: Optional[Callable[[FamilySpec, BoundResult], None]] = None,
 ) -> CorpusResult:
-    """Run verify_all over a stream of specs and aggregate the verdicts.
+    """Check every case of every spec, as verify_all would one spec at a time, and aggregate.
 
     on_case, when given, observes every checked case in deterministic
     order (useful for streaming serialization or hashing).  cases_by_id and
-    fails_by_id are keyed by the plain-string bound id.
+    fails_by_id are keyed by the plain-string bound id.  worst is the first
+    case of least non-NaN margin.
     """
-    n_specs = n_cases = n_fail = 0
-    cases_by_id: dict = {}
-    fails_by_id: dict = {}
+    n_specs = n_cases = 0
+    cases_by_id: Counter = Counter()
     failures: list[tuple[FamilySpec, BoundResult]] = []
     worst: Optional[tuple[FamilySpec, BoundResult]] = None
-    for spec in specs:
-        x, fam, c = random_family(spec)
-        report = verify_all(x, fam, c, p_list, rel_tol=rel_tol, abs_tol=abs_tol)
-        n_specs += 1
-        n_cases += report.n_cases
-        n_fail += report.n_fail
-        tightest = report.worst_margin_case
-        if tightest is not None and (worst is None or tightest.margin < worst[1].margin):
-            worst = (spec, tightest)
-        for case in report.cases:
-            # A BoundId hashes and compares as its string, so the keys become str below.
-            cases_by_id[case.bound_id] = cases_by_id.get(case.bound_id, 0) + 1
-            if on_case is not None:
-                on_case(spec, case)
-        for case in report.failures:
-            fails_by_id[case.bound_id] = fails_by_id.get(case.bound_id, 0) + 1
-            failures.append((spec, case))
+    stream = iter(specs)
+    while chunk := list(itertools.islice(stream, _CHUNK)):
+        groups: dict = {}
+        for i, spec in enumerate(chunk):
+            groups.setdefault((spec.dim, spec.n, spec.field), []).append(i)
+        # Each spec's group table and row; each failing case and each group's tightest case,
+        # with its spec and case index, so that they can be put in spec order.
+        where, failing, tight = [None] * len(chunk), [], []
+        for members in groups.values():
+            x, families, c = zip(*(random_family(chunk[i]) for i in members))
+            part = evaluate_cases(np.stack([v.coords for v in x]), np.stack([f.vectors for f in families]),
+                                  np.stack(c), p_list)
+            k = len(part.keys)  # the same K cases in every group
+            for b, i in enumerate(members):
+                where[i] = (part, b)
+            bad, j = part.verdicts(rel_tol, abs_tol)
+            failing += [(members[f // k], f % k, part[f]) for f in bad]
+            if j is not None:
+                case = part[j]
+                tight.append((case.margin, members[j // k], j % k, case))
+        n_specs += len(chunk)
+        n_cases += len(chunk) * k
+        for bound_id, _, _ in part.keys:
+            cases_by_id[str(bound_id)] += len(chunk)
+        if on_case is not None:
+            for spec, (part, b) in zip(chunk, where):
+                for case in part.records(b):
+                    on_case(spec, case)
+        failures += [(chunk[i], case) for i, _, case in sorted(failing, key=lambda f: f[:2])]
+        if tight:  # the least margin; on a tie, the first spec, then its first case
+            least, i, _, case = min(tight, key=lambda t: t[:3])
+            if worst is None or least < worst[1].margin:
+                worst = (chunk[i], case)
     return CorpusResult(
         n_specs=n_specs,
         n_cases=n_cases,
-        n_pass=n_cases - n_fail,
-        n_fail=n_fail,
-        cases_by_id={str(k): v for k, v in cases_by_id.items()},
-        fails_by_id={str(k): v for k, v in fails_by_id.items()},
+        n_pass=n_cases - len(failures),
+        n_fail=len(failures),
+        cases_by_id=dict(cases_by_id),
+        fails_by_id=dict(Counter(str(case.bound_id) for _, case in failures)),
         failures=tuple(failures),
         worst=worst,
     )

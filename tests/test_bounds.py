@@ -342,6 +342,12 @@ class TestPowerMeanGap:
     def test_real_vector_same_as_list(self):
         assert power_mean_gap(Vector([1.0, 2.0]), 1.5) == power_mean_gap([1.0, 2.0], 1.5)
 
+    def test_complex_dtype_with_zero_imaginary_parts_is_real(self):
+        # one rule for arrays and Vectors: complex only when some imaginary part is nonzero
+        want = power_mean_gap([1.0, 2.0], 1.5)
+        assert power_mean_gap(np.array([1.0 + 0j, 2.0 + 0j]), 1.5) == want
+        assert power_mean_gap(np.array([1.0 - 0j, 2.0 + 0j]), 1.5) == want
+
     def test_rejects_negative(self):
         with pytest.raises(DomainError):
             power_mean_gap([1.0, -0.5], 1.5)

@@ -1,10 +1,12 @@
 """Command-line front end: CSV output, exit codes, and input parsing."""
 
+import itertools
 import json
 import math
 
 import pytest
 
+from grambounds import BoundId
 from grambounds.cli import (
     CASE_HEADER,
     SCAN_HEADER,
@@ -57,6 +59,17 @@ class TestFormatting:
 
     def test_case_row(self):
         assert case_row("bombieri", None, None, 1.25, 1.5) == "bombieri,-,-,1.25,1.5,0.25"
+
+    def test_case_row_matches_joined_fields(self):
+        # The row as it was built before the one f-string: field by field, then joined.
+        values = [0.0, -0.0, 5e-324, 1e308, -1e308, 1.25, 0.1, 1, math.inf, math.nan]  # margins also inf, NaN
+        for bound_id, flavor in ((BoundId.POWER_MEAN_GAP, None), (BoundId.SPAN_GRAM, "gram"), ("cor28", None)):
+            for p in (None, 1.0, 2, math.inf, 1.0 + 4504 * 2.0**-52):
+                for lhs, rhs in itertools.product(values, repeat=2):
+                    fields = (str(bound_id), format_p(p), flavor or "-", format_number(lhs), format_number(rhs),
+                              format_number(rhs - lhs))
+                    assert case_row(bound_id, p, flavor, lhs, rhs) == ",".join(fields), (bound_id, p, lhs, rhs)
+        assert type(str(BoundId.SPAN_GRAM)) is str and str(BoundId.SPAN_GRAM) == "span_gram"
 
 
 class TestComputeCommand:

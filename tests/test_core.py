@@ -297,13 +297,13 @@ class TestGramBuild:
         rng = np.random.default_rng(43)
         x = rng.normal(size=shape[1]) + 1j * rng.normal(size=shape[1])
         c = rng.normal(size=shape[0]) + 1j * rng.normal(size=shape[0])
-        ing = _Ingredients(fam, x, c)
+        ing = _Ingredients.of(fam, x, c)  # a batch of one: each p-norm is a column of one
         t = inner_each(x, fam)
         for p in _NORM_EXPONENTS:  # one ingredients object: every p reuses one scaling
-            assert ing.pnorm("abs_g", p).hex() == gram_entry_qnorm(gram(fam), p).hex()
-            assert ing.pnorm("abs_t", p).hex() == seq_pnorm(t, p).hex()
-            assert ing.pnorm("abs_c", p).hex() == seq_pnorm(c, p).hex()
-            assert ing.pnorm("abs_norms", p).hex() == seq_pnorm(fam.member_norms(), p).hex()
+            assert float(ing.pnorm("abs_g", p)[0]).hex() == gram_entry_qnorm(gram(fam), p).hex()
+            assert float(ing.pnorm("abs_t", p)[0]).hex() == seq_pnorm(t, p).hex()
+            assert float(ing.pnorm("abs_c", p)[0]).hex() == seq_pnorm(c, p).hex()
+            assert float(ing.pnorm("abs_norms", p)[0]).hex() == seq_pnorm(fam.member_norms(), p).hex()
 
 
 class TestGramMatrix:

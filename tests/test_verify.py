@@ -40,6 +40,7 @@ from grambounds import (
     verify_corpus,
     weighted_inner_sum_sq,
 )
+from grambounds import CaseTable, verify
 from grambounds.cli import case_row, compute_rows
 
 
@@ -456,6 +457,110 @@ class TestBatchMatchesEvaluators:
             rows = [r for r in compute_rows(x, fam, c, STANDARD_P_LIST) if r.startswith("orthonormal_27a,")]
             want = [orthonormal_bessel_bound(x, fam, p) for p in STANDARD_P_LIST]
             assert rows == [case_row(r.bound_id, r.p, r.flavor, r.lhs, r.rhs) for r in want]
+
+
+def _stacks(specs):
+    """The inputs of equal-shape specs as the stacks x (B, d), family rows (B, n, d) and c (B, n)."""
+    x, fams, c = zip(*map(random_family, specs))
+    return np.stack([v.coords for v in x]), np.stack([f.vectors for f in fams]), np.stack(c)
+
+
+class TestBatchForm:
+    """evaluate_cases on stacks of equal-shape inputs returns their CaseTable: the
+    records of the per-input calls, in order, each equal to the public evaluator's."""
+
+    GROUPS = [[FamilySpec(dim, n, field, scale=1.5**k, seed=100 * n + k) for k in range(5)]
+              for dim, n, field in ((3, 4, "complex"), (2, 5, "real"), (1, 1, "complex"), (4, 0, "real"))]
+
+    def test_records_match_single_calls_and_evaluators(self):
+        for specs in self.GROUPS:
+            table = evaluate_cases(*_stacks(specs), STANDARD_P_LIST)
+            singles = [evaluate_cases(*random_family(spec), STANDARD_P_LIST) for spec in specs]
+            assert isinstance(table, CaseTable)
+            assert len(table) == len(specs) * len(singles[0]) == table.lhs.size
+            assert list(table) == [case for cases in singles for case in cases]
+            assert [table[j] for j in range(-len(table), len(table))] == 2 * list(table)
+            for spec, b in zip(specs, range(len(specs))):
+                x, fam, c = random_family(spec)
+                for case in table.records(b):
+                    assert case == _public_record(x, fam, c, case), (spec, case)
+
+    def test_batch_of_one_is_the_single_call(self):
+        spec = self.GROUPS[0][0]
+        assert list(evaluate_cases(*_stacks([spec]), [1.5, 3.0])) == evaluate_cases(*random_family(spec), [1.5, 3.0])
+
+    @pytest.mark.parametrize("change, error", [
+        (lambda x, rows, c: (x[:, :-1], rows, c), ShapeError),
+        (lambda x, rows, c: (x, rows, c[:1]), ShapeError),
+        (lambda x, rows, c: (x, rows[0], c), ShapeError),
+        (lambda x, rows, c: (x, np.where(np.arange(3) == 2, np.inf, rows), c), DomainError),
+        (lambda x, rows, c: (x, rows, c * np.nan), DomainError),
+        (lambda x, rows, c: (x * np.nan, rows, c), DomainError),
+    ])
+    def test_rejects_bad_stacks(self, change, error):
+        with pytest.raises(error, match="stack"):  # rejected up front, before any bound reads them
+            evaluate_cases(*change(*_stacks(self.GROUPS[0])))
+
+
+class TestCorpusBatching:
+    """verify_corpus evaluates each (dim, n, field) group of a chunk in one pass; it
+    must report exactly what verify_all reports spec by spec, in the same order."""
+
+    HUGE = FamilySpec(4, 5, seed=3, scale=1e100)  # inf <= inf cases, NaN margins
+    SPECS = list(random_specs(300, master_seed=2718, dim_max=3, n_max=3))
+    SPECS[150:150] = [HUGE]
+
+    @staticmethod
+    def reference(specs, rel_tol, abs_tol):
+        """The verdicts aggregated one spec at a time, as verify_corpus did before batching."""
+        seen, failures, worst, cases_by_id, fails_by_id = [], [], None, {}, {}
+        for spec in specs:
+            report = verify_all(*random_family(spec), rel_tol=rel_tol, abs_tol=abs_tol)
+            tightest = report.worst_margin_case
+            if tightest is not None and (worst is None or tightest.margin < worst[1].margin):
+                worst = (spec, tightest)
+            for case in report.cases:
+                seen.append((spec, case))
+                cases_by_id[str(case.bound_id)] = cases_by_id.get(str(case.bound_id), 0) + 1
+            for case in report.failures:
+                fails_by_id[str(case.bound_id)] = fails_by_id.get(str(case.bound_id), 0) + 1
+                failures.append((spec, case))
+        return seen, tuple(failures), worst, cases_by_id, fails_by_id
+
+    def test_stream_covers_shared_groups_and_edges(self):
+        groups = {(s.dim, s.n, s.field) for s in self.SPECS}
+        assert len(self.SPECS) >= 10 * len(groups)
+        assert {s.n for s in self.SPECS} >= {0, 1} and {s.field for s in self.SPECS} == {"real", "complex"}
+
+    @pytest.mark.parametrize("chunk", [None, 7])
+    @pytest.mark.parametrize("rel_tol, abs_tol", [(1e-10, 1e-12), (0.0, 0.0)])
+    def test_matches_verify_all_per_spec(self, monkeypatch, chunk, rel_tol, abs_tol):
+        if chunk is not None:  # groups then split across chunks, and worst is carried from chunk to chunk
+            monkeypatch.setattr(verify, "_CHUNK", chunk)
+        seen = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = self.reference(self.SPECS, rel_tol, abs_tol)
+            got = verify_corpus(iter(self.SPECS), rel_tol=rel_tol, abs_tol=abs_tol,
+                                on_case=lambda spec, case: seen.append((spec, case)))
+        want_seen, failures, worst, cases_by_id, fails_by_id = want
+        assert seen == want_seen
+        assert got.failures == failures and (got.n_fail > 0) == (rel_tol == 0.0)
+        assert got.worst == worst and math.isfinite(worst[1].margin)
+        assert list(got.cases_by_id.items()) == list(cases_by_id.items())
+        assert list(got.fails_by_id.items()) == list(fails_by_id.items())
+        assert (got.n_specs, got.n_cases, got.n_pass) == (len(self.SPECS), len(seen), len(seen) - len(failures))
+
+    def test_equal_margins_keep_the_first_spec(self, monkeypatch):
+        # n = 0: every case is 0 <= 0, so every margin ties and the first spec's first case is the worst
+        monkeypatch.setattr(verify, "_CHUNK", 4)
+        specs = [FamilySpec(dim, 0, field, seed=dim) for dim in (3, 1, 2, 1, 3) for field in ("complex", "real")]
+        first = (specs[0], evaluate_cases(*random_family(specs[0]))[0])
+        assert verify_corpus(specs).worst == self.reference(specs, 1e-10, 1e-12)[2] == first
+
+    def test_overflowing_spec_still_raises(self):
+        specs = self.SPECS[:40] + [FamilySpec(4, 5, seed=3, scale=1e155)] + self.SPECS[40:80]
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DomainError):
+            verify_corpus(specs)
 
 
 _FAM = VectorFamily([[1.0, 2.0], [3.0, 4.0]])
