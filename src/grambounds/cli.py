@@ -209,20 +209,15 @@ def cmd_verify(
     abs_tol: float,
     p_values=None,
 ) -> int:
-    if trials < 0:
-        print(f"error: --trials must be nonnegative, got {trials}", file=sys.stderr)
-        return EXIT_USAGE
-    if not 1 <= dims <= 16:
-        print(f"error: --dims must lie in [1, 16], got {dims}", file=sys.stderr)
-        return EXIT_USAGE
-    if not 0 <= n_max <= 32:
-        print(f"error: --n must lie in [0, 32], got {n_max}", file=sys.stderr)
-        return EXIT_USAGE
     if rel_tol < 0 or abs_tol < 0:
         print("error: tolerances must be nonnegative", file=sys.stderr)
         return EXIT_USAGE
     p_list = list(p_values) if p_values else list(STANDARD_P_LIST)
-    specs = random_specs(trials, seed, dim_max=dims, n_max=n_max, field=field)
+    try:
+        specs = random_specs(trials, seed, dim_max=dims, n_max=n_max, field=field)
+    except GramBoundsError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     result = verify_corpus(specs, p_list, rel_tol=rel_tol, abs_tol=abs_tol)
     print(
         f"specs={result.n_specs} cases={result.n_cases} "

@@ -1,5 +1,15 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "GramBoundsError",
+    "DimensionError",
+    "ShapeError",
+    "ExponentError",
+    "ExponentRangeError",
+    "DomainError",
+    "NotOrthonormalError",
+]
+
 
 class GramBoundsError(Exception):
     """Base class for every error this package raises on purpose."""

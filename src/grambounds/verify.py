@@ -37,7 +37,6 @@ __all__ = [
     "evaluate_cases",
     "verify_all",
     "verify_corpus",
-    "check_schwarz_chain",
 ]
 
 #: Exponents exercised by default: both limit branches, a near-1 value with
@@ -52,6 +51,16 @@ CORPUS_N_MAX = 10
 
 _FIELDS = ("real", "complex")
 
+#: Largest dimension and family size a FamilySpec, and so random_specs, may ask for.
+_DIM_CAP = 16
+_N_CAP = 32
+
+
+def _bounded_int(name: str, value, low, high) -> int:
+    if not isinstance(value, numbers.Integral) or not low <= int(value) <= high:
+        raise DomainError(f"{name} must be an integer in [{low}, {high}], got {value!r}")
+    return int(value)
+
 
 @dataclass(frozen=True)
 class FamilySpec:
@@ -64,21 +73,15 @@ class FamilySpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.dim, numbers.Integral) or not 1 <= int(self.dim) <= 16:
-            raise DomainError(f"dim must be an integer in [1, 16], got {self.dim!r}")
-        if not isinstance(self.n, numbers.Integral) or not 0 <= int(self.n) <= 32:
-            raise DomainError(f"n must be an integer in [0, 32], got {self.n!r}")
+        object.__setattr__(self, "dim", _bounded_int("dim", self.dim, 1, _DIM_CAP))
+        object.__setattr__(self, "n", _bounded_int("n", self.n, 0, _N_CAP))
         if self.field not in _FIELDS:
             raise DomainError(f"field must be 'real' or 'complex', got {self.field!r}")
         scale = float(self.scale)
         if not math.isfinite(scale) or scale <= 0.0:
             raise DomainError(f"scale must be a positive real, got {self.scale!r}")
-        if not isinstance(self.seed, numbers.Integral) or not 0 <= int(self.seed) < 2**64:
-            raise DomainError(f"seed must be a 64-bit integer, got {self.seed!r}")
-        object.__setattr__(self, "dim", int(self.dim))
-        object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", _bounded_int("seed", self.seed, 0, 2**64 - 1))
 
 
 def _draw(rng: np.random.Generator, shape, field: str) -> np.ndarray:
@@ -124,20 +127,28 @@ def random_specs(
     scale_low: float = 0.1,
     scale_high: float = 10.0,
 ) -> Iterator[FamilySpec]:
-    """Stream of deterministic FamilySpecs with log-uniform scales."""
+    """Stream of deterministic FamilySpecs with log-uniform scales; the arguments are checked on the call."""
+    count = _bounded_int("count", count, 0, math.inf)
+    master_seed = _bounded_int("master_seed", master_seed, 0, math.inf)
+    dim_max = _bounded_int("dim_max", dim_max, 1, _DIM_CAP)
+    n_max = _bounded_int("n_max", n_max, 0, _N_CAP)
     if field not in _FIELDS + ("both",):
         raise DomainError(f"field must be 'real', 'complex' or 'both', got {field!r}")
-    if not 0.0 < scale_low <= scale_high:
-        raise DomainError("need 0 < scale_low <= scale_high")
+    if not 0.0 < scale_low <= scale_high < math.inf:
+        raise DomainError("need 0 < scale_low <= scale_high < inf")
     rng = np.random.default_rng(master_seed)
     lo, hi = math.log10(scale_low), math.log10(scale_high)
-    for _ in range(int(count)):
-        dim = int(rng.integers(1, dim_max + 1))
-        n = int(rng.integers(0, n_max + 1))
-        fld = field if field != "both" else _FIELDS[int(rng.integers(2))]
-        scale = float(10.0 ** rng.uniform(lo, hi))
-        seed = int(rng.integers(0, 2**63))
-        yield FamilySpec(dim=dim, n=n, field=fld, scale=scale, seed=seed)
+
+    def stream() -> Iterator[FamilySpec]:
+        for _ in range(count):
+            dim = int(rng.integers(1, dim_max + 1))
+            n = int(rng.integers(0, n_max + 1))
+            fld = field if field != "both" else _FIELDS[int(rng.integers(2))]
+            scale = float(10.0 ** rng.uniform(lo, hi))
+            seed = int(rng.integers(0, 2**63))
+            yield FamilySpec(dim=dim, n=n, field=fld, scale=scale, seed=seed)
+
+    return stream()
 
 
 def standard_corpus() -> Iterator[FamilySpec]:
@@ -187,10 +198,6 @@ class CaseTable(Sequence):
         b, k = divmod(range(len(self))[j], len(self.keys))
         bound_id, p, flavor = self.keys[k]
         return BoundResult(bound_id, float(self.lhs[b, k]), float(self.value[b, k]), p, flavor)
-
-    def __iter__(self) -> Iterator[BoundResult]:
-        for b in range(len(self.lhs)):
-            yield from self.records(b)
 
 
 def _cases(ing: _Ingredients, p_list, frobenius, *, gap=True, orthonormal=False) -> CaseTable:
@@ -328,34 +335,29 @@ def verify_corpus(
         groups: dict = {}
         for i, spec in enumerate(chunk):
             groups.setdefault((spec.dim, spec.n, spec.field), []).append(i)
-        # Each spec's group table and row; each failing case and each group's tightest case,
-        # with its spec and case index, so that they can be put in spec order.
-        where, failing, tight = [None] * len(chunk), [], []
+        # One table for the chunk, in spec order: each group's rows go to its specs' rows.
+        table = None
         for members in groups.values():
             x, families, c = zip(*(random_family(chunk[i]) for i in members))
             part = evaluate_cases(np.stack([v.coords for v in x]), np.stack([f.vectors for f in families]),
                                   np.stack(c), p_list)
-            k = len(part.keys)  # the same K cases in every group
-            for b, i in enumerate(members):
-                where[i] = (part, b)
-            bad, j = part.verdicts(rel_tol, abs_tol)
-            failing += [(members[f // k], f % k, part[f]) for f in bad]
-            if j is not None:
-                case = part[j]
-                tight.append((case.margin, members[j // k], j % k, case))
+            if table is None:  # the same K cases in every group
+                shape = (len(chunk), len(part.keys))
+                table = CaseTable(part.keys, np.empty(shape), np.empty(shape))
+            table.lhs[members], table.value[members] = part.lhs, part.value
+        k = len(table.keys)
         n_specs += len(chunk)
-        n_cases += len(chunk) * k
-        for bound_id, _, _ in part.keys:
+        n_cases += len(table)
+        for bound_id, _, _ in table.keys:
             cases_by_id[str(bound_id)] += len(chunk)
         if on_case is not None:
-            for spec, (part, b) in zip(chunk, where):
-                for case in part.records(b):
+            for i, spec in enumerate(chunk):
+                for case in table.records(i):
                     on_case(spec, case)
-        failures += [(chunk[i], case) for i, _, case in sorted(failing, key=lambda f: f[:2])]
-        if tight:  # the least margin; on a tie, the first spec, then its first case
-            least, i, _, case = min(tight, key=lambda t: t[:3])
-            if worst is None or least < worst[1].margin:
-                worst = (chunk[i], case)
+        failing, j = table.verdicts(rel_tol, abs_tol)  # row-major: spec, then case
+        failures += [(chunk[f // k], table[f]) for f in failing]
+        if j is not None and (worst is None or table[j].margin < worst[1].margin):
+            worst = (chunk[j // k], table[j])
     return CorpusResult(
         n_specs=n_specs,
         n_cases=n_cases,
@@ -367,11 +369,3 @@ def verify_corpus(
         worst=worst,
     )
 
-
-def check_schwarz_chain(family: VectorFamily) -> bool:
-    """Whether every Gram entry satisfies |g_ij| ≤ ‖z_i‖ ‖z_j‖ (with float slack)."""
-    if family.size == 0:
-        return True
-    g = family.gram().abs_entries()
-    member_norms = family.member_norms()
-    return bool(np.all(g <= np.outer(member_norms, member_norms) * (1.0 + 1e-12)))

@@ -200,6 +200,7 @@ class TestVerifyCommand:
             ["verify", "--n", "40"],
             ["verify", "--trials", "-5"],
             ["verify", "--rel-tol=-1e-9"],
+            ["verify", "--seed", "-1"],
         ],
     )
     def test_bad_flags(self, argv):

@@ -1,0 +1,58 @@
+"""The package exports: one list, built from the modules' own export lists."""
+
+import sys
+
+import pytest
+
+import grambounds
+from grambounds import bounds, compare, core, errors, norms, verify
+
+MODULES = (errors, core, norms, bounds, compare, verify)
+
+PUBLIC = {
+    "__version__",
+    # errors
+    "GramBoundsError", "DimensionError", "ShapeError", "ExponentError", "ExponentRangeError", "DomainError",
+    "NotOrthonormalError",
+    # core
+    "Vector", "VectorFamily", "GramMatrix", "inner", "norm", "gram", "inner_each",
+    # norms
+    "SNAP_TOL", "conjugate_exponent", "seq_pnorm", "gram_entry_qnorm", "max_row_abs_sum", "power_mean_exponent",
+    # bounds
+    "REL_TOL", "ABS_TOL", "ORTHONORMAL_TOL", "BoundId", "BoundResult", "combination_norm_sq",
+    "weighted_inner_sum_sq", "bessel_sum", "span_bound", "combo_bound", "refinement_chain", "bessel_sum_bound",
+    "orthonormal_bessel_bound", "frobenius_bound", "power_mean_bound", "bombieri_bound", "power_mean_gap",
+    # compare
+    "DOMINANCE_TOL", "GridCell", "SignScanReport", "DominancePair", "power_mean_factor", "gap_closed_form",
+    "sign_scan", "dominance_search",
+    # verify
+    "STANDARD_P_LIST", "CORPUS_SEED", "FamilySpec", "VerificationReport", "CorpusResult", "CaseTable",
+    "random_family", "random_orthonormal_family", "random_specs", "standard_corpus", "evaluate_cases",
+    "verify_all", "verify_corpus",
+}
+
+
+def test_each_public_name_is_listed_once():
+    assert len(grambounds.__all__) == len(set(grambounds.__all__))
+    assert set(grambounds.__all__) == PUBLIC
+
+
+def test_star_import_gives_the_listed_names():
+    namespace = {}
+    exec("from grambounds import *", namespace)
+    assert set(namespace) - {"__builtins__"} == PUBLIC
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
+def test_exports_are_the_modules_objects(module):
+    assert set(module.__all__) <= PUBLIC
+    for name in module.__all__:
+        assert getattr(grambounds, name) is getattr(module, name), name
+
+
+def test_classes_and_functions_come_from_their_defining_module():
+    for name in grambounds.__all__:
+        obj = getattr(grambounds, name)
+        home = getattr(obj, "__module__", None)
+        if isinstance(home, str) and home.startswith("grambounds."):
+            assert getattr(sys.modules[home], name) is obj, name

@@ -13,7 +13,6 @@ from grambounds import (
     bessel_sum,
     bessel_sum_bound,
     bombieri_bound,
-    check_schwarz_chain,
     combo_bound,
     conjugate_exponent,
     evaluate_cases,
@@ -33,6 +32,8 @@ from grambounds import (
     seq_pnorm,
     span_bound,
 )
+
+from helpers import check_schwarz_chain
 
 SLOW = settings(max_examples=60, deadline=None)
 FAST = settings(max_examples=200, deadline=None)

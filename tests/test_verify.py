@@ -18,7 +18,6 @@ from grambounds import (
     bessel_sum,
     bessel_sum_bound,
     bombieri_bound,
-    check_schwarz_chain,
     combo_bound,
     evaluate_cases,
     frobenius_bound,
@@ -42,6 +41,8 @@ from grambounds import (
 )
 from grambounds import CaseTable, verify
 from grambounds.cli import case_row, compute_rows
+
+from helpers import check_schwarz_chain
 
 
 class TestFamilySpec:
@@ -152,6 +153,32 @@ class TestRandomSpecs:
     def test_single_field(self):
         specs = list(random_specs(30, master_seed=9, field="complex"))
         assert all(s.field == "complex" for s in specs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(count=-1),
+            dict(count=2.5),
+            dict(master_seed=-1),
+            dict(dim_max=0),
+            dict(dim_max=17),
+            dict(n_max=-1),
+            dict(n_max=33),
+            dict(field="quaternion"),
+            dict(scale_low=0.0),
+            dict(scale_low=2.0, scale_high=1.0),
+            dict(scale_high=math.inf),
+            dict(scale_low=math.nan),
+        ],
+    )
+    def test_rejects_bad_arguments_on_the_call(self, kwargs):
+        with pytest.raises(DomainError):
+            random_specs(**(dict(count=5, master_seed=1) | kwargs))  # the call raises, before any next()
+
+    def test_caps_are_those_of_family_spec(self):
+        specs = list(random_specs(200, master_seed=6, dim_max=16, n_max=32))
+        assert max(s.dim for s in specs) == 16 and max(s.n for s in specs) == 32
+        assert list(random_specs(0, master_seed=6, dim_max=16, n_max=32)) == []
 
 
 class TestEvaluateCases:
