@@ -76,7 +76,7 @@ class BoundId(str, Enum):
     __str__ = str.__str__  # the plain value, CSV-friendly; a C-level str is cheap per case row
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BoundResult:
     """One evaluated inequality: lhs is the bounded quantity, value (= rhs) its ceiling.
 
@@ -89,6 +89,10 @@ class BoundResult:
     value: float
     p: Optional[float] = None
     flavor: Optional[str] = None
+
+    def __init__(self, bound_id, lhs, value, p=None, flavor=None):
+        # One dict write, not the generated frozen __init__'s five object.__setattr__ calls.
+        self.__dict__.update(bound_id=bound_id, lhs=lhs, value=value, p=p, flavor=flavor)
 
     @property
     def rhs(self) -> float:

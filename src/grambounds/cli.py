@@ -178,15 +178,8 @@ def cmd_compute(input_path: str, p_values, out_path: str) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    if p_values:
-        effective_p = list(p_values)
-    elif doc_p:
-        effective_p = doc_p
-    else:
-        effective_p = list(STANDARD_P_LIST)
-
-    try:
-        rows = compute_rows(x, family, coefficients, effective_p)
+    try:  # the --p flags override the document's p_list, which overrides the standard list
+        rows = compute_rows(x, family, coefficients, list(p_values or doc_p or STANDARD_P_LIST))
     except GramBoundsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -209,16 +202,16 @@ def cmd_verify(
     abs_tol: float,
     p_values=None,
 ) -> int:
-    if rel_tol < 0 or abs_tol < 0:
-        print("error: tolerances must be nonnegative", file=sys.stderr)
-        return EXIT_USAGE
-    p_list = list(p_values) if p_values else list(STANDARD_P_LIST)
+    for flag, tol in (("--rel-tol", rel_tol), ("--abs-tol", abs_tol)):
+        if not 0.0 <= tol < math.inf:  # NaN would fail every case, inf would pass every case
+            print(f"error: {flag} must be a finite nonnegative number, got {tol!r}", file=sys.stderr)
+            return EXIT_USAGE
     try:
         specs = random_specs(trials, seed, dim_max=dims, n_max=n_max, field=field)
     except GramBoundsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    result = verify_corpus(specs, p_list, rel_tol=rel_tol, abs_tol=abs_tol)
+    result = verify_corpus(specs, list(p_values or STANDARD_P_LIST), rel_tol=rel_tol, abs_tol=abs_tol)
     print(
         f"specs={result.n_specs} cases={result.n_cases} "
         f"pass={result.n_pass} fail={result.n_fail}"

@@ -62,6 +62,13 @@ def _bounded_int(name: str, value, low, high) -> int:
     return int(value)
 
 
+def _scale(name: str, value) -> float:
+    """A coordinate scale, a real number in (0, inf), as a float; a float skips the slower ABC check."""
+    if not (type(value) is float or isinstance(value, numbers.Real)) or not 0.0 < value < math.inf:
+        raise DomainError(f"{name} must be a positive finite real, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     """Deterministic recipe for one random (x, family, coefficients) triple."""
@@ -77,10 +84,7 @@ class FamilySpec:
         object.__setattr__(self, "n", _bounded_int("n", self.n, 0, _N_CAP))
         if self.field not in _FIELDS:
             raise DomainError(f"field must be 'real' or 'complex', got {self.field!r}")
-        scale = float(self.scale)
-        if not math.isfinite(scale) or scale <= 0.0:
-            raise DomainError(f"scale must be a positive real, got {self.scale!r}")
-        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "scale", _scale("scale", self.scale))
         object.__setattr__(self, "seed", _bounded_int("seed", self.seed, 0, 2**64 - 1))
 
 
@@ -88,6 +92,14 @@ def _draw(rng: np.random.Generator, shape, field: str) -> np.ndarray:
     if field == "real":
         return rng.standard_normal(shape)
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _draws(spec: FamilySpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The raw x (d,), family rows (n, d) and coefficients (n,) of a spec, drawn in this order."""
+    rng = np.random.default_rng(spec.seed)
+    x = _draw(rng, spec.dim, spec.field) * spec.scale
+    rows = _draw(rng, (spec.n, spec.dim), spec.field) * spec.scale
+    return x, rows, _draw(rng, spec.n, spec.field)
 
 
 def random_family(spec: FamilySpec) -> tuple[Vector, VectorFamily, np.ndarray]:
@@ -98,18 +110,13 @@ def random_family(spec: FamilySpec) -> tuple[Vector, VectorFamily, np.ndarray]:
     coefficients are standard normal, unscaled.  Draw order is fixed:
     x, then the family rows, then the coefficients.
     """
-    rng = np.random.default_rng(spec.seed)
-    x = Vector(_draw(rng, spec.dim, spec.field) * spec.scale)
-    fam = VectorFamily(_draw(rng, (spec.n, spec.dim), spec.field) * spec.scale, field=spec.field)
-    c = _draw(rng, spec.n, spec.field)
-    return x, fam, c
+    x, rows, c = _draws(spec)
+    return Vector(x), VectorFamily(rows, field=spec.field), c
 
 
 def random_orthonormal_family(dim: int, n: int, field: str = "real", seed: int = 0) -> VectorFamily:
     """n orthonormal vectors in dimension dim ≥ n, via QR of a random matrix."""
-    if field not in _FIELDS:
-        raise DomainError(f"field must be 'real' or 'complex', got {field!r}")
-    if not 1 <= n <= dim:
+    if not 1 <= n <= dim:  # VectorFamily checks the field
         raise DomainError(f"need 1 <= n <= dim, got n={n}, dim={dim}")
     rng = np.random.default_rng(seed)
     a = _draw(rng, (dim, n), field)
@@ -134,7 +141,7 @@ def random_specs(
     n_max = _bounded_int("n_max", n_max, 0, _N_CAP)
     if field not in _FIELDS + ("both",):
         raise DomainError(f"field must be 'real', 'complex' or 'both', got {field!r}")
-    if not 0.0 < scale_low <= scale_high < math.inf:
+    if _scale("scale_low", scale_low) > _scale("scale_high", scale_high):
         raise DomainError("need 0 < scale_low <= scale_high < inf")
     rng = np.random.default_rng(master_seed)
     lo, hi = math.log10(scale_low), math.log10(scale_high)
@@ -154,11 +161,6 @@ def random_specs(
 def standard_corpus() -> Iterator[FamilySpec]:
     """The fixed 10,000-spec corpus used by the batch soundness check."""
     return random_specs(CORPUS_SIZE, CORPUS_SEED, dim_max=CORPUS_DIM_MAX, n_max=CORPUS_N_MAX, field="both")
-
-
-def _dedup_p(p_list: Iterable) -> list[float]:
-    """Normalized exponents, first occurrence of each kept, in order."""
-    return list(dict.fromkeys(_normalize_exponent(p) for p in p_list))
 
 
 @dataclass(eq=False)
@@ -207,7 +209,7 @@ def _cases(ing: _Ingredients, p_list, frobenius, *, gap=True, orthonormal=False)
     columns = [ing.bombieri(), frobenius(ing.x, ing.family, ing)]
     if ing.c is not None:
         columns += ing.chain()
-    for pf in _dedup_p(p_list):
+    for pf in dict.fromkeys(_normalize_exponent(p) for p in p_list):  # first occurrence of each, in order
         q = conjugate_exponent(pf)
         if ing.c is not None:
             for flavor in ("gram", "norms"):
@@ -337,10 +339,11 @@ def verify_corpus(
             groups.setdefault((spec.dim, spec.n, spec.field), []).append(i)
         # One table for the chunk, in spec order: each group's rows go to its specs' rows.
         table = None
-        for members in groups.values():
-            x, families, c = zip(*(random_family(chunk[i]) for i in members))
-            part = evaluate_cases(np.stack([v.coords for v in x]), np.stack([f.vectors for f in families]),
-                                  np.stack(c), p_list)
+        for (dim, n, _), members in groups.items():  # its draws go straight into stacks evaluate_cases checks
+            x, rows, c = (np.empty((len(members), *shape), np.complex128) for shape in ((dim,), (n, dim), (n,)))
+            for b, i in enumerate(members):
+                x[b], rows[b], c[b] = _draws(chunk[i])
+            part = evaluate_cases(x, rows, c, p_list)
             if table is None:  # the same K cases in every group
                 shape = (len(chunk), len(part.keys))
                 table = CaseTable(part.keys, np.empty(shape), np.empty(shape))

@@ -1,5 +1,6 @@
 """Every bound evaluator against hand-checked and high-precision oracle values."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from grambounds import (
     BoundId,
+    BoundResult,
     DomainError,
     ExponentRangeError,
     NotOrthonormalError,
@@ -18,6 +20,7 @@ from grambounds import (
     bombieri_bound,
     combination_norm_sq,
     combo_bound,
+    evaluate_cases,
     frobenius_bound,
     orthonormal_bessel_bound,
     power_mean_bound,
@@ -371,3 +374,42 @@ class TestBoundResult:
         r = bombieri_bound(Vector([1.0]), HALF_1D)
         assert r.holds()
         assert r.holds(rel_tol=0.0, abs_tol=0.0)
+
+    def test_construction_and_defaults(self):
+        r = BoundResult(BoundId.SPAN_GRAM, 1.0, 2.0, 1.5, "gram")
+        assert r == BoundResult(bound_id=BoundId.SPAN_GRAM, lhs=1.0, value=2.0, p=1.5, flavor="gram")
+        assert (r.bound_id, r.lhs, r.value, r.p, r.flavor) == (BoundId.SPAN_GRAM, 1.0, 2.0, 1.5, "gram")
+        bare = BoundResult(BoundId.BOMBIERI, 1.0, 2.0)
+        assert (bare.p, bare.flavor) == (None, None)
+        assert bare == BoundResult(BoundId.BOMBIERI, lhs=1.0, value=2.0, p=None, flavor=None)
+        assert [f.name for f in dataclasses.fields(BoundResult)] == ["bound_id", "lhs", "value", "p", "flavor"]
+
+    def test_frozen_and_hashable(self):
+        r = BoundResult(BoundId.FROBENIUS, 1.0, 2.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            r.lhs = 3.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            r.extra = 1
+        twin = BoundResult(BoundId.FROBENIUS, 1.0, 2.0)
+        assert r == twin and hash(r) == hash(twin) and len({r, twin}) == 1
+        assert r != BoundResult(BoundId.FROBENIUS, 1.0, 2.5)
+
+    def test_repr(self):
+        assert repr(BoundResult(BoundId.WEIGHTED_BESSEL, 1.0, 2.0, 2.0)) == (
+            "BoundResult(bound_id=<BoundId.WEIGHTED_BESSEL: 'thm27'>, lhs=1.0, value=2.0, p=2.0, flavor=None)")
+
+    def test_replace(self):
+        r = BoundResult(BoundId.COMBO_NORMS, 1.0, 2.0, 3.0, "norms")
+        wrong = dataclasses.replace(r, value=0.5 * r.lhs - 1.0)
+        assert wrong == BoundResult(BoundId.COMBO_NORMS, 1.0, -0.5, 3.0, "norms") and not wrong.holds()
+        assert r.value == 2.0
+
+    def test_case_table_records_are_the_evaluators_records(self):
+        x, rows = np.array([[1.0, 2.0]]), np.array([[[1.0, 0.5], [0.0, 3.0]]])
+        fam = VectorFamily(rows[0], field="real")
+        table = evaluate_cases(x, rows, np.array([[1.0, -1.0]]), [2.0])
+        records = table.records(0)
+        assert records == [table[j] for j in range(len(table))]
+        assert records[:2] == [bombieri_bound(x[0], fam), frobenius_bound(x[0], fam)]
+        assert records[2:4] == list(refinement_chain([1.0, -1.0], fam))
+        assert all(type(r) is BoundResult and type(r.lhs) is float and type(r.value) is float for r in records)

@@ -206,6 +206,14 @@ class TestVerifyCommand:
     def test_bad_flags(self, argv):
         assert main(argv) == 2
 
+    @pytest.mark.parametrize("flag", ["--rel-tol", "--abs-tol"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1e-9"])
+    def test_tolerance_must_be_finite_and_nonnegative(self, capsys, flag, value):
+        # a NaN tolerance would fail every case and an infinite one pass every case
+        assert main(["verify", "--trials", "3", f"{flag}={value}"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"error: {flag} must be a finite nonnegative number" in err
+
     def test_smallest_unsnapped_p(self, capsys):
         # 1 + 4504 * 2**-52: not snapped to 1, so inside the power-mean domain (1, 2]
         code = main(["verify", "--trials", "50", "--p", "1.000000000001"])

@@ -1,5 +1,6 @@
 """Random input generation and the batch inequality checker."""
 
+import itertools
 import math
 
 import numpy as np
@@ -78,6 +79,29 @@ class TestFamilySpec:
             s.dim = 4
 
 
+# Scales that are no positive finite real; FamilySpec and random_specs share one check.
+_BAD_SCALES = ["a", "1.5", None, 1j, [1.0], 0.0, -2.0, math.inf, math.nan]
+
+
+class TestScaleCheck:
+    @pytest.mark.parametrize("scale", _BAD_SCALES)
+    def test_family_spec(self, scale):
+        with pytest.raises(DomainError, match="scale must be a positive finite real"):
+            FamilySpec(1, 1, scale=scale)
+
+    @pytest.mark.parametrize("name", ["scale_low", "scale_high"])
+    @pytest.mark.parametrize("scale", _BAD_SCALES)
+    def test_random_specs(self, name, scale):
+        with pytest.raises(DomainError, match=f"{name} must be a positive finite real"):
+            random_specs(5, 1, **{name: scale})
+
+    @pytest.mark.parametrize("scale", [1, 2.5, np.float64(1e-30), np.int64(3), 1e30])
+    def test_accepts_real_numbers(self, scale):
+        assert FamilySpec(1, 1, scale=scale).scale == float(scale)
+        assert type(FamilySpec(1, 1, scale=scale).scale) is float
+        assert len(list(random_specs(3, 1, scale_low=scale, scale_high=scale))) == 3
+
+
 class TestRandomFamily:
     def test_shapes(self):
         x, fam, c = random_family(FamilySpec(dim=4, n=6, field="complex", seed=42))
@@ -129,6 +153,10 @@ class TestRandomOrthonormalFamily:
     def test_rejects_zero_n(self):
         with pytest.raises(DomainError):
             random_orthonormal_family(3, 0)
+
+    def test_rejects_unknown_field(self):
+        with pytest.raises(DomainError, match="field must be 'real' or 'complex'"):
+            random_orthonormal_family(3, 2, field="quaternion")
 
     def test_deterministic(self):
         a = random_orthonormal_family(5, 5, seed=8)
@@ -588,6 +616,51 @@ class TestCorpusBatching:
         specs = self.SPECS[:40] + [FamilySpec(4, 5, seed=3, scale=1e155)] + self.SPECS[40:80]
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DomainError):
             verify_corpus(specs)
+
+
+class TestCorpusGeneration:
+    """verify_corpus draws each group's inputs straight into its stacks; the stacks it
+    evaluates must hold, bit for bit, what random_family gives for each spec."""
+
+    SHAPES = ((1, 0), (1, 1), (1, 3), (3, 0), (3, 2), (3, 2))
+    SPECS = [FamilySpec(dim, n, field, scale=scale, seed=seed) for seed, (field, scale, (dim, n)) in enumerate(
+        itertools.product(("real", "complex"), (1e-30, 1.0, 1e30), SHAPES))]
+
+    @staticmethod
+    def assert_bitwise(got, want):
+        want = np.asarray(want, dtype=np.complex128)  # a real spec's coefficients are float64
+        assert got.dtype == want.dtype == np.complex128 and got.shape == want.shape
+        assert np.array_equal(got, want) and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("chunk", [None, 5])
+    def test_stacks_are_random_family_bitwise(self, monkeypatch, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(verify, "_CHUNK", chunk)
+        calls = []
+
+        def recording(x, rows, c, p_list):
+            calls.append((x, rows, c))
+            return evaluate_cases(x, rows, c, p_list)
+
+        monkeypatch.setattr(verify, "evaluate_cases", recording)
+        result = verify_corpus(self.SPECS)
+        assert result.n_specs == len(self.SPECS) and result.n_fail == 0
+        # Groups in order of first appearance in each chunk, specs in order within a group.
+        size = chunk or len(self.SPECS)
+        groups = []
+        for start in range(0, len(self.SPECS), size):
+            by_shape: dict = {}
+            for spec in self.SPECS[start:start + size]:
+                by_shape.setdefault((spec.dim, spec.n, spec.field), []).append(spec)
+            groups += by_shape.values()
+        assert len(calls) == len(groups)
+        for members, (x, rows, c) in zip(groups, calls):
+            assert len(x) == len(rows) == len(c) == len(members)
+            for b, spec in enumerate(members):
+                want_x, want_fam, want_c = random_family(spec)
+                self.assert_bitwise(x[b], want_x.coords)
+                self.assert_bitwise(rows[b], want_fam.vectors)
+                self.assert_bitwise(c[b], want_c)
 
 
 _FAM = VectorFamily([[1.0, 2.0], [3.0, 4.0]])
