@@ -110,7 +110,7 @@ _ABSENT = object()  # an argument not given, unlike a given None, which is rejec
 
 
 class _Ingredients:
-    """Everything the bound formulas read from a batch of B inputs of one shape.
+    """Everything the bound formulas read from a batch of B inputs of one family size n.
 
     The inputs are stacked complex128 arrays: the family rows (B, n, d), x (B, d) and
     c (B, n), x or c None when absent; a single input is a batch of one (views, no
@@ -123,15 +123,17 @@ class _Ingredients:
     for its value, which is what makes the p = 2 and composition identities bitwise.
     """
 
-    def __init__(self, rows: np.ndarray, x=None, c=None, family: Optional[VectorFamily] = None):
-        self.rows, self.x, self.c, self.family = rows, x, c, family
-        self.n = rows.shape[1]
+    #: The quantities read from the coordinates; every other one reads only these, c and n.
+    _REDUCED = ("t", "nx", "norms", "gram_abs", "combination_norm_sq", "norms_sq_total")
+
+    def __init__(self, n: int, rows=None, x=None, c=None, family: Optional[VectorFamily] = None):
+        self.n, self.rows, self.x, self.c, self.family = n, rows, x, c, family
         self._memo: dict = {}
 
     @classmethod
     def of(cls, family: VectorFamily, x=_ABSENT, c=_ABSENT) -> "_Ingredients":
         """One input as a batch of one, of views; x and c are validated here, in this order."""
-        ing = cls(family.vectors[None], family=family)
+        ing = cls(family.size, family.vectors[None], family=family)
         if x is not _ABSENT:
             x = x if isinstance(x, Vector) else Vector(x)
             ing.x, ing.t = x.coords[None], inner_each(x, family)[None]  # inner_each also checks the dimension
@@ -141,14 +143,25 @@ class _Ingredients:
 
     @classmethod
     def stack(cls, x, rows, c) -> "_Ingredients":
-        """B inputs given as stacks x (B, d), family rows (B, n, d) and c (B, n)."""
-        x, rows, c = arrays = [np.asarray(a, dtype=np.complex128) for a in (x, rows, c)]
-        if rows.ndim != 3 or not rows.shape[2] or x.shape != rows.shape[::2] or c.shape != rows.shape[:2]:
-            raise ShapeError(f"need stacks x (B, d), family (B, n, d), c (B, n) with d > 0, "
-                             f"got {x.shape}, {rows.shape}, {c.shape}")
-        if not all(np.isfinite(a).all() for a in arrays):  # complex isfinite: both parts finite
+        """B inputs as stacks x (B, d), family rows (B, n, d) and c (B, n), or as equal-length lists
+        of such stacks that share n (d may differ), their inputs taken in order.  Stage 1 reduces
+        each stack along d to the _REDUCED columns; stage 2, one object over them joined, does the rest."""
+        if not any(isinstance(a, list) for a in (x, rows, c)):  # one stack
+            x, rows, c = [x], [rows], [c]
+        if not (all(isinstance(a, list) for a in (x, rows, c)) and 0 < len(rows) == len(x) == len(c)):
+            raise ShapeError("need equal-length nonempty lists of x, family and c stacks")
+        parts = [[np.asarray(a, dtype=np.complex128) for a in part] for part in zip(x, rows, c)]
+        for xs, ys, cs in parts:  # parts[0] passes the ndim check before its n is read
+            if ys.ndim != 3 or not ys.shape[2] or xs.shape != ys.shape[::2] or cs.shape != ys.shape[:2] \
+                    or ys.shape[1] != parts[0][1].shape[1]:
+                raise ShapeError(f"need stacks x (B, d), family (B, n, d), c (B, n) with d > 0 and one n, "
+                                 f"got {xs.shape}, {ys.shape}, {cs.shape}")
+        if not all(np.isfinite(a).all() for part in parts for a in part):  # complex isfinite: both parts finite
             raise DomainError("stacked inputs must be finite")
-        return cls(rows, x, c)
+        reduced = [cls(ys.shape[1], ys, xs, cs) for xs, ys, cs in parts]
+        ing = cls(reduced[0].n, c=np.concatenate([r.c for r in reduced]))
+        ing.__dict__.update({name: np.concatenate([getattr(r, name) for r in reduced]) for name in cls._REDUCED})
+        return ing
 
     # The ingredients, each computed on first use.
     t = cached_property(lambda self: _inner_each(self.rows, self.x))
@@ -156,8 +169,9 @@ class _Ingredients:
     nx2 = cached_property(lambda self: self.nx * self.nx)
     abs_t = cached_property(lambda self: _Scaled(_magnitudes(self.t)))
     abs_c = cached_property(lambda self: _Scaled(_magnitudes(self.c)))
-    abs_norms = cached_property(lambda self: _Scaled(_magnitudes(_member_norms(self.rows))))
-    abs_g = cached_property(lambda self: _Scaled(self.gram_abs.reshape(len(self.rows), self.n * self.n)))
+    norms = cached_property(lambda self: _member_norms(self.rows))
+    abs_norms = cached_property(lambda self: _Scaled(_magnitudes(self.norms)))
+    abs_g = cached_property(lambda self: _Scaled(self.gram_abs.reshape(len(self.gram_abs), self.n * self.n)))
     bessel_sum = cached_property(lambda self: _sum_sq(self.t))
     c_sq = cached_property(lambda self: _sum_sq(self.c))
     row_sum_max = cached_property(lambda self: _row_sum_max(self.gram_abs))

@@ -69,6 +69,13 @@ def _scale(name: str, value) -> float:
     return float(value)
 
 
+def _tolerance(name: str, value) -> float:
+    """A tolerance, a real number in [0, inf), as a float: NaN would fail every case, inf pass every case."""
+    if not (type(value) is float or isinstance(value, numbers.Real)) or not 0.0 <= value < math.inf:
+        raise DomainError(f"{name} must be a finite nonnegative number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     """Deterministic recipe for one random (x, family, coefficients) triple."""
@@ -196,7 +203,9 @@ class CaseTable(Sequence):
     def __len__(self) -> int:
         return self.lhs.size
 
-    def __getitem__(self, j: int) -> BoundResult:
+    def __getitem__(self, j: Union[int, slice]) -> Union[BoundResult, list[BoundResult]]:
+        if isinstance(j, slice):
+            return [self[i] for i in range(len(self))[j]]
         b, k = divmod(range(len(self))[j], len(self.keys))
         bound_id, p, flavor = self.keys[k]
         return BoundResult(bound_id, float(self.lhs[b, k]), float(self.value[b, k]), p, flavor)
@@ -238,7 +247,8 @@ def evaluate_cases(x, family, c, p_list=STANDARD_P_LIST) -> Union[list[BoundResu
     Given B inputs of one shape as stacks instead of a VectorFamily — x
     (B, d), the family rows (B, n, d) and c (B, n) — it evaluates them in one
     pass and returns their CaseTable, whose B·K records are those of the B
-    single calls, in order.
+    single calls, in order.  Equal-length lists of such stacks that share n
+    (d may differ) give one CaseTable over their inputs, in list order.
     """
     if isinstance(family, VectorFamily):
         return list(_cases(_Ingredients.of(family, x, c), p_list, frobenius_bound))
@@ -282,6 +292,7 @@ def verify_all(
     abs_tol: float = ABS_TOL,
 ) -> VerificationReport:
     """Evaluate and check every inequality on one input; each verdict is computed once."""
+    rel_tol, abs_tol = _tolerance("rel_tol", rel_tol), _tolerance("abs_tol", abs_tol)
     table = _cases(_Ingredients.of(family, x, c), p_list, frobenius_bound)
     failing, worst = table.verdicts(rel_tol, abs_tol)
     cases = tuple(table)
@@ -309,7 +320,7 @@ class CorpusResult:
 
 
 #: Specs generated and evaluated together by verify_corpus.  Each chunk is
-#: split into (dim, n, field) groups, each evaluated in one pass.
+#: split by n, each n evaluated in one pass over one stack per dim.
 _CHUNK = 4096
 
 
@@ -328,26 +339,31 @@ def verify_corpus(
     fails_by_id are keyed by the plain-string bound id.  worst is the first
     case of least non-NaN margin.
     """
+    p_list = list(dict.fromkeys(map(_normalize_exponent, p_list)))  # checked on the call, even with no specs
+    rel_tol, abs_tol = _tolerance("rel_tol", rel_tol), _tolerance("abs_tol", abs_tol)
     n_specs = n_cases = 0
     cases_by_id: Counter = Counter()
     failures: list[tuple[FamilySpec, BoundResult]] = []
     worst: Optional[tuple[FamilySpec, BoundResult]] = None
     stream = iter(specs)
     while chunk := list(itertools.islice(stream, _CHUNK)):
-        groups: dict = {}
+        by_n: dict = {}
         for i, spec in enumerate(chunk):
-            groups.setdefault((spec.dim, spec.n, spec.field), []).append(i)
-        # One table for the chunk, in spec order: each group's rows go to its specs' rows.
+            by_n.setdefault(spec.n, {}).setdefault(spec.dim, []).append(i)
+        # One table for the chunk, in spec order: each n's rows go to its specs' rows.
         table = None
-        for (dim, n, _), members in groups.items():  # its draws go straight into stacks evaluate_cases checks
-            x, rows, c = (np.empty((len(members), *shape), np.complex128) for shape in ((dim,), (n, dim), (n,)))
-            for b, i in enumerate(members):
-                x[b], rows[b], c[b] = _draws(chunk[i])
-            part = evaluate_cases(x, rows, c, p_list)
-            if table is None:  # the same K cases in every group
+        for n, by_dim in by_n.items():  # one call per n, its draws going straight into stacks it checks
+            stacks = [[np.empty((len(members), *shape), np.complex128) for shape in ((dim,), (n, dim), (n,))]
+                      for dim, members in by_dim.items()]  # one (x, rows, c) per dim, both fields together
+            for (x, rows, c), members in zip(stacks, by_dim.values()):
+                for b, i in enumerate(members):
+                    x[b], rows[b], c[b] = _draws(chunk[i])
+            part = evaluate_cases(*map(list, zip(*stacks)), p_list)  # the lists of x, rows and c stacks
+            if table is None:  # the same K cases for every n
                 shape = (len(chunk), len(part.keys))
                 table = CaseTable(part.keys, np.empty(shape), np.empty(shape))
-            table.lhs[members], table.value[members] = part.lhs, part.value
+            order = [i for members in by_dim.values() for i in members]
+            table.lhs[order], table.value[order] = part.lhs, part.value
         k = len(table.keys)
         n_specs += len(chunk)
         n_cases += len(table)

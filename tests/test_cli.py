@@ -149,6 +149,7 @@ class TestComputeCommand:
             lambda d: d.pop("family"),
             lambda d: d.update(coefficients=[1.0]),  # length mismatch
             lambda d: d.update(family=[[1.0], [1.0, 2.0]]),  # ragged
+            lambda d: d.update(family=[[1.0, 2.0], [0.5, 0.0]]),  # members of another dimension than x
             lambda d: d.update(p_list=[]),
             lambda d: d.update(p_list=["huge"]),
             lambda d: d.update(p_list=[0.5]),

@@ -10,6 +10,7 @@ from grambounds import (
     BoundId,
     DimensionError,
     DomainError,
+    ExponentError,
     ExponentRangeError,
     FamilySpec,
     ShapeError,
@@ -40,7 +41,7 @@ from grambounds import (
     verify_corpus,
     weighted_inner_sum_sq,
 )
-from grambounds import CaseTable, verify
+from grambounds import CaseTable, bounds, verify
 from grambounds.cli import case_row, compute_rows
 
 from helpers import check_schwarz_chain
@@ -337,6 +338,35 @@ class TestVerifyCorpus:
         )
         assert len(seen) == result.n_cases
 
+    @pytest.mark.parametrize("name", ["rel_tol", "abs_tol"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1e-9, "1e-10", None, 1j])
+    def test_tolerance_checked_on_the_call(self, name, value):
+        # NaN would fail every case and inf pass every case; an empty stream is checked too
+        spec = FamilySpec(dim=2, n=2, seed=1)
+        for call in (lambda: verify_corpus([spec], **{name: value}), lambda: verify_corpus([], **{name: value}),
+                     lambda: verify_all(*random_family(spec), **{name: value})):
+            with pytest.raises(DomainError, match=f"{name} must be a finite nonnegative number"):
+                call()
+
+    def test_tolerance_accepts_zero_and_integers(self):
+        spec = FamilySpec(dim=2, n=2, seed=1)
+        assert verify_corpus([spec], rel_tol=0, abs_tol=1).n_specs == 1
+        assert verify_all(*random_family(spec), rel_tol=0, abs_tol=1).rel_tol == 0.0
+
+    @pytest.mark.parametrize("p_list", [[0.5], [2.0, "a"], [math.nan]])
+    def test_exponents_checked_on_the_call(self, p_list):
+        with pytest.raises(ExponentError):
+            verify_corpus([], p_list=p_list)
+
+    def test_exponents_read_once(self, monkeypatch):
+        # an iterator of exponents serves every chunk and every n, duplicates collapsed
+        monkeypatch.setattr(verify, "_CHUNK", 3)
+        specs = list(random_specs(20, master_seed=5, dim_max=3, n_max=3))
+        seen, want = [], []
+        got = verify_corpus(specs, p_list=iter([1.5, 3.0, 1.5]), on_case=lambda s, case: seen.append(case))
+        assert got == verify_corpus(specs, p_list=[1.5, 3.0], on_case=lambda s, case: want.append(case))
+        assert seen == want and len(seen) == got.n_cases > 0
+
     def test_bessel_sum_matches_case_lhs(self):
         spec = FamilySpec(dim=3, n=4, field="complex", seed=43)
         x, fam, c = random_family(spec)
@@ -557,8 +587,79 @@ class TestBatchForm:
             evaluate_cases(*change(*_stacks(self.GROUPS[0])))
 
 
+def _hex_rows(cases):
+    return [(str(r.bound_id), r.p, r.flavor, r.lhs.hex(), r.value.hex()) for r in cases]
+
+
+class TestStackLists:
+    """evaluate_cases on lists of stacks that share n: one CaseTable over their inputs in
+    order, each record equal in float.hex to the per-stack tables and the single calls."""
+
+    # One list per n; each stack mixes real and complex specs, and the stacks' dims differ.
+    PASSES = [[[FamilySpec(dim, n, field, scale=2.0**k, seed=1000 * n + 10 * dim + k)
+                for k, field in enumerate(("real", "complex", "complex", "real", "real"))]
+               for dim in (3, 1, 5)] for n in (0, 1, 4)]
+
+    @classmethod
+    def stacks(cls, k):
+        """The lists of x, rows and c stacks of PASSES[k]."""
+        return [list(a) for a in zip(*map(_stacks, cls.PASSES[k]))]
+
+    @pytest.mark.parametrize("p_list", [STANDARD_P_LIST, [1.3, math.inf]])
+    def test_records_match_per_stack_and_single_calls(self, p_list):
+        for k, stacks in enumerate(self.PASSES):
+            table = evaluate_cases(*self.stacks(k), p_list)
+            assert isinstance(table, CaseTable)
+            per_stack = [case for specs in stacks for case in evaluate_cases(*_stacks(specs), p_list)]
+            singles = [case for specs in stacks for spec in specs
+                       for case in evaluate_cases(*random_family(spec), p_list)]
+            assert _hex_rows(table) == _hex_rows(per_stack) == _hex_rows(singles)
+            assert len(table) == len(singles) == table.lhs.size
+
+    def test_one_stack_list_is_the_stack(self):
+        specs = self.PASSES[2][0]
+        one = evaluate_cases(*([a] for a in _stacks(specs)))
+        assert _hex_rows(one) == _hex_rows(evaluate_cases(*_stacks(specs)))
+
+    @pytest.mark.parametrize("change", [
+        lambda xs, ys, cs: (xs, ys[:2], cs),  # lists of unequal length
+        lambda xs, ys, cs: (xs[:2], ys[:2], cs),
+        lambda xs, ys, cs: ([], [], []),
+        lambda xs, ys, cs: (xs, ys, tuple(cs)),  # a list mixed with another sequence
+        lambda xs, ys, cs: (xs[0], ys, cs),
+        lambda *lists: [a[:1] + b[:1] for a, b in zip(lists, TestStackLists.stacks(1))],  # parts of unequal n
+        lambda xs, ys, cs: (xs, [ys[0], ys[1][:, :, :0], ys[2]], cs),  # d = 0 in one part
+    ])
+    def test_rejects_bad_lists(self, change):
+        with pytest.raises(ShapeError, match="stack"):
+            evaluate_cases(*change(*self.stacks(2)))
+
+    @pytest.mark.parametrize("part", [0, 2])
+    @pytest.mark.parametrize("which", [0, 1, 2])
+    def test_rejects_nan_in_any_part_up_front(self, monkeypatch, part, which):
+        def untouched(*args):
+            raise AssertionError("a coordinate was read before the stacks were checked")
+
+        for name in ("_inner_each", "_gram_entries", "_member_norms", "_sum_sq"):
+            monkeypatch.setattr(bounds, name, untouched)
+        lists = self.stacks(2)
+        lists[which][part] = lists[which][part] * np.nan
+        with pytest.raises(DomainError, match="stack"):
+            evaluate_cases(*lists)
+
+
+class TestCaseTableSlicing:
+    TABLE = evaluate_cases(*_stacks([FamilySpec(2, 3, "complex", seed=k) for k in range(3)]), [1.5, 3.0])
+
+    @pytest.mark.parametrize("sl", [slice(1, 3), slice(-5, None), slice(None, None, 7), slice(None, None, -3),
+                                    slice(-2, 4, -1), slice(10, 2), slice(None, 1000)])
+    def test_slice_is_the_list_slice(self, sl):
+        got = self.TABLE[sl]
+        assert isinstance(got, list) and got == list(self.TABLE)[sl]
+
+
 class TestCorpusBatching:
-    """verify_corpus evaluates each (dim, n, field) group of a chunk in one pass; it
+    """verify_corpus evaluates each family size n of a chunk in one pass; it
     must report exactly what verify_all reports spec by spec, in the same order."""
 
     HUGE = FamilySpec(4, 5, seed=3, scale=1e100)  # inf <= inf cases, NaN margins
@@ -619,7 +720,7 @@ class TestCorpusBatching:
 
 
 class TestCorpusGeneration:
-    """verify_corpus draws each group's inputs straight into its stacks; the stacks it
+    """verify_corpus draws each (dim, n) stack's inputs straight into it; the stacks it
     evaluates must hold, bit for bit, what random_family gives for each spec."""
 
     SHAPES = ((1, 0), (1, 1), (1, 3), (3, 0), (3, 2), (3, 2))
@@ -645,22 +746,27 @@ class TestCorpusGeneration:
         monkeypatch.setattr(verify, "evaluate_cases", recording)
         result = verify_corpus(self.SPECS)
         assert result.n_specs == len(self.SPECS) and result.n_fail == 0
-        # Groups in order of first appearance in each chunk, specs in order within a group.
+        # One call per n of each chunk, in order of first appearance; in it one stack per dim,
+        # in order of first appearance, real and complex specs together, in spec order.
         size = chunk or len(self.SPECS)
-        groups = []
+        passes = []
         for start in range(0, len(self.SPECS), size):
-            by_shape: dict = {}
+            by_n: dict = {}
             for spec in self.SPECS[start:start + size]:
-                by_shape.setdefault((spec.dim, spec.n, spec.field), []).append(spec)
-            groups += by_shape.values()
-        assert len(calls) == len(groups)
-        for members, (x, rows, c) in zip(groups, calls):
-            assert len(x) == len(rows) == len(c) == len(members)
-            for b, spec in enumerate(members):
-                want_x, want_fam, want_c = random_family(spec)
-                self.assert_bitwise(x[b], want_x.coords)
-                self.assert_bitwise(rows[b], want_fam.vectors)
-                self.assert_bitwise(c[b], want_c)
+                by_n.setdefault(spec.n, {}).setdefault(spec.dim, []).append(spec)
+            passes += [list(by_dim.values()) for by_dim in by_n.values()]
+        mixed = [{s.field for s in members} == {"real", "complex"} for stacks in passes for members in stacks]
+        assert any(mixed) == (chunk is None)  # chunks of 5 never hold both fields of one (dim, n)
+        assert len(calls) == len(passes)
+        for stacks, (xs, ys, cs) in zip(passes, calls):
+            assert len(xs) == len(ys) == len(cs) == len(stacks)
+            for members, x, rows, c in zip(stacks, xs, ys, cs):
+                assert len(x) == len(rows) == len(c) == len(members)
+                for b, spec in enumerate(members):
+                    want_x, want_fam, want_c = random_family(spec)
+                    self.assert_bitwise(x[b], want_x.coords)
+                    self.assert_bitwise(rows[b], want_fam.vectors)
+                    self.assert_bitwise(c[b], want_c)
 
 
 _FAM = VectorFamily([[1.0, 2.0], [3.0, 4.0]])
