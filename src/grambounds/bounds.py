@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Vector, VectorFamily, _as_complex_1d, _dot, _gram_entries, _inner_each, _member_norms, _sum_sq
+from .core import Vector, VectorFamily, _as_complex, _dot, _gram_entries, _inner_each, _member_norms, _sum_sq
 from .core import inner_each
 from .errors import DomainError, ShapeError
 from .norms import _magnitudes, _normalize_exponent, _row_sum_max, _Scaled, conjugate_exponent, power_mean_exponent
@@ -138,7 +138,7 @@ class _Ingredients:
             x = x if isinstance(x, Vector) else Vector(x)
             ing.x, ing.t = x.coords[None], inner_each(x, family)[None]  # inner_each also checks the dimension
         if c is not _ABSENT:
-            ing.c = _as_complex_1d(c, what="coefficients", allow_empty=True, size=family.size)[None]
+            ing.c = _as_complex(c, what="coefficients", allow_empty=True, size=family.size)[None]
         return ing
 
     @classmethod
@@ -150,14 +150,12 @@ class _Ingredients:
             x, rows, c = [x], [rows], [c]
         if not (all(isinstance(a, list) for a in (x, rows, c)) and 0 < len(rows) == len(x) == len(c)):
             raise ShapeError("need equal-length nonempty lists of x, family and c stacks")
-        parts = [[np.asarray(a, dtype=np.complex128) for a in part] for part in zip(x, rows, c)]
-        for xs, ys, cs in parts:  # parts[0] passes the ndim check before its n is read
-            if ys.ndim != 3 or not ys.shape[2] or xs.shape != ys.shape[::2] or cs.shape != ys.shape[:2] \
-                    or ys.shape[1] != parts[0][1].shape[1]:
-                raise ShapeError(f"need stacks x (B, d), family (B, n, d), c (B, n) with d > 0 and one n, "
+        parts = [(_as_complex(xs, what="x stack", ndim=2), _as_complex(ys, what="family stack", ndim=3),
+                  _as_complex(cs, what="c stack", ndim=2, allow_empty=True)) for xs, ys, cs in zip(x, rows, c)]
+        for xs, ys, cs in parts:
+            if xs.shape != ys.shape[::2] or cs.shape != ys.shape[:2] or ys.shape[1] != parts[0][1].shape[1]:
+                raise ShapeError(f"need stacks x (B, d), family (B, n, d), c (B, n) with one n, "
                                  f"got {xs.shape}, {ys.shape}, {cs.shape}")
-        if not all(np.isfinite(a).all() for part in parts for a in part):  # complex isfinite: both parts finite
-            raise DomainError("stacked inputs must be finite")
         reduced = [cls(ys.shape[1], ys, xs, cs) for xs, ys, cs in parts]
         ing = cls(reduced[0].n, c=np.concatenate([r.c for r in reduced]))
         ing.__dict__.update({name: np.concatenate([getattr(r, name) for r in reduced]) for name in cls._REDUCED})
@@ -213,7 +211,7 @@ class _Ingredients:
             member_factor = self.pnorm("abs_norms", q)
             fam_factor = member_factor * member_factor
         else:
-            raise ValueError(f"flavor must be 'gram' or 'norms', got {flavor!r}")
+            raise DomainError(f"flavor must be 'gram' or 'norms', got {flavor!r}")
         coef = self.pnorm("abs_c", p)
         return (coef * coef) * fam_factor
 
@@ -371,7 +369,7 @@ def power_mean_gap(values, p) -> BoundResult:
     Values count as complex, and are rejected, only when some imaginary part is nonzero.
     """
     pf = power_mean_exponent(p)
-    z = _as_complex_1d(values, what="values", allow_empty=True)
+    z = _as_complex(values, what="values", allow_empty=True)
     if z.imag.any():
         raise DomainError("values must be real and nonnegative")
     v = np.ascontiguousarray(z.real)  # a strided v @ v can round differently

@@ -17,10 +17,10 @@ import numpy as np
 
 from .bounds import ORTHONORMAL_TOL, _Ingredients, frobenius_bound
 from .compare import sign_scan
-from .core import Vector, VectorFamily
+from .core import Vector, VectorFamily, _check_real
 from .errors import GramBoundsError
 from .norms import _normalize_exponent
-from .verify import ABS_TOL, REL_TOL, STANDARD_P_LIST, _cases, _tolerance, random_specs, verify_corpus
+from .verify import ABS_TOL, REL_TOL, STANDARD_P_LIST, _cases, random_specs, verify_corpus
 
 __all__ = ["main", "cmd_compute", "cmd_verify", "cmd_scan", "CASE_HEADER", "SCAN_HEADER"]
 
@@ -196,7 +196,7 @@ def cmd_verify(
     p_values=None,
 ) -> int:
     try:
-        rel_tol, abs_tol = _tolerance("--rel-tol", rel_tol), _tolerance("--abs-tol", abs_tol)
+        rel_tol, abs_tol = _check_real("--rel-tol", rel_tol), _check_real("--abs-tol", abs_tol)
         specs = random_specs(trials, seed, dim_max=dims, n_max=n_max, field=field)
     except GramBoundsError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,7 +20,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import VectorFamily
+from .core import VectorFamily, _check_int, _check_real
 from .errors import DomainError
 from .norms import _as_gram, conjugate_exponent, gram_entry_qnorm, max_row_abs_sum, power_mean_exponent
 
@@ -53,12 +53,7 @@ def gap_closed_form(b, p) -> float:
     Requires 0 ≤ b ≤ 1 and 1 < p ≤ 2; b^q at b = 0 is the continuous
     extension 0, matching the realized family (1), (0).
     """
-    try:
-        bf = float(b)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"b must be a real number in [0, 1], got {b!r}") from exc
-    if math.isnan(bf) or not 0.0 <= bf <= 1.0:
-        raise DomainError(f"b must lie in [0, 1], got {bf}")
+    bf = _check_real("b", b, 1.0)
     pf = power_mean_exponent(p)
     q = conjugate_exponent(pf)
     return 2.0 ** (2.0 / pf - 1.0) * (1.0 + bf**q) ** (2.0 / q) - 1.0 - bf
@@ -99,16 +94,8 @@ def sign_scan(nb: int, np_count: int, eps: float = 0.01, zero_tol: float = 1e-12
     cells within zero_tol of 0 count as zeros.  Deterministic: identical
     arguments give identical reports.
     """
-    nb = int(nb)
-    np_count = int(np_count)
-    if nb < 2 or np_count < 2:
-        raise DomainError(f"grid needs at least 2 points per axis, got nb={nb}, np={np_count}")
-    epsf = float(eps)
-    if not math.isfinite(epsf) or epsf <= 0.0 or 1.0 + epsf > 2.0:
-        raise DomainError(f"eps must satisfy 0 < eps <= 1, got {eps!r}")
-    ztol = float(zero_tol)
-    if not math.isfinite(ztol) or ztol < 0.0:
-        raise DomainError(f"zero_tol must be a nonnegative real, got {zero_tol!r}")
+    nb, np_count = _check_int("nb", nb, 2, math.inf), _check_int("np_count", np_count, 2, math.inf)
+    epsf, ztol = _check_real("eps", eps, 1.0, positive=True), _check_real("zero_tol", zero_tol)
 
     grid_b = np.linspace(0.0, 1.0, nb)
     grid_p = np.linspace(1.0 + epsf, 2.0, np_count)
@@ -193,10 +180,8 @@ def dominance_search(seed: int, max_trials: int, p) -> Optional[DominancePair]:
     Deterministic given seed.
     """
     pf = power_mean_exponent(p)
-    trials = int(max_trials)
-    if trials < 0:
-        raise DomainError(f"max_trials must be nonnegative, got {max_trials!r}")
-    rng = np.random.default_rng(seed)
+    trials = _check_int("max_trials", max_trials, 0, math.inf)
+    rng = np.random.default_rng(_check_int("seed", seed, 0, math.inf))
     pos: Optional[tuple[VectorFamily, float, float]] = None
     neg: Optional[tuple[VectorFamily, float, float]] = None
     for _ in range(trials):

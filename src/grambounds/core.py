@@ -11,6 +11,8 @@ than up to rounding.
 
 from __future__ import annotations
 
+import math
+import numbers
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -34,27 +36,56 @@ ArrayLike = Union["Vector", Sequence, np.ndarray]
 HERMITIAN_TOL = 1e-12
 
 
-def _as_complex_1d(
-    data: ArrayLike, *, what: str = "vector", allow_empty: bool = False, size: int | None = None
-) -> np.ndarray:
-    """Coerce ``data`` to a 1-D complex128 array of finite numbers.
+#: The two fields a family, a spec or a random draw may name.
+_FIELDS = ("real", "complex")
 
-    The one coercion path for vectors, coefficients and sequences.  Checks
-    run in a fixed order: shape, emptiness (rejected unless ``allow_empty``),
-    dtype, length (when ``size`` is given), finiteness.
+
+def _check_int(name: str, value, low: int, high) -> int:
+    """``value`` as an int in [low, high]; bools are not integers, and an int skips the slower ABC check."""
+    if not (type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool)) \
+            or not low <= value <= high:
+        raise DomainError(f"{name} must be an integer in [{low}, {high}], got {value!r}")
+    return int(value)
+
+
+def _check_real(name: str, value, high: float = math.inf, *, positive: bool = False) -> float:
+    """``value`` as a float: a finite real number in [0, high], or in (0, high] when ``positive``.
+
+    Bools and text are not numbers; a float skips the slower ABC check.  Finite
+    because a NaN tolerance would fail every case and an infinite one pass every case.
+    """
+    if not (type(value) is float or isinstance(value, numbers.Real) and not isinstance(value, bool)) \
+            or not (0.0 <= value <= high and value < math.inf) or positive and value == 0.0:
+        interval = f"{'(' if positive else '['}0, {high:g}{')' if high == math.inf else ']'}"
+        raise DomainError(f"{name} must be a real number in {interval}, got {value!r}")
+    return float(value)
+
+
+def _as_complex(
+    data: ArrayLike, *, what: str = "vector", ndim: int = 1, allow_empty: bool = False,
+    size: int | None = None, copy: bool = False,
+) -> np.ndarray:
+    """Coerce ``data`` to a complex128 array of finite numbers with ``ndim`` axes.
+
+    The one coercion path for every input array: vectors, families, Gram
+    matrices, coefficients, sequences and stacks.  Checks run in a fixed
+    order: shape, emptiness of the last axis (rejected unless ``allow_empty``),
+    dtype (bools and text are not numbers), length of the first axis (when
+    ``size`` is given), finiteness.  With ``copy`` the result is a fresh array,
+    for an object to keep; otherwise data is converted only if its dtype differs.
     """
     arr = data.coords if isinstance(data, Vector) else np.asarray(data)
-    if arr.ndim != 1:
-        raise ShapeError(f"{what} must be one-dimensional, got shape {arr.shape}")
-    if arr.size == 0 and not allow_empty:
+    if arr.ndim != ndim:
+        raise ShapeError(f"{what} must be {ndim}-dimensional, got shape {arr.shape}")
+    if arr.shape[-1] == 0 and not allow_empty:
         raise ShapeError(f"{what} must have at least one coordinate")
     if arr.size and not np.issubdtype(arr.dtype, np.number):
         raise DomainError(f"{what} must be numeric, got dtype {arr.dtype}")
     if size is not None and arr.shape[0] != size:
         raise ShapeError(f"got {arr.shape[0]} {what} for a family of size {size}")
     if isinstance(data, Vector):
-        return arr  # finite complex128 by construction
-    out = arr.astype(np.complex128, copy=True)
+        return arr  # finite, read-only complex128 by construction
+    out = arr.astype(np.complex128, copy=copy)
     if not np.isfinite(out).all():  # complex isfinite: both parts finite
         raise DomainError(f"{what} must be finite")
     return out
@@ -66,7 +97,7 @@ class Vector:
     __slots__ = ("_coords",)
 
     def __init__(self, coords: ArrayLike):
-        arr = _as_complex_1d(coords)
+        arr = _as_complex(coords, copy=True)
         arr.setflags(write=False)
         self._coords = arr
 
@@ -78,11 +109,6 @@ class Vector:
     @property
     def dim(self) -> int:
         return self._coords.shape[0]
-
-    @property
-    def is_real(self) -> bool:
-        """True when every coordinate has zero imaginary part."""
-        return bool(np.all(self._coords.imag == 0.0))
 
     def __len__(self) -> int:
         return self.dim
@@ -111,8 +137,8 @@ def inner(x: ArrayLike, y: ArrayLike) -> complex:
     ``im`` and fixes ``re`` exactly, so conjugate symmetry holds bitwise,
     not merely to rounding.
     """
-    xa = _as_complex_1d(x, what="first argument")
-    ya = _as_complex_1d(y, what="second argument")
+    xa = _as_complex(x, what="first argument")
+    ya = _as_complex(y, what="second argument")
     if xa.shape[0] != ya.shape[0]:
         raise DimensionError(
             f"dimension mismatch: {xa.shape[0]} vs {ya.shape[0]}"
@@ -125,7 +151,7 @@ def inner(x: ArrayLike, y: ArrayLike) -> complex:
 def norm(x: ArrayLike) -> float:
     """Euclidean norm ||x|| = sqrt((x, x))."""
     # (x, x) is a sum of squares of real numbers; take it directly.
-    return float(np.sqrt(_sum_sq(_as_complex_1d(x))))
+    return float(np.sqrt(_sum_sq(_as_complex(x))))
 
 
 # The kernels below take any number of leading batch axes: one input is a batch
@@ -186,11 +212,11 @@ class VectorFamily:
     """A finite ordered family (y_1, ..., y_n) in a common space.
 
     Stored as an (n, d) complex128 matrix, one member per row.  The Gram
-    matrix and the member norms are computed lazily and cached; families
-    are treated as immutable after construction.
+    matrix is computed lazily and cached; families are treated as immutable
+    after construction.
     """
 
-    __slots__ = ("_vectors", "_field", "_gram", "_norms")
+    __slots__ = ("_vectors", "_field", "_gram")
 
     def __init__(
         self,
@@ -199,17 +225,13 @@ class VectorFamily:
         field: str = "complex",
         dim: int | None = None,
     ):
-        if field not in ("real", "complex"):
+        if field not in _FIELDS:
             raise DomainError(f"field must be 'real' or 'complex', got {field!r}")
 
         if isinstance(members, np.ndarray) and members.ndim == 2:
-            rows = members.astype(np.complex128, copy=True)
-            if not np.isfinite(rows).all():  # complex isfinite: both parts finite
-                raise DomainError("family contains non-finite entries")
-            if rows.shape[1] == 0:
-                raise ShapeError("family members must have at least one coordinate")
-        else:
-            coerced = [_as_complex_1d(m, what="family member") for m in members]
+            rows = _as_complex(members, what="family", ndim=2, copy=True)
+        else:  # each member a view where it can be: np.vstack makes the one copy
+            coerced = [_as_complex(m, what="family member") for m in members]
             if coerced:
                 d0 = coerced[0].shape[0]
                 for k, v in enumerate(coerced):
@@ -221,9 +243,7 @@ class VectorFamily:
             else:
                 if dim is None:
                     raise ShapeError("empty family needs an explicit dim")
-                if dim < 1:
-                    raise ShapeError(f"dim must be positive, got {dim}")
-                rows = np.zeros((0, dim), dtype=np.complex128)
+                rows = np.zeros((0, _check_int("dim", dim, 1, math.inf)), dtype=np.complex128)
 
         if field == "real" and rows.size and np.any(rows.imag != 0.0):
             raise DomainError("field='real' but some member has a nonzero imaginary part")
@@ -232,7 +252,6 @@ class VectorFamily:
         self._vectors = rows
         self._field = field
         self._gram: GramMatrix | None = None
-        self._norms: np.ndarray | None = None
 
     @property
     def vectors(self) -> np.ndarray:
@@ -272,16 +291,9 @@ class VectorFamily:
             self._gram = GramMatrix(_gram_entries(self._vectors), _trust=True)
         return self._gram
 
-    def member_norms(self) -> np.ndarray:
-        """Array of ||y_i||; cached.  Equals sqrt of the Gram diagonal."""
-        if self._norms is None:
-            out = _member_norms(self._vectors)
-            out.setflags(write=False)
-            self._norms = out
-        return self._norms
-
     def is_orthonormal(self, tol: float = 1e-10) -> bool:
         """Whether the Gram matrix is within ``tol`` of the identity (max-abs)."""
+        tol = _check_real("tol", tol)
         if self.size == 0:
             return True
         g = self.gram().entries
@@ -310,23 +322,20 @@ class GramMatrix:
     __slots__ = ("_entries", "_abs")
 
     def __init__(self, entries: np.ndarray, *, _trust: bool = False):
-        arr = np.asarray(entries)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        # A trusted array is a fresh private complex128 array: take it as is.
+        arr = entries if _trust else _as_complex(entries, what="Gram matrix", ndim=2, allow_empty=True, copy=True)
+        if arr.shape[0] != arr.shape[1]:
             raise ShapeError(f"Gram matrix must be square, got shape {arr.shape}")
-        if not _trust:  # a trusted array is a fresh private complex128 array: take it as is
-            arr = arr.astype(np.complex128, copy=True)
-            if not np.isfinite(arr).all():  # complex isfinite: both parts finite
-                raise DomainError("Gram matrix contains non-finite entries")
-            if arr.size:
-                dev = float(np.max(np.abs(arr - arr.conj().T)))
-                if dev > HERMITIAN_TOL:
-                    raise DomainError(
-                        f"matrix is not Hermitian: max |G - G*| entry is {dev:.3e}"
-                    )
-                # Nonnegative diagonal, allowing the same slack.
-                dmin = float(arr.diagonal().real.min())
-                if dmin < -HERMITIAN_TOL:
-                    raise DomainError(f"Gram diagonal has negative entry {dmin:.3e}")
+        if not _trust and arr.size:
+            dev = float(np.max(np.abs(arr - arr.conj().T)))
+            if dev > HERMITIAN_TOL:
+                raise DomainError(
+                    f"matrix is not Hermitian: max |G - G*| entry is {dev:.3e}"
+                )
+            # Nonnegative diagonal, allowing the same slack.
+            dmin = float(arr.diagonal().real.min())
+            if dmin < -HERMITIAN_TOL:
+                raise DomainError(f"Gram diagonal has negative entry {dmin:.3e}")
         arr.setflags(write=False)
         self._entries = arr
         self._abs: np.ndarray | None = None
@@ -361,7 +370,7 @@ def inner_each(x: ArrayLike, family: VectorFamily) -> np.ndarray:
 
     Conjugate-linear in the family members, matching :func:`inner`.
     """
-    xa = _as_complex_1d(x, what="vector")
+    xa = _as_complex(x)
     if xa.shape[0] != family.dim:
         raise DimensionError(
             f"vector dimension {xa.shape[0]} does not match family dimension {family.dim}"

@@ -27,8 +27,8 @@ class ExponentError(GramBoundsError):
     """Exponent outside [1, inf], or not a number at all."""
 
 
-class DomainError(GramBoundsError):
-    """Numeric argument outside the operation's domain."""
+class DomainError(GramBoundsError, ValueError):
+    """Argument value outside the operation's domain; also a ValueError, Python's bad-value error."""
 
 
 class ExponentRangeError(ExponentError, DomainError):

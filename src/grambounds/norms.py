@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import GramMatrix, _as_complex_1d
+from .core import GramMatrix, _as_complex
 from .errors import DomainError, ExponentError, ExponentRangeError
 
 __all__ = [
@@ -118,12 +118,12 @@ class _Scaled:
 def seq_pnorm(values, p) -> float:
     """(Σ|v_i|^p)^(1/p) for finite p; max|v_i| at p = ∞; 0 for an empty sequence."""
     pf = _normalize_exponent(p)
-    a = _magnitudes(_as_complex_1d(values, what="sequence", allow_empty=True))
+    a = _magnitudes(_as_complex(values, what="sequence", allow_empty=True))
     return float(_Scaled(a[None]).pnorm(pf)[0])
 
 
 def _as_gram(gram) -> GramMatrix:
-    return gram if isinstance(gram, GramMatrix) else GramMatrix(np.asarray(gram))
+    return gram if isinstance(gram, GramMatrix) else GramMatrix(gram)
 
 
 def gram_entry_qnorm(gram, q) -> float:

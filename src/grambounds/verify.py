@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -17,7 +16,7 @@ from typing import Callable, Iterable, Iterator, Optional, Union
 import numpy as np
 
 from .bounds import ABS_TOL, REL_TOL, BoundResult, _Ingredients, frobenius_bound
-from .core import Vector, VectorFamily
+from .core import _FIELDS, Vector, VectorFamily, _check_int, _check_real
 from .errors import DomainError
 from .norms import _normalize_exponent, conjugate_exponent
 
@@ -49,31 +48,9 @@ CORPUS_SIZE = 10_000
 CORPUS_DIM_MAX = 8
 CORPUS_N_MAX = 10
 
-_FIELDS = ("real", "complex")
-
 #: Largest dimension and family size a FamilySpec, and so random_specs, may ask for.
 _DIM_CAP = 16
 _N_CAP = 32
-
-
-def _bounded_int(name: str, value, low, high) -> int:
-    if not isinstance(value, numbers.Integral) or not low <= int(value) <= high:
-        raise DomainError(f"{name} must be an integer in [{low}, {high}], got {value!r}")
-    return int(value)
-
-
-def _scale(name: str, value) -> float:
-    """A coordinate scale, a real number in (0, inf), as a float; a float skips the slower ABC check."""
-    if not (type(value) is float or isinstance(value, numbers.Real)) or not 0.0 < value < math.inf:
-        raise DomainError(f"{name} must be a positive finite real, got {value!r}")
-    return float(value)
-
-
-def _tolerance(name: str, value) -> float:
-    """A tolerance, a real number in [0, inf), as a float: NaN would fail every case, inf pass every case."""
-    if not (type(value) is float or isinstance(value, numbers.Real)) or not 0.0 <= value < math.inf:
-        raise DomainError(f"{name} must be a finite nonnegative number, got {value!r}")
-    return float(value)
 
 
 @dataclass(frozen=True)
@@ -87,12 +64,12 @@ class FamilySpec:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "dim", _bounded_int("dim", self.dim, 1, _DIM_CAP))
-        object.__setattr__(self, "n", _bounded_int("n", self.n, 0, _N_CAP))
+        object.__setattr__(self, "dim", _check_int("dim", self.dim, 1, _DIM_CAP))
+        object.__setattr__(self, "n", _check_int("n", self.n, 0, _N_CAP))
         if self.field not in _FIELDS:
             raise DomainError(f"field must be 'real' or 'complex', got {self.field!r}")
-        object.__setattr__(self, "scale", _scale("scale", self.scale))
-        object.__setattr__(self, "seed", _bounded_int("seed", self.seed, 0, 2**64 - 1))
+        object.__setattr__(self, "scale", _check_real("scale", self.scale, positive=True))
+        object.__setattr__(self, "seed", _check_int("seed", self.seed, 0, 2**64 - 1))
 
 
 def _draw(rng: np.random.Generator, shape, field: str) -> np.ndarray:
@@ -123,9 +100,9 @@ def random_family(spec: FamilySpec) -> tuple[Vector, VectorFamily, np.ndarray]:
 
 def random_orthonormal_family(dim: int, n: int, field: str = "real", seed: int = 0) -> VectorFamily:
     """n orthonormal vectors in dimension dim ≥ n, via QR of a random matrix."""
-    if not 1 <= n <= dim:  # VectorFamily checks the field
-        raise DomainError(f"need 1 <= n <= dim, got n={n}, dim={dim}")
-    rng = np.random.default_rng(seed)
+    dim = _check_int("dim", dim, 1, math.inf)
+    n = _check_int("n", n, 1, dim)  # VectorFamily checks the field
+    rng = np.random.default_rng(_check_int("seed", seed, 0, math.inf))
     a = _draw(rng, (dim, n), field)
     q_mat, _ = np.linalg.qr(a)
     return VectorFamily(q_mat.T, field=field)
@@ -142,13 +119,13 @@ def random_specs(
     scale_high: float = 10.0,
 ) -> Iterator[FamilySpec]:
     """Stream of deterministic FamilySpecs with log-uniform scales; the arguments are checked on the call."""
-    count = _bounded_int("count", count, 0, math.inf)
-    master_seed = _bounded_int("master_seed", master_seed, 0, math.inf)
-    dim_max = _bounded_int("dim_max", dim_max, 1, _DIM_CAP)
-    n_max = _bounded_int("n_max", n_max, 0, _N_CAP)
+    count = _check_int("count", count, 0, math.inf)
+    master_seed = _check_int("master_seed", master_seed, 0, math.inf)
+    dim_max = _check_int("dim_max", dim_max, 1, _DIM_CAP)
+    n_max = _check_int("n_max", n_max, 0, _N_CAP)
     if field not in _FIELDS + ("both",):
         raise DomainError(f"field must be 'real', 'complex' or 'both', got {field!r}")
-    if _scale("scale_low", scale_low) > _scale("scale_high", scale_high):
+    if _check_real("scale_low", scale_low, positive=True) > _check_real("scale_high", scale_high, positive=True):
         raise DomainError("need 0 < scale_low <= scale_high < inf")
     rng = np.random.default_rng(master_seed)
     lo, hi = math.log10(scale_low), math.log10(scale_high)
@@ -292,7 +269,7 @@ def verify_all(
     abs_tol: float = ABS_TOL,
 ) -> VerificationReport:
     """Evaluate and check every inequality on one input; each verdict is computed once."""
-    rel_tol, abs_tol = _tolerance("rel_tol", rel_tol), _tolerance("abs_tol", abs_tol)
+    rel_tol, abs_tol = _check_real("rel_tol", rel_tol), _check_real("abs_tol", abs_tol)
     table = _cases(_Ingredients.of(family, x, c), p_list, frobenius_bound)
     failing, worst = table.verdicts(rel_tol, abs_tol)
     cases = tuple(table)
@@ -340,7 +317,7 @@ def verify_corpus(
     case of least non-NaN margin.
     """
     p_list = list(dict.fromkeys(map(_normalize_exponent, p_list)))  # checked on the call, even with no specs
-    rel_tol, abs_tol = _tolerance("rel_tol", rel_tol), _tolerance("abs_tol", abs_tol)
+    rel_tol, abs_tol = _check_real("rel_tol", rel_tol), _check_real("abs_tol", abs_tol)
     n_specs = n_cases = 0
     cases_by_id: Counter = Counter()
     failures: list[tuple[FamilySpec, BoundResult]] = []

@@ -3,6 +3,7 @@
 import numpy as np
 
 from grambounds import VectorFamily
+from grambounds.core import _member_norms
 
 
 def check_schwarz_chain(family: VectorFamily) -> bool:
@@ -13,5 +14,5 @@ def check_schwarz_chain(family: VectorFamily) -> bool:
     if family.size == 0:
         return True
     g = family.gram().abs_entries()
-    member_norms = family.member_norms()
+    member_norms = _member_norms(family.vectors)
     return bool(np.all(g <= np.outer(member_norms, member_norms) * (1.0 + 1e-12)))

@@ -213,7 +213,7 @@ class TestVerifyCommand:
         # a NaN tolerance would fail every case and an infinite one pass every case
         assert main(["verify", "--trials", "3", f"{flag}={value}"]) == 2
         out, err = capsys.readouterr()
-        assert out == "" and f"error: {flag} must be a finite nonnegative number" in err
+        assert out == "" and f"error: {flag} must be a real number in [0, inf)" in err
 
     def test_smallest_unsnapped_p(self, capsys):
         # 1 + 4504 * 2**-52: not snapped to 1, so inside the power-mean domain (1, 2]

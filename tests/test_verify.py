@@ -13,6 +13,7 @@ from grambounds import (
     ExponentError,
     ExponentRangeError,
     FamilySpec,
+    GramMatrix,
     ShapeError,
     STANDARD_P_LIST,
     Vector,
@@ -21,21 +22,27 @@ from grambounds import (
     bessel_sum_bound,
     bombieri_bound,
     combo_bound,
+    dominance_search,
     evaluate_cases,
     frobenius_bound,
+    gap_closed_form,
     gram,
+    gram_entry_qnorm,
     inner,
     inner_each,
+    max_row_abs_sum,
     norm,
     orthonormal_bessel_bound,
     power_mean_bound,
     power_mean_exponent,
+    power_mean_factor,
     power_mean_gap,
     random_family,
     random_orthonormal_family,
     random_specs,
     refinement_chain,
     seq_pnorm,
+    sign_scan,
     span_bound,
     verify_all,
     verify_corpus,
@@ -87,13 +94,13 @@ _BAD_SCALES = ["a", "1.5", None, 1j, [1.0], 0.0, -2.0, math.inf, math.nan]
 class TestScaleCheck:
     @pytest.mark.parametrize("scale", _BAD_SCALES)
     def test_family_spec(self, scale):
-        with pytest.raises(DomainError, match="scale must be a positive finite real"):
+        with pytest.raises(DomainError, match=r"scale must be a real number in \(0, inf\)"):
             FamilySpec(1, 1, scale=scale)
 
     @pytest.mark.parametrize("name", ["scale_low", "scale_high"])
     @pytest.mark.parametrize("scale", _BAD_SCALES)
     def test_random_specs(self, name, scale):
-        with pytest.raises(DomainError, match=f"{name} must be a positive finite real"):
+        with pytest.raises(DomainError, match=rf"{name} must be a real number in \(0, inf\)"):
             random_specs(5, 1, **{name: scale})
 
     @pytest.mark.parametrize("scale", [1, 2.5, np.float64(1e-30), np.int64(3), 1e30])
@@ -126,7 +133,7 @@ class TestRandomFamily:
 
     def test_real_spec_gives_real_data(self):
         x, fam, c = random_family(FamilySpec(dim=3, n=4, field="real", seed=1))
-        assert x.is_real
+        assert np.all(x.coords.imag == 0.0)
         assert np.all(fam.vectors.imag == 0.0)
         assert np.all(np.asarray(c).imag == 0.0)
 
@@ -345,7 +352,7 @@ class TestVerifyCorpus:
         spec = FamilySpec(dim=2, n=2, seed=1)
         for call in (lambda: verify_corpus([spec], **{name: value}), lambda: verify_corpus([], **{name: value}),
                      lambda: verify_all(*random_family(spec), **{name: value})):
-            with pytest.raises(DomainError, match=f"{name} must be a finite nonnegative number"):
+            with pytest.raises(DomainError, match=rf"{name} must be a real number in \[0, inf\)"):
                 call()
 
     def test_tolerance_accepts_zero_and_integers(self):
@@ -774,6 +781,8 @@ _GOOD = [1.0, 2.0]
 _BAD = [
     ("2d", [[1.0, 2.0]], ShapeError),
     ("text", ["a", "b"], DomainError),
+    ("numeric_text", ["1", "2"], DomainError),  # text is never a number, even when it parses as one
+    ("bool", [True, False], DomainError),
     ("nan", [math.nan, 1.0], DomainError),
     ("inf", [1.0, math.inf], DomainError),
 ]
@@ -790,6 +799,16 @@ _BAD_GAP = _BAD + [
     # a Vector with a nonzero imaginary part is complex values, not a 0-d array
     ("vector", Vector([1.0 + 1.0j, 2.0]), DomainError),
 ]
+# Square and symmetric, so that only the named fault can reject them as families and Gram matrices.
+_BAD_2D = [
+    ("1d", [1.0, 2.0], ShapeError),
+    ("text", [["a", "b"], ["b", "a"]], DomainError),
+    ("numeric_text", [["1", "0"], ["0", "1"]], DomainError),
+    ("bool", [[True, False], [False, True]], DomainError),
+    ("nan", [[math.nan, 0.0], [0.0, 1.0]], DomainError),
+    ("inf", [[1.0, math.inf], [math.inf, 1.0]], DomainError),
+]
+_STACKS = (np.array([_GOOD]), np.array([_FAM.vectors]), np.array([_GOOD]))  # x (1, 2), rows (1, 2, 2), c (1, 2)
 _ENTRY_POINTS = [  # (name, call on the bad value, bad values with the error each raises)
     ("Vector", Vector, _BAD_X),
     ("inner", lambda v: inner(v, _GOOD), _BAD_X),
@@ -805,6 +824,55 @@ _ENTRY_POINTS = [  # (name, call on the bad value, bad values with the error eac
     ("evaluate_cases_c", lambda c: evaluate_cases(_GOOD, _FAM, c), _BAD_C),
     ("seq_pnorm", lambda v: seq_pnorm(v, 2.0), _BAD),
     ("power_mean_gap", lambda v: power_mean_gap(v, 1.5), _BAD_GAP),
+    ("VectorFamily_ndarray", lambda m: VectorFamily(np.array(m)), _BAD_2D),
+    ("GramMatrix", GramMatrix, _BAD_2D),
+    ("gram_entry_qnorm", lambda m: gram_entry_qnorm(m, 2.0), _BAD_2D),
+    ("max_row_abs_sum", max_row_abs_sum, _BAD_2D),
+    ("power_mean_factor", lambda m: power_mean_factor(m, 1.5), _BAD_2D),
+    ("evaluate_cases_x_stack", lambda v: evaluate_cases(np.array([v]), *_STACKS[1:]), _BAD),
+    ("evaluate_cases_rows_stack", lambda v: evaluate_cases(_STACKS[0], np.array([[v, v]]), _STACKS[2]), _BAD),
+    ("evaluate_cases_c_stack", lambda v: evaluate_cases(*_STACKS[:2], np.array([v])), _BAD),
+]
+
+_ONB = VectorFamily(np.eye(2))
+# Bad for every integer, field and flavor argument below (-1 is out of every integer range), and for
+# b and eps, whose range ends at 1; _BAD_REALS leaves out 2.9, a valid real argument elsewhere.
+_BAD_SCALARS = [2.9, "5", True, -1, math.nan]
+_BAD_REALS = _BAD_SCALARS[1:]
+_SCALAR_ARGS = [  # (name, call on the bad value, the bad values); each raises a DomainError
+    ("FamilySpec_dim", lambda v: FamilySpec(v, 2), _BAD_SCALARS),
+    ("FamilySpec_n", lambda v: FamilySpec(2, v), _BAD_SCALARS),
+    ("FamilySpec_field", lambda v: FamilySpec(2, 2, field=v), _BAD_SCALARS),
+    ("FamilySpec_scale", lambda v: FamilySpec(2, 2, scale=v), _BAD_REALS),
+    ("FamilySpec_seed", lambda v: FamilySpec(2, 2, seed=v), _BAD_SCALARS),
+    ("random_specs_count", lambda v: random_specs(v, 1), _BAD_SCALARS),
+    ("random_specs_master_seed", lambda v: random_specs(1, v), _BAD_SCALARS),
+    ("random_specs_dim_max", lambda v: random_specs(1, 1, dim_max=v), _BAD_SCALARS),
+    ("random_specs_n_max", lambda v: random_specs(1, 1, n_max=v), _BAD_SCALARS),
+    ("random_specs_field", lambda v: random_specs(1, 1, field=v), _BAD_SCALARS),
+    ("random_specs_scale_low", lambda v: random_specs(1, 1, scale_low=v), _BAD_REALS),
+    ("random_specs_scale_high", lambda v: random_specs(1, 1, scale_high=v), _BAD_REALS),
+    ("random_orthonormal_family_dim", lambda v: random_orthonormal_family(v, 2), _BAD_SCALARS),
+    ("random_orthonormal_family_n", lambda v: random_orthonormal_family(3, v), _BAD_SCALARS),
+    ("random_orthonormal_family_field", lambda v: random_orthonormal_family(3, 2, field=v), _BAD_SCALARS),
+    ("random_orthonormal_family_seed", lambda v: random_orthonormal_family(3, 2, seed=v), _BAD_SCALARS),
+    ("VectorFamily_dim", lambda v: VectorFamily([], dim=v), _BAD_SCALARS),
+    ("VectorFamily_field", lambda v: VectorFamily([[1.0]], field=v), _BAD_SCALARS),
+    ("is_orthonormal_tol", lambda v: _ONB.is_orthonormal(v), _BAD_REALS),
+    ("require_orthonormal_tol", lambda v: _ONB.require_orthonormal(v), _BAD_REALS),
+    ("orthonormal_bessel_bound_tol", lambda v: orthonormal_bessel_bound(_GOOD, _ONB, 2.0, v), _BAD_REALS),
+    ("gap_closed_form_b", lambda v: gap_closed_form(v, 1.5), _BAD_SCALARS),
+    ("sign_scan_nb", lambda v: sign_scan(v, 3), _BAD_SCALARS),
+    ("sign_scan_np_count", lambda v: sign_scan(3, v), _BAD_SCALARS),
+    ("sign_scan_eps", lambda v: sign_scan(3, 3, eps=v), _BAD_SCALARS),
+    ("sign_scan_zero_tol", lambda v: sign_scan(3, 3, zero_tol=v), _BAD_REALS),
+    ("span_bound_flavor", lambda v: span_bound(_GOOD, _FAM, 2.0, flavor=v), _BAD_SCALARS),
+    ("dominance_search_seed", lambda v: dominance_search(v, 5, 1.5), _BAD_SCALARS),
+    ("dominance_search_max_trials", lambda v: dominance_search(0, v, 1.5), _BAD_SCALARS),
+    ("verify_all_rel_tol", lambda v: verify_all(_GOOD, _FAM, _GOOD, rel_tol=v), _BAD_REALS),
+    ("verify_all_abs_tol", lambda v: verify_all(_GOOD, _FAM, _GOOD, abs_tol=v), _BAD_REALS),
+    ("verify_corpus_rel_tol", lambda v: verify_corpus([], rel_tol=v), _BAD_REALS),
+    ("verify_corpus_abs_tol", lambda v: verify_corpus([], abs_tol=v), _BAD_REALS),
 ]
 
 
@@ -821,6 +889,14 @@ class TestBatchValidation:
     )
     def test_entry_point_errors(self, call, value, error):
         with pytest.raises(error):
+            call(value)
+
+    @pytest.mark.parametrize(
+        "call, value",
+        [pytest.param(call, value, id=f"{name}-{value!r}") for name, call, bad in _SCALAR_ARGS for value in bad],
+    )
+    def test_scalar_argument_errors(self, call, value):
+        with pytest.raises(DomainError):
             call(value)
 
     @pytest.mark.parametrize(
