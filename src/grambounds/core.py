@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -51,11 +52,11 @@ def _check_int(name: str, value, low: int, high) -> int:
 def _check_real(name: str, value, high: float = math.inf, *, positive: bool = False) -> float:
     """``value`` as a float: a finite real number in [0, high], or in (0, high] when ``positive``.
 
-    Bools and text are not numbers; a float skips the slower ABC check.  Finite
-    because a NaN tolerance would fail every case and an infinite one pass every case.
+    Bools and text are not numbers; a float skips the slower ABC check.  Finite, since a NaN
+    tolerance fails every case and an infinite one passes all; at most the largest float, so no int overflows.
     """
     if not (type(value) is float or isinstance(value, numbers.Real) and not isinstance(value, bool)) \
-            or not (0.0 <= value <= high and value < math.inf) or positive and value == 0.0:
+            or not (0.0 <= value <= high and value <= sys.float_info.max) or positive and value == 0.0:
         interval = f"{'(' if positive else '['}0, {high:g}{')' if high == math.inf else ']'}"
         raise DomainError(f"{name} must be a real number in {interval}, got {value!r}")
     return float(value)
@@ -74,7 +75,10 @@ def _as_complex(
     ``size`` is given), finiteness.  With ``copy`` the result is a fresh array,
     for an object to keep; otherwise data is converted only if its dtype differs.
     """
-    arr = data.coords if isinstance(data, Vector) else np.asarray(data)
+    try:
+        arr = data.coords if isinstance(data, Vector) else np.asarray(data)
+    except ValueError as exc:  # numpy's error for a ragged nested sequence
+        raise ShapeError(f"{what} must be a rectangular array, not a ragged sequence") from exc
     if arr.ndim != ndim:
         raise ShapeError(f"{what} must be {ndim}-dimensional, got shape {arr.shape}")
     if arr.shape[-1] == 0 and not allow_empty:
@@ -184,22 +188,29 @@ def _gram_entries(mat: np.ndarray) -> np.ndarray:
     as :func:`inner`) and reflected, so G[i, j] and conj(G[j, i]) are the same
     float pair and the diagonal is real.  When every imaginary part is zero
     one product suffices: the other three are zero, and adding +0.0 changes
-    no nonzero float.
+    no nonzero float.  The products share two n-by-n scratch arrays, and the
+    operands stay the strided ``.real``/``.imag`` views: one contiguous buffer as
+    both operands of ``A @ A.T`` goes to BLAS syrk, whose bits differ from gemm's.
     """
     n = mat.shape[-2]
     out = np.zeros(mat.shape[:-1] + (n,), dtype=np.complex128)
     lower = np.tri(n, dtype=bool)  # i >= j
     re, im = mat.real, mat.imag
-    if im.any():
-        re_part = re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2)
-        im_part = im @ re.swapaxes(-1, -2) - re @ im.swapaxes(-1, -2)
-        np.subtract(0.0, im_part.swapaxes(-1, -2), out=out.imag)  # 0 - x, not -x: a zero stays +0.0
-        np.copyto(out.imag, im_part, where=lower)
+    re_t, im_t = re.swapaxes(-1, -2), im.swapaxes(-1, -2)
+    is_complex = im.any()
+    a = re @ re_t
+    if is_complex:
+        b = im @ im_t
+        np.add(a, b, out=a)
+    np.copyto(out.real, a.swapaxes(-1, -2))
+    np.copyto(out.real, a, where=lower)
+    if is_complex:
+        np.matmul(im, re_t, out=a)
+        np.matmul(re, im_t, out=b)
+        np.subtract(a, b, out=a)
+        np.subtract(0.0, a.swapaxes(-1, -2), out=out.imag)  # 0 - x, not -x: a zero stays +0.0
+        np.copyto(out.imag, a, where=lower)
         out.imag[..., range(n), range(n)] = 0.0
-    else:
-        re_part = re @ re.swapaxes(-1, -2)
-    np.copyto(out.real, re_part.swapaxes(-1, -2))
-    np.copyto(out.real, re_part, where=lower)
     return out
 
 
@@ -291,24 +302,22 @@ class VectorFamily:
             self._gram = GramMatrix(_gram_entries(self._vectors), _trust=True)
         return self._gram
 
+    def _identity_deviation(self) -> float:
+        """max |G - I|, bitwise, from the cached |G|: the larger of max |g_ii - 1| and the largest |g_ij|, i ≠ j."""
+        a, n = self.gram().abs_entries(), self.size
+        # Dropping the first of the n² entries leaves n - 1 rows of n + 1 that each end on the
+        # diagonal: their first n columns are the off-diagonal entries, as a view.
+        off = a.reshape(-1)[1:].reshape(max(n - 1, 0), n + 1)[:, :n]
+        return float(np.maximum(np.max(np.abs(a.diagonal() - 1.0), initial=0.0), off.max(initial=0.0)))
+
     def is_orthonormal(self, tol: float = 1e-10) -> bool:
         """Whether the Gram matrix is within ``tol`` of the identity (max-abs)."""
-        tol = _check_real("tol", tol)
-        if self.size == 0:
-            return True
-        g = self.gram().entries
-        # The diagonal alone can already decide False, before the n-by-n temporaries.
-        if np.max(np.abs(g.diagonal() - 1.0)) > tol:
-            return False
-        return bool(np.max(np.abs(g - np.eye(self.size))) <= tol)
+        return _check_real("tol", tol) >= self._identity_deviation()  # False on NaN
 
     def require_orthonormal(self, tol: float = 1e-10) -> None:
-        if not self.is_orthonormal(tol):
-            g = self.gram().entries
-            dev = float(np.max(np.abs(g - np.eye(self.size)))) if self.size else 0.0
-            raise NotOrthonormalError(
-                f"family is not orthonormal: max |G - I| entry is {dev:.3e} (tol {tol:.1e})"
-            )
+        tol = _check_real("tol", tol)
+        if not (dev := self._identity_deviation()) <= tol:
+            raise NotOrthonormalError(f"family is not orthonormal: max |G - I| entry is {dev:.3e} (tol {tol:.1e})")
 
 
 class GramMatrix:

@@ -88,8 +88,8 @@ class _Scaled:
 
     The maximum is factored out before powering: q = p/(p-1) grows without
     bound as p -> 1 (q = 11 already at p = 1.1), and raising raw magnitudes
-    to such powers overflows long before the norm itself does.  The maxima
-    and the ratios a / max are computed once and shared by every exponent.
+    to such powers overflows long before the norm itself does.  The maxima are
+    shared by every exponent, and each exponent divides into and powers one scratch array.
     """
 
     def __init__(self, a: np.ndarray):
@@ -97,14 +97,17 @@ class _Scaled:
         self.max = a.max(axis=-1, initial=0.0)
 
     # A row of zeros is divided by 1, not 0, and stays zero.
-    ratio = cached_property(lambda self: self.a / np.where(self.max > 0.0, self.max, 1.0)[:, None])
+    _divisor = cached_property(lambda self: np.where(self.max > 0.0, self.max, 1.0)[:, None])
+    _scratch = cached_property(lambda self: np.empty_like(self.a))
 
     def root_power_sum(self, pf: float, e: float) -> np.ndarray:
         """(Σ_i (a_i / max)^p)^e per row; 0 for a row of zeros.
 
         The root is a Python float power per row: numpy's array power can round differently.
         """
-        return np.array([s**e for s in (self.ratio**pf).sum(axis=-1).tolist()])
+        s = np.divide(self.a, self._divisor, out=self._scratch)
+        np.power(s, pf, out=s)
+        return np.array([v**e for v in s.sum(axis=-1).tolist()])
 
     def pnorm(self, pf: float) -> np.ndarray:
         """(Σ a_i^p)^(1/p) per row for a normalized p; max at p = ∞; 0 for an empty row."""

@@ -23,7 +23,8 @@ from grambounds import (
     seq_pnorm,
 )
 from grambounds.bounds import _Ingredients
-from grambounds.core import _member_norms
+from grambounds.core import _gram_entries, _member_norms
+from grambounds.norms import _Scaled
 
 
 class TestVector:
@@ -243,6 +244,30 @@ def _four_product_gram(mat):
     return re_h + 1j * (im_lo - im_lo.T)
 
 
+def _fresh_product_gram(mat):
+    """The build with a fresh array per product, sum and difference, then mirrored: the bits to keep."""
+    n = mat.shape[-2]
+    out = np.zeros(mat.shape[:-1] + (n,), dtype=np.complex128)
+    lower = np.tri(n, dtype=bool)
+    re, im = mat.real, mat.imag
+    if im.any():
+        re_part = re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2)
+        im_part = im @ re.swapaxes(-1, -2) - re @ im.swapaxes(-1, -2)
+        np.subtract(0.0, im_part.swapaxes(-1, -2), out=out.imag)
+        np.copyto(out.imag, im_part, where=lower)
+        out.imag[..., range(n), range(n)] = 0.0
+    else:
+        re_part = re @ re.swapaxes(-1, -2)
+    np.copyto(out.real, re_part.swapaxes(-1, -2))
+    np.copyto(out.real, re_part, where=lower)
+    return out
+
+
+def _bits(arr):
+    """Every float of ``arr`` as its uint64 pattern, so that -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(arr).view(np.uint64)
+
+
 def _build_family(kind, shape, seed=41):
     rng = np.random.default_rng(seed)
     if kind == "real":
@@ -300,6 +325,37 @@ class TestGramBuild:
             assert float(ing.pnorm("abs_t", p)[0]).hex() == seq_pnorm(t, p).hex()
             assert float(ing.pnorm("abs_c", p)[0]).hex() == seq_pnorm(c, p).hex()
             assert float(ing.pnorm("abs_norms", p)[0]).hex() == seq_pnorm(_member_norms(fam.vectors), p).hex()
+
+    @pytest.mark.parametrize("shape", [(257, 8), (300, 5), (1000, 256)])
+    @pytest.mark.parametrize("kind", _GRAM_KINDS)
+    def test_bits_match_fresh_product_build(self, kind, shape):
+        # (257, 8) and (300, 5) are shapes where BLAS syrk's bits differ from gemm's.
+        mat = _build_family(kind, shape).vectors
+        assert np.array_equal(_bits(_gram_entries(mat)), _bits(_fresh_product_gram(mat)))
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_bits_match_fresh_product_build_on_underflow_and_stacks(self, field):
+        # d = 1 products of +-1e-200 underflow to -0.0 or 0.0: whatever zero each entry gets, it is kept.
+        tiny = np.array([[1e-200], [-1e-200], [3e-200], [-0.0]])
+        mat = tiny * (1.0 - 2j) if field == "complex" else tiny + 0j
+        assert _gram_entries(mat)[1, 0] == 0.0
+        rng = np.random.default_rng(53)
+        stack = rng.normal(size=(3, 40, 8)) + (1j * rng.normal(size=(3, 40, 8)) if field == "complex" else 0.0)
+        for m in (mat, mat[None], stack.astype(np.complex128)):
+            assert np.array_equal(_bits(_gram_entries(m)), _bits(_fresh_product_gram(m)))
+
+    @pytest.mark.parametrize("shape", [(257, 8), (300, 5)])
+    @pytest.mark.parametrize("kind", _GRAM_KINDS)
+    def test_root_power_sum_bits_match_fresh_ratio_powers(self, kind, shape):
+        g_abs = gram(_build_family(kind, shape)).abs_entries()
+        # |G| as one row of n² (gram_entry_qnorm), and as its n rows plus a row of zeros.
+        for a in (g_abs.reshape(1, -1), np.vstack([g_abs, np.zeros((1, shape[0]))])):
+            scaled = _Scaled(a)  # one object for every exponent: its scratch array is reused
+            ratio = a / np.where(scaled.max > 0.0, scaled.max, 1.0)[:, None]
+            for p in filter(math.isfinite, _NORM_EXPONENTS):
+                for e in (1.0 / p, 2.0 / p):
+                    want = np.array([s**e for s in (ratio**p).sum(axis=-1).tolist()])
+                    assert np.array_equal(_bits(scaled.root_power_sum(p, e)), _bits(want))
 
 
 class TestGramMatrix:

@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import reprlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -282,6 +284,24 @@ class TestVerifyAll:
         x, fam, c = random_family(FamilySpec(dim=2, n=4, seed=31, scale=5.0))
         report = verify_all(x, fam, c, rel_tol=0.0, abs_tol=0.0)
         assert report.n_pass + report.n_fail == report.n_cases
+
+    @pytest.mark.parametrize("field", ["complex", "real"])
+    def test_peak_memory_in_n_squared_doubles(self, field):
+        # G (2 n² doubles) with the build's two scratch arrays, or with |G| and a q-norm's one:
+        # a little over 4 n² doubles.  A fresh n-by-n array per product, sum or power reached 5.1.
+        n, d = 300, 5
+        rng = np.random.default_rng(47)
+        rows = rng.normal(size=(n, d)) + (1j * rng.normal(size=(n, d)) if field == "complex" else 0.0)
+        x, fam, c = rng.normal(size=d), VectorFamily(rows, field=field), rng.normal(size=n)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            report = verify_all(x, fam, c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.n_fail == 0
+        assert peak <= 4.5 * 8 * n * n
 
 
 class TestTightestCase:
@@ -785,6 +805,7 @@ _BAD = [
     ("bool", [True, False], DomainError),
     ("nan", [math.nan, 1.0], DomainError),
     ("inf", [1.0, math.inf], DomainError),
+    ("ragged", [[1.0, 2.0], [3.0]], ShapeError),  # numpy's own ValueError must not leak
 ]
 _BAD_X = _BAD + [("empty", [], ShapeError)]
 _BAD_C = _BAD + [
@@ -807,7 +828,15 @@ _BAD_2D = [
     ("bool", [[True, False], [False, True]], DomainError),
     ("nan", [[math.nan, 0.0], [0.0, 1.0]], DomainError),
     ("inf", [[1.0, math.inf], [math.inf, 1.0]], DomainError),
+    ("ragged", [[1.0, 0.0], [0.0]], ShapeError),
 ]
+
+
+def _as_arrays(bad):
+    """The rows of ``bad`` that an ndarray can hold: numpy refuses to build a ragged one."""
+    return [row for row in bad if row[0] != "ragged"]
+
+
 _STACKS = (np.array([_GOOD]), np.array([_FAM.vectors]), np.array([_GOOD]))  # x (1, 2), rows (1, 2, 2), c (1, 2)
 _ENTRY_POINTS = [  # (name, call on the bad value, bad values with the error each raises)
     ("Vector", Vector, _BAD_X),
@@ -824,21 +853,23 @@ _ENTRY_POINTS = [  # (name, call on the bad value, bad values with the error eac
     ("evaluate_cases_c", lambda c: evaluate_cases(_GOOD, _FAM, c), _BAD_C),
     ("seq_pnorm", lambda v: seq_pnorm(v, 2.0), _BAD),
     ("power_mean_gap", lambda v: power_mean_gap(v, 1.5), _BAD_GAP),
-    ("VectorFamily_ndarray", lambda m: VectorFamily(np.array(m)), _BAD_2D),
+    ("VectorFamily_ndarray", lambda m: VectorFamily(np.array(m)), _as_arrays(_BAD_2D)),
     ("GramMatrix", GramMatrix, _BAD_2D),
     ("gram_entry_qnorm", lambda m: gram_entry_qnorm(m, 2.0), _BAD_2D),
     ("max_row_abs_sum", max_row_abs_sum, _BAD_2D),
     ("power_mean_factor", lambda m: power_mean_factor(m, 1.5), _BAD_2D),
-    ("evaluate_cases_x_stack", lambda v: evaluate_cases(np.array([v]), *_STACKS[1:]), _BAD),
-    ("evaluate_cases_rows_stack", lambda v: evaluate_cases(_STACKS[0], np.array([[v, v]]), _STACKS[2]), _BAD),
-    ("evaluate_cases_c_stack", lambda v: evaluate_cases(*_STACKS[:2], np.array([v])), _BAD),
+    ("evaluate_cases_x_stack", lambda v: evaluate_cases(np.array([v]), *_STACKS[1:]), _as_arrays(_BAD)),
+    ("evaluate_cases_rows_stack", lambda v: evaluate_cases(_STACKS[0], np.array([[v, v]]), _STACKS[2]),
+     _as_arrays(_BAD)),
+    ("evaluate_cases_c_stack", lambda v: evaluate_cases(*_STACKS[:2], np.array([v])), _as_arrays(_BAD)),
 ]
 
 _ONB = VectorFamily(np.eye(2))
 # Bad for every integer, field and flavor argument below (-1 is out of every integer range), and for
-# b and eps, whose range ends at 1; _BAD_REALS leaves out 2.9, a valid real argument elsewhere.
+# b and eps, whose range ends at 1; _BAD_REALS leaves out 2.9, a valid real argument elsewhere, and
+# adds an int beyond the largest float (a valid integer wherever an integer range is unbounded).
 _BAD_SCALARS = [2.9, "5", True, -1, math.nan]
-_BAD_REALS = _BAD_SCALARS[1:]
+_BAD_REALS = _BAD_SCALARS[1:] + [10**400]
 _SCALAR_ARGS = [  # (name, call on the bad value, the bad values); each raises a DomainError
     ("FamilySpec_dim", lambda v: FamilySpec(v, 2), _BAD_SCALARS),
     ("FamilySpec_n", lambda v: FamilySpec(2, v), _BAD_SCALARS),
@@ -893,7 +924,8 @@ class TestBatchValidation:
 
     @pytest.mark.parametrize(
         "call, value",
-        [pytest.param(call, value, id=f"{name}-{value!r}") for name, call, bad in _SCALAR_ARGS for value in bad],
+        [pytest.param(call, value, id=f"{name}-{reprlib.repr(value)}")  # 10**400 as 40 characters
+         for name, call, bad in _SCALAR_ARGS for value in bad],
     )
     def test_scalar_argument_errors(self, call, value):
         with pytest.raises(DomainError):
