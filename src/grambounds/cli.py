@@ -17,8 +17,8 @@ import numpy as np
 
 from .bounds import ORTHONORMAL_TOL, _Ingredients, frobenius_bound
 from .compare import sign_scan
-from .core import Vector, VectorFamily, _check_real
-from .errors import GramBoundsError
+from .core import _FIELDS, Vector, VectorFamily, _as_complex, _check_real
+from .errors import ExponentError, GramBoundsError
 from .norms import _normalize_exponent
 from .verify import ABS_TOL, REL_TOL, STANDARD_P_LIST, _cases, random_specs, verify_corpus
 
@@ -55,40 +55,42 @@ class _InputError(ValueError):
     """Malformed input document."""
 
 
-def _parse_extended(value) -> float:
-    """An exponent from CLI/JSON: a number, or the string 'inf'."""
-    if isinstance(value, str):
-        s = value.strip().lower()
-        if s in ("inf", "+inf", "infinity"):
-            return math.inf
-        try:
-            value = float(s)
-        except ValueError as exc:
-            raise _InputError(f"not an exponent: {value!r}") from exc
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise _InputError(f"not an exponent: {value!r}")
-    return _normalize_exponent(value)
+def _parse_extended(value, what: str = "--p") -> float:
+    """An exponent from CLI/JSON: a number, or text that is a number or 'inf'."""
+    try:
+        if isinstance(value, str):
+            s = value.strip().lower()
+            value = math.inf if s in ("inf", "+inf", "infinity") else float(s)
+        return _normalize_exponent(value)
+    except (ValueError, ExponentError) as exc:
+        raise _InputError(f"{what}: {exc}") from exc
 
 
-def _decode_scalar(value, field: str, what: str) -> complex:
-    if isinstance(value, bool):
-        raise _InputError(f"{what}: expected a number, got {value!r}")
-    if isinstance(value, (int, float)):
-        return complex(float(value), 0.0)
-    if field == "complex" and isinstance(value, list) and len(value) == 2:
-        re, im = value
-        if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in (re, im)):
-            raise _InputError(f"{what}: [re, im] entries must be numbers, got {value!r}")
-        return complex(float(re), float(im))
-    if field == "real":
-        raise _InputError(f"{what}: real documents use bare numbers, got {value!r}")
-    raise _InputError(f"{what}: expected a number or [re, im] pair, got {value!r}")
+_JSON_KINDS = {bool: "true/false", str: "text", type(None): "null", dict: "object", list: "array"}
 
 
-def _decode_coords(values, field: str, what: str) -> list[complex]:
-    if not isinstance(values, list) or not values:
-        raise _InputError(f"{what}: expected a non-empty array of coordinates")
-    return [_decode_scalar(v, field, what) for v in values]
+def _decode_array(value, field: str, what: str, ndim: int = 1, allow_empty: bool = False) -> np.ndarray:
+    """A document array as complex128 with ``ndim`` axes, through the library's array check.
+
+    Scalars are ints or floats; in a complex document each may also be an [re, im] pair.
+    When pairs and bare numbers mix, every bare number becomes a pair with imaginary part 0.
+    """
+    a = np.array(value, dtype=object)
+    kinds = set(map(type, a.ravel()))  # not a.flat, which takes at most 32 axes
+    if field == "complex" and a.ndim == ndim and list in kinds:
+        a = np.array([v if type(v) is list else [v, 0] for v in a.ravel()], dtype=object).reshape(a.shape + (-1,))
+        kinds = set(map(type, a.ravel()))
+    if not kinds <= {int, float}:
+        pairs = " or [re, im] pairs" if field == "complex" else ""
+        found = ", ".join(sorted(_JSON_KINDS[k] for k in kinds - {int, float}))
+        raise _InputError(f"{what} must be a rectangular array of numbers{pairs}, found {found}")
+    try:
+        arr = a.astype(np.float64)
+    except OverflowError as exc:
+        raise _InputError(f"{what}: an integer beyond float range") from exc
+    if field == "complex" and arr.ndim == ndim + 1 and arr.shape[-1] == 2:
+        arr = arr.view(np.complex128)[..., 0]
+    return _as_complex(arr, what=what, ndim=ndim, allow_empty=allow_empty)
 
 
 _DOC_KEYS = {"field", "x", "family", "coefficients", "p_list"}
@@ -98,8 +100,8 @@ def parse_input_document(path: str):
     """Read a JSON document into (x, family, coefficients|None, p_list|None).
 
     Layout: {"field": "real"|"complex", "x": [...], "family": [[...], ...],
-    "coefficients": [...]?, "p_list": [...]?} with complex coordinates as
-    [re, im] pairs and real ones as bare numbers.
+    "coefficients": [...]?, "p_list": [...]?} with real coordinates as bare
+    numbers and complex ones as [re, im] pairs or bare numbers, which may mix.
     """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -112,34 +114,22 @@ def parse_input_document(path: str):
         if key not in doc:
             raise _InputError(f"input document is missing {key!r}")
     field = doc["field"]
-    if field not in ("real", "complex"):
+    if field not in _FIELDS:
         raise _InputError(f"field must be 'real' or 'complex', got {field!r}")
 
-    x = Vector(np.array(_decode_coords(doc["x"], field, "x"), dtype=np.complex128))
-    if not isinstance(doc["family"], list):
-        raise _InputError("family: expected an array of coordinate arrays")
-    members = [
-        np.array(_decode_coords(row, field, f"family[{k}]"), dtype=np.complex128)
-        for k, row in enumerate(doc["family"])
-    ]
-    family = VectorFamily(members, field=field, dim=x.dim)
-
+    x = Vector(_decode_array(doc["x"], field, "x"))
+    rows = doc["family"]  # [] is an empty family in the dimension of x
+    family = VectorFamily(_decode_array(rows, field, "family", 2) if rows != [] else [], field=field, dim=x.dim)
     coefficients = None
     if "coefficients" in doc:
-        raw = doc["coefficients"]
-        if not isinstance(raw, list):
-            raise _InputError("coefficients: expected an array")
-        coefficients = np.array(
-            [_decode_scalar(v, field, f"coefficients[{k}]") for k, v in enumerate(raw)],
-            dtype=np.complex128,
-        )
+        coefficients = _decode_array(doc["coefficients"], field, "coefficients", allow_empty=True)
 
     p_list = None
     if "p_list" in doc:
         raw = doc["p_list"]
         if not isinstance(raw, list) or not raw:
             raise _InputError("p_list: expected a non-empty array")
-        p_list = [_parse_extended(v) for v in raw]
+        p_list = [_parse_extended(v, "p_list") for v in raw]
     return x, family, coefficients, p_list
 
 
@@ -162,18 +152,13 @@ def _write_lines(path: str, lines: list[str]) -> None:
 
 
 def cmd_compute(input_path: str, p_values, out_path: str) -> int:
-    try:
+    try:  # the --p flags override the document's p_list, which overrides the standard list
         x, family, coefficients, doc_p = parse_input_document(input_path)
+        rows = compute_rows(x, family, coefficients, list(p_values or doc_p or STANDARD_P_LIST))
     except OSError as exc:
         print(f"error: cannot read {input_path}: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (json.JSONDecodeError, UnicodeDecodeError, _InputError, GramBoundsError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-    try:  # the --p flags override the document's p_list, which overrides the standard list
-        rows = compute_rows(x, family, coefficients, list(p_values or doc_p or STANDARD_P_LIST))
-    except GramBoundsError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError, _InputError, GramBoundsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
@@ -269,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     p_verify.add_argument("--dims", type=int, default=8, help="maximum ambient dimension (default 8)")
     p_verify.add_argument("--n", type=int, default=10, help="maximum family size (default 10)")
-    p_verify.add_argument("--field", choices=("both", "real", "complex"), default="both")
+    p_verify.add_argument("--field", choices=("both", *_FIELDS), default="both")
     p_verify.add_argument("--rel-tol", type=float, default=REL_TOL)
     p_verify.add_argument("--abs-tol", type=float, default=ABS_TOL)
     p_verify.add_argument("--p", action="append", default=None, metavar="P",
@@ -289,7 +274,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if getattr(args, "p", None):
         try:
             p_values = [_parse_extended(s) for s in args.p]
-        except (GramBoundsError, _InputError) as exc:
+        except _InputError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
     if args.command == "compute":

@@ -37,8 +37,11 @@ ArrayLike = Union["Vector", Sequence, np.ndarray]
 HERMITIAN_TOL = 1e-12
 
 
-#: The two fields a family, a spec or a random draw may name.
+#: The two fields a family, a spec, a random draw or an input document may name.
 _FIELDS = ("real", "complex")
+
+#: The largest dimension of a complex128 row that numpy can index: 16 bytes a coordinate.
+_DIM_MAX = sys.maxsize // 16
 
 
 def _check_int(name: str, value, low: int, high) -> int:
@@ -49,17 +52,29 @@ def _check_int(name: str, value, low: int, high) -> int:
     return int(value)
 
 
+def _real(value) -> float | None:
+    """``value`` as a float if it is a real number within float range, else None.
+
+    Bools and text are not numbers, and a float skips the slower ABC check.
+    """
+    if type(value) is float or isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:  # an int beyond the largest float
+            return None
+    return None
+
+
 def _check_real(name: str, value, high: float = math.inf, *, positive: bool = False) -> float:
     """``value`` as a float: a finite real number in [0, high], or in (0, high] when ``positive``.
 
-    Bools and text are not numbers; a float skips the slower ABC check.  Finite, since a NaN
-    tolerance fails every case and an infinite one passes all; at most the largest float, so no int overflows.
+    Finite, since a NaN tolerance fails every case and an infinite one passes all.
     """
-    if not (type(value) is float or isinstance(value, numbers.Real) and not isinstance(value, bool)) \
-            or not (0.0 <= value <= high and value <= sys.float_info.max) or positive and value == 0.0:
+    v = _real(value)
+    if v is None or not (0.0 <= v <= high and v <= sys.float_info.max) or positive and v == 0.0:
         interval = f"{'(' if positive else '['}0, {high:g}{')' if high == math.inf else ']'}"
         raise DomainError(f"{name} must be a real number in {interval}, got {value!r}")
-    return float(value)
+    return v
 
 
 def _as_complex(
@@ -254,7 +269,7 @@ class VectorFamily:
             else:
                 if dim is None:
                     raise ShapeError("empty family needs an explicit dim")
-                rows = np.zeros((0, _check_int("dim", dim, 1, math.inf)), dtype=np.complex128)
+                rows = np.zeros((0, _check_int("dim", dim, 1, _DIM_MAX)), dtype=np.complex128)
 
         if field == "real" and rows.size and np.any(rows.imag != 0.0):
             raise DomainError("field='real' but some member has a nonzero imaginary part")

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import GramMatrix, _as_complex
+from .core import GramMatrix, _as_complex, _real
 from .errors import DomainError, ExponentError, ExponentRangeError
 
 __all__ = [
@@ -34,11 +34,10 @@ SNAP_TOL = 1e-12
 
 
 def _normalize_exponent(p) -> float:
-    """Coerce p to float, snap near-1 values to 1, reject anything < 1 or NaN."""
-    try:
-        pf = float(p)
-    except (TypeError, ValueError) as exc:
-        raise ExponentError(f"exponent must be a real number in [1, inf], got {p!r}") from exc
+    """p as a float in [1, inf], near-1 values snapped to 1; bools and text are not numbers."""
+    pf = _real(p)
+    if pf is None:
+        raise ExponentError(f"exponent must be a real number in [1, inf], got {p!r}")
     if math.isnan(pf):
         raise ExponentError("exponent must not be NaN")
     if abs(pf - 1.0) <= SNAP_TOL:
@@ -65,12 +64,9 @@ def power_mean_exponent(p) -> float:
     rejected: the operations gated by this check are not stated at p = 1 and
     are not extended there.
     """
-    try:
-        pf = float(p)
-    except (TypeError, ValueError) as exc:
-        raise ExponentRangeError(f"exponent must be a real number in (1, 2], got {p!r}") from exc
-    if math.isnan(pf) or pf - 1.0 <= SNAP_TOL or pf > 2.0:
-        raise ExponentRangeError(f"exponent must lie in (1, 2], got {pf}")
+    pf = _real(p)
+    if pf is None or math.isnan(pf) or pf - 1.0 <= SNAP_TOL or pf > 2.0:
+        raise ExponentRangeError(f"exponent must be a real number in (1, 2], got {p!r}")
     return pf
 
 

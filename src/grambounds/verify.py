@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Iterator, Optional, Union
 import numpy as np
 
 from .bounds import ABS_TOL, REL_TOL, BoundResult, _Ingredients, frobenius_bound
-from .core import _FIELDS, Vector, VectorFamily, _check_int, _check_real
+from .core import _DIM_MAX, _FIELDS, Vector, VectorFamily, _check_int, _check_real
 from .errors import DomainError
 from .norms import _normalize_exponent, conjugate_exponent
 
@@ -100,7 +100,7 @@ def random_family(spec: FamilySpec) -> tuple[Vector, VectorFamily, np.ndarray]:
 
 def random_orthonormal_family(dim: int, n: int, field: str = "real", seed: int = 0) -> VectorFamily:
     """n orthonormal vectors in dimension dim ≥ n, via QR of a random matrix."""
-    dim = _check_int("dim", dim, 1, math.inf)
+    dim = _check_int("dim", dim, 1, _DIM_MAX)
     n = _check_int("n", n, 1, dim)  # VectorFamily checks the field
     rng = np.random.default_rng(_check_int("seed", seed, 0, math.inf))
     a = _draw(rng, (dim, n), field)

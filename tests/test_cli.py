@@ -1,5 +1,6 @@
 """Command-line front end: CSV output, exit codes, and input parsing."""
 
+import functools
 import itertools
 import json
 import math
@@ -162,6 +163,71 @@ class TestComputeCommand:
         mutate(doc)
         code, _ = run_compute(tmp_path, doc)
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "doc, name",
+        [
+            pytest.param(dict(REAL_DOC, x=[True]), "x", id="true-coordinate"),
+            pytest.param(dict(REAL_DOC, x=["1.5"]), "x", id="text-coordinate"),
+            pytest.param(dict(COMPLEX_DOC, x=[[1.0, True], [0.0, 1.0]]), "x", id="true-in-pair"),
+            pytest.param(dict(COMPLEX_DOC, x=[2.0, [1.0, True]]), "x", id="true-in-pair-among-bare"),
+            pytest.param(dict(REAL_DOC, x=[10**400]), "x", id="int-beyond-float-range"),
+            pytest.param(dict(COMPLEX_DOC, coefficients=[[1.0, 10**400], [0.0, 1.0]]), "coefficients",
+                         id="int-beyond-float-range-in-pair"),
+            pytest.param(dict(REAL_DOC, p_list=[10**400]), "p_list", id="int-beyond-float-range-in-p_list"),
+            pytest.param(dict(REAL_DOC, p_list=[True]), "p_list", id="true-in-p_list"),
+            pytest.param(dict(REAL_DOC, family=None), "family", id="null-family"),
+            pytest.param(dict(COMPLEX_DOC, x=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), "x", id="three-element-pairs"),
+            pytest.param(dict(COMPLEX_DOC, family=[[[1.0, 0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]),
+                         "family", id="three-element-pair-among-pairs"),
+            pytest.param(dict(REAL_DOC, x=[functools.reduce(lambda v, _: [v], range(70), 1.0)]), "x",
+                         id="coordinate-nested-70-deep"),
+            pytest.param(dict(COMPLEX_DOC, x=[1.0, functools.reduce(lambda v, _: [v], range(70), 1.0)]), "x",
+                         id="coordinate-nested-70-deep-among-bare"),
+            pytest.param(dict(REAL_DOC, x="1.0"), "x", id="x-string"),
+            pytest.param(dict(REAL_DOC, x={"re": 1.0}), "x", id="x-object"),
+            pytest.param(dict(REAL_DOC, x=1.0), "x", id="x-bare-number"),
+        ],
+    )
+    def test_invalid_arrays_name_the_array(self, tmp_path, capsys, doc, name):
+        code, _ = run_compute(tmp_path, doc)
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {name}")
+
+    def test_nesting_too_deep_for_the_json_parser(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text('{"field": "real", "x": ' + "[" * 100_000 + "1.0" + "]" * 100_000 + ', "family": []}')
+        assert main(["compute", "--input", str(path), "--out", str(tmp_path / "o.csv")]) == 2
+
+    def test_complex_encodings_give_the_same_csv(self, tmp_path):
+        # One complex document: as pairs, bare where the imaginary part is 0 (so mixed within a
+        # row), pairs and bare numbers mixed otherwise, and with int literals.
+        encodings = [
+            {"x": [[1.0, 0.0], [2.0, 0.5]],
+             "family": [[[1.0, 0.0], [0.0, 0.0]], [[0.5, 0.0], [1.0, -1.0]], [[3.0, 0.0], [0.0, 0.0]]],
+             "coefficients": [[1.0, 0.0], [0.0, -1.0], [2.0, 0.0]]},
+            {"x": [1.0, [2.0, 0.5]],
+             "family": [[1.0, 0.0], [0.5, [1.0, -1.0]], [3.0, 0.0]],
+             "coefficients": [1.0, [0.0, -1.0], 2.0]},
+            {"x": [[1.0, 0.0], [2.0, 0.5]],
+             "family": [[[1.0, 0.0], 0.0], [0.5, [1.0, -1.0]], [3.0, [0.0, 0.0]]],
+             "coefficients": [[1.0, 0.0], [0.0, -1.0], 2.0]},
+            {"x": [1, [2, 0.5]],
+             "family": [[[1, 0], 0], [0.5, [1, -1]], [3, 0.0]],
+             "coefficients": [1, [0, -1], [2, 0]]},
+        ]
+        texts = set()
+        for doc in encodings:
+            code, text = run_compute(tmp_path, {"field": "complex", "p_list": [1.5, 2, "inf"], **doc})
+            assert code == 0
+            texts.add(text)
+        assert len(texts) == 1
+
+    @pytest.mark.parametrize("doc", [{"field": "complex", "x": [[1.0, 0.5]], "family": []},
+                                     {"field": "real", "x": [1.0, 2.0], "family": [], "coefficients": []}])
+    def test_empty_family(self, tmp_path, doc):
+        code, text = run_compute(tmp_path, doc)
+        assert code == 0 and text.startswith(CASE_HEADER + "\n")
 
     def test_unwritable_output(self, tmp_path):
         inp = write_doc(tmp_path, REAL_DOC)

@@ -1,6 +1,8 @@
 """Exponent handling and the p-norm / q-norm factors."""
 
 import math
+import reprlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,12 +12,15 @@ from grambounds import (
     ExponentError,
     ExponentRangeError,
     VectorFamily,
+    bessel_sum_bound,
     conjugate_exponent,
     gram,
     gram_entry_qnorm,
     max_row_abs_sum,
     power_mean_exponent,
     seq_pnorm,
+    verify_all,
+    verify_corpus,
 )
 
 RANK_ONE_HALF = gram(VectorFamily([[1.0], [0.5]]))
@@ -179,3 +184,32 @@ class TestMaxRowAbsSum:
             mat = rng.normal(size=(4, 4))
             g = gram(VectorFamily(mat))
             assert max_row_abs_sum(g) <= gram_entry_qnorm(g, 1.0) * (1 + 1e-12)
+
+
+_BAD_EXPONENTS = [True, False, "2", "inf", None, [2.0], 10**400, -(10**400), math.nan, 0.5]
+_EXPONENT_ARGS = [  # (name, call on the bad exponent); each raises an ExponentError
+    ("conjugate_exponent", conjugate_exponent),
+    ("seq_pnorm", lambda p: seq_pnorm([1.0, 2.0], p)),
+    ("power_mean_exponent", power_mean_exponent),
+    ("bessel_sum_bound", lambda p: bessel_sum_bound([1.0], VectorFamily([[1.0], [0.5]]), p)),
+    ("verify_all_p_list", lambda p: verify_all([1.0], VectorFamily([[1.0], [0.5]]), [1.0, 1.0], p_list=[2.0, p])),
+    ("verify_corpus_p_list", lambda p: verify_corpus([], p_list=[2.0, p])),
+]
+
+
+class TestBadExponents:
+    @pytest.mark.parametrize(
+        "call, p",
+        [pytest.param(call, p, id=f"{name}-{reprlib.repr(p)}")
+         for name, call in _EXPONENT_ARGS for p in _BAD_EXPONENTS],
+    )
+    def test_rejected(self, call, p):
+        # bools and text are not numbers, and an int beyond float range is not infinity
+        with pytest.raises(ExponentError):
+            call(p)
+
+    @pytest.mark.parametrize("p", [2, np.int64(2), np.float64(2.0), Fraction(2), 2.0])
+    def test_real_numbers_of_any_type(self, p):
+        assert conjugate_exponent(p) == 2.0 and type(conjugate_exponent(p)) is float
+        assert power_mean_exponent(p) == 2.0 and type(power_mean_exponent(p)) is float
+        assert seq_pnorm([3.0, 4.0], p) == 5.0

@@ -870,6 +870,8 @@ _ONB = VectorFamily(np.eye(2))
 # adds an int beyond the largest float (a valid integer wherever an integer range is unbounded).
 _BAD_SCALARS = [2.9, "5", True, -1, math.nan]
 _BAD_REALS = _BAD_SCALARS[1:] + [10**400]
+# Dimensions above the longest complex128 row numpy can index; none of them allocates.
+_BAD_DIMS = _BAD_SCALARS + [10**400, 2**62]
 _SCALAR_ARGS = [  # (name, call on the bad value, the bad values); each raises a DomainError
     ("FamilySpec_dim", lambda v: FamilySpec(v, 2), _BAD_SCALARS),
     ("FamilySpec_n", lambda v: FamilySpec(2, v), _BAD_SCALARS),
@@ -883,11 +885,11 @@ _SCALAR_ARGS = [  # (name, call on the bad value, the bad values); each raises a
     ("random_specs_field", lambda v: random_specs(1, 1, field=v), _BAD_SCALARS),
     ("random_specs_scale_low", lambda v: random_specs(1, 1, scale_low=v), _BAD_REALS),
     ("random_specs_scale_high", lambda v: random_specs(1, 1, scale_high=v), _BAD_REALS),
-    ("random_orthonormal_family_dim", lambda v: random_orthonormal_family(v, 2), _BAD_SCALARS),
+    ("random_orthonormal_family_dim", lambda v: random_orthonormal_family(v, 2), _BAD_DIMS),
     ("random_orthonormal_family_n", lambda v: random_orthonormal_family(3, v), _BAD_SCALARS),
     ("random_orthonormal_family_field", lambda v: random_orthonormal_family(3, 2, field=v), _BAD_SCALARS),
     ("random_orthonormal_family_seed", lambda v: random_orthonormal_family(3, 2, seed=v), _BAD_SCALARS),
-    ("VectorFamily_dim", lambda v: VectorFamily([], dim=v), _BAD_SCALARS),
+    ("VectorFamily_dim", lambda v: VectorFamily([], dim=v), _BAD_DIMS),
     ("VectorFamily_field", lambda v: VectorFamily([[1.0]], field=v), _BAD_SCALARS),
     ("is_orthonormal_tol", lambda v: _ONB.is_orthonormal(v), _BAD_REALS),
     ("require_orthonormal_tol", lambda v: _ONB.require_orthonormal(v), _BAD_REALS),
