@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Vector, VectorFamily, _as_complex, _dot, _gram_entries, _inner_each, _member_norms, _sum_sq
+from .core import Vector, VectorFamily, _as_complex, _dot, _gram_entries, _inner_each, _sq_norms, _sum_sq
 from .core import inner_each
 from .errors import DomainError, ShapeError
 from .norms import _magnitudes, _normalize_exponent, _row_sum_max, _Scaled, conjugate_exponent, power_mean_exponent
@@ -143,11 +143,9 @@ class _Ingredients:
 
     @classmethod
     def stack(cls, x, rows, c) -> "_Ingredients":
-        """B inputs as stacks x (B, d), family rows (B, n, d) and c (B, n), or as equal-length lists
-        of such stacks that share n (d may differ), their inputs taken in order.  Stage 1 reduces
-        each stack along d to the _REDUCED columns; stage 2, one object over them joined, does the rest."""
-        if not any(isinstance(a, list) for a in (x, rows, c)):  # one stack
-            x, rows, c = [x], [rows], [c]
+        """Inputs as equal-length lists of stacks x (B, d), family rows (B, n, d) and c (B, n) that
+        share n (d may differ), their inputs taken in order.  Stage 1 reduces each stack along d
+        to the _REDUCED columns; stage 2, one object over them joined, does the rest."""
         if not (all(isinstance(a, list) for a in (x, rows, c)) and 0 < len(rows) == len(x) == len(c)):
             raise ShapeError("need equal-length nonempty lists of x, family and c stacks")
         parts = [(_as_complex(xs, what="x stack", ndim=2), _as_complex(ys, what="family stack", ndim=3),
@@ -167,7 +165,9 @@ class _Ingredients:
     nx2 = cached_property(lambda self: self.nx * self.nx)
     abs_t = cached_property(lambda self: _Scaled(_magnitudes(self.t)))
     abs_c = cached_property(lambda self: _Scaled(_magnitudes(self.c)))
-    norms = cached_property(lambda self: _member_norms(self.rows))
+    sq_norms = cached_property(lambda self: _sq_norms(self.rows))
+    norms = cached_property(lambda self: np.sqrt(self.sq_norms[0]))
+    norms_sq_total = cached_property(lambda self: self.sq_norms[1])
     abs_norms = cached_property(lambda self: _Scaled(_magnitudes(self.norms)))
     abs_g = cached_property(lambda self: _Scaled(self.gram_abs.reshape(len(self.gram_abs), self.n * self.n)))
     bessel_sum = cached_property(lambda self: _sum_sq(self.t))
@@ -186,11 +186,6 @@ class _Ingredients:
     def weighted_inner_sum_sq(self) -> np.ndarray:
         s = _dot(self.c, self.t)
         return s.real * s.real + s.imag * s.imag
-
-    @cached_property
-    def norms_sq_total(self) -> np.ndarray:
-        v = self.rows
-        return (v.real * v.real).sum(axis=(1, 2)) + (v.imag * v.imag).sum(axis=(1, 2))
 
     def pnorm(self, name: str, p: float) -> np.ndarray:
         """The p-norm column of the magnitudes in attribute ``name``, memoised per p.

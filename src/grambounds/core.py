@@ -229,9 +229,12 @@ def _gram_entries(mat: np.ndarray) -> np.ndarray:
     return out
 
 
-def _member_norms(rows: np.ndarray) -> np.ndarray:
-    """‖y_i‖ for the rows of ``rows`` (..., n, d)."""
-    return np.sqrt((rows.real * rows.real).sum(axis=-1) + (rows.imag * rows.imag).sum(axis=-1))
+def _sq_norms(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """‖y_i‖² for the rows y_i of ``rows`` (..., n, d) and their sum, squaring each coordinate once."""
+    sq = rows.real * rows.real
+    per_row, total = sq.sum(axis=-1), sq.sum(axis=(-2, -1))
+    np.multiply(rows.imag, rows.imag, out=sq)
+    return per_row + sq.sum(axis=-1), total + sq.sum(axis=(-2, -1))
 
 
 class VectorFamily:

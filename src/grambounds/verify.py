@@ -9,7 +9,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Union
 
@@ -148,12 +147,12 @@ def standard_corpus() -> Iterator[FamilySpec]:
 
 
 @dataclass(eq=False)
-class CaseTable(Sequence):
-    """The cases of B inputs of one shape, K per input, as columns.
+class CaseTable:
+    """The cases of B inputs, K per input, as columns.
 
     ``keys`` holds the K cases' (bound_id, p, flavor), and ``lhs`` and ``value``
-    are (B, K) matrices.  As a sequence it holds the B·K BoundResults input by
-    input, each built only when it is read.
+    are (B, K) matrices; ``records(b)`` builds input b's K BoundResults, and the
+    length is the number of cases, B·K.
     """
 
     keys: list
@@ -164,14 +163,6 @@ class CaseTable(Sequence):
     margin = BoundResult.margin
     holds = BoundResult.holds
 
-    def verdicts(self, rel_tol: float, abs_tol: float) -> tuple[list[int], Optional[int]]:
-        """The indices of the failing cases, and of the first case of least non-NaN margin, if any."""
-        with np.errstate(invalid="ignore"):  # inf - inf gives a NaN margin, which is never the least
-            margin = self.margin
-        least = np.fmin.reduce(margin, axis=None)  # NaN when every margin is
-        worst = None if np.isnan(least) else int(np.argmax(margin == least))  # row-major: input, then case
-        return np.flatnonzero(~self.holds(rel_tol, abs_tol)).tolist(), worst
-
     def records(self, b: int) -> list[BoundResult]:
         """The K records of input b, in case order."""
         rows = zip(self.keys, self.lhs[b].tolist(), self.value[b].tolist())
@@ -179,13 +170,6 @@ class CaseTable(Sequence):
 
     def __len__(self) -> int:
         return self.lhs.size
-
-    def __getitem__(self, j: Union[int, slice]) -> Union[BoundResult, list[BoundResult]]:
-        if isinstance(j, slice):
-            return [self[i] for i in range(len(self))[j]]
-        b, k = divmod(range(len(self))[j], len(self.keys))
-        bound_id, p, flavor = self.keys[k]
-        return BoundResult(bound_id, float(self.lhs[b, k]), float(self.value[b, k]), p, flavor)
 
 
 def _cases(ing: _Ingredients, p_list, frobenius, *, gap=True, orthonormal=False) -> CaseTable:
@@ -221,24 +205,56 @@ def evaluate_cases(x, family, c, p_list=STANDARD_P_LIST) -> Union[list[BoundResu
     Bessel-sum bound, and — for p ∈ (1, 2] — the power-mean bound plus the
     raw power-mean comparison on the values |(x, y_i)|.
 
-    Given B inputs of one shape as stacks instead of a VectorFamily — x
-    (B, d), the family rows (B, n, d) and c (B, n) — it evaluates them in one
-    pass and returns their CaseTable, whose B·K records are those of the B
-    single calls, in order.  Equal-length lists of such stacks that share n
-    (d may differ) give one CaseTable over their inputs, in list order.
+    Given equal-length lists of stacks instead of a VectorFamily — x (B, d),
+    the family rows (B, n, d) and c (B, n), with one n for every stack and d
+    free to differ — it evaluates their inputs in one pass and returns one
+    CaseTable, whose row for each input, in list order, holds the records of
+    that input's single call.
     """
     if isinstance(family, VectorFamily):
-        return list(_cases(_Ingredients.of(family, x, c), p_list, frobenius_bound))
+        return _cases(_Ingredients.of(family, x, c), p_list, frobenius_bound).records(0)
     return _cases(_Ingredients.stack(x, family, c), p_list, frobenius_bound)
+
+
+class _Verdicts:
+    """The verdicts of one run, folded in one spec-ordered CaseTable at a time.
+
+    It counts the inputs, the cases, and the cases and failures per plain-string
+    bound id, and keeps every failing case (BoundResult.holds at the run's
+    tolerances) and the tightest case, each with the label of its input.  The
+    tightest is the first case of least margin among those whose margin is not NaN
+    (an overflowed inf ≤ inf case has margin NaN): by table, then input, then case.
+    """
+
+    def __init__(self, rel_tol: float, abs_tol: float):
+        self.rel_tol, self.abs_tol = _check_real("rel_tol", rel_tol), _check_real("abs_tol", abs_tol)
+        self.n_inputs = self.n_cases = 0
+        self.cases_by_id: Counter = Counter()
+        self.fails_by_id: Counter = Counter()
+        self.failures: list[tuple] = []
+        self.worst: Optional[tuple] = None
+
+    def add(self, table: CaseTable, labels: list) -> None:
+        """Fold in a table whose input rows carry the given labels, in order."""
+        self.n_inputs += len(labels)
+        self.n_cases += len(table)
+        for bound_id, _, _ in table.keys:
+            self.cases_by_id[str(bound_id)] += len(labels)
+        for b, k in zip(*np.nonzero(~table.holds(self.rel_tol, self.abs_tol))):  # row-major: input, then case
+            case = table.records(b)[k]
+            self.failures.append((labels[b], case))
+            self.fails_by_id[str(case.bound_id)] += 1
+        with np.errstate(invalid="ignore"):  # inf - inf gives a NaN margin, which is never the least
+            margin = table.margin
+        least = np.fmin.reduce(margin, axis=None)  # NaN when every margin is
+        if not np.isnan(least) and (self.worst is None or least < self.worst[1].margin):
+            b, k = np.unravel_index(np.argmax(margin == least), margin.shape)
+            self.worst = (labels[b], table.records(b)[k])
 
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Batch of checked inequalities: every case, the failing ones, and the tightest.
-
-    The tightest is the first case of least margin among those whose margin is
-    not NaN (an overflowed inf ≤ inf case has margin NaN).
-    """
+    """Batch of checked inequalities: every case, the failing ones, and the tightest."""
 
     cases: tuple[BoundResult, ...]
     failures: tuple[BoundResult, ...]
@@ -269,16 +285,15 @@ def verify_all(
     abs_tol: float = ABS_TOL,
 ) -> VerificationReport:
     """Evaluate and check every inequality on one input; each verdict is computed once."""
-    rel_tol, abs_tol = _check_real("rel_tol", rel_tol), _check_real("abs_tol", abs_tol)
+    verdicts = _Verdicts(rel_tol, abs_tol)
     table = _cases(_Ingredients.of(family, x, c), p_list, frobenius_bound)
-    failing, worst = table.verdicts(rel_tol, abs_tol)
-    cases = tuple(table)
+    verdicts.add(table, [None])
     return VerificationReport(
-        cases=cases,
-        failures=tuple(cases[j] for j in failing),
-        worst_margin_case=None if worst is None else cases[worst],
-        rel_tol=rel_tol,
-        abs_tol=abs_tol,
+        cases=tuple(table.records(0)),
+        failures=tuple(case for _, case in verdicts.failures),
+        worst_margin_case=None if verdicts.worst is None else verdicts.worst[1],
+        rel_tol=verdicts.rel_tol,
+        abs_tol=verdicts.abs_tol,
     )
 
 
@@ -313,15 +328,10 @@ def verify_corpus(
 
     on_case, when given, observes every checked case in deterministic
     order (useful for streaming serialization or hashing).  cases_by_id and
-    fails_by_id are keyed by the plain-string bound id.  worst is the first
-    case of least non-NaN margin.
+    fails_by_id are keyed by the plain-string bound id.
     """
     p_list = list(dict.fromkeys(map(_normalize_exponent, p_list)))  # checked on the call, even with no specs
-    rel_tol, abs_tol = _check_real("rel_tol", rel_tol), _check_real("abs_tol", abs_tol)
-    n_specs = n_cases = 0
-    cases_by_id: Counter = Counter()
-    failures: list[tuple[FamilySpec, BoundResult]] = []
-    worst: Optional[tuple[FamilySpec, BoundResult]] = None
+    verdicts = _Verdicts(rel_tol, abs_tol)
     stream = iter(specs)
     while chunk := list(itertools.islice(stream, _CHUNK)):
         by_n: dict = {}
@@ -341,27 +351,18 @@ def verify_corpus(
                 table = CaseTable(part.keys, np.empty(shape), np.empty(shape))
             order = [i for members in by_dim.values() for i in members]
             table.lhs[order], table.value[order] = part.lhs, part.value
-        k = len(table.keys)
-        n_specs += len(chunk)
-        n_cases += len(table)
-        for bound_id, _, _ in table.keys:
-            cases_by_id[str(bound_id)] += len(chunk)
         if on_case is not None:
             for i, spec in enumerate(chunk):
                 for case in table.records(i):
                     on_case(spec, case)
-        failing, j = table.verdicts(rel_tol, abs_tol)  # row-major: spec, then case
-        failures += [(chunk[f // k], table[f]) for f in failing]
-        if j is not None and (worst is None or table[j].margin < worst[1].margin):
-            worst = (chunk[j // k], table[j])
+        verdicts.add(table, chunk)
     return CorpusResult(
-        n_specs=n_specs,
-        n_cases=n_cases,
-        n_pass=n_cases - len(failures),
-        n_fail=len(failures),
-        cases_by_id=dict(cases_by_id),
-        fails_by_id=dict(Counter(str(case.bound_id) for _, case in failures)),
-        failures=tuple(failures),
-        worst=worst,
+        n_specs=verdicts.n_inputs,
+        n_cases=verdicts.n_cases,
+        n_pass=verdicts.n_cases - len(verdicts.failures),
+        n_fail=len(verdicts.failures),
+        cases_by_id=dict(verdicts.cases_by_id),
+        fails_by_id=dict(verdicts.fails_by_id),
+        failures=tuple(verdicts.failures),
+        worst=verdicts.worst,
     )
-

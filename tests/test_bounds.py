@@ -407,9 +407,10 @@ class TestBoundResult:
     def test_case_table_records_are_the_evaluators_records(self):
         x, rows = np.array([[1.0, 2.0]]), np.array([[[1.0, 0.5], [0.0, 3.0]]])
         fam = VectorFamily(rows[0], field="real")
-        table = evaluate_cases(x, rows, np.array([[1.0, -1.0]]), [2.0])
+        table = evaluate_cases([x], [rows], [np.array([[1.0, -1.0]])], [2.0])
         records = table.records(0)
-        assert records == [table[j] for j in range(len(table))]
+        assert [(r.bound_id, r.p, r.flavor) for r in records] == table.keys and len(records) == len(table)
+        assert [(r.lhs, r.value) for r in records] == list(zip(table.lhs[0].tolist(), table.value[0].tolist()))
         assert records[:2] == [bombieri_bound(x[0], fam), frobenius_bound(x[0], fam)]
         assert records[2:4] == list(refinement_chain([1.0, -1.0], fam))
         assert all(type(r) is BoundResult and type(r.lhs) is float and type(r.value) is float for r in records)

@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from grambounds import BoundId
+from grambounds import BoundId, random_family, random_specs, verify_all
 from grambounds.cli import (
     CASE_HEADER,
     SCAN_HEADER,
@@ -248,6 +248,30 @@ class TestVerifyCommand:
         assert "specs=50" in out
         assert "fail=0" in out
         assert "tightest:" in out
+
+    def test_stdout_is_the_per_spec_verdicts(self, capsys):
+        """At zero tolerance rounding fails some cases: the totals, the tightest line and every
+        fail line, in order, must be what verify_all reports one spec at a time."""
+        code = main(["verify", "--trials", "60", "--seed", "3", "--rel-tol", "0", "--abs-tol", "0"])
+        fails, worst, n_cases = [], None, 0
+        for spec in random_specs(60, 3, dim_max=8, n_max=10, field="both"):  # the command's defaults
+            report = verify_all(*random_family(spec), rel_tol=0.0, abs_tol=0.0)
+            n_cases += report.n_cases
+            tightest = report.worst_margin_case
+            if tightest is not None and (worst is None or tightest.margin < worst[1].margin):
+                worst = (spec, tightest)
+            fails += [f"fail: seed={spec.seed} dim={spec.dim} n={spec.n} field={spec.field} "
+                      f"scale={format_number(spec.scale)} bound_id={case.bound_id} p={format_p(case.p)} "
+                      f"flavor={case.flavor or '-'} lhs={format_number(case.lhs)} rhs={format_number(case.rhs)}"
+                      for case in report.failures]
+        spec, case = worst
+        assert code == 1 and fails
+        assert capsys.readouterr().out.splitlines() == [
+            f"specs=60 cases={n_cases} pass={n_cases - len(fails)} fail={len(fails)}",
+            f"tightest: bound_id={case.bound_id} p={format_p(case.p)} "
+            f"margin={format_number(case.margin)} (seed={spec.seed})",
+            *fails,
+        ]
 
     def test_zero_trials(self, capsys):
         code = main(["verify", "--trials", "0"])

@@ -23,7 +23,7 @@ from grambounds import (
     seq_pnorm,
 )
 from grambounds.bounds import _Ingredients
-from grambounds.core import _gram_entries, _member_norms
+from grambounds.core import _gram_entries, _sq_norms
 from grambounds.norms import _Scaled
 
 
@@ -170,7 +170,7 @@ class TestVectorFamily:
 
     def test_norms_correct(self):
         fam = VectorFamily([[3.0, 4.0], [0.0, 1.0]])
-        np.testing.assert_allclose(_member_norms(fam.vectors), [5.0, 1.0])
+        np.testing.assert_allclose(np.sqrt(_sq_norms(fam.vectors)[0]), [5.0, 1.0])
 
     def test_is_orthonormal(self):
         assert VectorFamily(np.eye(3)).is_orthonormal()
@@ -324,7 +324,7 @@ class TestGramBuild:
             assert float(ing.pnorm("abs_g", p)[0]).hex() == gram_entry_qnorm(gram(fam), p).hex()
             assert float(ing.pnorm("abs_t", p)[0]).hex() == seq_pnorm(t, p).hex()
             assert float(ing.pnorm("abs_c", p)[0]).hex() == seq_pnorm(c, p).hex()
-            assert float(ing.pnorm("abs_norms", p)[0]).hex() == seq_pnorm(_member_norms(fam.vectors), p).hex()
+            assert float(ing.pnorm("abs_norms", p)[0]).hex() == seq_pnorm(np.sqrt(_sq_norms(fam.vectors)[0]), p).hex()
 
     @pytest.mark.parametrize("shape", [(257, 8), (300, 5), (1000, 256)])
     @pytest.mark.parametrize("kind", _GRAM_KINDS)
@@ -356,6 +356,19 @@ class TestGramBuild:
                 for e in (1.0 / p, 2.0 / p):
                     want = np.array([s**e for s in (ratio**p).sum(axis=-1).tolist()])
                     assert np.array_equal(_bits(scaled.root_power_sum(p, e)), _bits(want))
+
+
+@pytest.mark.parametrize("shape", [(1, 0, 3), (1, 1, 1), (1, 5, 3), (4, 7, 2), (1, 1000, 256)])
+@pytest.mark.parametrize("kind", _GRAM_KINDS)
+def test_sq_norms_bits_match_squaring_each_sum_apart(kind, shape):
+    """One buffer of squares gives the bits of the member norms and of Σ_i ‖y_i‖² squared apart."""
+    rows = np.stack([_build_family(kind, shape[1:], seed=41 + b).vectors for b in range(shape[0])])
+    per_row, total = _sq_norms(rows)
+    norms = np.sqrt((rows.real * rows.real).sum(axis=-1) + (rows.imag * rows.imag).sum(axis=-1))
+    norms_sq_total = (rows.real * rows.real).sum(axis=(1, 2)) + (rows.imag * rows.imag).sum(axis=(1, 2))
+    assert per_row.shape == shape[:2] and total.shape == shape[:1]
+    assert np.array_equal(_bits(np.sqrt(per_row)), _bits(norms))
+    assert np.array_equal(_bits(total), _bits(norms_sq_total))
 
 
 class TestGramMatrix:

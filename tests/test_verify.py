@@ -577,8 +577,18 @@ def _stacks(specs):
     return np.stack([v.coords for v in x]), np.stack([f.vectors for f in fams]), np.stack(c)
 
 
+def _one_stack(x, rows, c):
+    """The stacks as evaluate_cases takes them: lists of one x, one rows and one c stack."""
+    return [x], [rows], [c]
+
+
+def _records(table):
+    """Every record of a CaseTable, input by input."""
+    return [case for b in range(len(table.lhs)) for case in table.records(b)]
+
+
 class TestBatchForm:
-    """evaluate_cases on stacks of equal-shape inputs returns their CaseTable: the
+    """evaluate_cases on one stack of equal-shape inputs returns their CaseTable: the
     records of the per-input calls, in order, each equal to the public evaluator's."""
 
     GROUPS = [[FamilySpec(dim, n, field, scale=1.5**k, seed=100 * n + k) for k in range(5)]
@@ -586,12 +596,11 @@ class TestBatchForm:
 
     def test_records_match_single_calls_and_evaluators(self):
         for specs in self.GROUPS:
-            table = evaluate_cases(*_stacks(specs), STANDARD_P_LIST)
+            table = evaluate_cases(*_one_stack(*_stacks(specs)), STANDARD_P_LIST)
             singles = [evaluate_cases(*random_family(spec), STANDARD_P_LIST) for spec in specs]
             assert isinstance(table, CaseTable)
             assert len(table) == len(specs) * len(singles[0]) == table.lhs.size
-            assert list(table) == [case for cases in singles for case in cases]
-            assert [table[j] for j in range(-len(table), len(table))] == 2 * list(table)
+            assert _records(table) == [case for cases in singles for case in cases]
             for spec, b in zip(specs, range(len(specs))):
                 x, fam, c = random_family(spec)
                 for case in table.records(b):
@@ -599,7 +608,8 @@ class TestBatchForm:
 
     def test_batch_of_one_is_the_single_call(self):
         spec = self.GROUPS[0][0]
-        assert list(evaluate_cases(*_stacks([spec]), [1.5, 3.0])) == evaluate_cases(*random_family(spec), [1.5, 3.0])
+        table = evaluate_cases(*_one_stack(*_stacks([spec])), [1.5, 3.0])
+        assert table.records(0) == evaluate_cases(*random_family(spec), [1.5, 3.0])
 
     @pytest.mark.parametrize("change, error", [
         (lambda x, rows, c: (x[:, :-1], rows, c), ShapeError),
@@ -611,7 +621,7 @@ class TestBatchForm:
     ])
     def test_rejects_bad_stacks(self, change, error):
         with pytest.raises(error, match="stack"):  # rejected up front, before any bound reads them
-            evaluate_cases(*change(*_stacks(self.GROUPS[0])))
+            evaluate_cases(*_one_stack(*change(*_stacks(self.GROUPS[0]))))
 
 
 def _hex_rows(cases):
@@ -637,16 +647,22 @@ class TestStackLists:
         for k, stacks in enumerate(self.PASSES):
             table = evaluate_cases(*self.stacks(k), p_list)
             assert isinstance(table, CaseTable)
-            per_stack = [case for specs in stacks for case in evaluate_cases(*_stacks(specs), p_list)]
+            per_stack = [case for specs in stacks
+                         for case in _records(evaluate_cases(*_one_stack(*_stacks(specs)), p_list))]
             singles = [case for specs in stacks for spec in specs
                        for case in evaluate_cases(*random_family(spec), p_list)]
-            assert _hex_rows(table) == _hex_rows(per_stack) == _hex_rows(singles)
-            assert len(table) == len(singles) == table.lhs.size
+            assert _hex_rows(_records(table)) == _hex_rows(per_stack) == _hex_rows(singles)
+            # B·K: the benchmark counts the cases of a run with len() on this table.
+            assert len(table) == sum(map(len, stacks)) * len(table.keys) == len(singles) == table.lhs.size
 
     def test_one_stack_list_is_the_stack(self):
+        """A stack goes in as a list of one; a bare stack is not a form evaluate_cases takes."""
         specs = self.PASSES[2][0]
-        one = evaluate_cases(*([a] for a in _stacks(specs)))
-        assert _hex_rows(one) == _hex_rows(evaluate_cases(*_stacks(specs)))
+        one = evaluate_cases(*_one_stack(*_stacks(specs)))
+        assert _hex_rows(_records(one)) == _hex_rows(
+            case for spec in specs for case in evaluate_cases(*random_family(spec)))
+        with pytest.raises(ShapeError, match="stack"):
+            evaluate_cases(*_stacks(specs))
 
     @pytest.mark.parametrize("change", [
         lambda xs, ys, cs: (xs, ys[:2], cs),  # lists of unequal length
@@ -667,22 +683,12 @@ class TestStackLists:
         def untouched(*args):
             raise AssertionError("a coordinate was read before the stacks were checked")
 
-        for name in ("_inner_each", "_gram_entries", "_member_norms", "_sum_sq"):
+        for name in ("_inner_each", "_gram_entries", "_sq_norms", "_sum_sq"):
             monkeypatch.setattr(bounds, name, untouched)
         lists = self.stacks(2)
         lists[which][part] = lists[which][part] * np.nan
         with pytest.raises(DomainError, match="stack"):
             evaluate_cases(*lists)
-
-
-class TestCaseTableSlicing:
-    TABLE = evaluate_cases(*_stacks([FamilySpec(2, 3, "complex", seed=k) for k in range(3)]), [1.5, 3.0])
-
-    @pytest.mark.parametrize("sl", [slice(1, 3), slice(-5, None), slice(None, None, 7), slice(None, None, -3),
-                                    slice(-2, 4, -1), slice(10, 2), slice(None, 1000)])
-    def test_slice_is_the_list_slice(self, sl):
-        got = self.TABLE[sl]
-        assert isinstance(got, list) and got == list(self.TABLE)[sl]
 
 
 class TestCorpusBatching:
@@ -837,7 +843,7 @@ def _as_arrays(bad):
     return [row for row in bad if row[0] != "ragged"]
 
 
-_STACKS = (np.array([_GOOD]), np.array([_FAM.vectors]), np.array([_GOOD]))  # x (1, 2), rows (1, 2, 2), c (1, 2)
+_STACKS = ([np.array([_GOOD])], [np.array([_FAM.vectors])], [np.array([_GOOD])])  # x (1, 2), rows (1, 2, 2), c (1, 2)
 _ENTRY_POINTS = [  # (name, call on the bad value, bad values with the error each raises)
     ("Vector", Vector, _BAD_X),
     ("inner", lambda v: inner(v, _GOOD), _BAD_X),
@@ -858,10 +864,10 @@ _ENTRY_POINTS = [  # (name, call on the bad value, bad values with the error eac
     ("gram_entry_qnorm", lambda m: gram_entry_qnorm(m, 2.0), _BAD_2D),
     ("max_row_abs_sum", max_row_abs_sum, _BAD_2D),
     ("power_mean_factor", lambda m: power_mean_factor(m, 1.5), _BAD_2D),
-    ("evaluate_cases_x_stack", lambda v: evaluate_cases(np.array([v]), *_STACKS[1:]), _as_arrays(_BAD)),
-    ("evaluate_cases_rows_stack", lambda v: evaluate_cases(_STACKS[0], np.array([[v, v]]), _STACKS[2]),
+    ("evaluate_cases_x_stack", lambda v: evaluate_cases([np.array([v])], *_STACKS[1:]), _as_arrays(_BAD)),
+    ("evaluate_cases_rows_stack", lambda v: evaluate_cases(_STACKS[0], [np.array([[v, v]])], _STACKS[2]),
      _as_arrays(_BAD)),
-    ("evaluate_cases_c_stack", lambda v: evaluate_cases(*_STACKS[:2], np.array([v])), _as_arrays(_BAD)),
+    ("evaluate_cases_c_stack", lambda v: evaluate_cases(*_STACKS[:2], [np.array([v])]), _as_arrays(_BAD)),
 ]
 
 _ONB = VectorFamily(np.eye(2))
