@@ -22,10 +22,10 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Vector, VectorFamily, _as_complex, _dot, _gram_entries, _inner_each, _sq_norms, _sum_sq
+from .core import Vector, VectorFamily, _as_complex, _dot, _gram_reductions, _inner_each, _Scaled, _sq_norms, _sum_sq
 from .core import inner_each
 from .errors import DomainError, ShapeError
-from .norms import _magnitudes, _normalize_exponent, _row_sum_max, _Scaled, conjugate_exponent, power_mean_exponent
+from .norms import _magnitudes, _normalize_exponent, conjugate_exponent, power_mean_exponent
 
 __all__ = [
     "REL_TOL",
@@ -116,24 +116,30 @@ class _Ingredients:
     c (B, n), x or c None when absent; a single input is a batch of one (views, no
     copies).  Every quantity is a (B,) column computed on first use and kept, so
     evaluating all bounds at many exponents reads each left-hand side, p-norm and Gram
-    q-norm once, and divides each magnitude array (|t|, |c|, the member norms, |G|) by
-    its maximum once for all exponents.  Each bound is one method below that returns
-    its finished BoundResult, whose lhs and value are (B,) columns: the one place that
-    names the bound's id, left-hand side, p and flavor, and the single arithmetic path
-    for its value, which is what makes the p = 2 and composition identities bitwise.
+    q-norm once, and divides each magnitude array (|t|, |c|, the member norms) by its
+    maximum once for all exponents.  The Gram matrix is read only through ``gram``: one
+    pass over the Gram products that folds |G| into its reductions, with a q-norm for
+    each q in ``qs``, which is declared before the first bound reads it.  Each bound is
+    one method below that returns its finished BoundResult, whose lhs and value are (B,)
+    columns: the one place that names the bound's id, left-hand side, p and flavor, and
+    the single arithmetic path for its value, which is what makes the p = 2 and
+    composition identities bitwise.
     """
 
-    #: The quantities read from the coordinates; every other one reads only these, c and n.
-    _REDUCED = ("t", "nx", "norms", "gram_abs", "combination_norm_sq", "norms_sq_total")
+    #: The quantities read from the coordinates besides ``gram``, which reads the row stacks
+    #: on first use; every other one reads only these, c and n.
+    _REDUCED = ("t", "nx", "norms", "combination_norm_sq", "norms_sq_total")
 
-    def __init__(self, n: int, rows=None, x=None, c=None, family: Optional[VectorFamily] = None):
-        self.n, self.rows, self.x, self.c, self.family = n, rows, x, c, family
+    def __init__(self, n: int, rows=None, x=None, c=None, family: Optional[VectorFamily] = None, qs=()):
+        self.n, self.rows, self.x, self.c, self.family, self.qs = n, rows, x, c, family, qs
+        self.stacks = [] if rows is None else [rows]
         self._memo: dict = {}
 
     @classmethod
-    def of(cls, family: VectorFamily, x=_ABSENT, c=_ABSENT) -> "_Ingredients":
-        """One input as a batch of one, of views; x and c are validated here, in this order."""
-        ing = cls(family.size, family.vectors[None], family=family)
+    def of(cls, family: VectorFamily, x=_ABSENT, c=_ABSENT, qs=()) -> "_Ingredients":
+        """One input as a batch of one, of views, with the Gram q-norms at qs; x and c are
+        validated here, in this order."""
+        ing = cls(family.size, family.vectors[None], family=family, qs=qs)
         if x is not _ABSENT:
             x = x if isinstance(x, Vector) else Vector(x)
             ing.x, ing.t = x.coords[None], inner_each(x, family)[None]  # inner_each also checks the dimension
@@ -145,7 +151,8 @@ class _Ingredients:
     def stack(cls, x, rows, c) -> "_Ingredients":
         """Inputs as equal-length lists of stacks x (B, d), family rows (B, n, d) and c (B, n) that
         share n (d may differ), their inputs taken in order.  Stage 1 reduces each stack along d
-        to the _REDUCED columns; stage 2, one object over them joined, does the rest."""
+        to the _REDUCED columns; stage 2, one object over them joined, does the rest, and makes
+        one Gram pass over the stacks when a bound first reads it."""
         if not (all(isinstance(a, list) for a in (x, rows, c)) and 0 < len(rows) == len(x) == len(c)):
             raise ShapeError("need equal-length nonempty lists of x, family and c stacks")
         parts = [(_as_complex(xs, what="x stack", ndim=2), _as_complex(ys, what="family stack", ndim=3),
@@ -156,6 +163,7 @@ class _Ingredients:
                                  f"got {xs.shape}, {ys.shape}, {cs.shape}")
         reduced = [cls(ys.shape[1], ys, xs, cs) for xs, ys, cs in parts]
         ing = cls(reduced[0].n, c=np.concatenate([r.c for r in reduced]))
+        ing.stacks = [ys for _, ys, _ in parts]
         ing.__dict__.update({name: np.concatenate([getattr(r, name) for r in reduced]) for name in cls._REDUCED})
         return ing
 
@@ -169,18 +177,11 @@ class _Ingredients:
     norms = cached_property(lambda self: np.sqrt(self.sq_norms[0]))
     norms_sq_total = cached_property(lambda self: self.sq_norms[1])
     abs_norms = cached_property(lambda self: _Scaled(_magnitudes(self.norms)))
-    abs_g = cached_property(lambda self: _Scaled(self.gram_abs.reshape(len(self.gram_abs), self.n * self.n)))
     bessel_sum = cached_property(lambda self: _sum_sq(self.t))
     c_sq = cached_property(lambda self: _sum_sq(self.c))
-    row_sum_max = cached_property(lambda self: _row_sum_max(self.gram_abs))
     combination_norm_sq = cached_property(lambda self: _sum_sq((self.c[:, None, :] @ self.rows)[:, 0]))
 
-    @cached_property
-    def gram_abs(self) -> np.ndarray:
-        """|G| (B, n, n); a single family's from its cached Gram matrix."""
-        if self.family is not None:
-            return self.family.gram().abs_entries()[None]
-        return np.abs(_gram_entries(self.rows))
+    gram = cached_property(lambda self: _gram_reductions(self.stacks, self.qs))
 
     @cached_property
     def weighted_inner_sum_sq(self) -> np.ndarray:
@@ -188,10 +189,7 @@ class _Ingredients:
         return s.real * s.real + s.imag * s.imag
 
     def pnorm(self, name: str, p: float) -> np.ndarray:
-        """The p-norm column of the magnitudes in attribute ``name``, memoised per p.
-
-        ``pnorm("abs_g", q)`` is gram_entry_qnorm of each input's Gram matrix.
-        """
+        """The p-norm column of the magnitudes in attribute ``name``, memoised per p."""
         key = (name, p)
         if key not in self._memo:
             self._memo[key] = getattr(self, name).pnorm(_normalize_exponent(p))
@@ -201,7 +199,7 @@ class _Ingredients:
 
     def _span_value(self, p: float, q: float, flavor: str) -> np.ndarray:
         if flavor == "gram":
-            fam_factor = self.pnorm("abs_g", q)
+            fam_factor = self.gram.qnorm[q]
         elif flavor == "norms":
             member_factor = self.pnorm("abs_norms", q)
             fam_factor = member_factor * member_factor
@@ -221,14 +219,14 @@ class _Ingredients:
 
     def chain(self) -> tuple[BoundResult, BoundResult]:
         """The middle link (lhs ≤ middle) and the outer link (middle ≤ outer)."""
-        middle = self.c_sq * self.pnorm("abs_g", 2.0)
+        middle = self.c_sq * self.gram.qnorm[2.0]
         return (
             BoundResult(BoundId.REFINEMENT_CHAIN, self.combination_norm_sq, middle, None, "middle"),
             BoundResult(BoundId.REFINEMENT_CHAIN, middle, self.c_sq * self.norms_sq_total, None, "outer"),
         )
 
     def thm27(self, p: float, q: float) -> BoundResult:
-        value = self.nx * self.pnorm("abs_t", p) * np.sqrt(self.pnorm("abs_g", q))
+        value = self.nx * self.pnorm("abs_t", p) * np.sqrt(self.gram.qnorm[q])
         return BoundResult(BoundId.WEIGHTED_BESSEL, self.bessel_sum, value, p)
 
     def orthonormal_27a(self, p: float, q: float) -> BoundResult:
@@ -239,7 +237,7 @@ class _Ingredients:
     def _power_mean_value(self, p: float, q: float) -> np.ndarray:
         # Frobenius is this at p = q = 2, where scale = n^0 = 1.0 exactly.
         scale = float(self.n) ** (2.0 / p - 1.0)
-        return scale * self.nx2 * self.pnorm("abs_g", q)
+        return scale * self.nx2 * self.gram.qnorm[q]
 
     def power_mean(self, p: float, q: float) -> BoundResult:
         return BoundResult(BoundId.POWER_MEAN, self.bessel_sum, self._power_mean_value(p, q), p)
@@ -248,7 +246,7 @@ class _Ingredients:
         return BoundResult(BoundId.FROBENIUS, self.bessel_sum, self._power_mean_value(2.0, 2.0))
 
     def bombieri(self) -> BoundResult:
-        return BoundResult(BoundId.BOMBIERI, self.bessel_sum, self.nx2 * self.row_sum_max)
+        return BoundResult(BoundId.BOMBIERI, self.bessel_sum, self.nx2 * self.gram.row_sum_max)
 
     def gap(self, p: float) -> BoundResult:
         return _power_mean_gap(self.abs_t, p)
@@ -290,7 +288,8 @@ def span_bound(alphas, family: VectorFamily, p, flavor: str = "gram") -> BoundRe
     flavor is never larger (entrywise |g_ij| ≤ ‖z_i‖‖z_j‖).
     """
     pf = _normalize_exponent(p)
-    return _one(_Ingredients.of(family, c=alphas).span(pf, conjugate_exponent(pf), flavor))
+    q = conjugate_exponent(pf)
+    return _one(_Ingredients.of(family, c=alphas, qs=(q,)).span(pf, q, flavor))
 
 
 def combo_bound(x, family: VectorFamily, c, p, flavor: str = "gram") -> BoundResult:
@@ -301,14 +300,15 @@ def combo_bound(x, family: VectorFamily, c, p, flavor: str = "gram") -> BoundRes
     identity holds bitwise.
     """
     pf = _normalize_exponent(p)
-    return _one(_Ingredients.of(family, x, c).combo(pf, conjugate_exponent(pf), flavor))
+    q = conjugate_exponent(pf)
+    return _one(_Ingredients.of(family, x, c, qs=(q,)).combo(pf, q, flavor))
 
 
 def refinement_chain(alphas, family: VectorFamily) -> tuple[BoundResult, BoundResult]:
     """Two nested ceilings for ‖Σ α_i z_i‖² as two links: the middle link bounds
     it by the Frobenius term Σ|α_i|² (Σ|g_ij|²)^(1/2), the outer link bounds that
     term by the classical Σ|α_i|² Σ‖z_i‖²."""
-    middle, outer = _Ingredients.of(family, c=alphas).chain()
+    middle, outer = _Ingredients.of(family, c=alphas, qs=(2.0,)).chain()
     return _one(middle), _one(outer)
 
 
@@ -320,7 +320,8 @@ def bessel_sum_bound(x, family: VectorFamily, p) -> BoundResult:
     """Ceiling ‖x‖ · seq_pnorm(t, p) · gram_entry_qnorm(G, q)^(1/2) with
     t_i = |(x, y_i)| — the square root of the combo bound at c_i = conj(x, y_i)."""
     pf = _normalize_exponent(p)
-    return _one(_Ingredients.of(family, x).thm27(pf, conjugate_exponent(pf)))
+    q = conjugate_exponent(pf)
+    return _one(_Ingredients.of(family, x, qs=(q,)).thm27(pf, q))
 
 
 def orthonormal_bessel_bound(x, family: VectorFamily, p, tol: float = ORTHONORMAL_TOL) -> BoundResult:
@@ -337,7 +338,7 @@ def orthonormal_bessel_bound(x, family: VectorFamily, p, tol: float = ORTHONORMA
 
 def frobenius_bound(x, family: VectorFamily, _ing: Optional[_Ingredients] = None) -> BoundResult:
     """Ceiling ‖x‖² (Σ|g_ij|²)^(1/2) for the Bessel sum; batch paths pass their ingredients as _ing."""
-    return _one(_Ingredients.of(family, x).frobenius()) if _ing is None else _ing.frobenius()
+    return _one(_Ingredients.of(family, x, qs=(2.0,)).frobenius()) if _ing is None else _ing.frobenius()
 
 
 def power_mean_bound(x, family: VectorFamily, p) -> BoundResult:
@@ -349,7 +350,8 @@ def power_mean_bound(x, family: VectorFamily, p) -> BoundResult:
     extend it by limits.
     """
     pf = power_mean_exponent(p)
-    return _one(_Ingredients.of(family, x).power_mean(pf, conjugate_exponent(pf)))
+    q = conjugate_exponent(pf)
+    return _one(_Ingredients.of(family, x, qs=(q,)).power_mean(pf, q))
 
 
 def bombieri_bound(x, family: VectorFamily) -> BoundResult:

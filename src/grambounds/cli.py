@@ -141,8 +141,7 @@ def compute_rows(x, family, coefficients, p_values) -> list[str]:
     orthonormality check.
     """
     ing = _Ingredients.of(family, x) if coefficients is None else _Ingredients.of(family, x, coefficients)
-    orthonormal = family.is_orthonormal(ORTHONORMAL_TOL)
-    cases = _cases(ing, p_values, frobenius_bound, gap=False, orthonormal=orthonormal).records(0)
+    cases = _cases(ing, p_values, frobenius_bound, gap=False, orthonormal_tol=ORTHONORMAL_TOL).records(0)
     return [case_row(r.bound_id, r.p, r.flavor, r.lhs, r.rhs) for r in cases]
 
 

@@ -14,7 +14,8 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from typing import Iterable, Sequence, Union
+from functools import cached_property
+from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -196,33 +197,46 @@ def _inner_each(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (re + 1j * im)[..., 0]
 
 
+def _re_products(rows: np.ndarray, cols: np.ndarray, a: np.ndarray, b: np.ndarray | None) -> None:
+    """a = Re·Reᵀ + Im·Imᵀ, the real parts of (y_i, y_j) for ``rows`` (..., r, d) by ``cols`` (..., n, d).
+
+    ``b`` is scratch of a's shape, None for real data, where Re·Reᵀ is all of it: the other
+    product is zero, and adding +0.0 changes no nonzero float.  The operands stay the strided
+    ``.real``/``.imag`` views: one contiguous buffer as both operands of ``A @ A.T`` goes to
+    BLAS syrk, whose bits differ from gemm's.
+    """
+    np.matmul(rows.real, cols.real.swapaxes(-1, -2), out=a)
+    if b is not None:
+        np.matmul(rows.imag, cols.imag.swapaxes(-1, -2), out=b)
+        np.add(a, b, out=a)
+
+
+def _im_products(rows: np.ndarray, cols: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """a = Im·Reᵀ − Re·Imᵀ, the imaginary parts of (y_i, y_j), with ``b`` as scratch; see _re_products."""
+    np.matmul(rows.imag, cols.real.swapaxes(-1, -2), out=a)
+    np.matmul(rows.real, cols.imag.swapaxes(-1, -2), out=b)
+    np.subtract(a, b, out=a)
+
+
 def _gram_entries(mat: np.ndarray) -> np.ndarray:
     """Hermitian Gram matrices of the rows of each (n, d) slice of ``mat`` (..., n, d), exact by mirroring.
 
     The lower triangle is computed via real block products (same arithmetic
     as :func:`inner`) and reflected, so G[i, j] and conj(G[j, i]) are the same
     float pair and the diagonal is real.  When every imaginary part is zero
-    one product suffices: the other three are zero, and adding +0.0 changes
-    no nonzero float.  The products share two n-by-n scratch arrays, and the
-    operands stay the strided ``.real``/``.imag`` views: one contiguous buffer as
-    both operands of ``A @ A.T`` goes to BLAS syrk, whose bits differ from gemm's.
+    one product suffices.  The products share two n-by-n scratch arrays.
     """
     n = mat.shape[-2]
     out = np.zeros(mat.shape[:-1] + (n,), dtype=np.complex128)
     lower = np.tri(n, dtype=bool)  # i >= j
-    re, im = mat.real, mat.imag
-    re_t, im_t = re.swapaxes(-1, -2), im.swapaxes(-1, -2)
-    is_complex = im.any()
-    a = re @ re_t
-    if is_complex:
-        b = im @ im_t
-        np.add(a, b, out=a)
+    is_complex = mat.imag.any()
+    a = np.empty(out.shape)
+    b = np.empty(out.shape) if is_complex else None
+    _re_products(mat, mat, a, b)
     np.copyto(out.real, a.swapaxes(-1, -2))
     np.copyto(out.real, a, where=lower)
     if is_complex:
-        np.matmul(im, re_t, out=a)
-        np.matmul(re, im_t, out=b)
-        np.subtract(a, b, out=a)
+        _im_products(mat, mat, a, b)
         np.subtract(0.0, a.swapaxes(-1, -2), out=out.imag)  # 0 - x, not -x: a zero stays +0.0
         np.copyto(out.imag, a, where=lower)
         out.imag[..., range(n), range(n)] = 0.0
@@ -237,12 +251,207 @@ def _sq_norms(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return per_row + sq.sum(axis=-1), total + sq.sum(axis=(-2, -1))
 
 
+class _Scaled:
+    """Rows (B, m) of nonnegative floats with each row's maximum factored out, for p-norms at many p.
+
+    The maximum is factored out before powering: q = p/(p-1) grows without
+    bound as p -> 1 (q = 11 already at p = 1.1), and raising raw magnitudes
+    to such powers overflows long before the norm itself does.  The maxima are
+    shared by every exponent, and each exponent divides into and powers one scratch
+    array, made on first use unless one is given.
+    """
+
+    def __init__(self, a: np.ndarray, scratch: np.ndarray | None = None):
+        self.a = a
+        self.max = a.max(axis=-1, initial=0.0)
+        if scratch is not None:
+            self._scratch = scratch
+
+    # A row of zeros is divided by 1, not 0, and stays zero.
+    _divisor = cached_property(lambda self: np.where(self.max > 0.0, self.max, 1.0)[:, None])
+    _scratch = cached_property(lambda self: np.empty_like(self.a))
+
+    def power_sum(self, pf: float) -> np.ndarray:
+        """Σ_i (a_i / max)^p per row; 0 for a row of zeros."""
+        s = np.divide(self.a, self._divisor, out=self._scratch)
+        np.power(s, pf, out=s)
+        return s.sum(axis=-1)
+
+    def root_power_sum(self, pf: float, e: float) -> np.ndarray:
+        """(Σ_i (a_i / max)^p)^e per row; 0 for a row of zeros."""
+        return _root(self.power_sum(pf), e)
+
+    def pnorm(self, pf: float) -> np.ndarray:
+        """(Σ a_i^p)^(1/p) per row for a normalized p; max at p = ∞; 0 for an empty row."""
+        if math.isinf(pf):
+            return self.max
+        if pf == 1.0:
+            return self.a.sum(axis=-1)
+        return self.max * self.root_power_sum(pf, 1.0 / pf)
+
+
+def _root(s: np.ndarray, e: float) -> np.ndarray:
+    """s^e elementwise as a Python float power: numpy's array power can round differently."""
+    return np.array([v**e for v in s.tolist()])
+
+
+# Reductions of |G| without the n-by-n matrix.  Every ceiling reads the Gram matrix only
+# through entrywise reductions of |g_ij|, so they are folded block by block from the Gram
+# products; the complex G is built only when a caller asks for it.
+
+#: Most |G| entries in one block: 1,024², so a family of n ≤ 1,024 is one block.
+_BLOCK = 1 << 20
+#: Most entries in one tile, the unit in which a block's products become |G|.
+_TILE = 1 << 14
+
+
+def _cuts(count: int, rows: int, cols: int, size: int) -> list[tuple[int, int, int, int]]:
+    """Pieces (b, k, r0, r) of ``count`` matrices rows × cols, each of at most ``size`` entries or one row.
+
+    A piece holds whole matrices b..b+k when one fits, so then how many inputs there are
+    changes no piece's matrices; otherwise it holds rows r0..r0+r of matrix b.
+    """
+    per = rows * cols
+    if per <= size:
+        k = size // per if per else max(count, 1)
+        return [(b, min(k, count - b), 0, rows) for b in range(0, count, k)]
+    r = max(size // cols, 1)
+    return [(b, 1, r0, min(r, rows - r0)) for b in range(count) for r0 in range(0, rows, r)]
+
+
+def _abs_products(a: np.ndarray, s: np.ndarray | None, r0: int) -> None:
+    """Overwrite Gram rows r0..r0+r of a (k, r, n), the real parts, with |g_ij|; ``s`` holds the
+    imaginary parts, None for real data.
+
+    As in _gram_entries, an entry above the diagonal whose partner row is in the block takes the
+    partner's value, the diagonal is real, and the others are the block's own products.  Each tile
+    makes a complex copy of its rows for np.abs, whose bits hypot does not share.  Tiles run bottom
+    up, so the rows a tile mirrors from are already magnitudes.
+    """
+    k, r, n = a.shape
+    if not a.size:
+        return
+    upper = ~np.tri(min(r, max(_TILE // n, 1)), r, dtype=bool)  # column > row
+    for j, kt, t0, t in reversed(_cuts(k, r, n, _TILE)):
+        tile = a[j:j + kt, t0:t0 + t]
+        if s is None:
+            np.abs(tile, out=tile)
+        else:
+            z = np.empty(tile.shape, np.complex128)
+            z.real, z.imag = tile, s[j:j + kt, t0:t0 + t]
+            z.imag[..., range(t), range(r0 + t0, r0 + t0 + t)] = 0.0
+            np.abs(z, out=tile)
+        np.copyto(tile[..., r0 + t0:r0 + r], a[j:j + kt, t0:, r0 + t0:r0 + t0 + t].swapaxes(-1, -2),
+                  where=upper[:t, :r - t0])
+
+
+def _gram_blocks(stacks: list):
+    """|G| of each input of the row stacks (B, n, d), all of one n, in blocks: (b, r0, block, scratch).
+
+    ``block`` (k, r, n) holds rows r0..r0+r of |G| of inputs b..b+k, counted across the stacks,
+    so whole matrices from several stacks share a block; ``scratch`` is a buffer of its shape.
+    Two buffers, reused by every block, hold the real and the imaginary products; the |G| rows
+    go into the first and the second is then free.  A block with a complex input takes the four
+    products for all of them: a real input's extra products are zeros, which |·| does not see.
+    """
+    n = stacks[0].shape[1] if stacks else 0
+    starts = np.cumsum([0] + [len(rows) for rows in stacks]).tolist()
+    pieces = _cuts(starts[-1], n, n, _BLOCK)
+    size = max((k * r * n for _, k, _, r in pieces), default=0)
+    buf_a, buf_s = np.empty(size), np.empty(size)
+    for b, k, r0, r in pieces:
+        block, scratch = (buf[:k * r * n].reshape(k, r, n) for buf in (buf_a, buf_s))
+        parts = [(rows[max(b - lo, 0):b + k - lo], slice(max(lo - b, 0), hi - b))  # its inputs, their place
+                 for rows, lo, hi in zip(stacks, starts, starts[1:]) if lo < b + k and b < hi]
+        imag = scratch if any(cols.imag.any() for cols, _ in parts) else None
+        for cols, at in parts:
+            _re_products(cols[:, r0:r0 + r], cols, block[at], None if imag is None else imag[at])
+            if imag is not None:
+                _im_products(cols[:, r0:r0 + r], cols, imag[at], np.empty_like(imag[at]))
+        _abs_products(block, imag, r0)
+        yield b, r0, block, scratch
+
+
+def _off_diagonal_max(block: np.ndarray, r0: int) -> np.ndarray:
+    """The largest entry off the diagonal of each (r, n) block of rows r0..r0+r of a matrix; 0 if none.
+
+    Flattened, the block's diagonal entries sit at r0 + i(n + 1), so the entries between two of
+    them are the rows of an (r - 1, n + 1) view less its last column.
+    """
+    k, r, n = block.shape
+    if r == 0:
+        return np.zeros(k)
+    flat = block.reshape(k, r * n)
+    last = r0 + (r - 1) * (n + 1)
+    between = flat[:, r0 + 1:last + 1].reshape(k, r - 1, n + 1)[..., :n]
+    return np.maximum.reduce([flat[:, :r0].max(axis=-1, initial=0.0), between.max(axis=(1, 2), initial=0.0),
+                              flat[:, last + 1:].max(axis=-1, initial=0.0)])
+
+
+class _GramReductions(NamedTuple):
+    """Entrywise reductions of |G| of B inputs, each a (B,) column."""
+
+    row_sum_max: np.ndarray  # max_i Σ_j |g_ij|, Bombieri's factor
+    identity_deviation: np.ndarray  # max |G - I|, the orthonormality test
+    qnorm: dict  # q -> (Σ |g_ij|^q)^(1/q) for each q declared, the largest entry at q = ∞
+
+
+def _fold(blocks, count: int, qs) -> _GramReductions:
+    """Fold blocks (b, r0, block, scratch) of |G|, as _gram_blocks yields them, into the reductions
+    of ``count`` inputs, with a q-norm for each normalized q in ``qs``.
+
+    Each q-norm keeps the pair (M, S) of the largest entry so far and Σ (|g_ij| / M)^q, the
+    scaled sum of Blue (ACM TOMS 4(1), 1978) and LAPACK dlassq (Anderson, ACM TOMS 44(1), 2017).
+    An input's first block (r0 = 0) sets the pair to its own largest entry m and scaled sum s;
+    each later block joins it as (M', S') = (max(M, m), S (M/M')^q + s (m/M')^q).  So every
+    n ≤ 1,024, one block, has the bits of one pass over the whole |G|.
+    """
+    qs = list(dict.fromkeys(qs))
+    top, row_sum_max, deviation = np.zeros(count), np.zeros(count), np.zeros(count)
+    sums = {q: np.zeros(count) for q in qs if math.isfinite(q)}  # the plain sum at q = 1
+    for b, r0, block, scratch in blocks:
+        k, r, n = block.shape
+        at = slice(b, b + k)
+        scaled = _Scaled(block.reshape(k, r * n), None if scratch is None else scratch.reshape(k, r * n))
+        joined = np.maximum(top[at], scaled.max)  # the block's own maximum on an input's first block
+        divisor = np.where(joined > 0.0, joined, 1.0)
+        for q, acc in sums.items():
+            s = scaled.a.sum(axis=-1) if q == 1.0 else scaled.power_sum(q)
+            if r0 == 0:
+                acc[at] = s
+            elif q == 1.0:
+                acc[at] += s
+            else:
+                acc[at] = acc[at] * (top[at] / divisor) ** q + s * (scaled.max / divisor) ** q
+        top[at] = joined
+        row_sum_max[at] = np.maximum(row_sum_max[at], block.sum(axis=-1).max(axis=-1, initial=0.0))
+        diagonal = block[:, range(r), range(r0, r0 + r)]
+        deviation[at] = np.maximum.reduce([deviation[at], np.abs(diagonal - 1.0).max(axis=-1, initial=0.0),
+                                           _off_diagonal_max(block, r0)])
+    qnorm = {q: top if math.isinf(q) else sums[q] if q == 1.0 else top * _root(sums[q], 1.0 / q) for q in qs}
+    return _GramReductions(row_sum_max, deviation, qnorm)
+
+
+def _gram_reductions(stacks: list, qs) -> _GramReductions:
+    """The |G| reductions of every input of the row stacks (B, n, d), all of one n, in order,
+    with a q-norm for each normalized q in ``qs``: one pass over the Gram products, in blocks
+    of at most _BLOCK entries, and no n-by-n matrix beyond a block."""
+    return _fold(_gram_blocks(stacks), sum(len(rows) for rows in stacks), qs)
+
+
+def _abs_reductions(abs_g: np.ndarray, qs) -> _GramReductions:
+    """The same reductions of one given |G| (n, n), read in the same blocks."""
+    n = abs_g.shape[0]
+    return _fold(((0, r0, abs_g[None, r0:r0 + r], None) for _, _, r0, r in _cuts(1, n, n, _BLOCK)), 1, qs)
+
+
 class VectorFamily:
     """A finite ordered family (y_1, ..., y_n) in a common space.
 
     Stored as an (n, d) complex128 matrix, one member per row.  The Gram
-    matrix is computed lazily and cached; families are treated as immutable
-    after construction.
+    matrix is built only when gram() is called, and cached; the bounds and
+    the orthonormality test read the Gram products through _gram_reductions
+    instead.  Families are treated as immutable after construction.
     """
 
     __slots__ = ("_vectors", "_field", "_gram")
@@ -321,12 +530,8 @@ class VectorFamily:
         return self._gram
 
     def _identity_deviation(self) -> float:
-        """max |G - I|, bitwise, from the cached |G|: the larger of max |g_ii - 1| and the largest |g_ij|, i ≠ j."""
-        a, n = self.gram().abs_entries(), self.size
-        # Dropping the first of the n² entries leaves n - 1 rows of n + 1 that each end on the
-        # diagonal: their first n columns are the off-diagonal entries, as a view.
-        off = a.reshape(-1)[1:].reshape(max(n - 1, 0), n + 1)[:, :n]
-        return float(np.maximum(np.max(np.abs(a.diagonal() - 1.0), initial=0.0), off.max(initial=0.0)))
+        """max |G - I|, from one pass over the Gram products: no Gram matrix is built."""
+        return float(_gram_reductions([self._vectors[None]], ()).identity_deviation[0])
 
     def is_orthonormal(self, tol: float = 1e-10) -> bool:
         """Whether the Gram matrix is within ``tol`` of the identity (max-abs)."""
@@ -379,7 +584,7 @@ class GramMatrix:
         return f"GramMatrix(n={self.size})"
 
     def abs_entries(self) -> np.ndarray:
-        """|G[i, j]| as a real matrix; cached (the bounds reuse it heavily)."""
+        """|G[i, j]| as a real matrix; cached for gram_entry_qnorm and max_row_abs_sum."""
         if self._abs is None:
             out = np.abs(self._entries)
             out.setflags(write=False)

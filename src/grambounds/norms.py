@@ -10,11 +10,10 @@ and makes the limit behavior testable instead of assumed.
 from __future__ import annotations
 
 import math
-from functools import cached_property
 
 import numpy as np
 
-from .core import GramMatrix, _as_complex, _real
+from .core import GramMatrix, _abs_reductions, _as_complex, _real, _Scaled
 from .errors import DomainError, ExponentError, ExponentRangeError
 
 __all__ = [
@@ -79,41 +78,6 @@ def _magnitudes(arr: np.ndarray) -> np.ndarray:
     return a
 
 
-class _Scaled:
-    """Rows (B, m) of nonnegative floats with each row's maximum factored out, for p-norms at many p.
-
-    The maximum is factored out before powering: q = p/(p-1) grows without
-    bound as p -> 1 (q = 11 already at p = 1.1), and raising raw magnitudes
-    to such powers overflows long before the norm itself does.  The maxima are
-    shared by every exponent, and each exponent divides into and powers one scratch array.
-    """
-
-    def __init__(self, a: np.ndarray):
-        self.a = a
-        self.max = a.max(axis=-1, initial=0.0)
-
-    # A row of zeros is divided by 1, not 0, and stays zero.
-    _divisor = cached_property(lambda self: np.where(self.max > 0.0, self.max, 1.0)[:, None])
-    _scratch = cached_property(lambda self: np.empty_like(self.a))
-
-    def root_power_sum(self, pf: float, e: float) -> np.ndarray:
-        """(Σ_i (a_i / max)^p)^e per row; 0 for a row of zeros.
-
-        The root is a Python float power per row: numpy's array power can round differently.
-        """
-        s = np.divide(self.a, self._divisor, out=self._scratch)
-        np.power(s, pf, out=s)
-        return np.array([v**e for v in s.sum(axis=-1).tolist()])
-
-    def pnorm(self, pf: float) -> np.ndarray:
-        """(Σ a_i^p)^(1/p) per row for a normalized p; max at p = ∞; 0 for an empty row."""
-        if math.isinf(pf):
-            return self.max
-        if pf == 1.0:
-            return self.a.sum(axis=-1)
-        return self.max * self.root_power_sum(pf, 1.0 / pf)
-
-
 def seq_pnorm(values, p) -> float:
     """(Σ|v_i|^p)^(1/p) for finite p; max|v_i| at p = ∞; 0 for an empty sequence."""
     pf = _normalize_exponent(p)
@@ -128,14 +92,9 @@ def _as_gram(gram) -> GramMatrix:
 def gram_entry_qnorm(gram, q) -> float:
     """Entrywise q-norm over all n² magnitudes |g_ij|; max entry at q = ∞."""
     qf = _normalize_exponent(q)
-    return float(_Scaled(_as_gram(gram).abs_entries().reshape(1, -1)).pnorm(qf)[0])
-
-
-def _row_sum_max(abs_g: np.ndarray) -> np.ndarray:
-    """max_i Σ_j |g_ij| of each (n, n) slice of |G|; 0 for n = 0."""
-    return abs_g.sum(axis=-1).max(axis=-1, initial=0.0)
+    return float(_abs_reductions(_as_gram(gram).abs_entries(), (qf,)).qnorm[qf][0])
 
 
 def max_row_abs_sum(gram) -> float:
     """max_i Σ_j |g_ij| — the row factor of the classical Bessel-sum bound."""
-    return float(_row_sum_max(_as_gram(gram).abs_entries()))
+    return float(_abs_reductions(_as_gram(gram).abs_entries(), ()).row_sum_max[0])

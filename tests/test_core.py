@@ -19,11 +19,13 @@ from grambounds import (
     gram_entry_qnorm,
     inner,
     inner_each,
+    max_row_abs_sum,
     norm,
     seq_pnorm,
 )
+from grambounds import core
 from grambounds.bounds import _Ingredients
-from grambounds.core import _gram_entries, _sq_norms
+from grambounds.core import _BLOCK, _abs_reductions, _cuts, _gram_entries, _gram_reductions, _sq_norms
 from grambounds.norms import _Scaled
 
 
@@ -318,10 +320,10 @@ class TestGramBuild:
         rng = np.random.default_rng(43)
         x = rng.normal(size=shape[1]) + 1j * rng.normal(size=shape[1])
         c = rng.normal(size=shape[0]) + 1j * rng.normal(size=shape[0])
-        ing = _Ingredients.of(fam, x, c)  # a batch of one: each p-norm is a column of one
+        ing = _Ingredients.of(fam, x, c, qs=_NORM_EXPONENTS)  # a batch of one: each p-norm is a column of one
         t = inner_each(x, fam)
-        for p in _NORM_EXPONENTS:  # one ingredients object: every p reuses one scaling
-            assert float(ing.pnorm("abs_g", p)[0]).hex() == gram_entry_qnorm(gram(fam), p).hex()
+        for p in _NORM_EXPONENTS:  # one ingredients object: every p reuses one scaling, every q one Gram pass
+            assert float(ing.gram.qnorm[p][0]).hex() == gram_entry_qnorm(gram(fam), p).hex()
             assert float(ing.pnorm("abs_t", p)[0]).hex() == seq_pnorm(t, p).hex()
             assert float(ing.pnorm("abs_c", p)[0]).hex() == seq_pnorm(c, p).hex()
             assert float(ing.pnorm("abs_norms", p)[0]).hex() == seq_pnorm(np.sqrt(_sq_norms(fam.vectors)[0]), p).hex()
@@ -369,6 +371,147 @@ def test_sq_norms_bits_match_squaring_each_sum_apart(kind, shape):
     assert per_row.shape == shape[:2] and total.shape == shape[:1]
     assert np.array_equal(_bits(np.sqrt(per_row)), _bits(norms))
     assert np.array_equal(_bits(total), _bits(norms_sq_total))
+
+
+def _materialised(abs_g, qs):
+    """The reductions of a materialised |G| (B, n, n) as one pass over it: the arithmetic to keep."""
+    b, n = abs_g.shape[:2]
+    scaled = _Scaled(abs_g.reshape(b, n * n))
+    off = abs_g * (1.0 - np.eye(n))
+    deviation = np.maximum(np.abs(abs_g.diagonal(axis1=1, axis2=2) - 1.0).max(axis=-1, initial=0.0),
+                           off.reshape(b, -1).max(axis=-1, initial=0.0))
+    return abs_g.sum(axis=-1).max(axis=-1, initial=0.0), deviation, {q: scaled.pnorm(q) for q in qs}
+
+
+def _longdouble_reference(rows, qs):
+    """The reductions of |G| of one family (n, d) in np.longdouble, 256 rows at a time, at q in
+    {∞, 11, 3, 2, 1.5, 1}: powers by products and square roots, which powl is too slow for."""
+    y = rows.astype(np.clongdouble)
+    re, im = y.real, y.imag
+    top = (re * re + im * im).sum(axis=1).max(initial=0)  # |g_ij| ≤ max_i g_ii
+    scale = top if top > 0 else np.longdouble(1)
+    sums, row_sum_max, deviation = dict.fromkeys(qs, np.longdouble(0)), np.longdouble(0), np.longdouble(0)
+    for r0 in range(0, len(rows), 256):
+        block = np.sqrt((re[r0:r0 + 256] @ re.T + im[r0:r0 + 256] @ im.T) ** 2
+                        + (im[r0:r0 + 256] @ re.T - re[r0:r0 + 256] @ im.T) ** 2)
+        row_sum_max = max(row_sum_max, block.sum(axis=1).max())
+        i = np.arange(len(block))
+        diagonal = block[i, r0 + i]
+        block[i, r0 + i] = np.abs(diagonal - 1)
+        deviation = max(deviation, block.max())
+        block[i, r0 + i] = diagonal
+        ratio = block / scale
+        square = ratio * ratio
+        powers = {1.0: ratio, 1.5: ratio * np.sqrt(ratio), 2.0: square, 3.0: square * ratio,
+                  11.0: square * square * square * square * square * ratio}
+        for q in filter(math.isfinite, qs):
+            sums[q] += powers[q].sum()
+    qnorm = {q: top if math.isinf(q) else scale * sums[q] ** (1 / np.longdouble(q)) for q in qs}
+    return row_sum_max, deviation, qnorm
+
+
+def _rank_one_tied(n, d):
+    """y_i = s_i v with s_i in {1, i, -1, -i} and ‖v‖ = 1: every |g_ij| is exactly 1, so every block ties."""
+    v = np.full(d, 0.5) if d == 4 else np.eye(d)[0]
+    return np.outer(1j ** np.arange(n), v)
+
+
+class TestGramReductions:
+    """One pass over the Gram products folds |G| into its reductions, in blocks of at most
+    _BLOCK entries; no n-by-n matrix is kept beyond a block."""
+
+    QS = tuple(_NORM_EXPONENTS)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (5, 3), (257, 8), (300, 5), (1024, 3)])
+    @pytest.mark.parametrize("kind", _GRAM_KINDS)
+    def test_one_block_has_the_bits_of_the_materialised_matrix(self, kind, shape):
+        rows = _build_family(kind, shape).vectors[None]
+        got = _gram_reductions([rows], self.QS)
+        want = _materialised(np.abs(_gram_entries(rows)), self.QS)
+        assert np.array_equal(_bits(got.row_sum_max), _bits(want[0]))
+        assert np.array_equal(_bits(got.identity_deviation), _bits(want[1]))
+        for q in self.QS:
+            assert np.array_equal(_bits(got.qnorm[q]), _bits(want[2][q])), q
+
+    def test_stack_cut_along_the_batch_has_the_bits_of_each_input(self):
+        # 13 inputs of n = 300 hold more than _BLOCK entries: blocks of 11 inputs, across both stacks,
+        # and of 2.  The last four inputs are real: two in the first, complex block, two in the second.
+        rng = np.random.default_rng(59)
+        rows = rng.normal(size=(13, 300, 3)) + 1j * rng.normal(size=(13, 300, 3))
+        rows[9:] = rows[9:].real
+        assert 13 * 300 * 300 > _BLOCK and len(_cuts(13, 300, 300, _BLOCK)) == 2
+        got = _gram_reductions([rows[:6], rows[6:]], self.QS)  # two stacks, counted in order
+        want = _materialised(np.abs(_gram_entries(rows)), self.QS)
+        assert np.array_equal(_bits(got.row_sum_max), _bits(want[0]))
+        assert np.array_equal(_bits(got.identity_deviation), _bits(want[1]))
+        for q in self.QS:
+            assert np.array_equal(_bits(got.qnorm[q]), _bits(want[2][q])), q
+
+    @pytest.mark.parametrize("kind, n, d", [(kind, n, d) for n, d in ((1025, 3), (2100, 4))
+                                            for kind in ("real", "complex", "rank_one", "zero")[:4 if n < 2048 else 3]])
+    def test_blocks_agree_with_one_pass_and_long_double(self, kind, n, d, qs=(math.inf, 11.0, 3.0, 2.0, 1.5, 1.0)):
+        """Each reduction is within γ_k of the long-double value (taken as exact) times the same
+        reduction of P, P_ij = Σ_l |y_il||y_jl| ≥ |g_ij|, and within 2γ_k of the one-pass value, with
+        γ_k = k u / (1 - k u), u = 2⁻⁵³ and k = 53, the largest over these shapes of
+          2(d + 1) + 2 = 12    for a Gram entry: per part two length-d dot products and one add, hypot;
+          19 + ⌈log₂(n²/128)⌉ = 35  for numpy's pairwise sum of n² terms in blocks of 128;
+          6                    for the divide, power, root, product by the maximum and a block's rescale.
+        (The power's q-fold amplification of the ratio's rounding is undone by the 1/q root.)"""
+        if kind == "rank_one":
+            rows = _rank_one_tied(n, d)
+        else:
+            rows = _build_family(kind, (n, d)).vectors
+        assert len(_cuts(1, n, n, _BLOCK)) > 1
+        got = _gram_reductions([rows[None]], qs)
+        one_pass = _materialised(np.abs(_gram_entries(rows[None])), qs)
+        exact = _longdouble_reference(rows, qs)
+        p = np.abs(rows) @ np.abs(rows).T
+        scale = _abs_reductions(p, qs)
+        k, u = 53, 2.0**-53
+        gamma = k * u / (1 - k * u)
+        pairs = [(got.row_sum_max[0], one_pass[0][0], exact[0], scale.row_sum_max[0]),
+                 (got.identity_deviation[0], one_pass[1][0], exact[1], max(scale.qnorm[math.inf][0], 1.0))]
+        pairs += [(got.qnorm[q][0], one_pass[2][q][0], exact[2][q], scale.qnorm[q][0]) for q in qs]
+        for value, other, ref, size in pairs:
+            assert abs(value - float(ref)) <= gamma * size
+            assert abs(value - other) <= 2 * gamma * size
+        if kind == "zero":
+            assert got.identity_deviation[0] == 1.0 and not got.row_sum_max[0]
+            assert not any(got.qnorm[q][0] for q in qs)
+        if kind == "rank_one":  # every entry exactly 1
+            assert got.row_sum_max[0] == n and got.identity_deviation[0] == 1.0
+            assert got.qnorm[math.inf][0] == 1.0 and got.qnorm[1.0][0] == n * n
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_upper_entries_in_the_block_come_from_their_partners(self, monkeypatch, field):
+        """Within a block an entry above the diagonal takes its partner's value, as _gram_entries
+        mirrors, whatever the products hold there: |G| is symmetric bitwise on any BLAS.  n = 300 is
+        one block of six tiles, so partners also sit in other tiles."""
+        rows = _build_family(field, (300, 5)).vectors[None]
+        want = _gram_reductions([rows], self.QS)
+        products = {name: getattr(core, name) for name in ("_re_products", "_im_products")}
+
+        def skewed(name):
+            def run(rows, cols, a, b):
+                products[name](rows, cols, a, b)
+                a[..., np.triu_indices(a.shape[-1], 1)[0], np.triu_indices(a.shape[-1], 1)[1]] *= 1.5
+            return run
+
+        for name in products:
+            monkeypatch.setattr(core, name, skewed(name))
+        got = _gram_reductions([rows], self.QS)
+        assert np.array_equal(_bits(got.row_sum_max), _bits(want.row_sum_max))
+        assert np.array_equal(_bits(got.identity_deviation), _bits(want.identity_deviation))
+        for q in self.QS:
+            assert np.array_equal(_bits(got.qnorm[q]), _bits(want.qnorm[q])), q
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_given_gram_matrix_folds_through_the_same_blocks(self, field):
+        fam = _build_family(field, (1100, 3))
+        got = _gram_reductions([fam.vectors[None]], self.QS)
+        for q in self.QS:
+            assert gram_entry_qnorm(gram(fam), q) == got.qnorm[q][0]
+        assert max_row_abs_sum(gram(fam)) == got.row_sum_max[0]
 
 
 class TestGramMatrix:

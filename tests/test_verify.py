@@ -50,7 +50,7 @@ from grambounds import (
     verify_corpus,
     weighted_inner_sum_sq,
 )
-from grambounds import CaseTable, bounds, verify
+from grambounds import CaseTable, bounds, core, verify
 from grambounds.cli import case_row, compute_rows
 
 from helpers import check_schwarz_chain
@@ -287,8 +287,8 @@ class TestVerifyAll:
 
     @pytest.mark.parametrize("field", ["complex", "real"])
     def test_peak_memory_in_n_squared_doubles(self, field):
-        # G (2 n² doubles) with the build's two scratch arrays, or with |G| and a q-norm's one:
-        # a little over 4 n² doubles.  A fresh n-by-n array per product, sum or power reached 5.1.
+        # The bound from when verify_all built the complex G (2 n² doubles) beside two scratch
+        # arrays, kept; a fresh n-by-n array per product, sum or power reached 5.1.
         n, d = 300, 5
         rng = np.random.default_rng(47)
         rows = rng.normal(size=(n, d)) + (1j * rng.normal(size=(n, d)) if field == "complex" else 0.0)
@@ -302,6 +302,62 @@ class TestVerifyAll:
             tracemalloc.stop()
         assert report.n_fail == 0
         assert peak <= 4.5 * 8 * n * n
+
+    @staticmethod
+    def _peak(n, d, field, seed=47):
+        """verify_all's tracemalloc peak on a seeded (n, d) family, in bytes."""
+        rng = np.random.default_rng(seed)
+        rows = rng.normal(size=(n, d)) + (1j * rng.normal(size=(n, d)) if field == "complex" else 0.0)
+        x, fam, c = rng.normal(size=d), VectorFamily(rows, field=field), rng.normal(size=n)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            report = verify_all(x, fam, c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.n_fail == 0
+        return peak
+
+    @pytest.mark.parametrize("field, bound", [("complex", 3.3), ("real", 2.3)])
+    def test_peak_memory_without_the_complex_gram(self, field, bound):
+        # The real and the imaginary products (1 n² each) and the second imaginary product's
+        # scratch (1 n², complex only); |G| goes into the first buffer, a q-norm's powers into the second.
+        n = 300
+        assert self._peak(n, 5, field) <= bound * 8 * n * n
+
+    def test_peak_memory_beyond_one_block(self):
+        # n = 2100 is five blocks of at most 2²⁰ entries: the three block buffers, far from 4 n².
+        n, block_bytes = 2100, 8 * core._BLOCK
+        peak = self._peak(n, 4, "complex")
+        assert peak <= 3.3 * block_bytes
+        assert peak <= 0.8 * 8 * n * n
+
+    def test_one_gram_pass_and_no_gram_matrix(self, monkeypatch):
+        """verify_all, evaluate_cases, compute_rows and orthonormal_bessel_bound compute each
+        Gram product once and never build the complex G."""
+        calls = []
+        products = core._re_products
+
+        def counted(*args):
+            calls.append(1)
+            return products(*args)
+
+        def untouched(*args):
+            raise AssertionError("the complex Gram matrix was built")
+
+        monkeypatch.setattr(core, "_re_products", counted)
+        monkeypatch.setattr(core, "_gram_entries", untouched)
+        x, fam, c = random_family(FamilySpec(5, 7, field="complex", seed=61))
+        ortho = random_orthonormal_family(6, 4, field="complex", seed=61)
+        for run in (lambda: verify_all(x, fam, c), lambda: evaluate_cases(x, fam, c),
+                    lambda: compute_rows(x, fam, c, STANDARD_P_LIST),
+                    lambda: compute_rows(np.ones(6), ortho, None, STANDARD_P_LIST),
+                    lambda: orthonormal_bessel_bound(np.ones(6), ortho, 2.0)):
+            calls.clear()
+            run()
+            assert len(calls) == 1
+        assert fam._gram is None and ortho._gram is None
 
 
 class TestTightestCase:
@@ -655,6 +711,19 @@ class TestStackLists:
             # B·K: the benchmark counts the cases of a run with len() on this table.
             assert len(table) == sum(map(len, stacks)) * len(table.keys) == len(singles) == table.lhs.size
 
+    def test_records_match_single_calls_beyond_one_block(self):
+        # 13 inputs of n = 300 hold B·n² > 2²⁰ |G| entries, so the Gram pass cuts the stack
+        # along the batch; the last three inputs are real-valued.
+        rng = np.random.default_rng(67)
+        n, d, b = 300, 3, 13
+        rows = rng.normal(size=(b, n, d)) + 1j * rng.normal(size=(b, n, d))
+        rows[10:] = rows[10:].real
+        x, c = rng.normal(size=(b, d)) + 0j, rng.normal(size=(b, n)) + 1j * rng.normal(size=(b, n))
+        assert b * n * n > core._BLOCK
+        table = evaluate_cases(*_one_stack(x, rows, c))
+        singles = [case for k in range(b) for case in evaluate_cases(x[k], VectorFamily(rows[k]), c[k])]
+        assert _hex_rows(_records(table)) == _hex_rows(singles)
+
     def test_one_stack_list_is_the_stack(self):
         """A stack goes in as a list of one; a bare stack is not a form evaluate_cases takes."""
         specs = self.PASSES[2][0]
@@ -683,7 +752,7 @@ class TestStackLists:
         def untouched(*args):
             raise AssertionError("a coordinate was read before the stacks were checked")
 
-        for name in ("_inner_each", "_gram_entries", "_sq_norms", "_sum_sq"):
+        for name in ("_inner_each", "_gram_reductions", "_sq_norms", "_sum_sq"):
             monkeypatch.setattr(bounds, name, untouched)
         lists = self.stacks(2)
         lists[which][part] = lists[which][part] * np.nan
