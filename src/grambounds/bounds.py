@@ -118,8 +118,9 @@ class _Ingredients:
     evaluating all bounds at many exponents reads each left-hand side, p-norm and Gram
     q-norm once, and divides each magnitude array (|t|, |c|, the member norms) by its
     maximum once for all exponents.  The Gram matrix is read only through ``gram``: one
-    pass over the Gram products that folds |G| into its reductions, with a q-norm for
-    each q in ``qs``, which is declared before the first bound reads it.  Each bound is
+    pass over the Gram products that folds |G| into the columns named in ``reads`` and
+    no others (core._fold: a q for each q-norm, "row" for Bombieri's row sum, "eye" for
+    max |G - I|), which are declared before the first bound reads them.  Each bound is
     one method below that returns its finished BoundResult, whose lhs and value are (B,)
     columns: the one place that names the bound's id, left-hand side, p and flavor, and
     the single arithmetic path for its value, which is what makes the p = 2 and
@@ -130,16 +131,16 @@ class _Ingredients:
     #: on first use; every other one reads only these, c and n.
     _REDUCED = ("t", "nx", "norms", "combination_norm_sq", "norms_sq_total")
 
-    def __init__(self, n: int, rows=None, x=None, c=None, family: Optional[VectorFamily] = None, qs=()):
-        self.n, self.rows, self.x, self.c, self.family, self.qs = n, rows, x, c, family, qs
+    def __init__(self, n: int, rows=None, x=None, c=None, family: Optional[VectorFamily] = None, reads=()):
+        self.n, self.rows, self.x, self.c, self.family, self.reads = n, rows, x, c, family, reads
         self.stacks = [] if rows is None else [rows]
         self._memo: dict = {}
 
     @classmethod
-    def of(cls, family: VectorFamily, x=_ABSENT, c=_ABSENT, qs=()) -> "_Ingredients":
-        """One input as a batch of one, of views, with the Gram q-norms at qs; x and c are
+    def of(cls, family: VectorFamily, x=_ABSENT, c=_ABSENT, reads=()) -> "_Ingredients":
+        """One input as a batch of one, of views, with the Gram reductions in reads; x and c are
         validated here, in this order."""
-        ing = cls(family.size, family.vectors[None], family=family, qs=qs)
+        ing = cls(family.size, family.vectors[None], family=family, reads=reads)
         if x is not _ABSENT:
             x = x if isinstance(x, Vector) else Vector(x)
             ing.x, ing.t = x.coords[None], inner_each(x, family)[None]  # inner_each also checks the dimension
@@ -181,7 +182,7 @@ class _Ingredients:
     c_sq = cached_property(lambda self: _sum_sq(self.c))
     combination_norm_sq = cached_property(lambda self: _sum_sq((self.c[:, None, :] @ self.rows)[:, 0]))
 
-    gram = cached_property(lambda self: _gram_reductions(self.stacks, self.qs))
+    gram = cached_property(lambda self: _gram_reductions(self.stacks, self.reads))
 
     @cached_property
     def weighted_inner_sum_sq(self) -> np.ndarray:
@@ -199,7 +200,7 @@ class _Ingredients:
 
     def _span_value(self, p: float, q: float, flavor: str) -> np.ndarray:
         if flavor == "gram":
-            fam_factor = self.gram.qnorm[q]
+            fam_factor = self.gram[q]
         elif flavor == "norms":
             member_factor = self.pnorm("abs_norms", q)
             fam_factor = member_factor * member_factor
@@ -219,14 +220,14 @@ class _Ingredients:
 
     def chain(self) -> tuple[BoundResult, BoundResult]:
         """The middle link (lhs ≤ middle) and the outer link (middle ≤ outer)."""
-        middle = self.c_sq * self.gram.qnorm[2.0]
+        middle = self.c_sq * self.gram[2.0]
         return (
             BoundResult(BoundId.REFINEMENT_CHAIN, self.combination_norm_sq, middle, None, "middle"),
             BoundResult(BoundId.REFINEMENT_CHAIN, middle, self.c_sq * self.norms_sq_total, None, "outer"),
         )
 
     def thm27(self, p: float, q: float) -> BoundResult:
-        value = self.nx * self.pnorm("abs_t", p) * np.sqrt(self.gram.qnorm[q])
+        value = self.nx * self.pnorm("abs_t", p) * np.sqrt(self.gram[q])
         return BoundResult(BoundId.WEIGHTED_BESSEL, self.bessel_sum, value, p)
 
     def orthonormal_27a(self, p: float, q: float) -> BoundResult:
@@ -237,7 +238,7 @@ class _Ingredients:
     def _power_mean_value(self, p: float, q: float) -> np.ndarray:
         # Frobenius is this at p = q = 2, where scale = n^0 = 1.0 exactly.
         scale = float(self.n) ** (2.0 / p - 1.0)
-        return scale * self.nx2 * self.gram.qnorm[q]
+        return scale * self.nx2 * self.gram[q]
 
     def power_mean(self, p: float, q: float) -> BoundResult:
         return BoundResult(BoundId.POWER_MEAN, self.bessel_sum, self._power_mean_value(p, q), p)
@@ -246,7 +247,7 @@ class _Ingredients:
         return BoundResult(BoundId.FROBENIUS, self.bessel_sum, self._power_mean_value(2.0, 2.0))
 
     def bombieri(self) -> BoundResult:
-        return BoundResult(BoundId.BOMBIERI, self.bessel_sum, self.nx2 * self.gram.row_sum_max)
+        return BoundResult(BoundId.BOMBIERI, self.bessel_sum, self.nx2 * self.gram["row"])
 
     def gap(self, p: float) -> BoundResult:
         return _power_mean_gap(self.abs_t, p)
@@ -289,7 +290,7 @@ def span_bound(alphas, family: VectorFamily, p, flavor: str = "gram") -> BoundRe
     """
     pf = _normalize_exponent(p)
     q = conjugate_exponent(pf)
-    return _one(_Ingredients.of(family, c=alphas, qs=(q,)).span(pf, q, flavor))
+    return _one(_Ingredients.of(family, c=alphas, reads=(q,)).span(pf, q, flavor))
 
 
 def combo_bound(x, family: VectorFamily, c, p, flavor: str = "gram") -> BoundResult:
@@ -301,14 +302,14 @@ def combo_bound(x, family: VectorFamily, c, p, flavor: str = "gram") -> BoundRes
     """
     pf = _normalize_exponent(p)
     q = conjugate_exponent(pf)
-    return _one(_Ingredients.of(family, x, c, qs=(q,)).combo(pf, q, flavor))
+    return _one(_Ingredients.of(family, x, c, reads=(q,)).combo(pf, q, flavor))
 
 
 def refinement_chain(alphas, family: VectorFamily) -> tuple[BoundResult, BoundResult]:
     """Two nested ceilings for ‖Σ α_i z_i‖² as two links: the middle link bounds
     it by the Frobenius term Σ|α_i|² (Σ|g_ij|²)^(1/2), the outer link bounds that
     term by the classical Σ|α_i|² Σ‖z_i‖²."""
-    middle, outer = _Ingredients.of(family, c=alphas, qs=(2.0,)).chain()
+    middle, outer = _Ingredients.of(family, c=alphas, reads=(2.0,)).chain()
     return _one(middle), _one(outer)
 
 
@@ -321,7 +322,7 @@ def bessel_sum_bound(x, family: VectorFamily, p) -> BoundResult:
     t_i = |(x, y_i)| — the square root of the combo bound at c_i = conj(x, y_i)."""
     pf = _normalize_exponent(p)
     q = conjugate_exponent(pf)
-    return _one(_Ingredients.of(family, x, qs=(q,)).thm27(pf, q))
+    return _one(_Ingredients.of(family, x, reads=(q,)).thm27(pf, q))
 
 
 def orthonormal_bessel_bound(x, family: VectorFamily, p, tol: float = ORTHONORMAL_TOL) -> BoundResult:
@@ -338,7 +339,7 @@ def orthonormal_bessel_bound(x, family: VectorFamily, p, tol: float = ORTHONORMA
 
 def frobenius_bound(x, family: VectorFamily, _ing: Optional[_Ingredients] = None) -> BoundResult:
     """Ceiling ‖x‖² (Σ|g_ij|²)^(1/2) for the Bessel sum; batch paths pass their ingredients as _ing."""
-    return _one(_Ingredients.of(family, x, qs=(2.0,)).frobenius()) if _ing is None else _ing.frobenius()
+    return _one(_Ingredients.of(family, x, reads=(2.0,)).frobenius()) if _ing is None else _ing.frobenius()
 
 
 def power_mean_bound(x, family: VectorFamily, p) -> BoundResult:
@@ -351,13 +352,13 @@ def power_mean_bound(x, family: VectorFamily, p) -> BoundResult:
     """
     pf = power_mean_exponent(p)
     q = conjugate_exponent(pf)
-    return _one(_Ingredients.of(family, x, qs=(q,)).power_mean(pf, q))
+    return _one(_Ingredients.of(family, x, reads=(q,)).power_mean(pf, q))
 
 
 def bombieri_bound(x, family: VectorFamily) -> BoundResult:
     """The classical ceiling ‖x‖² max_i Σ_j |g_ij|; equals ‖x‖² itself on
     orthonormal families, recovering the plain Bessel inequality."""
-    return _one(_Ingredients.of(family, x).bombieri())
+    return _one(_Ingredients.of(family, x, reads=("row",)).bombieri())
 
 
 def power_mean_gap(values, p) -> BoundResult:

@@ -15,7 +15,7 @@ import math
 import numbers
 import sys
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -372,77 +372,62 @@ def _gram_blocks(stacks: list):
         yield b, r0, block, scratch
 
 
-def _off_diagonal_max(block: np.ndarray, r0: int) -> np.ndarray:
-    """The largest entry off the diagonal of each (r, n) block of rows r0..r0+r of a matrix; 0 if none.
-
-    Flattened, the block's diagonal entries sit at r0 + i(n + 1), so the entries between two of
-    them are the rows of an (r - 1, n + 1) view less its last column.
-    """
-    k, r, n = block.shape
-    if r == 0:
-        return np.zeros(k)
-    flat = block.reshape(k, r * n)
-    last = r0 + (r - 1) * (n + 1)
-    between = flat[:, r0 + 1:last + 1].reshape(k, r - 1, n + 1)[..., :n]
-    return np.maximum.reduce([flat[:, :r0].max(axis=-1, initial=0.0), between.max(axis=(1, 2), initial=0.0),
-                              flat[:, last + 1:].max(axis=-1, initial=0.0)])
-
-
-class _GramReductions(NamedTuple):
-    """Entrywise reductions of |G| of B inputs, each a (B,) column."""
-
-    row_sum_max: np.ndarray  # max_i Σ_j |g_ij|, Bombieri's factor
-    identity_deviation: np.ndarray  # max |G - I|, the orthonormality test
-    qnorm: dict  # q -> (Σ |g_ij|^q)^(1/q) for each q declared, the largest entry at q = ∞
-
-
-def _fold(blocks, count: int, qs) -> _GramReductions:
-    """Fold blocks (b, r0, block, scratch) of |G|, as _gram_blocks yields them, into the reductions
-    of ``count`` inputs, with a q-norm for each normalized q in ``qs``.
+def _fold(blocks, count: int, reads) -> dict:
+    """Fold blocks (b, r0, block, scratch) of |G|, as _gram_blocks yields them, into a (count,)
+    column for each read in ``reads`` and compute nothing else.  A read is a normalized q, for
+    (Σ |g_ij|^q)^(1/q), the largest entry at q = ∞; "row", for max_i Σ_j |g_ij|, Bombieri's factor;
+    or "eye", for max |G - I|, the orthonormality test.
 
     Each q-norm keeps the pair (M, S) of the largest entry so far and Σ (|g_ij| / M)^q, the
     scaled sum of Blue (ACM TOMS 4(1), 1978) and LAPACK dlassq (Anderson, ACM TOMS 44(1), 2017).
     An input's first block (r0 = 0) sets the pair to its own largest entry m and scaled sum s;
     each later block joins it as (M', S') = (max(M, m), S (M/M')^q + s (m/M')^q).  So every
-    n ≤ 1,024, one block, has the bits of one pass over the whole |G|.
+    n ≤ 1,024, one block, has the bits of one pass over the whole |G|.  "eye" is read last from
+    each block: |g_ii - 1| is written over the block's diagonal and the block's maximum taken, so
+    it is read only from scratch blocks.
     """
-    qs = list(dict.fromkeys(qs))
-    top, row_sum_max, deviation = np.zeros(count), np.zeros(count), np.zeros(count)
+    reads = list(dict.fromkeys(reads))
+    qs = [read for read in reads if read not in ("row", "eye")]
+    top, row, eye = np.zeros(count), np.zeros(count), np.zeros(count)
     sums = {q: np.zeros(count) for q in qs if math.isfinite(q)}  # the plain sum at q = 1
     for b, r0, block, scratch in blocks:
         k, r, n = block.shape
         at = slice(b, b + k)
-        scaled = _Scaled(block.reshape(k, r * n), None if scratch is None else scratch.reshape(k, r * n))
-        joined = np.maximum(top[at], scaled.max)  # the block's own maximum on an input's first block
-        divisor = np.where(joined > 0.0, joined, 1.0)
-        for q, acc in sums.items():
-            s = scaled.a.sum(axis=-1) if q == 1.0 else scaled.power_sum(q)
-            if r0 == 0:
-                acc[at] = s
-            elif q == 1.0:
-                acc[at] += s
-            else:
-                acc[at] = acc[at] * (top[at] / divisor) ** q + s * (scaled.max / divisor) ** q
-        top[at] = joined
-        row_sum_max[at] = np.maximum(row_sum_max[at], block.sum(axis=-1).max(axis=-1, initial=0.0))
-        diagonal = block[:, range(r), range(r0, r0 + r)]
-        deviation[at] = np.maximum.reduce([deviation[at], np.abs(diagonal - 1.0).max(axis=-1, initial=0.0),
-                                           _off_diagonal_max(block, r0)])
-    qnorm = {q: top if math.isinf(q) else sums[q] if q == 1.0 else top * _root(sums[q], 1.0 / q) for q in qs}
-    return _GramReductions(row_sum_max, deviation, qnorm)
+        if qs:
+            scaled = _Scaled(block.reshape(k, r * n), None if scratch is None else scratch.reshape(k, r * n))
+            joined = np.maximum(top[at], scaled.max)  # the block's own maximum on an input's first block
+            divisor = np.where(joined > 0.0, joined, 1.0)
+            for q, acc in sums.items():
+                s = scaled.a.sum(axis=-1) if q == 1.0 else scaled.power_sum(q)
+                if r0 == 0:
+                    acc[at] = s
+                elif q == 1.0:
+                    acc[at] += s
+                else:
+                    acc[at] = acc[at] * (top[at] / divisor) ** q + s * (scaled.max / divisor) ** q
+            top[at] = joined
+        if "row" in reads:
+            row[at] = np.maximum(row[at], block.sum(axis=-1).max(axis=-1, initial=0.0))
+        if "eye" in reads:
+            diagonal = (slice(None), range(r), range(r0, r0 + r))
+            block[diagonal] = np.abs(block[diagonal] - 1.0)
+            eye[at] = np.maximum(eye[at], block.reshape(k, r * n).max(axis=-1, initial=0.0))
+    sums.update({q: top * _root(s, 1.0 / q) for q, s in sums.items() if q != 1.0})
+    columns = {"row": row, "eye": eye, math.inf: top, **sums}
+    return {read: columns[read] for read in reads}
 
 
-def _gram_reductions(stacks: list, qs) -> _GramReductions:
-    """The |G| reductions of every input of the row stacks (B, n, d), all of one n, in order,
-    with a q-norm for each normalized q in ``qs``: one pass over the Gram products, in blocks
-    of at most _BLOCK entries, and no n-by-n matrix beyond a block."""
-    return _fold(_gram_blocks(stacks), sum(len(rows) for rows in stacks), qs)
+def _gram_reductions(stacks: list, reads) -> dict:
+    """The reads of _fold for every input of the row stacks (B, n, d), all of one n, in order:
+    one pass over the Gram products, in blocks of at most _BLOCK entries, and no n-by-n matrix
+    beyond a block."""
+    return _fold(_gram_blocks(stacks), sum(len(rows) for rows in stacks), reads)
 
 
-def _abs_reductions(abs_g: np.ndarray, qs) -> _GramReductions:
-    """The same reductions of one given |G| (n, n), read in the same blocks."""
+def _abs_reductions(abs_g: np.ndarray, reads) -> dict:
+    """The same reads, "eye" excepted, of one given |G| (n, n), read in the same blocks."""
     n = abs_g.shape[0]
-    return _fold(((0, r0, abs_g[None, r0:r0 + r], None) for _, _, r0, r in _cuts(1, n, n, _BLOCK)), 1, qs)
+    return _fold(((0, r0, abs_g[None, r0:r0 + r], None) for _, _, r0, r in _cuts(1, n, n, _BLOCK)), 1, reads)
 
 
 class VectorFamily:
@@ -531,7 +516,7 @@ class VectorFamily:
 
     def _identity_deviation(self) -> float:
         """max |G - I|, from one pass over the Gram products: no Gram matrix is built."""
-        return float(_gram_reductions([self._vectors[None]], ()).identity_deviation[0])
+        return float(_gram_reductions([self._vectors[None]], ("eye",))["eye"][0])
 
     def is_orthonormal(self, tol: float = 1e-10) -> bool:
         """Whether the Gram matrix is within ``tol`` of the identity (max-abs)."""

@@ -175,16 +175,17 @@ class CaseTable:
 def _cases(ing: _Ingredients, p_list, frobenius, *, gap=True, orthonormal_tol=None) -> CaseTable:
     """Every case of the ingredients' inputs, in report order (see evaluate_cases), each
     column the record of one ing method; coefficient cases need ing.c.  cor28 goes through
-    the caller's frobenius_bound, so a patched one there reaches the batch.  The Gram q-norms
-    the cases read (each conjugate exponent, and 2 for cor28 and the chain) are declared
-    before the first case, so one Gram pass gives them all.  With orthonormal_tol, the
-    orthonormal cases are added when every input's max |G - I| is within it."""
+    the caller's frobenius_bound, so a patched one there reaches the batch.  The Gram
+    reductions the cases read ("row" for Bombieri, 2 for cor28 and the chain, each conjugate
+    exponent) are declared before the first case, so one Gram pass gives them all.  With
+    orthonormal_tol, "eye" is read too, and the orthonormal cases are added when every
+    input's max |G - I| is within it."""
     ps = list(dict.fromkeys(_normalize_exponent(p) for p in p_list))  # first occurrence of each, in order
-    ing.qs = (2.0, *map(conjugate_exponent, ps))
+    ing.reads = ("row", 2.0, *map(conjugate_exponent, ps), *(() if orthonormal_tol is None else ("eye",)))
     columns = [ing.bombieri(), frobenius(ing.x, ing.family, ing)]
     if ing.c is not None:
         columns += ing.chain()
-    orthonormal = orthonormal_tol is not None and bool((ing.gram.identity_deviation <= orthonormal_tol).all())
+    orthonormal = orthonormal_tol is not None and bool((ing.gram["eye"] <= orthonormal_tol).all())
     for pf in ps:
         q = conjugate_exponent(pf)
         if ing.c is not None:

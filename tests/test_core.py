@@ -320,10 +320,10 @@ class TestGramBuild:
         rng = np.random.default_rng(43)
         x = rng.normal(size=shape[1]) + 1j * rng.normal(size=shape[1])
         c = rng.normal(size=shape[0]) + 1j * rng.normal(size=shape[0])
-        ing = _Ingredients.of(fam, x, c, qs=_NORM_EXPONENTS)  # a batch of one: each p-norm is a column of one
+        ing = _Ingredients.of(fam, x, c, reads=_NORM_EXPONENTS)  # a batch of one: each p-norm is a column of one
         t = inner_each(x, fam)
         for p in _NORM_EXPONENTS:  # one ingredients object: every p reuses one scaling, every q one Gram pass
-            assert float(ing.gram.qnorm[p][0]).hex() == gram_entry_qnorm(gram(fam), p).hex()
+            assert float(ing.gram[p][0]).hex() == gram_entry_qnorm(gram(fam), p).hex()
             assert float(ing.pnorm("abs_t", p)[0]).hex() == seq_pnorm(t, p).hex()
             assert float(ing.pnorm("abs_c", p)[0]).hex() == seq_pnorm(c, p).hex()
             assert float(ing.pnorm("abs_norms", p)[0]).hex() == seq_pnorm(np.sqrt(_sq_norms(fam.vectors)[0]), p).hex()
@@ -421,17 +421,18 @@ class TestGramReductions:
     _BLOCK entries; no n-by-n matrix is kept beyond a block."""
 
     QS = tuple(_NORM_EXPONENTS)
+    READS = ("row", "eye", *QS)
 
     @pytest.mark.parametrize("shape", [(1, 1), (5, 3), (257, 8), (300, 5), (1024, 3)])
     @pytest.mark.parametrize("kind", _GRAM_KINDS)
     def test_one_block_has_the_bits_of_the_materialised_matrix(self, kind, shape):
         rows = _build_family(kind, shape).vectors[None]
-        got = _gram_reductions([rows], self.QS)
+        got = _gram_reductions([rows], self.READS)
         want = _materialised(np.abs(_gram_entries(rows)), self.QS)
-        assert np.array_equal(_bits(got.row_sum_max), _bits(want[0]))
-        assert np.array_equal(_bits(got.identity_deviation), _bits(want[1]))
+        assert np.array_equal(_bits(got["row"]), _bits(want[0]))
+        assert np.array_equal(_bits(got["eye"]), _bits(want[1]))
         for q in self.QS:
-            assert np.array_equal(_bits(got.qnorm[q]), _bits(want[2][q])), q
+            assert np.array_equal(_bits(got[q]), _bits(want[2][q])), q
 
     def test_stack_cut_along_the_batch_has_the_bits_of_each_input(self):
         # 13 inputs of n = 300 hold more than _BLOCK entries: blocks of 11 inputs, across both stacks,
@@ -440,12 +441,12 @@ class TestGramReductions:
         rows = rng.normal(size=(13, 300, 3)) + 1j * rng.normal(size=(13, 300, 3))
         rows[9:] = rows[9:].real
         assert 13 * 300 * 300 > _BLOCK and len(_cuts(13, 300, 300, _BLOCK)) == 2
-        got = _gram_reductions([rows[:6], rows[6:]], self.QS)  # two stacks, counted in order
+        got = _gram_reductions([rows[:6], rows[6:]], self.READS)  # two stacks, counted in order
         want = _materialised(np.abs(_gram_entries(rows)), self.QS)
-        assert np.array_equal(_bits(got.row_sum_max), _bits(want[0]))
-        assert np.array_equal(_bits(got.identity_deviation), _bits(want[1]))
+        assert np.array_equal(_bits(got["row"]), _bits(want[0]))
+        assert np.array_equal(_bits(got["eye"]), _bits(want[1]))
         for q in self.QS:
-            assert np.array_equal(_bits(got.qnorm[q]), _bits(want[2][q])), q
+            assert np.array_equal(_bits(got[q]), _bits(want[2][q])), q
 
     @pytest.mark.parametrize("kind, n, d", [(kind, n, d) for n, d in ((1025, 3), (2100, 4))
                                             for kind in ("real", "complex", "rank_one", "zero")[:4 if n < 2048 else 3]])
@@ -462,25 +463,25 @@ class TestGramReductions:
         else:
             rows = _build_family(kind, (n, d)).vectors
         assert len(_cuts(1, n, n, _BLOCK)) > 1
-        got = _gram_reductions([rows[None]], qs)
+        got = _gram_reductions([rows[None]], ("row", "eye", *qs))
         one_pass = _materialised(np.abs(_gram_entries(rows[None])), qs)
         exact = _longdouble_reference(rows, qs)
         p = np.abs(rows) @ np.abs(rows).T
-        scale = _abs_reductions(p, qs)
+        scale = _abs_reductions(p, ("row", *qs))
         k, u = 53, 2.0**-53
         gamma = k * u / (1 - k * u)
-        pairs = [(got.row_sum_max[0], one_pass[0][0], exact[0], scale.row_sum_max[0]),
-                 (got.identity_deviation[0], one_pass[1][0], exact[1], max(scale.qnorm[math.inf][0], 1.0))]
-        pairs += [(got.qnorm[q][0], one_pass[2][q][0], exact[2][q], scale.qnorm[q][0]) for q in qs]
+        pairs = [(got["row"][0], one_pass[0][0], exact[0], scale["row"][0]),
+                 (got["eye"][0], one_pass[1][0], exact[1], max(scale[math.inf][0], 1.0))]
+        pairs += [(got[q][0], one_pass[2][q][0], exact[2][q], scale[q][0]) for q in qs]
         for value, other, ref, size in pairs:
             assert abs(value - float(ref)) <= gamma * size
             assert abs(value - other) <= 2 * gamma * size
         if kind == "zero":
-            assert got.identity_deviation[0] == 1.0 and not got.row_sum_max[0]
-            assert not any(got.qnorm[q][0] for q in qs)
+            assert got["eye"][0] == 1.0 and not got["row"][0]
+            assert not any(got[q][0] for q in qs)
         if kind == "rank_one":  # every entry exactly 1
-            assert got.row_sum_max[0] == n and got.identity_deviation[0] == 1.0
-            assert got.qnorm[math.inf][0] == 1.0 and got.qnorm[1.0][0] == n * n
+            assert got["row"][0] == n and got["eye"][0] == 1.0
+            assert got[math.inf][0] == 1.0 and got[1.0][0] == n * n
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_upper_entries_in_the_block_come_from_their_partners(self, monkeypatch, field):
@@ -488,7 +489,7 @@ class TestGramReductions:
         mirrors, whatever the products hold there: |G| is symmetric bitwise on any BLAS.  n = 300 is
         one block of six tiles, so partners also sit in other tiles."""
         rows = _build_family(field, (300, 5)).vectors[None]
-        want = _gram_reductions([rows], self.QS)
+        want = _gram_reductions([rows], self.READS)
         products = {name: getattr(core, name) for name in ("_re_products", "_im_products")}
 
         def skewed(name):
@@ -499,19 +500,45 @@ class TestGramReductions:
 
         for name in products:
             monkeypatch.setattr(core, name, skewed(name))
-        got = _gram_reductions([rows], self.QS)
-        assert np.array_equal(_bits(got.row_sum_max), _bits(want.row_sum_max))
-        assert np.array_equal(_bits(got.identity_deviation), _bits(want.identity_deviation))
+        got = _gram_reductions([rows], self.READS)
+        assert np.array_equal(_bits(got["row"]), _bits(want["row"]))
+        assert np.array_equal(_bits(got["eye"]), _bits(want["eye"]))
         for q in self.QS:
-            assert np.array_equal(_bits(got.qnorm[q]), _bits(want.qnorm[q])), q
+            assert np.array_equal(_bits(got[q]), _bits(want[q])), q
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("b, n", [(1, 300), (13, 300), (1, 1025)])
+    def test_each_read_alone_has_its_bits_among_all(self, b, n, field):
+        """A fold returns exactly the reads asked for, and a read asked for alone has the bits it has
+        among all the others: one block, a batch cut across two stacks, and row blocks."""
+        rows = np.stack([_build_family(field, (n, 3), seed=41 + k).vectors for k in range(b)])
+        stacks = [rows[:6], rows[6:]] if b > 1 else [rows]
+        assert len(_cuts(b, n, n, _BLOCK)) == (1 if b * n * n <= _BLOCK else 2)
+        together = _gram_reductions(stacks, self.READS)
+        assert list(together) == list(self.READS)
+        for read in self.READS:
+            alone = _gram_reductions(stacks, [read])
+            assert list(alone) == [read]
+            assert np.array_equal(_bits(alone[read]), _bits(together[read])), read
+
+    def test_a_given_abs_matrix_is_read_not_written(self):
+        """gram_entry_qnorm and max_row_abs_sum fold a GramMatrix's read-only |G| itself; "eye" writes
+        |g_ii - 1| into its block, so it is asked for only on scratch blocks and fails on this one."""
+        for n in (300, 1100):
+            abs_g = gram(_build_family("complex", (n, 3))).abs_entries()
+            before = abs_g.copy()
+            assert list(_abs_reductions(abs_g, ("row", 3.0))) == ["row", 3.0]
+            assert np.array_equal(_bits(abs_g), _bits(before)) and not abs_g.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                _abs_reductions(abs_g, ("eye",))
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_given_gram_matrix_folds_through_the_same_blocks(self, field):
         fam = _build_family(field, (1100, 3))
-        got = _gram_reductions([fam.vectors[None]], self.QS)
+        got = _gram_reductions([fam.vectors[None]], self.READS)
         for q in self.QS:
-            assert gram_entry_qnorm(gram(fam), q) == got.qnorm[q][0]
-        assert max_row_abs_sum(gram(fam)) == got.row_sum_max[0]
+            assert gram_entry_qnorm(gram(fam), q) == got[q][0]
+        assert max_row_abs_sum(gram(fam)) == got["row"][0]
 
 
 class TestGramMatrix:

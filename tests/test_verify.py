@@ -24,6 +24,7 @@ from grambounds import (
     bessel_sum_bound,
     bombieri_bound,
     combo_bound,
+    conjugate_exponent,
     dominance_search,
     evaluate_cases,
     frobenius_bound,
@@ -358,6 +359,47 @@ class TestVerifyAll:
             run()
             assert len(calls) == 1
         assert fam._gram is None and ortho._gram is None
+
+    def test_each_fold_computes_only_what_its_caller_reads(self, monkeypatch):
+        """Each fold of |G| is asked for the reductions its caller reads and no others: the cases
+        read the row sum, 2 and each conjugate exponent, compute_rows also max |G - I|, and the
+        orthonormality test, each public evaluator and each Gram norm its one reduction."""
+        reads = []
+        fold = core._fold
+
+        def recorded(blocks, count, names):
+            reads.append(set(names))
+            return fold(blocks, count, names)
+
+        monkeypatch.setattr(core, "_fold", recorded)
+        x, fam, c = random_family(FamilySpec(5, 7, field="complex", seed=61))
+        ortho = random_orthonormal_family(6, 4, field="complex", seed=61)
+        specs = [FamilySpec(5, 7, field="complex", seed=61), FamilySpec(3, 7, seed=62)]  # one n: one fold
+        cases = {"row", 2.0, *map(conjugate_exponent, STANDARD_P_LIST)}  # q = ∞, 11 (to rounding), 3, 2, 1.5, 1
+        assert len(cases) == 7 and {math.inf, 3.0, 1.5, 1.0} < cases
+        g = gram(fam)
+        for run, want in [
+            (lambda: verify_all(x, fam, c), cases),
+            (lambda: evaluate_cases(x, fam, c), cases),
+            (lambda: verify_corpus(specs), cases),
+            (lambda: compute_rows(x, fam, c, STANDARD_P_LIST), cases | {"eye"}),
+            (lambda: compute_rows(np.ones(6), ortho, None, STANDARD_P_LIST), cases | {"eye"}),
+            (lambda: fam.is_orthonormal(), {"eye"}),
+            (lambda: ortho.require_orthonormal(), {"eye"}),
+            (lambda: orthonormal_bessel_bound(np.ones(6), ortho, 2.0), {"eye"}),
+            (lambda: bombieri_bound(x, fam), {"row"}),
+            (lambda: frobenius_bound(x, fam), {2.0}),
+            (lambda: refinement_chain(c, fam), {2.0}),
+            (lambda: bessel_sum_bound(x, fam, 3.0), {1.5}),
+            (lambda: power_mean_bound(x, fam, 1.5), {3.0}),
+            (lambda: span_bound(c, fam, 1.0), {math.inf}),
+            (lambda: combo_bound(x, fam, c, math.inf), {1.0}),
+            (lambda: max_row_abs_sum(g), {"row"}),
+            (lambda: gram_entry_qnorm(g, 3), {3.0}),
+        ]:
+            reads.clear()
+            run()
+            assert reads == [want]
 
 
 class TestTightestCase:
