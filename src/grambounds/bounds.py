@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .core import Vector, VectorFamily, _as_complex, _dot, _gram_reductions, _inner_each, _Scaled, _sq_norms, _sum_sq
-from .core import inner_each
+from .core import _check_family, inner_each
 from .errors import DomainError, ShapeError
 from .norms import _magnitudes, _normalize_exponent, conjugate_exponent, power_mean_exponent
 
@@ -140,7 +140,7 @@ class _Ingredients:
     def of(cls, family: VectorFamily, x=_ABSENT, c=_ABSENT, reads=()) -> "_Ingredients":
         """One input as a batch of one, of views, with the Gram reductions in reads; x and c are
         validated here, in this order."""
-        ing = cls(family.size, family.vectors[None], family=family, reads=reads)
+        ing = cls(_check_family(family).size, family.vectors[None], family=family, reads=reads)
         if x is not _ABSENT:
             x = x if isinstance(x, Vector) else Vector(x)
             ing.x, ing.t = x.coords[None], inner_each(x, family)[None]  # inner_each also checks the dimension
@@ -332,7 +332,7 @@ def orthonormal_bessel_bound(x, family: VectorFamily, p, tol: float = ORTHONORMA
     Raises NotOrthonormalError when the family's Gram matrix is farther than
     ``tol`` from the identity in max-entry norm.
     """
-    family.require_orthonormal(tol)
+    _check_family(family).require_orthonormal(tol)
     pf = _normalize_exponent(p)
     return _one(_Ingredients.of(family, x).orthonormal_27a(pf, conjugate_exponent(pf)))
 

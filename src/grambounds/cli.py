@@ -18,7 +18,7 @@ import numpy as np
 from .bounds import ORTHONORMAL_TOL, _Ingredients, frobenius_bound
 from .compare import sign_scan
 from .core import _FIELDS, Vector, VectorFamily, _as_complex, _check_real
-from .errors import ExponentError, GramBoundsError
+from .errors import DomainError, ExponentError, GramBoundsError, ShapeError
 from .norms import _normalize_exponent
 from .verify import ABS_TOL, REL_TOL, STANDARD_P_LIST, _cases, random_specs, verify_corpus
 
@@ -51,10 +51,6 @@ def case_row(bound_id: str, p: Optional[float], flavor: Optional[str], lhs: floa
     return f"{str(bound_id)},{format_p(p)},{flavor or '-'},{float(lhs)!r},{float(rhs)!r},{float(rhs - lhs)!r}"
 
 
-class _InputError(ValueError):
-    """Malformed input document."""
-
-
 def _parse_extended(value, what: str = "--p") -> float:
     """An exponent from CLI/JSON: a number, or text that is a number or 'inf'."""
     try:
@@ -63,7 +59,7 @@ def _parse_extended(value, what: str = "--p") -> float:
             value = math.inf if s in ("inf", "+inf", "infinity") else float(s)
         return _normalize_exponent(value)
     except (ValueError, ExponentError) as exc:
-        raise _InputError(f"{what}: {exc}") from exc
+        raise DomainError(f"{what}: {exc}") from exc
 
 
 _JSON_KINDS = {bool: "true/false", str: "text", type(None): "null", dict: "object", list: "array"}
@@ -77,17 +73,19 @@ def _decode_array(value, field: str, what: str, ndim: int = 1, allow_empty: bool
     """
     a = np.array(value, dtype=object)
     kinds = set(map(type, a.ravel()))  # not a.flat, which takes at most 32 axes
+    if a.ndim < ndim and list in kinds:  # numpy stopped at the axis where the lengths differ
+        raise ShapeError(f"{what} must be a rectangular array, not a ragged sequence")
     if field == "complex" and a.ndim == ndim and list in kinds:
         a = np.array([v if type(v) is list else [v, 0] for v in a.ravel()], dtype=object).reshape(a.shape + (-1,))
         kinds = set(map(type, a.ravel()))
     if not kinds <= {int, float}:
         pairs = " or [re, im] pairs" if field == "complex" else ""
         found = ", ".join(sorted(_JSON_KINDS[k] for k in kinds - {int, float}))
-        raise _InputError(f"{what} must be a rectangular array of numbers{pairs}, found {found}")
+        raise DomainError(f"{what} must be a rectangular array of numbers{pairs}, found {found}")
     try:
         arr = a.astype(np.float64)
     except OverflowError as exc:
-        raise _InputError(f"{what}: an integer beyond float range") from exc
+        raise DomainError(f"{what}: an integer beyond float range") from exc
     if field == "complex" and arr.ndim == ndim + 1 and arr.shape[-1] == 2:
         arr = arr.view(np.complex128)[..., 0]
     return _as_complex(arr, what=what, ndim=ndim, allow_empty=allow_empty)
@@ -103,19 +101,22 @@ def parse_input_document(path: str):
     "coefficients": [...]?, "p_list": [...]?} with real coordinates as bare
     numbers and complex ones as [re, im] pairs or bare numbers, which may mix.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise OSError(f"cannot read {path}: {exc}") from exc
     if not isinstance(doc, dict):
-        raise _InputError("input document must be a JSON object")
+        raise DomainError("input document must be a JSON object")
     unknown = set(doc) - _DOC_KEYS
     if unknown:
-        raise _InputError(f"unknown keys in input document: {sorted(unknown)}")
+        raise DomainError(f"unknown keys in input document: {sorted(unknown)}")
     for key in ("field", "x", "family"):
         if key not in doc:
-            raise _InputError(f"input document is missing {key!r}")
+            raise DomainError(f"input document is missing {key!r}")
     field = doc["field"]
     if field not in _FIELDS:
-        raise _InputError(f"field must be 'real' or 'complex', got {field!r}")
+        raise DomainError(f"field must be 'real' or 'complex', got {field!r}")
 
     x = Vector(_decode_array(doc["x"], field, "x"))
     rows = doc["family"]  # [] is an empty family in the dimension of x
@@ -128,7 +129,7 @@ def parse_input_document(path: str):
     if "p_list" in doc:
         raw = doc["p_list"]
         if not isinstance(raw, list) or not raw:
-            raise _InputError("p_list: expected a non-empty array")
+            raise DomainError("p_list: expected a non-empty array")
         p_list = [_parse_extended(v, "p_list") for v in raw]
     return x, family, coefficients, p_list
 
@@ -146,26 +147,18 @@ def compute_rows(x, family, coefficients, p_values) -> list[str]:
 
 
 def _write_lines(path: str, lines: list[str]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc}") from exc
 
 
 def cmd_compute(input_path: str, p_values, out_path: str) -> int:
-    try:  # the --p flags override the document's p_list, which overrides the standard list
-        x, family, coefficients, doc_p = parse_input_document(input_path)
-        rows = compute_rows(x, family, coefficients, list(p_values or doc_p or STANDARD_P_LIST))
-    except OSError as exc:
-        print(f"error: cannot read {input_path}: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError, _InputError, GramBoundsError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-    try:
-        _write_lines(out_path, [CASE_HEADER] + rows)
-    except OSError as exc:
-        print(f"error: cannot write {out_path}: {exc}", file=sys.stderr)
-        return EXIT_IO
+    x, family, coefficients, doc_p = parse_input_document(input_path)
+    # the --p flags override the document's p_list, which overrides the standard list
+    rows = compute_rows(x, family, coefficients, list(p_values or doc_p or STANDARD_P_LIST))
+    _write_lines(out_path, [CASE_HEADER] + rows)
     return EXIT_OK
 
 
@@ -179,12 +172,8 @@ def cmd_verify(
     abs_tol: float,
     p_values=None,
 ) -> int:
-    try:
-        rel_tol, abs_tol = _check_real("--rel-tol", rel_tol), _check_real("--abs-tol", abs_tol)
-        specs = random_specs(trials, seed, dim_max=dims, n_max=n_max, field=field)
-    except GramBoundsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    rel_tol, abs_tol = _check_real("--rel-tol", rel_tol), _check_real("--abs-tol", abs_tol)
+    specs = random_specs(trials, seed, dim_max=dims, n_max=n_max, field=field)
     result = verify_corpus(specs, list(p_values or STANDARD_P_LIST), rel_tol=rel_tol, abs_tol=abs_tol)
     print(
         f"specs={result.n_specs} cases={result.n_cases} "
@@ -206,11 +195,7 @@ def cmd_verify(
 
 
 def cmd_scan(nb: int, np_count: int, eps: float, out_path: str) -> int:
-    try:
-        report = sign_scan(nb, np_count, eps)
-    except GramBoundsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    report = sign_scan(nb, np_count, eps)
     lines = [SCAN_HEADER]
     for i, b in enumerate(report.grid_b):
         for j, p in enumerate(report.grid_p):
@@ -220,11 +205,7 @@ def cmd_scan(nb: int, np_count: int, eps: float, out_path: str) -> int:
     lines.append(
         f"# n_positive={report.n_positive} n_negative={report.n_negative} n_zero={report.n_zero}"
     )
-    try:
-        _write_lines(out_path, lines)
-    except OSError as exc:
-        print(f"error: cannot write {out_path}: {exc}", file=sys.stderr)
-        return EXIT_IO
+    _write_lines(out_path, lines)
     if not report.both_signs():
         print(
             f"regression: expected both signs, got n_positive={report.n_positive} "
@@ -268,17 +249,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command; the commands raise, and here alone a failure becomes its exit code and
+    one ``error:`` line.  Input errors are named one by one, so a bug in the library still raises."""
     args = build_parser().parse_args(argv)
-    p_values = None
-    if getattr(args, "p", None):
-        try:
-            p_values = [_parse_extended(s) for s in args.p]
-        except _InputError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-    if args.command == "compute":
-        return cmd_compute(args.input, p_values, args.out)
-    if args.command == "verify":
-        return cmd_verify(args.trials, args.seed, args.dims, args.n, args.field,
-                          args.rel_tol, args.abs_tol, p_values)
-    return cmd_scan(args.nb, args.np, args.eps, args.out)
+    try:
+        p_values = [_parse_extended(s) for s in args.p] if getattr(args, "p", None) else None
+        if args.command == "compute":
+            return cmd_compute(args.input, p_values, args.out)
+        if args.command == "verify":
+            return cmd_verify(args.trials, args.seed, args.dims, args.n, args.field,
+                              args.rel_tol, args.abs_tol, p_values)
+        return cmd_scan(args.nb, args.np, args.eps, args.out)
+    except OSError as exc:  # every OSError is an I/O error
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError, GramBoundsError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE

@@ -582,13 +582,21 @@ def gram(family: VectorFamily) -> GramMatrix:
     return family.gram()
 
 
+def _check_family(family, _cls=VectorFamily) -> VectorFamily:
+    """The family argument of an evaluator, which must be a VectorFamily.  The class is bound
+    here, so a wrapper later set in its place (a profiler's recorder) leaves the check as is."""
+    if not isinstance(family, _cls):
+        raise DomainError(f"family must be a VectorFamily, got {type(family).__name__}")
+    return family
+
+
 def inner_each(x: ArrayLike, family: VectorFamily) -> np.ndarray:
     """Array of inner products ((x, y_1), ..., (x, y_n)).
 
     Conjugate-linear in the family members, matching :func:`inner`.
     """
     xa = _as_complex(x)
-    if xa.shape[0] != family.dim:
+    if xa.shape[0] != _check_family(family).dim:
         raise DimensionError(
             f"vector dimension {xa.shape[0]} does not match family dimension {family.dim}"
         )

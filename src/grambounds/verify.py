@@ -172,6 +172,13 @@ class CaseTable:
         return self.lhs.size
 
 
+def _exponents(p_list) -> list[float]:
+    """The exponents of p_list, any iterable of them, each checked, the first occurrence of each in order."""
+    if isinstance(p_list, (str, bytes)) or not isinstance(p_list, Iterable):
+        raise DomainError(f"p_list must be an iterable of exponents, got {type(p_list).__name__}")
+    return list(dict.fromkeys(map(_normalize_exponent, p_list)))
+
+
 def _cases(ing: _Ingredients, p_list, frobenius, *, gap=True, orthonormal_tol=None) -> CaseTable:
     """Every case of the ingredients' inputs, in report order (see evaluate_cases), each
     column the record of one ing method; coefficient cases need ing.c.  cor28 goes through
@@ -180,7 +187,7 @@ def _cases(ing: _Ingredients, p_list, frobenius, *, gap=True, orthonormal_tol=No
     exponent) are declared before the first case, so one Gram pass gives them all.  With
     orthonormal_tol, "eye" is read too, and the orthonormal cases are added when every
     input's max |G - I| is within it."""
-    ps = list(dict.fromkeys(_normalize_exponent(p) for p in p_list))  # first occurrence of each, in order
+    ps = _exponents(p_list)
     ing.reads = ("row", 2.0, *map(conjugate_exponent, ps), *(() if orthonormal_tol is None else ("eye",)))
     columns = [ing.bombieri(), frobenius(ing.x, ing.family, ing)]
     if ing.c is not None:
@@ -337,7 +344,7 @@ def verify_corpus(
     order (useful for streaming serialization or hashing).  cases_by_id and
     fails_by_id are keyed by the plain-string bound id.
     """
-    p_list = list(dict.fromkeys(map(_normalize_exponent, p_list)))  # checked on the call, even with no specs
+    p_list = _exponents(p_list)  # checked on the call, even with no specs
     verdicts = _Verdicts(rel_tol, abs_tol)
     stream = iter(specs)
     while chunk := list(itertools.islice(stream, _CHUNK)):

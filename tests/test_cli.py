@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from grambounds import BoundId, random_family, random_specs, verify_all
+from grambounds import BoundId, cli, random_family, random_specs, verify_all
 from grambounds.cli import (
     CASE_HEADER,
     SCAN_HEADER,
@@ -131,10 +131,11 @@ class TestComputeCommand:
         _, second = run_compute(tmp_path, COMPLEX_DOC)
         assert first == second
 
-    def test_missing_input_file_is_io_error(self, tmp_path):
+    def test_missing_input_file_is_io_error(self, tmp_path, capsys):
         out = tmp_path / "out.csv"
         code = main(["compute", "--input", str(tmp_path / "nope.json"), "--out", str(out)])
         assert code == 3
+        assert capsys.readouterr().err.startswith(f"error: cannot read {tmp_path / 'nope.json'}: ")
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -187,6 +188,9 @@ class TestComputeCommand:
             pytest.param(dict(REAL_DOC, x="1.0"), "x", id="x-string"),
             pytest.param(dict(REAL_DOC, x={"re": 1.0}), "x", id="x-object"),
             pytest.param(dict(REAL_DOC, x=1.0), "x", id="x-bare-number"),
+            pytest.param(dict(REAL_DOC, family=[[1.0], [1.0, 2.0]]),
+                         "family must be a rectangular array, not a ragged sequence", id="ragged-family"),
+            pytest.param([1, 2], "input document", id="array-document"),
         ],
     )
     def test_invalid_arrays_name_the_array(self, tmp_path, capsys, doc, name):
@@ -229,10 +233,11 @@ class TestComputeCommand:
         code, text = run_compute(tmp_path, doc)
         assert code == 0 and text.startswith(CASE_HEADER + "\n")
 
-    def test_unwritable_output(self, tmp_path):
+    def test_unwritable_output(self, tmp_path, capsys):
         inp = write_doc(tmp_path, REAL_DOC)
         code = main(["compute", "--input", inp, "--out", str(tmp_path / "no_dir" / "o.csv")])
         assert code == 3
+        assert capsys.readouterr().err.startswith(f"error: cannot write {tmp_path / 'no_dir' / 'o.csv'}: ")
 
     def test_bad_p_flag(self, tmp_path):
         inp = write_doc(tmp_path, REAL_DOC)
@@ -350,9 +355,10 @@ class TestScanCommand:
         code = main(["scan", "--nb", "1", "--np", "10", "--out", str(tmp_path / "s.csv")])
         assert code == 2
 
-    def test_unwritable_output(self, tmp_path):
+    def test_unwritable_output(self, tmp_path, capsys):
         code = main(["scan", "--nb", "5", "--np", "5", "--out", str(tmp_path / "d" / "s.csv")])
         assert code == 3
+        assert capsys.readouterr().err.startswith(f"error: cannot write {tmp_path / 'd' / 's.csv'}: ")
 
     def test_byte_identical_rerun(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -374,6 +380,15 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert out.exists()
+
+    def test_library_bug_is_not_an_input_error(self, tmp_path, monkeypatch):
+        # main names the input errors it reports; any other exception propagates
+        def broken(*args):
+            raise KeyError("bug")
+
+        monkeypatch.setattr(cli, "compute_rows", broken)
+        with pytest.raises(KeyError):
+            main(["compute", "--input", write_doc(tmp_path, REAL_DOC), "--out", str(tmp_path / "o.csv")])
 
     def test_missing_subcommand_usage_exit(self):
         with pytest.raises(SystemExit) as exc:

@@ -1,5 +1,6 @@
 """Factor comparison: closed form, grid scan, and dominance witnesses."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -162,6 +163,9 @@ class TestDominanceSearch:
             g = gram(fam)
             assert max_row_abs_sum(g) == m1
             assert power_mean_factor(g, pair.p) == m2
+        with pytest.raises(DomainError):  # two gaps of one sign are no witness pair
+            dataclasses.replace(pair, family_b=pair.family_a, bombieri_b=pair.bombieri_a,
+                                power_mean_b=pair.power_mean_a)
 
     def test_p2_finds_nothing(self):
         assert dominance_search(seed=1, max_trials=2_000, p=2.0) is None

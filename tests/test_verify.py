@@ -989,6 +989,10 @@ _BAD_SCALARS = [2.9, "5", True, -1, math.nan]
 _BAD_REALS = _BAD_SCALARS[1:] + [10**400]
 # Dimensions above the longest complex128 row numpy can index; none of them allocates.
 _BAD_DIMS = _BAD_SCALARS + [10**400, 2**62]
+# A family's rows as an array or a list, and no family; an exponent, None or text where an
+# iterable of exponents belongs.
+_NOT_FAMILIES = [np.eye(2), [[1.0, 0.0]], None]
+_NOT_EXPONENT_LISTS = [2.0, 2, None, "2", b"2"]
 _SCALAR_ARGS = [  # (name, call on the bad value, the bad values); each raises a DomainError
     ("FamilySpec_dim", lambda v: FamilySpec(v, 2), _BAD_SCALARS),
     ("FamilySpec_n", lambda v: FamilySpec(2, v), _BAD_SCALARS),
@@ -1023,6 +1027,13 @@ _SCALAR_ARGS = [  # (name, call on the bad value, the bad values); each raises a
     ("verify_all_abs_tol", lambda v: verify_all(_GOOD, _FAM, _GOOD, abs_tol=v), _BAD_REALS),
     ("verify_corpus_rel_tol", lambda v: verify_corpus([], rel_tol=v), _BAD_REALS),
     ("verify_corpus_abs_tol", lambda v: verify_corpus([], abs_tol=v), _BAD_REALS),
+    ("bombieri_bound_family", lambda v: bombieri_bound(_GOOD, v), _NOT_FAMILIES),
+    ("span_bound_family", lambda v: span_bound(_GOOD, v, 2.0), _NOT_FAMILIES),
+    ("verify_all_family", lambda v: verify_all(_GOOD, v, _GOOD), _NOT_FAMILIES),
+    ("orthonormal_bessel_bound_family", lambda v: orthonormal_bessel_bound(_GOOD, v, 2.0), _NOT_FAMILIES),
+    ("inner_each_family", lambda v: inner_each(_GOOD, v), _NOT_FAMILIES),
+    ("verify_all_p_list", lambda v: verify_all(_GOOD, _FAM, _GOOD, v), _NOT_EXPONENT_LISTS),
+    ("verify_corpus_p_list", lambda v: verify_corpus([], v), _NOT_EXPONENT_LISTS),
 ]
 
 
