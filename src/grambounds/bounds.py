@@ -22,8 +22,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Vector, VectorFamily, _as_complex, _dot, _gram_reductions, _inner_each, _Scaled, _sq_norms, _sum_sq
-from .core import _check_family, inner_each
+from .core import ORTHONORMAL_TOL, VectorFamily, _as_complex, _dot, _gram_reductions, _inner_each, _Scaled, _sq_norms
+from .core import _check_family, _sum_sq, inner_each
 from .errors import DomainError, ShapeError
 from .norms import _magnitudes, _normalize_exponent, conjugate_exponent, power_mean_exponent
 
@@ -46,10 +46,6 @@ __all__ = [
     "bombieri_bound",
     "power_mean_gap",
 ]
-
-#: Max-entry deviation from the identity below which a family counts as
-#: orthonormal for the specialized Bessel-sum bound.
-ORTHONORMAL_TOL = 1e-10
 
 #: Default slack of BoundResult.holds.  Every inequality is exact in real
 #: arithmetic, so the slack absorbs only floating-point rounding: a formula
@@ -131,8 +127,8 @@ class _Ingredients:
     #: on first use; every other one reads only these, c and n.
     _REDUCED = ("t", "nx", "norms", "combination_norm_sq", "norms_sq_total")
 
-    def __init__(self, n: int, rows=None, x=None, c=None, family: Optional[VectorFamily] = None, reads=()):
-        self.n, self.rows, self.x, self.c, self.family, self.reads = n, rows, x, c, family, reads
+    def __init__(self, n: int, rows=None, x=None, c=None, reads=()):
+        self.n, self.rows, self.x, self.c, self.reads = n, rows, x, c, reads
         self.stacks = [] if rows is None else [rows]
         self._memo: dict = {}
 
@@ -140,10 +136,10 @@ class _Ingredients:
     def of(cls, family: VectorFamily, x=_ABSENT, c=_ABSENT, reads=()) -> "_Ingredients":
         """One input as a batch of one, of views, with the Gram reductions in reads; x and c are
         validated here, in this order."""
-        ing = cls(_check_family(family).size, family.vectors[None], family=family, reads=reads)
+        ing = cls(_check_family(family).size, family.vectors[None], reads=reads)
         if x is not _ABSENT:
-            x = x if isinstance(x, Vector) else Vector(x)
-            ing.x, ing.t = x.coords[None], inner_each(x, family)[None]  # inner_each also checks the dimension
+            x = _as_complex(x)
+            ing.x, ing.t = x[None], inner_each(x, family)[None]  # inner_each also checks the dimension
         if c is not _ABSENT:
             ing.c = _as_complex(c, what="coefficients", allow_empty=True, size=family.size)[None]
         return ing

@@ -33,9 +33,14 @@ __all__ = [
 
 ArrayLike = Union["Vector", Sequence, np.ndarray]
 
-#: Tolerance for the Hermitian / diagonal checks on externally supplied
-#: Gram matrices.  Matrices we build ourselves satisfy them exactly.
+#: Tolerance for the Hermitian / diagonal checks on externally supplied Gram matrices,
+#: relative to max(1, max |g_ij|): a float product Y·Yᴴ is Hermitian only to about
+#: d·u·max ‖y_i‖² (Higham, Accuracy and Stability of Numerical Algorithms, §3.1).
+#: Matrices built here satisfy both checks exactly.
 HERMITIAN_TOL = 1e-12
+
+#: Max-entry deviation from the identity below which a family counts as orthonormal.
+ORTHONORMAL_TOL = 1e-10
 
 
 #: The two fields a family, a spec, a random draw or an input document may name.
@@ -373,7 +378,7 @@ def _gram_blocks(stacks: list):
 
 
 def _fold(blocks, count: int, reads) -> dict:
-    """Fold blocks (b, r0, block, scratch) of |G|, as _gram_blocks yields them, into a (count,)
+    """Fold writable blocks (b, r0, block, scratch) of |G|, as _gram_blocks yields them, into a (count,)
     column for each read in ``reads`` and compute nothing else.  A read is a normalized q, for
     (Σ |g_ij|^q)^(1/q), the largest entry at q = ∞; "row", for max_i Σ_j |g_ij|, Bombieri's factor;
     or "eye", for max |G - I|, the orthonormality test.
@@ -383,8 +388,7 @@ def _fold(blocks, count: int, reads) -> dict:
     An input's first block (r0 = 0) sets the pair to its own largest entry m and scaled sum s;
     each later block joins it as (M', S') = (max(M, m), S (M/M')^q + s (m/M')^q).  So every
     n ≤ 1,024, one block, has the bits of one pass over the whole |G|.  "eye" is read last from
-    each block: |g_ii - 1| is written over the block's diagonal and the block's maximum taken, so
-    it is read only from scratch blocks.
+    each block: |g_ii - 1| is written over the block's diagonal and the block's maximum taken.
     """
     reads = list(dict.fromkeys(reads))
     qs = [read for read in reads if read not in ("row", "eye")]
@@ -424,22 +428,23 @@ def _gram_reductions(stacks: list, reads) -> dict:
     return _fold(_gram_blocks(stacks), sum(len(rows) for rows in stacks), reads)
 
 
-def _abs_reductions(abs_g: np.ndarray, reads) -> dict:
-    """The same reads, "eye" excepted, of one given |G| (n, n), read in the same blocks."""
-    n = abs_g.shape[0]
-    return _fold(((0, r0, abs_g[None, r0:r0 + r], None) for _, _, r0, r in _cuts(1, n, n, _BLOCK)), 1, reads)
+def _abs_reductions(entries: np.ndarray, reads) -> dict:
+    """The same reads of one given G (n, n), its |G| taken in the same blocks, one at a time."""
+    n = entries.shape[0]
+    return _fold(((0, r0, np.abs(entries[None, r0:r0 + r]), None) for _, _, r0, r in _cuts(1, n, n, _BLOCK)),
+                 1, reads)
 
 
 class VectorFamily:
     """A finite ordered family (y_1, ..., y_n) in a common space.
 
-    Stored as an (n, d) complex128 matrix, one member per row.  The Gram
-    matrix is built only when gram() is called, and cached; the bounds and
+    Stored as an (n, d) complex128 matrix, one member per row, and nothing
+    else.  The Gram matrix is built only when gram() is called; the bounds and
     the orthonormality test read the Gram products through _gram_reductions
     instead.  Families are treated as immutable after construction.
     """
 
-    __slots__ = ("_vectors", "_field", "_gram")
+    __slots__ = ("_vectors", "_field")
 
     def __init__(
         self,
@@ -451,7 +456,7 @@ class VectorFamily:
         if field not in _FIELDS:
             raise DomainError(f"field must be 'real' or 'complex', got {field!r}")
 
-        if isinstance(members, np.ndarray) and members.ndim == 2:
+        if isinstance(members, np.ndarray):
             rows = _as_complex(members, what="family", ndim=2, copy=True)
         else:  # each member a view where it can be: np.vstack makes the one copy
             coerced = [_as_complex(m, what="family member") for m in members]
@@ -474,7 +479,6 @@ class VectorFamily:
         rows.setflags(write=False)
         self._vectors = rows
         self._field = field
-        self._gram: GramMatrix | None = None
 
     @property
     def vectors(self) -> np.ndarray:
@@ -509,20 +513,18 @@ class VectorFamily:
         return f"VectorFamily(n={self.size}, dim={self.dim}, field={self._field!r})"
 
     def gram(self) -> "GramMatrix":
-        """Gram matrix G with G[i, j] = (y_i, y_j); cached after first call."""
-        if self._gram is None:
-            self._gram = GramMatrix(_gram_entries(self._vectors), _trust=True)
-        return self._gram
+        """Gram matrix G with G[i, j] = (y_i, y_j), built anew on each call."""
+        return GramMatrix(_gram_entries(self._vectors), _trust=True)
 
     def _identity_deviation(self) -> float:
         """max |G - I|, from one pass over the Gram products: no Gram matrix is built."""
         return float(_gram_reductions([self._vectors[None]], ("eye",))["eye"][0])
 
-    def is_orthonormal(self, tol: float = 1e-10) -> bool:
+    def is_orthonormal(self, tol: float = ORTHONORMAL_TOL) -> bool:
         """Whether the Gram matrix is within ``tol`` of the identity (max-abs)."""
         return _check_real("tol", tol) >= self._identity_deviation()  # False on NaN
 
-    def require_orthonormal(self, tol: float = 1e-10) -> None:
+    def require_orthonormal(self, tol: float = ORTHONORMAL_TOL) -> None:
         tol = _check_real("tol", tol)
         if not (dev := self._identity_deviation()) <= tol:
             raise NotOrthonormalError(f"family is not orthonormal: max |G - I| entry is {dev:.3e} (tol {tol:.1e})")
@@ -532,11 +534,12 @@ class GramMatrix:
     """An n-by-n Hermitian matrix of pairwise inner products.
 
     Accepts any square array that is Hermitian with a nonnegative
-    diagonal (within a small tolerance); matrices produced by
-    :meth:`VectorFamily.gram` satisfy both exactly and skip the checks.
+    diagonal, within HERMITIAN_TOL · max(1, max |g_ij|); matrices produced by
+    :meth:`VectorFamily.gram` satisfy both exactly and skip the checks.  Holds
+    its checked entries and nothing else.
     """
 
-    __slots__ = ("_entries", "_abs")
+    __slots__ = ("_entries",)
 
     def __init__(self, entries: np.ndarray, *, _trust: bool = False):
         # A trusted array is a fresh private complex128 array: take it as is.
@@ -544,18 +547,18 @@ class GramMatrix:
         if arr.shape[0] != arr.shape[1]:
             raise ShapeError(f"Gram matrix must be square, got shape {arr.shape}")
         if not _trust and arr.size:
+            tol = HERMITIAN_TOL * max(1.0, float(np.abs(arr).max()))
             dev = float(np.max(np.abs(arr - arr.conj().T)))
-            if dev > HERMITIAN_TOL:
+            if dev > tol:
                 raise DomainError(
                     f"matrix is not Hermitian: max |G - G*| entry is {dev:.3e}"
                 )
             # Nonnegative diagonal, allowing the same slack.
             dmin = float(arr.diagonal().real.min())
-            if dmin < -HERMITIAN_TOL:
+            if dmin < -tol:
                 raise DomainError(f"Gram diagonal has negative entry {dmin:.3e}")
         arr.setflags(write=False)
         self._entries = arr
-        self._abs: np.ndarray | None = None
 
     @property
     def entries(self) -> np.ndarray:
@@ -568,17 +571,9 @@ class GramMatrix:
     def __repr__(self) -> str:
         return f"GramMatrix(n={self.size})"
 
-    def abs_entries(self) -> np.ndarray:
-        """|G[i, j]| as a real matrix; cached for gram_entry_qnorm and max_row_abs_sum."""
-        if self._abs is None:
-            out = np.abs(self._entries)
-            out.setflags(write=False)
-            self._abs = out
-        return self._abs
-
 
 def gram(family: VectorFamily) -> GramMatrix:
-    """Gram matrix of a family (delegates to the family's cache)."""
+    """Gram matrix of a family, built anew on each call: family.gram()."""
     return family.gram()
 
 

@@ -92,9 +92,9 @@ def _as_gram(gram) -> GramMatrix:
 def gram_entry_qnorm(gram, q) -> float:
     """Entrywise q-norm over all n² magnitudes |g_ij|; max entry at q = ∞."""
     qf = _normalize_exponent(q)
-    return float(_abs_reductions(_as_gram(gram).abs_entries(), (qf,))[qf][0])
+    return float(_abs_reductions(_as_gram(gram).entries, (qf,))[qf][0])
 
 
 def max_row_abs_sum(gram) -> float:
     """max_i Σ_j |g_ij| — the row factor of the classical Bessel-sum bound."""
-    return float(_abs_reductions(_as_gram(gram).abs_entries(), ("row",))["row"][0])
+    return float(_abs_reductions(_as_gram(gram).entries, ("row",))["row"][0])

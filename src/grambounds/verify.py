@@ -174,7 +174,8 @@ class CaseTable:
 
 def _exponents(p_list) -> list[float]:
     """The exponents of p_list, any iterable of them, each checked, the first occurrence of each in order."""
-    if isinstance(p_list, (str, bytes)) or not isinstance(p_list, Iterable):
+    # A 0-d array passes the Iterable check, but iterating it raises.
+    if isinstance(p_list, (str, bytes)) or not isinstance(p_list, Iterable) or getattr(p_list, "ndim", 1) == 0:
         raise DomainError(f"p_list must be an iterable of exponents, got {type(p_list).__name__}")
     return list(dict.fromkeys(map(_normalize_exponent, p_list)))
 
@@ -189,7 +190,7 @@ def _cases(ing: _Ingredients, p_list, frobenius, *, gap=True, orthonormal_tol=No
     input's max |G - I| is within it."""
     ps = _exponents(p_list)
     ing.reads = ("row", 2.0, *map(conjugate_exponent, ps), *(() if orthonormal_tol is None else ("eye",)))
-    columns = [ing.bombieri(), frobenius(ing.x, ing.family, ing)]
+    columns = [ing.bombieri(), frobenius(None, None, ing)]
     if ing.c is not None:
         columns += ing.chain()
     orthonormal = orthonormal_tol is not None and bool((ing.gram["eye"] <= orthonormal_tol).all())

@@ -13,6 +13,6 @@ def check_schwarz_chain(family: VectorFamily) -> bool:
     """
     if family.size == 0:
         return True
-    g = family.gram().abs_entries()
+    g = np.abs(family.gram().entries)
     member_norms = np.sqrt(_sq_norms(family.vectors)[0])
     return bool(np.all(g <= np.outer(member_norms, member_norms) * (1.0 + 1e-12)))

@@ -1,10 +1,14 @@
 """Vectors, families, inner products, and Gram matrices."""
 
+import inspect
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import grambounds
 from grambounds import (
     STANDARD_P_LIST,
     DimensionError,
@@ -21,9 +25,11 @@ from grambounds import (
     inner_each,
     max_row_abs_sum,
     norm,
+    orthonormal_bessel_bound,
+    power_mean_factor,
     seq_pnorm,
 )
-from grambounds import core
+from grambounds import bounds, core
 from grambounds.bounds import _Ingredients
 from grambounds.core import _BLOCK, _abs_reductions, _cuts, _gram_entries, _gram_reductions, _sq_norms
 from grambounds.norms import _Scaled
@@ -157,6 +163,17 @@ class TestVectorFamily:
         with pytest.raises(DimensionError):
             VectorFamily([[1.0], [1.0, 2.0]])
 
+    @pytest.mark.parametrize("shape", [(3,), (0,), (2, 2, 2)])
+    def test_array_that_is_not_2d_is_named_as_the_family(self, shape):
+        with pytest.raises(ShapeError, match=re.escape(f"family must be 2-dimensional, got shape {shape}")):
+            VectorFamily(np.zeros(shape), dim=3)
+
+    def test_orthonormal_tolerance_is_one_constant(self):
+        defaults = [inspect.signature(f).parameters["tol"].default for f in
+                    (VectorFamily.is_orthonormal, VectorFamily.require_orthonormal, orthonormal_bessel_bound)]
+        assert all(tol is core.ORTHONORMAL_TOL for tol in defaults)
+        assert grambounds.ORTHONORMAL_TOL is bounds.ORTHONORMAL_TOL is core.ORTHONORMAL_TOL == 1e-10
+
     def test_real_field_rejects_imag(self):
         with pytest.raises(DomainError):
             VectorFamily([[1 + 1j]], field="real")
@@ -228,9 +245,23 @@ class TestGram:
                 z = inner(fam[i], fam[j])
                 assert g[i, j] == pytest.approx(z, rel=1e-13, abs=1e-13)
 
-    def test_gram_cached_on_family(self):
-        fam = VectorFamily(np.eye(2))
-        assert gram(fam) is gram(fam)
+    def test_no_n_squared_array_outlives_gram_and_its_reductions(self):
+        """gram() builds a new GramMatrix on each call, and neither the family nor the matrix keeps
+        G or |G|: once the matrix is dropped, less than one n² array of doubles is still held."""
+        n = 300
+        fam = _build_family("complex", (n, 5))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            g = fam.gram()
+            assert g is not fam.gram() and np.array_equal(g.entries, fam.gram().entries)
+            gram_entry_qnorm(g, 3.0)
+            max_row_abs_sum(g)
+            del g
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 8 * n * n
 
     def test_orthonormal_within_tol(self):
         g = gram(VectorFamily(np.eye(4))).entries
@@ -349,7 +380,7 @@ class TestGramBuild:
     @pytest.mark.parametrize("shape", [(257, 8), (300, 5)])
     @pytest.mark.parametrize("kind", _GRAM_KINDS)
     def test_root_power_sum_bits_match_fresh_ratio_powers(self, kind, shape):
-        g_abs = gram(_build_family(kind, shape)).abs_entries()
+        g_abs = np.abs(gram(_build_family(kind, shape)).entries)
         # |G| as one row of n² (gram_entry_qnorm), and as its n rows plus a row of zeros.
         for a in (g_abs.reshape(1, -1), np.vstack([g_abs, np.zeros((1, shape[0]))])):
             scaled = _Scaled(a)  # one object for every exponent: its scratch array is reused
@@ -521,24 +552,42 @@ class TestGramReductions:
             assert list(alone) == [read]
             assert np.array_equal(_bits(alone[read]), _bits(together[read])), read
 
-    def test_a_given_abs_matrix_is_read_not_written(self):
-        """gram_entry_qnorm and max_row_abs_sum fold a GramMatrix's read-only |G| itself; "eye" writes
-        |g_ii - 1| into its block, so it is asked for only on scratch blocks and fails on this one."""
+    def test_a_given_gram_matrix_is_read_not_written(self):
+        """A given G's |G| is taken one block at a time into a fresh array, so its read-only entries
+        are never written, and "eye", which writes |g_ii - 1| into each block, has the bits of the
+        family's own orthonormality test: one block, and row blocks."""
         for n in (300, 1100):
-            abs_g = gram(_build_family("complex", (n, 3))).abs_entries()
-            before = abs_g.copy()
-            assert list(_abs_reductions(abs_g, ("row", 3.0))) == ["row", 3.0]
-            assert np.array_equal(_bits(abs_g), _bits(before)) and not abs_g.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                _abs_reductions(abs_g, ("eye",))
+            fam = _build_family("complex", (n, 3))
+            entries = gram(fam).entries
+            before = entries.copy()
+            got = _abs_reductions(entries, ("row", 3.0, "eye"))
+            assert list(got) == ["row", 3.0, "eye"]
+            assert np.array_equal(_bits(entries), _bits(before)) and not entries.flags.writeable
+            assert np.array_equal(_bits(got["eye"][0]), _bits(np.float64(fam._identity_deviation())))
+
+    def test_a_given_gram_matrix_folds_in_about_three_blocks(self):
+        """n = 2100 is five row blocks: the fold of a given G holds a block of |G|, the powers of a
+        q-norm and their sums, not an n² array."""
+        n, block_bytes = 2100, 8 * _BLOCK
+        g = gram(_build_family("complex", (n, 3)))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            gram_entry_qnorm(g, 3.0)
+            max_row_abs_sum(g)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.3 * block_bytes < 8 * n * n
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_given_gram_matrix_folds_through_the_same_blocks(self, field):
         fam = _build_family(field, (1100, 3))
-        got = _gram_reductions([fam.vectors[None]], self.READS)
+        got, g = _gram_reductions([fam.vectors[None]], self.READS), gram(fam)
         for q in self.QS:
-            assert gram_entry_qnorm(gram(fam), q) == got[q][0]
-        assert max_row_abs_sum(gram(fam)) == got["row"][0]
+            assert gram_entry_qnorm(g, q) == got[q][0]
+        assert max_row_abs_sum(g) == got["row"][0]
 
 
 class TestGramMatrix:
@@ -553,6 +602,22 @@ class TestGramMatrix:
     def test_rejects_negative_diagonal(self):
         with pytest.raises(DomainError):
             GramMatrix(np.array([[-1.0, 0.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("scale", [10.0, 1e3])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_accepts_large_float_products(self, field, scale):
+        """Y·Yᴴ by gemm is Hermitian only to about d·u·max ‖y_i‖², far above 1e-12 for these
+        entries, so the checks are relative to the largest entry."""
+        rng = np.random.default_rng(43)
+        y = scale * (rng.normal(size=(50, 1000)) + (1j * rng.normal(size=(50, 1000)) if field == "complex" else 0))
+        g = y @ y.conj().T.copy()  # a second buffer: gemm, not the exactly symmetric syrk
+        assert np.abs(g - g.conj().T).max() > core.HERMITIAN_TOL
+        assert GramMatrix(g).size == 50
+        assert gram_entry_qnorm(g, 2.0) > 0 and max_row_abs_sum(g) > 0 and power_mean_factor(g, 1.5) > 0
+
+    def test_rejects_a_large_non_hermitian_matrix(self):
+        with pytest.raises(DomainError, match="not Hermitian"):
+            GramMatrix(np.array([[1e6, 1.0], [0.0, 1e6]]))
 
     def test_accepts_hermitian_complex(self):
         g = GramMatrix(np.array([[2.0, 1 - 1j], [1 + 1j, 3.0]]))
@@ -570,10 +635,6 @@ class TestGramMatrix:
             assert abs(q.imag) <= slack
             assert q.real >= -slack
 
-    def test_abs_entries(self):
-        g = GramMatrix(np.array([[1.0, -0.5], [-0.5, 1.0]]))
-        np.testing.assert_array_equal(g.abs_entries(), [[1.0, 0.5], [0.5, 1.0]])
-        assert g.abs_entries() is g.abs_entries()
 
 
 class TestInnerEach:

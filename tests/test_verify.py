@@ -358,7 +358,6 @@ class TestVerifyAll:
             calls.clear()
             run()
             assert len(calls) == 1
-        assert fam._gram is None and ortho._gram is None
 
     def test_each_fold_computes_only_what_its_caller_reads(self, monkeypatch):
         """Each fold of |G| is asked for the reductions its caller reads and no others: the cases
@@ -992,7 +991,7 @@ _BAD_DIMS = _BAD_SCALARS + [10**400, 2**62]
 # A family's rows as an array or a list, and no family; an exponent, None or text where an
 # iterable of exponents belongs.
 _NOT_FAMILIES = [np.eye(2), [[1.0, 0.0]], None]
-_NOT_EXPONENT_LISTS = [2.0, 2, None, "2", b"2"]
+_NOT_EXPONENT_LISTS = [2.0, 2, None, "2", b"2", np.array(2.0)]
 _SCALAR_ARGS = [  # (name, call on the bad value, the bad values); each raises a DomainError
     ("FamilySpec_dim", lambda v: FamilySpec(v, 2), _BAD_SCALARS),
     ("FamilySpec_n", lambda v: FamilySpec(2, v), _BAD_SCALARS),
@@ -1034,6 +1033,7 @@ _SCALAR_ARGS = [  # (name, call on the bad value, the bad values); each raises a
     ("inner_each_family", lambda v: inner_each(_GOOD, v), _NOT_FAMILIES),
     ("verify_all_p_list", lambda v: verify_all(_GOOD, _FAM, _GOOD, v), _NOT_EXPONENT_LISTS),
     ("verify_corpus_p_list", lambda v: verify_corpus([], v), _NOT_EXPONENT_LISTS),
+    ("evaluate_cases_p_list", lambda v: evaluate_cases(_GOOD, _FAM, _GOOD, v), _NOT_EXPONENT_LISTS),
 ]
 
 
