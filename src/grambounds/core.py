@@ -11,6 +11,7 @@ than up to rounding.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 import sys
@@ -223,31 +224,6 @@ def _im_products(rows: np.ndarray, cols: np.ndarray, a: np.ndarray, b: np.ndarra
     np.subtract(a, b, out=a)
 
 
-def _gram_entries(mat: np.ndarray) -> np.ndarray:
-    """Hermitian Gram matrices of the rows of each (n, d) slice of ``mat`` (..., n, d), exact by mirroring.
-
-    The lower triangle is computed via real block products (same arithmetic
-    as :func:`inner`) and reflected, so G[i, j] and conj(G[j, i]) are the same
-    float pair and the diagonal is real.  When every imaginary part is zero
-    one product suffices.  The products share two n-by-n scratch arrays.
-    """
-    n = mat.shape[-2]
-    out = np.zeros(mat.shape[:-1] + (n,), dtype=np.complex128)
-    lower = np.tri(n, dtype=bool)  # i >= j
-    is_complex = mat.imag.any()
-    a = np.empty(out.shape)
-    b = np.empty(out.shape) if is_complex else None
-    _re_products(mat, mat, a, b)
-    np.copyto(out.real, a.swapaxes(-1, -2))
-    np.copyto(out.real, a, where=lower)
-    if is_complex:
-        _im_products(mat, mat, a, b)
-        np.subtract(0.0, a.swapaxes(-1, -2), out=out.imag)  # 0 - x, not -x: a zero stays +0.0
-        np.copyto(out.imag, a, where=lower)
-        out.imag[..., range(n), range(n)] = 0.0
-    return out
-
-
 def _sq_norms(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """‖y_i‖² for the rows y_i of ``rows`` (..., n, d) and their sum, squaring each coordinate once."""
     sq = rows.real * rows.real
@@ -324,62 +300,77 @@ def _cuts(count: int, rows: int, cols: int, size: int) -> list[tuple[int, int, i
     return [(b, 1, r0, min(r, rows - r0)) for b in range(count) for r0 in range(0, rows, r)]
 
 
-def _abs_products(a: np.ndarray, s: np.ndarray | None, r0: int) -> None:
-    """Overwrite Gram rows r0..r0+r of a (k, r, n), the real parts, with |g_ij|; ``s`` holds the
-    imaginary parts, None for real data.
+def _mirror(re: np.ndarray, im: np.ndarray | None, r0: int) -> None:
+    """Make Gram rows r0..r0+r of re, the real parts (k, r, n), and ``im``, the imaginary parts or
+    None for real data, Hermitian in place: the one rule for G and |G| alike.
 
-    As in _gram_entries, an entry above the diagonal whose partner row is in the block takes the
-    partner's value, the diagonal is real, and the others are the block's own products.  Each tile
-    makes a complex copy of its rows for np.abs, whose bits hypot does not share.  Tiles run bottom
-    up, so the rows a tile mirrors from are already magnitudes.
+    An entry above the diagonal whose partner row is in the block takes the partner's conjugate
+    (0 - x, not -x: a zero stays +0.0), the diagonal is real, and the others keep their products.
+    The partners sit below the diagonal, which no step writes, so the tiles (at most _TILE entries,
+    which bounds numpy's copy of an overlapping source) may run in any order.
     """
-    k, r, n = a.shape
-    if not a.size:
-        return
-    upper = ~np.tri(min(r, max(_TILE // n, 1)), r, dtype=bool)  # column > row
-    for j, kt, t0, t in reversed(_cuts(k, r, n, _TILE)):
-        tile = a[j:j + kt, t0:t0 + t]
-        if s is None:
-            np.abs(tile, out=tile)
-        else:
-            z = np.empty(tile.shape, np.complex128)
-            z.real, z.imag = tile, s[j:j + kt, t0:t0 + t]
-            z.imag[..., range(t), range(r0 + t0, r0 + t0 + t)] = 0.0
-            np.abs(z, out=tile)
-        np.copyto(tile[..., r0 + t0:r0 + r], a[j:j + kt, t0:, r0 + t0:r0 + t0 + t].swapaxes(-1, -2),
-                  where=upper[:t, :r - t0])
+    k, r, _ = re.shape
+    tiles = _cuts(k, r, r, _TILE)
+    upper = np.arange(r) > np.arange(tiles[0][3])[:, None]  # column > row, over a tile's rows
+    for j, kt, t0, t in tiles:
+        to, partners = np.s_[j:j + kt, t0:t0 + t, r0 + t0:r0 + r], np.s_[j:j + kt, t0:, r0 + t0:r0 + t0 + t]
+        np.copyto(re[to], re[partners].swapaxes(-1, -2), where=upper[:t, :r - t0])
+        if im is not None:
+            np.subtract(0.0, im[partners].swapaxes(-1, -2), out=im[to], where=upper[:t, :r - t0])
+    if im is not None:
+        im[:, range(r), range(r0, r0 + r)] = 0.0
 
 
-def _gram_blocks(stacks: list):
-    """|G| of each input of the row stacks (B, n, d), all of one n, in blocks: (b, r0, block, scratch).
+def _abs_products(re: np.ndarray, im: np.ndarray | None) -> np.ndarray:
+    """Overwrite the real parts re (k, r, n) with |g_ij| and return it; ``im`` holds the imaginary
+    parts, None for real data.  A complex block goes through a complex copy of one tile at a time
+    for np.abs, whose bits np.hypot does not share."""
+    if im is None:
+        return np.abs(re, out=re)
+    k, r, n = re.shape
+    for j, kt, t0, t in _cuts(k, r, n, _TILE):
+        tile = re[j:j + kt, t0:t0 + t]
+        z = np.empty(tile.shape, np.complex128)
+        z.real, z.imag = tile, im[j:j + kt, t0:t0 + t]
+        np.abs(z, out=tile)
+    return re
 
-    ``block`` (k, r, n) holds rows r0..r0+r of |G| of inputs b..b+k, counted across the stacks,
-    so whole matrices from several stacks share a block; ``scratch`` is a buffer of its shape.
-    Two buffers, reused by every block, hold the real and the imaginary products; the |G| rows
-    go into the first and the second is then free.  A block with a complex input takes the four
-    products for all of them: a real input's extra products are zeros, which |·| does not see.
+
+def _gram_blocks(stacks: list, size: int = _BLOCK):
+    """G of each input of the row stacks (B, n, d), all of one n, in blocks of at most ``size``
+    entries: (b, r0, re, im).
+
+    ``re`` (k, r, n) holds the real parts of rows r0..r0+r of G of inputs b..b+k, counted across the
+    stacks, so whole matrices from several stacks share a block; ``im`` holds the imaginary parts,
+    or is None when every input in the block is real.  Both are made Hermitian by _mirror.  Two
+    buffers, reused by every block, hold them; the second exists only if some input is complex.  A
+    block with a complex input takes the four products for all of them: a real input's extra
+    products are zeros.
     """
     n = stacks[0].shape[1] if stacks else 0
-    starts = np.cumsum([0] + [len(rows) for rows in stacks]).tolist()
-    pieces = _cuts(starts[-1], n, n, _BLOCK)
-    size = max((k * r * n for _, k, _, r in pieces), default=0)
-    buf_a, buf_s = np.empty(size), np.empty(size)
+    starts = list(itertools.accumulate(map(len, stacks), initial=0))
+    pieces = _cuts(starts[-1], n, n, size)
+    most = max((k * r * n for _, k, _, r in pieces), default=0)
+    buf_re = np.empty(most)
+    buf_im = np.empty(most) if any(rows.imag.any() for rows in stacks) else None
     for b, k, r0, r in pieces:
-        block, scratch = (buf[:k * r * n].reshape(k, r, n) for buf in (buf_a, buf_s))
         parts = [(rows[max(b - lo, 0):b + k - lo], slice(max(lo - b, 0), hi - b))  # its inputs, their place
                  for rows, lo, hi in zip(stacks, starts, starts[1:]) if lo < b + k and b < hi]
-        imag = scratch if any(cols.imag.any() for cols, _ in parts) else None
+        re = buf_re[:k * r * n].reshape(k, r, n)
+        im = buf_im[:k * r * n].reshape(k, r, n) if any(cols.imag.any() for cols, _ in parts) else None
         for cols, at in parts:
-            _re_products(cols[:, r0:r0 + r], cols, block[at], None if imag is None else imag[at])
-            if imag is not None:
-                _im_products(cols[:, r0:r0 + r], cols, imag[at], np.empty_like(imag[at]))
-        _abs_products(block, imag, r0)
-        yield b, r0, block, scratch
+            _re_products(cols[:, r0:r0 + r], cols, re[at], None if im is None else im[at])
+            if im is not None:
+                _im_products(cols[:, r0:r0 + r], cols, im[at], np.empty_like(im[at]))
+        _mirror(re, im, r0)
+        yield b, r0, re, im
 
 
 def _fold(blocks, count: int, reads) -> dict:
-    """Fold writable blocks (b, r0, block, scratch) of |G|, as _gram_blocks yields them, into a (count,)
-    column for each read in ``reads`` and compute nothing else.  A read is a normalized q, for
+    """Fold writable blocks (b, r0, block, scratch) of |G| into a (count,) column for each read in
+    ``reads`` and compute nothing else.  ``block`` (k, r, n) holds rows r0..r0+r of |G| of inputs
+    b..b+k, as _gram_reductions takes them from _gram_blocks' mirrored products or _abs_reductions
+    from a given G; ``scratch`` is a spare buffer of its shape, or None.  A read is a normalized q, for
     (Σ |g_ij|^q)^(1/q), the largest entry at q = ∞; "row", for max_i Σ_j |g_ij|, Bombieri's factor;
     or "eye", for max |G - I|, the orthonormality test.
 
@@ -424,8 +415,9 @@ def _fold(blocks, count: int, reads) -> dict:
 def _gram_reductions(stacks: list, reads) -> dict:
     """The reads of _fold for every input of the row stacks (B, n, d), all of one n, in order:
     one pass over the Gram products, in blocks of at most _BLOCK entries, and no n-by-n matrix
-    beyond a block."""
-    return _fold(_gram_blocks(stacks), sum(len(rows) for rows in stacks), reads)
+    beyond a block.  A block's |G| goes into its real parts, and its imaginary parts are then free."""
+    blocks = ((b, r0, _abs_products(re, im), im) for b, r0, re, im in _gram_blocks(stacks))
+    return _fold(blocks, sum(len(rows) for rows in stacks), reads)
 
 
 def _abs_reductions(entries: np.ndarray, reads) -> dict:
@@ -513,8 +505,12 @@ class VectorFamily:
         return f"VectorFamily(n={self.size}, dim={self.dim}, field={self._field!r})"
 
     def gram(self) -> "GramMatrix":
-        """Gram matrix G with G[i, j] = (y_i, y_j), built anew on each call."""
-        return GramMatrix(_gram_entries(self._vectors), _trust=True)
+        """Gram matrix G with G[i, j] = (y_i, y_j), built anew on each call from one block of the products."""
+        n = self.size
+        (_, _, re, im), = _gram_blocks([self._vectors[None]], n * n)
+        entries = np.empty((n, n), np.complex128)  # set by parts: re + 1j * im turns an imaginary -0.0 into +0.0
+        entries.real, entries.imag = re[0], 0.0 if im is None else im[0]
+        return GramMatrix(entries, _trust=True)
 
     def _identity_deviation(self) -> float:
         """max |G - I|, from one pass over the Gram products: no Gram matrix is built."""
@@ -547,8 +543,9 @@ class GramMatrix:
         if arr.shape[0] != arr.shape[1]:
             raise ShapeError(f"Gram matrix must be square, got shape {arr.shape}")
         if not _trust and arr.size:
-            tol = HERMITIAN_TOL * max(1.0, float(np.abs(arr).max()))
-            dev = float(np.max(np.abs(arr - arr.conj().T)))
+            tol = HERMITIAN_TOL * max(1.0, float(_abs_reductions(arr, (math.inf,))[math.inf][0]))
+            dev = max(float(np.abs(arr[r0:r0 + r] - arr[:, r0:r0 + r].T.conj()).max())  # one row block at a time
+                      for _, _, r0, r in _cuts(1, *arr.shape, _BLOCK))
             if dev > tol:
                 raise DomainError(
                     f"matrix is not Hermitian: max |G - G*| entry is {dev:.3e}"

@@ -31,7 +31,7 @@ from grambounds import (
 )
 from grambounds import bounds, core
 from grambounds.bounds import _Ingredients
-from grambounds.core import _BLOCK, _abs_reductions, _cuts, _gram_entries, _gram_reductions, _sq_norms
+from grambounds.core import _BLOCK, _abs_reductions, _cuts, _gram_reductions, _sq_norms
 from grambounds.norms import _Scaled
 
 
@@ -363,19 +363,19 @@ class TestGramBuild:
     @pytest.mark.parametrize("kind", _GRAM_KINDS)
     def test_bits_match_fresh_product_build(self, kind, shape):
         # (257, 8) and (300, 5) are shapes where BLAS syrk's bits differ from gemm's.
-        mat = _build_family(kind, shape).vectors
-        assert np.array_equal(_bits(_gram_entries(mat)), _bits(_fresh_product_gram(mat)))
+        fam = _build_family(kind, shape)
+        assert np.array_equal(_bits(gram(fam).entries), _bits(_fresh_product_gram(fam.vectors)))
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_bits_match_fresh_product_build_on_underflow_and_stacks(self, field):
         # d = 1 products of +-1e-200 underflow to -0.0 or 0.0: whatever zero each entry gets, it is kept.
         tiny = np.array([[1e-200], [-1e-200], [3e-200], [-0.0]])
         mat = tiny * (1.0 - 2j) if field == "complex" else tiny + 0j
-        assert _gram_entries(mat)[1, 0] == 0.0
+        assert gram(VectorFamily(mat)).entries[1, 0] == 0.0
         rng = np.random.default_rng(53)
         stack = rng.normal(size=(3, 40, 8)) + (1j * rng.normal(size=(3, 40, 8)) if field == "complex" else 0.0)
-        for m in (mat, mat[None], stack.astype(np.complex128)):
-            assert np.array_equal(_bits(_gram_entries(m)), _bits(_fresh_product_gram(m)))
+        for m in (mat, *stack.astype(np.complex128)):
+            assert np.array_equal(_bits(gram(VectorFamily(m)).entries), _bits(_fresh_product_gram(m)))
 
     @pytest.mark.parametrize("shape", [(257, 8), (300, 5)])
     @pytest.mark.parametrize("kind", _GRAM_KINDS)
@@ -402,6 +402,11 @@ def test_sq_norms_bits_match_squaring_each_sum_apart(kind, shape):
     assert per_row.shape == shape[:2] and total.shape == shape[:1]
     assert np.array_equal(_bits(np.sqrt(per_row)), _bits(norms))
     assert np.array_equal(_bits(total), _bits(norms_sq_total))
+
+
+def _abs_gram(rows):
+    """|G| (B, n, n) of each input of the stack (B, n, d), from gram()."""
+    return np.stack([np.abs(gram(VectorFamily(m)).entries) for m in rows])
 
 
 def _materialised(abs_g, qs):
@@ -459,7 +464,7 @@ class TestGramReductions:
     def test_one_block_has_the_bits_of_the_materialised_matrix(self, kind, shape):
         rows = _build_family(kind, shape).vectors[None]
         got = _gram_reductions([rows], self.READS)
-        want = _materialised(np.abs(_gram_entries(rows)), self.QS)
+        want = _materialised(_abs_gram(rows), self.QS)
         assert np.array_equal(_bits(got["row"]), _bits(want[0]))
         assert np.array_equal(_bits(got["eye"]), _bits(want[1]))
         for q in self.QS:
@@ -473,7 +478,7 @@ class TestGramReductions:
         rows[9:] = rows[9:].real
         assert 13 * 300 * 300 > _BLOCK and len(_cuts(13, 300, 300, _BLOCK)) == 2
         got = _gram_reductions([rows[:6], rows[6:]], self.READS)  # two stacks, counted in order
-        want = _materialised(np.abs(_gram_entries(rows)), self.QS)
+        want = _materialised(_abs_gram(rows), self.QS)
         assert np.array_equal(_bits(got["row"]), _bits(want[0]))
         assert np.array_equal(_bits(got["eye"]), _bits(want[1]))
         for q in self.QS:
@@ -495,7 +500,7 @@ class TestGramReductions:
             rows = _build_family(kind, (n, d)).vectors
         assert len(_cuts(1, n, n, _BLOCK)) > 1
         got = _gram_reductions([rows[None]], ("row", "eye", *qs))
-        one_pass = _materialised(np.abs(_gram_entries(rows[None])), qs)
+        one_pass = _materialised(_abs_gram(rows[None]), qs)
         exact = _longdouble_reference(rows, qs)
         p = np.abs(rows) @ np.abs(rows).T
         scale = _abs_reductions(p, ("row", *qs))
@@ -516,11 +521,13 @@ class TestGramReductions:
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_upper_entries_in_the_block_come_from_their_partners(self, monkeypatch, field):
-        """Within a block an entry above the diagonal takes its partner's value, as _gram_entries
-        mirrors, whatever the products hold there: |G| is symmetric bitwise on any BLAS.  n = 300 is
-        one block of six tiles, so partners also sit in other tiles."""
-        rows = _build_family(field, (300, 5)).vectors[None]
-        want = _gram_reductions([rows], self.READS)
+        """Within a block an entry above the diagonal takes its partner's conjugate, whatever the
+        products hold there, and gram() and the fold run the same mirror step: G is Hermitian and |G|
+        symmetric bitwise on any BLAS.  n = 300 is one block of six tiles, so partners also sit in
+        other tiles."""
+        fam = _build_family(field, (300, 5))
+        rows = fam.vectors[None]
+        want, want_g = _gram_reductions([rows], self.READS), gram(fam).entries
         products = {name: getattr(core, name) for name in ("_re_products", "_im_products")}
 
         def skewed(name):
@@ -531,11 +538,18 @@ class TestGramReductions:
 
         for name in products:
             monkeypatch.setattr(core, name, skewed(name))
-        got = _gram_reductions([rows], self.READS)
+        got, g = _gram_reductions([rows], self.READS), gram(fam)
         assert np.array_equal(_bits(got["row"]), _bits(want["row"]))
         assert np.array_equal(_bits(got["eye"]), _bits(want["eye"]))
         for q in self.QS:
             assert np.array_equal(_bits(got[q]), _bits(want[q])), q
+        entries = g.entries
+        assert np.array_equal(_bits(entries), _bits(want_g))
+        assert np.array_equal(_bits(entries.real), _bits(entries.real.T)) and np.array_equal(entries.imag, -entries.imag.T)
+        assert not entries.imag.diagonal().any()
+        for q in self.QS:
+            assert np.array_equal(_bits(np.float64(gram_entry_qnorm(g, q))), _bits(got[q][0])), q
+        assert np.array_equal(_bits(np.float64(max_row_abs_sum(g))), _bits(got["row"][0]))
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     @pytest.mark.parametrize("b, n", [(1, 300), (13, 300), (1, 1025)])
@@ -614,6 +628,27 @@ class TestGramMatrix:
         assert np.abs(g - g.conj().T).max() > core.HERMITIAN_TOL
         assert GramMatrix(g).size == 50
         assert gram_entry_qnorm(g, 2.0) > 0 and max_row_abs_sum(g) > 0 and power_mean_factor(g, 1.5) > 0
+
+    def test_checks_a_given_matrix_in_row_blocks(self):
+        """The Hermitian check takes max |G - G*| one row block at a time and the scale from the
+        fold of |G|: beside the private copy (2 n² doubles) it holds about four blocks, the
+        conjugated columns and the difference, not three more n² arrays."""
+        n, block_bytes = 2100, 8 * _BLOCK
+        y = _build_family("complex", (n, 3)).vectors
+        e = y @ y.conj().T
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            g = GramMatrix(e)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(g.entries, e)
+        assert peak <= 16 * n * n + 4.1 * block_bytes < 24 * n * n
+        e[n - 1, 0] += 1e-6 * abs(e).max()  # in the last row block, its partner in the first
+        with pytest.raises(DomainError, match="not Hermitian"):
+            GramMatrix(e)
 
     def test_rejects_a_large_non_hermitian_matrix(self):
         with pytest.raises(DomainError, match="not Hermitian"):
