@@ -325,12 +325,13 @@ def orthonormal_bessel_bound(x, family: VectorFamily, p, tol: float = ORTHONORMA
     """The bessel_sum_bound specialized to orthonormal families, where the
     Gram factor collapses to n^(1/(2q)) (read as 1 when q = ∞).
 
-    Raises NotOrthonormalError when the family's Gram matrix is farther than
-    ``tol`` from the identity in max-entry norm.
+    Its arguments are checked first; then it raises NotOrthonormalError when the
+    family's Gram matrix is farther than ``tol`` from the identity in max-entry norm.
     """
-    _check_family(family).require_orthonormal(tol)
     pf = _normalize_exponent(p)
-    return _one(_Ingredients.of(family, x).orthonormal_27a(pf, conjugate_exponent(pf)))
+    ing = _Ingredients.of(family, x)
+    family.require_orthonormal(tol)
+    return _one(ing.orthonormal_27a(pf, conjugate_exponent(pf)))
 
 
 def frobenius_bound(x, family: VectorFamily, _ing: Optional[_Ingredients] = None) -> BoundResult:

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bounds import ORTHONORMAL_TOL, _Ingredients, frobenius_bound
+from .bounds import ORTHONORMAL_TOL, BoundId, _Ingredients, frobenius_bound
 from .compare import sign_scan
 from .core import _FIELDS, Vector, VectorFamily, _as_complex, _check_real
 from .errors import DomainError, ExponentError, GramBoundsError, ShapeError
@@ -139,11 +139,13 @@ def compute_rows(x, family, coefficients, p_values) -> list[str]:
 
     Coefficient-based rows appear only when coefficients were supplied; the
     orthonormal specialization appears only when the family passes its
-    orthonormality check.
+    orthonormality check.  The raw power-mean comparisons (BoundId.POWER_MEAN_GAP)
+    are dropped here, since which rows the CSV holds is the command line's choice.
     """
     ing = _Ingredients.of(family, x) if coefficients is None else _Ingredients.of(family, x, coefficients)
-    cases = _cases(ing, p_values, frobenius_bound, gap=False, orthonormal_tol=ORTHONORMAL_TOL).records(0)
-    return [case_row(r.bound_id, r.p, r.flavor, r.lhs, r.rhs) for r in cases]
+    cases = _cases(ing, p_values, frobenius_bound, orthonormal_tol=ORTHONORMAL_TOL).records(0)
+    return [case_row(r.bound_id, r.p, r.flavor, r.lhs, r.rhs) for r in cases
+            if r.bound_id is not BoundId.POWER_MEAN_GAP]
 
 
 def _write_lines(path: str, lines: list[str]) -> None:

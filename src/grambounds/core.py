@@ -203,25 +203,21 @@ def _inner_each(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (re + 1j * im)[..., 0]
 
 
-def _re_products(rows: np.ndarray, cols: np.ndarray, a: np.ndarray, b: np.ndarray | None) -> None:
-    """a = Re·Reᵀ + Im·Imᵀ, the real parts of (y_i, y_j) for ``rows`` (..., r, d) by ``cols`` (..., n, d).
+def _products(rows: np.ndarray, cols: np.ndarray, re: np.ndarray, im: np.ndarray | None) -> None:
+    """re = Re·Reᵀ + Im·Imᵀ and im = Im·Reᵀ − Re·Imᵀ, the real and imaginary parts of (y_i, y_j) for
+    ``rows`` (..., r, d) by ``cols`` (..., n, d).
 
-    ``b`` is scratch of a's shape, None for real data, where Re·Reᵀ is all of it: the other
-    product is zero, and adding +0.0 changes no nonzero float.  The operands stay the strided
-    ``.real``/``.imag`` views: one contiguous buffer as both operands of ``A @ A.T`` goes to
-    BLAS syrk, whose bits differ from gemm's.
+    ``im`` stages Im·Imᵀ before it takes its own parts, and Re·Imᵀ is a temporary of this call.  For
+    real data ``im`` is None and Re·Reᵀ is all of re: the other products are zero, and adding +0.0
+    changes no nonzero float.  The operands stay the strided ``.real``/``.imag`` views: one
+    contiguous buffer as both operands of ``A @ A.T`` goes to BLAS syrk, whose bits differ from gemm's.
     """
-    np.matmul(rows.real, cols.real.swapaxes(-1, -2), out=a)
-    if b is not None:
-        np.matmul(rows.imag, cols.imag.swapaxes(-1, -2), out=b)
-        np.add(a, b, out=a)
-
-
-def _im_products(rows: np.ndarray, cols: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
-    """a = Im·Reᵀ − Re·Imᵀ, the imaginary parts of (y_i, y_j), with ``b`` as scratch; see _re_products."""
-    np.matmul(rows.imag, cols.real.swapaxes(-1, -2), out=a)
-    np.matmul(rows.real, cols.imag.swapaxes(-1, -2), out=b)
-    np.subtract(a, b, out=a)
+    np.matmul(rows.real, cols.real.swapaxes(-1, -2), out=re)
+    if im is not None:
+        np.matmul(rows.imag, cols.imag.swapaxes(-1, -2), out=im)
+        np.add(re, im, out=re)
+        np.matmul(rows.imag, cols.real.swapaxes(-1, -2), out=im)
+        np.subtract(im, rows.real @ cols.imag.swapaxes(-1, -2), out=im)
 
 
 def _sq_norms(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -238,23 +234,20 @@ class _Scaled:
     The maximum is factored out before powering: q = p/(p-1) grows without
     bound as p -> 1 (q = 11 already at p = 1.1), and raising raw magnitudes
     to such powers overflows long before the norm itself does.  The maxima are
-    shared by every exponent, and each exponent divides into and powers one scratch
-    array, made on first use unless one is given.
+    shared by every exponent; each exponent divides into a new array, powers it in
+    place and drops it once summed.
     """
 
-    def __init__(self, a: np.ndarray, scratch: np.ndarray | None = None):
+    def __init__(self, a: np.ndarray):
         self.a = a
         self.max = a.max(axis=-1, initial=0.0)
-        if scratch is not None:
-            self._scratch = scratch
 
     # A row of zeros is divided by 1, not 0, and stays zero.
     _divisor = cached_property(lambda self: np.where(self.max > 0.0, self.max, 1.0)[:, None])
-    _scratch = cached_property(lambda self: np.empty_like(self.a))
 
     def power_sum(self, pf: float) -> np.ndarray:
         """Σ_i (a_i / max)^p per row; 0 for a row of zeros."""
-        s = np.divide(self.a, self._divisor, out=self._scratch)
+        s = self.a / self._divisor
         np.power(s, pf, out=s)
         return s.sum(axis=-1)
 
@@ -359,20 +352,17 @@ def _gram_blocks(stacks: list, size: int = _BLOCK):
         re = buf_re[:k * r * n].reshape(k, r, n)
         im = buf_im[:k * r * n].reshape(k, r, n) if any(cols.imag.any() for cols, _ in parts) else None
         for cols, at in parts:
-            _re_products(cols[:, r0:r0 + r], cols, re[at], None if im is None else im[at])
-            if im is not None:
-                _im_products(cols[:, r0:r0 + r], cols, im[at], np.empty_like(im[at]))
+            _products(cols[:, r0:r0 + r], cols, re[at], None if im is None else im[at])
         _mirror(re, im, r0)
         yield b, r0, re, im
 
 
 def _fold(blocks, count: int, reads) -> dict:
-    """Fold writable blocks (b, r0, block, scratch) of |G| into a (count,) column for each read in
-    ``reads`` and compute nothing else.  ``block`` (k, r, n) holds rows r0..r0+r of |G| of inputs
-    b..b+k, as _gram_reductions takes them from _gram_blocks' mirrored products or _abs_reductions
-    from a given G; ``scratch`` is a spare buffer of its shape, or None.  A read is a normalized q, for
-    (Σ |g_ij|^q)^(1/q), the largest entry at q = ∞; "row", for max_i Σ_j |g_ij|, Bombieri's factor;
-    or "eye", for max |G - I|, the orthonormality test.
+    """Fold writable blocks (b, r0, block) of |G| into a (count,) column for each read in ``reads``
+    and compute nothing else.  ``block`` (k, r, n) holds rows r0..r0+r of |G| of inputs b..b+k, as
+    _gram_reductions takes them from _gram_blocks' mirrored products or _abs_reductions from a
+    given G.  A read is a normalized q, for (Σ |g_ij|^q)^(1/q), the largest entry at q = ∞; "row",
+    for max_i Σ_j |g_ij|, Bombieri's factor; or "eye", for max |G - I|, the orthonormality test.
 
     Each q-norm keeps the pair (M, S) of the largest entry so far and Σ (|g_ij| / M)^q, the
     scaled sum of Blue (ACM TOMS 4(1), 1978) and LAPACK dlassq (Anderson, ACM TOMS 44(1), 2017).
@@ -385,11 +375,11 @@ def _fold(blocks, count: int, reads) -> dict:
     qs = [read for read in reads if read not in ("row", "eye")]
     top, row, eye = np.zeros(count), np.zeros(count), np.zeros(count)
     sums = {q: np.zeros(count) for q in qs if math.isfinite(q)}  # the plain sum at q = 1
-    for b, r0, block, scratch in blocks:
+    for b, r0, block in blocks:
         k, r, n = block.shape
         at = slice(b, b + k)
         if qs:
-            scaled = _Scaled(block.reshape(k, r * n), None if scratch is None else scratch.reshape(k, r * n))
+            scaled = _Scaled(block.reshape(k, r * n))
             joined = np.maximum(top[at], scaled.max)  # the block's own maximum on an input's first block
             divisor = np.where(joined > 0.0, joined, 1.0)
             for q, acc in sums.items():
@@ -415,16 +405,15 @@ def _fold(blocks, count: int, reads) -> dict:
 def _gram_reductions(stacks: list, reads) -> dict:
     """The reads of _fold for every input of the row stacks (B, n, d), all of one n, in order:
     one pass over the Gram products, in blocks of at most _BLOCK entries, and no n-by-n matrix
-    beyond a block.  A block's |G| goes into its real parts, and its imaginary parts are then free."""
-    blocks = ((b, r0, _abs_products(re, im), im) for b, r0, re, im in _gram_blocks(stacks))
+    beyond a block.  A block's |G| goes into its real parts."""
+    blocks = ((b, r0, _abs_products(re, im)) for b, r0, re, im in _gram_blocks(stacks))
     return _fold(blocks, sum(len(rows) for rows in stacks), reads)
 
 
 def _abs_reductions(entries: np.ndarray, reads) -> dict:
     """The same reads of one given G (n, n), its |G| taken in the same blocks, one at a time."""
     n = entries.shape[0]
-    return _fold(((0, r0, np.abs(entries[None, r0:r0 + r]), None) for _, _, r0, r in _cuts(1, n, n, _BLOCK)),
-                 1, reads)
+    return _fold(((0, r0, np.abs(entries[None, r0:r0 + r])) for _, _, r0, r in _cuts(1, n, n, _BLOCK)), 1, reads)
 
 
 class VectorFamily:

@@ -180,7 +180,7 @@ def _exponents(p_list) -> list[float]:
     return list(dict.fromkeys(map(_normalize_exponent, p_list)))
 
 
-def _cases(ing: _Ingredients, p_list, frobenius, *, gap=True, orthonormal_tol=None) -> CaseTable:
+def _cases(ing: _Ingredients, p_list, frobenius, *, orthonormal_tol=None) -> CaseTable:
     """Every case of the ingredients' inputs, in report order (see evaluate_cases), each
     column the record of one ing method; coefficient cases need ing.c.  cor28 goes through
     the caller's frobenius_bound, so a patched one there reaches the batch.  The Gram
@@ -201,9 +201,7 @@ def _cases(ing: _Ingredients, p_list, frobenius, *, gap=True, orthonormal_tol=No
                 columns += (ing.span(pf, q, flavor), ing.combo(pf, q, flavor))
         columns.append(ing.thm27(pf, q))
         if 1.0 < pf <= 2.0:
-            columns.append(ing.power_mean(pf, q))
-            if gap:
-                columns.append(ing.gap(pf))
+            columns += (ing.power_mean(pf, q), ing.gap(pf))
         if orthonormal:
             columns.append(ing.orthonormal_27a(pf, q))
     return CaseTable([(c.bound_id, c.p, c.flavor) for c in columns],

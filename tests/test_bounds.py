@@ -9,7 +9,9 @@ import pytest
 from grambounds import (
     BoundId,
     BoundResult,
+    DimensionError,
     DomainError,
+    ExponentError,
     ExponentRangeError,
     NotOrthonormalError,
     ShapeError,
@@ -29,6 +31,7 @@ from grambounds import (
     span_bound,
     weighted_inner_sum_sq,
 )
+from grambounds import core
 
 E2 = VectorFamily(np.eye(2))
 ONES_1D = VectorFamily([[1.0], [1.0]])
@@ -230,6 +233,19 @@ class TestOrthonormalBesselBound:
     def test_rejects_non_orthonormal(self):
         with pytest.raises(NotOrthonormalError):
             orthonormal_bessel_bound(Vector([1.0]), HALF_1D, 2.0)
+
+    def test_checks_its_arguments_before_the_gram_pass(self, monkeypatch):
+        """A bad p or x is rejected before the orthonormality test folds |G|."""
+        def no_pass(*args):
+            raise AssertionError("the Gram pass ran")
+
+        monkeypatch.setattr(core, "_fold", no_pass)
+        with pytest.raises(ExponentError):
+            orthonormal_bessel_bound(Vector([1.0, 0.0]), E2, 0.5)
+        with pytest.raises(DimensionError):
+            orthonormal_bessel_bound(Vector([1.0, 0.0, 0.0]), E2, 2.0)
+        with pytest.raises(DomainError):
+            orthonormal_bessel_bound(Vector([1.0, 0.0]), np.eye(2), 2.0)
 
     def test_matches_general_bound(self):
         rng = np.random.default_rng(61)

@@ -383,7 +383,7 @@ class TestGramBuild:
         g_abs = np.abs(gram(_build_family(kind, shape)).entries)
         # |G| as one row of n² (gram_entry_qnorm), and as its n rows plus a row of zeros.
         for a in (g_abs.reshape(1, -1), np.vstack([g_abs, np.zeros((1, shape[0]))])):
-            scaled = _Scaled(a)  # one object for every exponent: its scratch array is reused
+            scaled = _Scaled(a)  # one object for every exponent: its maxima are shared
             ratio = a / np.where(scaled.max > 0.0, scaled.max, 1.0)[:, None]
             for p in filter(math.isfinite, _NORM_EXPONENTS):
                 for e in (1.0 / p, 2.0 / p):
@@ -528,16 +528,15 @@ class TestGramReductions:
         fam = _build_family(field, (300, 5))
         rows = fam.vectors[None]
         want, want_g = _gram_reductions([rows], self.READS), gram(fam).entries
-        products = {name: getattr(core, name) for name in ("_re_products", "_im_products")}
+        products = core._products
 
-        def skewed(name):
-            def run(rows, cols, a, b):
-                products[name](rows, cols, a, b)
-                a[..., np.triu_indices(a.shape[-1], 1)[0], np.triu_indices(a.shape[-1], 1)[1]] *= 1.5
-            return run
+        def skewed(rows, cols, re, im):
+            products(rows, cols, re, im)
+            upper = (..., *np.triu_indices(re.shape[-1], 1))
+            for part in (re, im) if im is not None else (re,):
+                part[upper] *= 1.5
 
-        for name in products:
-            monkeypatch.setattr(core, name, skewed(name))
+        monkeypatch.setattr(core, "_products", skewed)
         got, g = _gram_reductions([rows], self.READS), gram(fam)
         assert np.array_equal(_bits(got["row"]), _bits(want["row"]))
         assert np.array_equal(_bits(got["eye"]), _bits(want["eye"]))

@@ -1,6 +1,9 @@
-"""The package exports: one list, built from the modules' own export lists."""
+"""The package exports: one list, built from the modules' own export lists; and the README's quickstart runs."""
 
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -56,3 +59,14 @@ def test_classes_and_functions_come_from_their_defining_module():
         home = getattr(obj, "__module__", None)
         if isinstance(home, str) and home.startswith("grambounds."):
             assert getattr(sys.modules[home], name) is obj, name
+
+
+def test_readme_library_quickstart_runs():
+    """The first python block under the README's "Library quickstart" heading runs on the source tree, with
+    a RuntimeWarning (an overflow, a division by zero) an error."""
+    root = Path(__file__).resolve().parents[1]
+    section = (root / "README.md").read_text(encoding="utf-8").split("\n## Library quickstart\n", 1)[1]
+    code = section.split("\n## ", 1)[0].split("```python\n", 1)[1].split("\n```", 1)[0]
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(root / "src")})
+    assert proc.returncode == 0, proc.stderr

@@ -322,9 +322,9 @@ class TestVerifyAll:
 
     @pytest.mark.parametrize("field, bound", [("complex", 3.3), ("real", 2.3)])
     def test_peak_memory_without_the_complex_gram(self, field, bound):
-        # The real and the imaginary products (1 n² each) and the second imaginary product's
-        # scratch (1 n², complex only); |G| goes into the first buffer, a q-norm's powers into the second
-        # or, for real data, into a scratch array of its size.
+        # The real and the imaginary products (1 n² each) and Re·Imᵀ, the products step's own
+        # temporary (1 n², complex only); |G| goes into the first buffer, and each q-norm divides
+        # into a new array of its size (1 n²), powers it in place and drops it once summed.
         n = 300
         assert self._peak(n, 5, field) <= bound * 8 * n * n
 
@@ -339,7 +339,7 @@ class TestVerifyAll:
         """verify_all, evaluate_cases, compute_rows and orthonormal_bessel_bound compute each
         Gram product once and never build the complex G."""
         calls = []
-        products = core._re_products
+        products = core._products
 
         def counted(*args):
             calls.append(1)
@@ -348,7 +348,7 @@ class TestVerifyAll:
         def untouched(*args):
             raise AssertionError("the complex Gram matrix was built")
 
-        monkeypatch.setattr(core, "_re_products", counted)
+        monkeypatch.setattr(core, "_products", counted)
         monkeypatch.setattr(core, "GramMatrix", untouched)
         x, fam, c = random_family(FamilySpec(5, 7, field="complex", seed=61))
         ortho = random_orthonormal_family(6, 4, field="complex", seed=61)
