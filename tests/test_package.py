@@ -1,4 +1,5 @@
-"""The package exports: one list, built from the modules' own export lists; and the README's quickstart runs."""
+"""The package exports: one list, built from the modules' own export lists; its runtime dependencies;
+and the README's quickstart runs."""
 
 import os
 import subprocess
@@ -70,3 +71,17 @@ def test_readme_library_quickstart_runs():
     proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", code], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": str(root / "src")})
     assert proc.returncode == 0, proc.stderr
+
+
+def test_runtime_dependencies_are_numpy_alone():
+    """Importing the package, its command line and its entry point in a fresh isolated interpreter
+    (``-I``, the source tree first on sys.path) loads no top-level module outside the standard
+    library, numpy and grambounds."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (f"import sys; sys.path.insert(0, {str(src)!r}); before = set(sys.modules)\n"
+            "import grambounds, grambounds.cli, grambounds.__main__\n"
+            "top = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+            "print(*sorted(top - set(sys.stdlib_module_names) - {'numpy', 'grambounds'}))")
+    proc = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
