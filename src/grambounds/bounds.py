@@ -112,31 +112,30 @@ class _Ingredients:
     c (B, n), x or c None when absent; a single input is a batch of one (views, no
     copies).  Every quantity is a (B,) column computed on first use and kept, so
     evaluating all bounds at many exponents reads each left-hand side, p-norm and Gram
-    q-norm once, and divides each magnitude array (|t|, |c|, the member norms) by its
-    maximum once for all exponents.  The Gram matrix is read only through ``gram``: one
-    pass over the Gram products that folds |G| into the columns named in ``reads`` and
-    no others (core._fold: a q for each q-norm, "row" for Bombieri's row sum, "eye" for
-    max |G - I|), which are declared before the first bound reads them.  Each bound is
-    one method below that returns its finished BoundResult, whose lhs and value are (B,)
-    columns: the one place that names the bound's id, left-hand side, p and flavor, and
-    the single arithmetic path for its value, which is what makes the p = 2 and
-    composition identities bitwise.
+    q-norm once: |t|, |c| and the member norms are each a _Scaled, divided by its maximum
+    once and keeping its p-norm at each p.  The Gram matrix is read only through
+    ``gram(read)``, whose first call makes one pass over the Gram products that folds |G|
+    into that read and those in ``reads`` and no others (core._fold: a q for each q-norm,
+    "row" for Bombieri's row sum, "eye" for max |G - I|); a caller that reads several names
+    them in ``reads`` first.  Each bound is one method below that returns its finished
+    BoundResult, whose lhs and value are (B,) columns: the one place that names the bound's
+    id, left-hand side, p, flavor and Gram read, and the single arithmetic path for its
+    value, which is what makes the p = 2 and composition identities bitwise.
     """
 
     #: The quantities read from the coordinates besides ``gram``, which reads the row stacks
     #: on first use; every other one reads only these, c and n.
     _REDUCED = ("t", "nx", "norms", "combination_norm_sq", "norms_sq_total")
 
-    def __init__(self, n: int, rows=None, x=None, c=None, reads=()):
-        self.n, self.rows, self.x, self.c, self.reads = n, rows, x, c, reads
+    def __init__(self, n: int, rows=None, x=None, c=None):
+        self.n, self.rows, self.x, self.c, self.reads = n, rows, x, c, ()
         self.stacks = [] if rows is None else [rows]
-        self._memo: dict = {}
+        self._gram = None
 
     @classmethod
-    def of(cls, family: VectorFamily, x=_ABSENT, c=_ABSENT, reads=()) -> "_Ingredients":
-        """One input as a batch of one, of views, with the Gram reductions in reads; x and c are
-        validated here, in this order."""
-        ing = cls(_check_family(family).size, family.vectors[None], reads=reads)
+    def of(cls, family: VectorFamily, x=_ABSENT, c=_ABSENT) -> "_Ingredients":
+        """One input as a batch of one, of views; x and c are validated here, in this order."""
+        ing = cls(_check_family(family).size, family.vectors[None])
         if x is not _ABSENT:
             x = _as_complex(x)
             ing.x, ing.t = x[None], inner_each(x, family)[None]  # inner_each also checks the dimension
@@ -152,7 +151,8 @@ class _Ingredients:
         one Gram pass over the stacks when a bound first reads it."""
         if not (all(isinstance(a, list) for a in (x, rows, c)) and 0 < len(rows) == len(x) == len(c)):
             raise ShapeError("need equal-length nonempty lists of x, family and c stacks")
-        parts = [(_as_complex(xs, what="x stack", ndim=2), _as_complex(ys, what="family stack", ndim=3),
+        rows = [_as_complex(ys, what="family stack", ndim=3) for ys in rows]  # first: a plain-list family lands here
+        parts = [(_as_complex(xs, what="x stack", ndim=2), ys,
                   _as_complex(cs, what="c stack", ndim=2, allow_empty=True)) for xs, ys, cs in zip(x, rows, c)]
         for xs, ys, cs in parts:
             if xs.shape != ys.shape[::2] or cs.shape != ys.shape[:2] or ys.shape[1] != parts[0][1].shape[1]:
@@ -178,31 +178,29 @@ class _Ingredients:
     c_sq = cached_property(lambda self: _sum_sq(self.c))
     combination_norm_sq = cached_property(lambda self: _sum_sq((self.c[:, None, :] @ self.rows)[:, 0]))
 
-    gram = cached_property(lambda self: _gram_reductions(self.stacks, self.reads))
-
     @cached_property
     def weighted_inner_sum_sq(self) -> np.ndarray:
         s = _dot(self.c, self.t)
         return s.real * s.real + s.imag * s.imag
 
-    def pnorm(self, name: str, p: float) -> np.ndarray:
-        """The p-norm column of the magnitudes in attribute ``name``, memoised per p."""
-        key = (name, p)
-        if key not in self._memo:
-            self._memo[key] = getattr(self, name).pnorm(_normalize_exponent(p))
-        return self._memo[key]
+    def gram(self, read) -> np.ndarray:
+        """The column of one Gram reduction.  The first call makes the one Gram pass, over ``reads``
+        and ``read``; a later read must be one of those (KeyError otherwise)."""
+        if self._gram is None:
+            self._gram = _gram_reductions(self.stacks, (*self.reads, read))
+        return self._gram[read]
 
     # One method per bound, returning its record: p is normalized and q = conjugate_exponent(p).
 
     def _span_value(self, p: float, q: float, flavor: str) -> np.ndarray:
         if flavor == "gram":
-            fam_factor = self.gram[q]
+            fam_factor = self.gram(q)
         elif flavor == "norms":
-            member_factor = self.pnorm("abs_norms", q)
+            member_factor = self.abs_norms.pnorm(_normalize_exponent(q))  # a q within SNAP_TOL of 1 reads as 1
             fam_factor = member_factor * member_factor
         else:
             raise DomainError(f"flavor must be 'gram' or 'norms', got {flavor!r}")
-        coef = self.pnorm("abs_c", p)
+        coef = self.abs_c.pnorm(p)
         return (coef * coef) * fam_factor
 
     def span(self, p: float, q: float, flavor: str) -> BoundResult:
@@ -216,25 +214,25 @@ class _Ingredients:
 
     def chain(self) -> tuple[BoundResult, BoundResult]:
         """The middle link (lhs ≤ middle) and the outer link (middle ≤ outer)."""
-        middle = self.c_sq * self.gram[2.0]
+        middle = self.c_sq * self.gram(2.0)
         return (
             BoundResult(BoundId.REFINEMENT_CHAIN, self.combination_norm_sq, middle, None, "middle"),
             BoundResult(BoundId.REFINEMENT_CHAIN, middle, self.c_sq * self.norms_sq_total, None, "outer"),
         )
 
     def thm27(self, p: float, q: float) -> BoundResult:
-        value = self.nx * self.pnorm("abs_t", p) * np.sqrt(self.gram[q])
+        value = self.nx * self.abs_t.pnorm(p) * np.sqrt(self.gram(q))
         return BoundResult(BoundId.WEIGHTED_BESSEL, self.bessel_sum, value, p)
 
     def orthonormal_27a(self, p: float, q: float) -> BoundResult:
         expo = 0.0 if math.isinf(q) else 1.0 / (2.0 * q)
-        value = self.nx * float(self.n) ** expo * self.pnorm("abs_t", p)
+        value = self.nx * float(self.n) ** expo * self.abs_t.pnorm(p)
         return BoundResult(BoundId.ORTHONORMAL_BESSEL, self.bessel_sum, value, p)
 
     def _power_mean_value(self, p: float, q: float) -> np.ndarray:
         # Frobenius is this at p = q = 2, where scale = n^0 = 1.0 exactly.
         scale = float(self.n) ** (2.0 / p - 1.0)
-        return scale * self.nx2 * self.gram[q]
+        return scale * self.nx2 * self.gram(q)
 
     def power_mean(self, p: float, q: float) -> BoundResult:
         return BoundResult(BoundId.POWER_MEAN, self.bessel_sum, self._power_mean_value(p, q), p)
@@ -243,7 +241,7 @@ class _Ingredients:
         return BoundResult(BoundId.FROBENIUS, self.bessel_sum, self._power_mean_value(2.0, 2.0))
 
     def bombieri(self) -> BoundResult:
-        return BoundResult(BoundId.BOMBIERI, self.bessel_sum, self.nx2 * self.gram["row"])
+        return BoundResult(BoundId.BOMBIERI, self.bessel_sum, self.nx2 * self.gram("row"))
 
     def gap(self, p: float) -> BoundResult:
         return _power_mean_gap(self.abs_t, p)
@@ -286,7 +284,7 @@ def span_bound(alphas, family: VectorFamily, p, flavor: str = "gram") -> BoundRe
     """
     pf = _normalize_exponent(p)
     q = conjugate_exponent(pf)
-    return _one(_Ingredients.of(family, c=alphas, reads=(q,)).span(pf, q, flavor))
+    return _one(_Ingredients.of(family, c=alphas).span(pf, q, flavor))
 
 
 def combo_bound(x, family: VectorFamily, c, p, flavor: str = "gram") -> BoundResult:
@@ -298,14 +296,14 @@ def combo_bound(x, family: VectorFamily, c, p, flavor: str = "gram") -> BoundRes
     """
     pf = _normalize_exponent(p)
     q = conjugate_exponent(pf)
-    return _one(_Ingredients.of(family, x, c, reads=(q,)).combo(pf, q, flavor))
+    return _one(_Ingredients.of(family, x, c).combo(pf, q, flavor))
 
 
 def refinement_chain(alphas, family: VectorFamily) -> tuple[BoundResult, BoundResult]:
     """Two nested ceilings for ‖Σ α_i z_i‖² as two links: the middle link bounds
     it by the Frobenius term Σ|α_i|² (Σ|g_ij|²)^(1/2), the outer link bounds that
     term by the classical Σ|α_i|² Σ‖z_i‖²."""
-    middle, outer = _Ingredients.of(family, c=alphas, reads=(2.0,)).chain()
+    middle, outer = _Ingredients.of(family, c=alphas).chain()
     return _one(middle), _one(outer)
 
 
@@ -318,7 +316,7 @@ def bessel_sum_bound(x, family: VectorFamily, p) -> BoundResult:
     t_i = |(x, y_i)| — the square root of the combo bound at c_i = conj(x, y_i)."""
     pf = _normalize_exponent(p)
     q = conjugate_exponent(pf)
-    return _one(_Ingredients.of(family, x, reads=(q,)).thm27(pf, q))
+    return _one(_Ingredients.of(family, x).thm27(pf, q))
 
 
 def orthonormal_bessel_bound(x, family: VectorFamily, p, tol: float = ORTHONORMAL_TOL) -> BoundResult:
@@ -336,7 +334,7 @@ def orthonormal_bessel_bound(x, family: VectorFamily, p, tol: float = ORTHONORMA
 
 def frobenius_bound(x, family: VectorFamily, _ing: Optional[_Ingredients] = None) -> BoundResult:
     """Ceiling ‖x‖² (Σ|g_ij|²)^(1/2) for the Bessel sum; batch paths pass their ingredients as _ing."""
-    return _one(_Ingredients.of(family, x, reads=(2.0,)).frobenius()) if _ing is None else _ing.frobenius()
+    return _one(_Ingredients.of(family, x).frobenius()) if _ing is None else _ing.frobenius()
 
 
 def power_mean_bound(x, family: VectorFamily, p) -> BoundResult:
@@ -349,13 +347,13 @@ def power_mean_bound(x, family: VectorFamily, p) -> BoundResult:
     """
     pf = power_mean_exponent(p)
     q = conjugate_exponent(pf)
-    return _one(_Ingredients.of(family, x, reads=(q,)).power_mean(pf, q))
+    return _one(_Ingredients.of(family, x).power_mean(pf, q))
 
 
 def bombieri_bound(x, family: VectorFamily) -> BoundResult:
     """The classical ceiling ‖x‖² max_i Σ_j |g_ij|; equals ‖x‖² itself on
     orthonormal families, recovering the plain Bessel inequality."""
-    return _one(_Ingredients.of(family, x, reads=("row",)).bombieri())
+    return _one(_Ingredients.of(family, x).bombieri())
 
 
 def power_mean_gap(values, p) -> BoundResult:

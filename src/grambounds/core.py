@@ -235,12 +235,13 @@ class _Scaled:
     bound as p -> 1 (q = 11 already at p = 1.1), and raising raw magnitudes
     to such powers overflows long before the norm itself does.  The maxima are
     shared by every exponent; each exponent divides into a new array, powers it in
-    place and drops it once summed.
+    place and drops it once summed.  The p-norm column of each exponent is kept.
     """
 
     def __init__(self, a: np.ndarray):
         self.a = a
         self.max = a.max(axis=-1, initial=0.0)
+        self._pnorms: dict = {}
 
     # A row of zeros is divided by 1, not 0, and stays zero.
     _divisor = cached_property(lambda self: np.where(self.max > 0.0, self.max, 1.0)[:, None])
@@ -256,12 +257,11 @@ class _Scaled:
         return _root(self.power_sum(pf), e)
 
     def pnorm(self, pf: float) -> np.ndarray:
-        """(Σ a_i^p)^(1/p) per row for a normalized p; max at p = ∞; 0 for an empty row."""
-        if math.isinf(pf):
-            return self.max
-        if pf == 1.0:
-            return self.a.sum(axis=-1)
-        return self.max * self.root_power_sum(pf, 1.0 / pf)
+        """(Σ a_i^p)^(1/p) per row for a normalized p, kept per p; max at p = ∞; 0 for an empty row."""
+        if pf not in self._pnorms:
+            self._pnorms[pf] = (self.max if math.isinf(pf) else self.a.sum(axis=-1) if pf == 1.0
+                                else self.max * self.root_power_sum(pf, 1.0 / pf))
+        return self._pnorms[pf]
 
 
 def _root(s: np.ndarray, e: float) -> np.ndarray:

@@ -193,7 +193,7 @@ def _cases(ing: _Ingredients, p_list, frobenius, *, orthonormal_tol=None) -> Cas
     columns = [ing.bombieri(), frobenius(None, None, ing)]
     if ing.c is not None:
         columns += ing.chain()
-    orthonormal = orthonormal_tol is not None and bool((ing.gram["eye"] <= orthonormal_tol).all())
+    orthonormal = orthonormal_tol is not None and bool((ing.gram("eye") <= orthonormal_tol).all())
     for pf in ps:
         q = conjugate_exponent(pf)
         if ing.c is not None:
@@ -349,6 +349,8 @@ def verify_corpus(
     while chunk := list(itertools.islice(stream, _CHUNK)):
         by_n: dict = {}
         for i, spec in enumerate(chunk):
+            if not isinstance(spec, FamilySpec):
+                raise DomainError(f"specs must be FamilySpecs, got {type(spec).__name__}")
             by_n.setdefault(spec.n, {}).setdefault(spec.dim, []).append(i)
         # One table for the chunk, in spec order: each n's rows go to its specs' rows.
         table = None

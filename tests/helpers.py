@@ -1,5 +1,9 @@
 """Checks shared by several test modules."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
 from grambounds import VectorFamily
@@ -16,3 +20,24 @@ def check_schwarz_chain(family: VectorFamily) -> bool:
     g = np.abs(family.gram().entries)
     member_norms = np.sqrt(_sq_norms(family.vectors)[0])
     return bool(np.all(g <= np.outer(member_norms, member_norms) * (1.0 + 1e-12)))
+
+
+#: Defined for the scripts that run_fresh runs: the peak RSS in MiB of the process's own memory
+#: (VmHWM).  ru_maxrss would not do: Linux carries over exec the peak RSS of the memory a child
+#: was forked with, here that of the test run.
+_PEAK_RSS = """
+def peak_rss_mib():
+    with open("/proc/self/status") as fh:
+        return int(fh.read().split("VmHWM:")[1].split()[0]) / 1024  # kB
+"""
+
+
+def run_fresh(script: str) -> str:
+    """Run ``script`` in a fresh isolated interpreter (``-I``, the source tree first on sys.path),
+    in which a RuntimeWarning is an error, and return its output; it may call peak_rss_mib()."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = f"import sys; sys.path.insert(0, {str(src)!r})\n{_PEAK_RSS}\n{script}"
+    proc = subprocess.run([sys.executable, "-I", "-W", "error::RuntimeWarning", "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout

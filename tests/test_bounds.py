@@ -28,6 +28,7 @@ from grambounds import (
     power_mean_bound,
     power_mean_gap,
     refinement_chain,
+    seq_pnorm,
     span_bound,
     weighted_inner_sum_sq,
 )
@@ -117,6 +118,18 @@ class TestSpanBound:
     def test_bad_flavor(self):
         with pytest.raises(ValueError):
             span_bound([1, 1], ONES_1D, 2.0, "spectral")
+
+    def test_member_norm_exponent_within_snap_of_one_reads_one(self):
+        # The conjugate of p = 1e13 is q = 1.0000000000001, within SNAP_TOL of 1: the member norms
+        # take their 1-norm, as seq_pnorm(norms, q) would; q itself has other bits here.
+        rng = np.random.default_rng(5)
+        fam = VectorFamily(rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3)))
+        c, x = rng.standard_normal(6), rng.standard_normal(3)
+        a, m = seq_pnorm(c, 1e13), seq_pnorm(np.sqrt(core._sq_norms(fam.vectors)[0]), 1.0)
+        assert span_bound(c, fam, 1e13, "norms").value.hex() == ((a * a) * (m * m)).hex()
+        rows = {case.bound_id: case for case in evaluate_cases(x, fam, c, [1e13]) if case.flavor == "norms"}
+        assert rows[BoundId.SPAN_NORMS] == span_bound(c, fam, 1e13, "norms")
+        assert rows[BoundId.COMBO_NORMS] == combo_bound(x, fam, c, 1e13, "norms")
 
 
 class TestComboBound:

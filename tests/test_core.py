@@ -351,13 +351,23 @@ class TestGramBuild:
         rng = np.random.default_rng(43)
         x = rng.normal(size=shape[1]) + 1j * rng.normal(size=shape[1])
         c = rng.normal(size=shape[0]) + 1j * rng.normal(size=shape[0])
-        ing = _Ingredients.of(fam, x, c, reads=_NORM_EXPONENTS)  # a batch of one: each p-norm is a column of one
+        ing = _Ingredients.of(fam, x, c)  # a batch of one: each p-norm is a column of one
+        ing.reads = _NORM_EXPONENTS
         t = inner_each(x, fam)
         for p in _NORM_EXPONENTS:  # one ingredients object: every p reuses one scaling, every q one Gram pass
-            assert float(ing.gram[p][0]).hex() == gram_entry_qnorm(gram(fam), p).hex()
-            assert float(ing.pnorm("abs_t", p)[0]).hex() == seq_pnorm(t, p).hex()
-            assert float(ing.pnorm("abs_c", p)[0]).hex() == seq_pnorm(c, p).hex()
-            assert float(ing.pnorm("abs_norms", p)[0]).hex() == seq_pnorm(np.sqrt(_sq_norms(fam.vectors)[0]), p).hex()
+            assert float(ing.gram(p)[0]).hex() == gram_entry_qnorm(gram(fam), p).hex()
+            assert float(ing.abs_t.pnorm(p)[0]).hex() == seq_pnorm(t, p).hex()
+            assert float(ing.abs_c.pnorm(p)[0]).hex() == seq_pnorm(c, p).hex()
+            assert float(ing.abs_norms.pnorm(p)[0]).hex() == seq_pnorm(np.sqrt(_sq_norms(fam.vectors)[0]), p).hex()
+
+    def test_a_gram_read_neither_declared_nor_first_is_refused(self):
+        fam = _build_family("complex", (5, 3))
+        ing = _Ingredients.of(fam)
+        ing.reads = (2.0,)
+        assert float(ing.gram("row")[0]).hex() == max_row_abs_sum(gram(fam)).hex()  # the first read joins them
+        assert float(ing.gram(2.0)[0]).hex() == gram_entry_qnorm(gram(fam), 2.0).hex()
+        with pytest.raises(KeyError):
+            ing.gram(3.0)
 
     @pytest.mark.parametrize("shape", [(257, 8), (300, 5), (1000, 256)])
     @pytest.mark.parametrize("kind", _GRAM_KINDS)
@@ -376,6 +386,16 @@ class TestGramBuild:
         stack = rng.normal(size=(3, 40, 8)) + (1j * rng.normal(size=(3, 40, 8)) if field == "complex" else 0.0)
         for m in (mat, *stack.astype(np.complex128)):
             assert np.array_equal(_bits(gram(VectorFamily(m)).entries), _bits(_fresh_product_gram(m)))
+
+    @pytest.mark.parametrize("kind", _GRAM_KINDS)
+    def test_pnorm_is_kept_per_exponent(self, kind):
+        g_abs = np.abs(gram(_build_family(kind, (40, 8))).entries)
+        a = np.vstack([g_abs, np.zeros((1, 40))])
+        scaled = _Scaled(a)
+        firsts = {p: scaled.pnorm(p) for p in _NORM_EXPONENTS}
+        for p in reversed(_NORM_EXPONENTS):  # each exponent again, after all the others
+            assert scaled.pnorm(p) is firsts[p]
+            assert np.array_equal(_bits(firsts[p]), _bits(_Scaled(a).pnorm(p)))
 
     @pytest.mark.parametrize("shape", [(257, 8), (300, 5)])
     @pytest.mark.parametrize("kind", _GRAM_KINDS)

@@ -2,6 +2,7 @@
 
 import math
 import reprlib
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -22,6 +23,8 @@ from grambounds import (
     verify_all,
     verify_corpus,
 )
+
+from helpers import run_fresh
 
 RANK_ONE_HALF = gram(VectorFamily([[1.0], [0.5]]))
 RANK_ONE_TENTH = gram(VectorFamily([[1.0], [0.1]]))
@@ -163,6 +166,23 @@ class TestGramEntryQnorm:
             vals = [gram_entry_qnorm(g, q) for q in qs]
             for a, b in zip(vals, vals[1:]):
                 assert b <= a * (1 + 1e-12)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the peak RSS is read from /proc/self/status")
+def test_peak_rss_of_the_norms_of_a_given_gram_matrix():
+    print(run_fresh("""
+# A given complex (2100, 2100) G: each norm copies it (2 n² doubles) and checks it one row
+# block at a time.  Whole-matrix checks held about 6 n² doubles, about 309 MiB peak RSS.
+import numpy as np
+from grambounds import gram_entry_qnorm, max_row_abs_sum
+rng = np.random.default_rng(2100)
+y = rng.standard_normal((2100, 3)) + 1j * rng.standard_normal((2100, 3))
+g = y @ y.conj().T
+qnorm, row = gram_entry_qnorm(g, 3.0), max_row_abs_sum(g)
+peak = peak_rss_mib()
+print(f"n=2100: q-norm {qnorm:.6g}, row sum {row:.6g}, peak RSS {peak:.0f} MiB")
+assert peak < 250, peak
+"""))
 
 
 class TestMaxRowAbsSum:

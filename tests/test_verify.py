@@ -3,6 +3,7 @@
 import itertools
 import math
 import reprlib
+import sys
 import tracemalloc
 
 import numpy as np
@@ -54,7 +55,7 @@ from grambounds import (
 from grambounds import CaseTable, bounds, core, verify
 from grambounds.cli import case_row, compute_rows
 
-from helpers import check_schwarz_chain
+from helpers import check_schwarz_chain, run_fresh
 
 
 class TestFamilySpec:
@@ -335,6 +336,27 @@ class TestVerifyAll:
         assert peak <= 3.3 * block_bytes
         assert peak <= 0.8 * 8 * n * n
 
+    @pytest.mark.skipif(sys.platform != "linux", reason="the peak RSS is read from /proc/self/status")
+    def test_peak_rss_beyond_one_block(self):
+        print(run_fresh("""
+# verify_all on a complex (4096, 4) family: sixteen blocks of 2^20 |G| entries.
+# Materialising the complex G took 4.27 n² doubles, about 570 MB, for the n² arrays alone.
+# is_orthonormal reads max |G - I| from the same blocks, writing |g_ii - 1| into each,
+# all but the first with its diagonal off the block's first column (r0 > 0).
+import numpy as np
+from grambounds import Vector, VectorFamily, verify_all
+rng = np.random.default_rng(4096)
+n, d = 4096, 4
+rows = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+family = VectorFamily(rows)
+report = verify_all(Vector(rng.standard_normal(d)), family, rng.standard_normal(n))
+orthonormal = family.is_orthonormal()
+peak = peak_rss_mib()
+print(f"n={n}: {report.n_cases} cases, {report.n_fail} failing, orthonormal {orthonormal}, "
+      f"peak RSS {peak:.0f} MiB")
+assert report.n_fail == 0 and not orthonormal and peak < 300, (report.n_fail, orthonormal, peak)
+"""))
+
     def test_one_gram_pass_and_no_gram_matrix(self, monkeypatch):
         """verify_all, evaluate_cases, compute_rows and orthonormal_bessel_bound compute each
         Gram product once and never build the complex G."""
@@ -491,6 +513,10 @@ class TestVerifyCorpus:
         got = verify_corpus(specs, p_list=iter([1.5, 3.0, 1.5]), on_case=lambda s, case: seen.append(case))
         assert got == verify_corpus(specs, p_list=[1.5, 3.0], on_case=lambda s, case: want.append(case))
         assert seen == want and len(seen) == got.n_cases > 0
+
+    def test_rejects_a_spec_that_is_no_family_spec(self):
+        with pytest.raises(DomainError, match="specs must be FamilySpecs, got object"):
+            verify_corpus([FamilySpec(dim=2, n=2, seed=1), object()])
 
     def test_bessel_sum_matches_case_lhs(self):
         spec = FamilySpec(dim=3, n=4, field="complex", seed=43)
@@ -720,6 +746,11 @@ class TestBatchForm:
     def test_rejects_bad_stacks(self, change, error):
         with pytest.raises(error, match="stack"):  # rejected up front, before any bound reads them
             evaluate_cases(*_one_stack(*change(*_stacks(self.GROUPS[0]))))
+
+    def test_a_family_given_as_a_nested_list_is_named(self):
+        # No VectorFamily, so the stack path: the error names the family, not x.
+        with pytest.raises(ShapeError, match=r"family stack must be 3-dimensional, got shape \(2,\)"):
+            evaluate_cases([1.0, 0.0], [[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0])
 
 
 def _hex_rows(cases):
