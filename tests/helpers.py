@@ -1,12 +1,16 @@
-"""Checks shared by several test modules."""
+"""Checks and runs shared by several test modules."""
 
+import hashlib
 import subprocess
 import sys
+import time
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from grambounds import VectorFamily
+from grambounds import CorpusResult, VectorFamily, standard_corpus, verify_corpus
+from grambounds.cli import case_row
 from grambounds.core import _sq_norms
 
 
@@ -20,6 +24,26 @@ def check_schwarz_chain(family: VectorFamily) -> bool:
     g = np.abs(family.gram().entries)
     member_norms = np.sqrt(_sq_norms(family.vectors)[0])
     return bool(np.all(g <= np.outer(member_norms, member_norms) * (1.0 + 1e-12)))
+
+
+class CorpusRun(NamedTuple):
+    result: CorpusResult
+    elapsed: float
+    digest: str
+
+
+def run_full_corpus() -> CorpusRun:
+    """Verify the standard corpus, hashing every case row in stream order."""
+    h = hashlib.sha256()
+
+    def observe(spec, case):
+        h.update(case_row(case.bound_id, case.p, case.flavor, case.lhs, case.rhs).encode())
+        h.update(b"\n")
+
+    start = time.perf_counter()
+    result = verify_corpus(standard_corpus(), on_case=observe)
+    elapsed = time.perf_counter() - start
+    return CorpusRun(result, elapsed, h.hexdigest())
 
 
 #: Defined for the scripts that run_fresh runs: the peak RSS in MiB of the process's own memory

@@ -5,16 +5,14 @@ The expensive shared ingredient — the full 10,000-spec random corpus — is
 computed once per session and reused by the criteria that need it.
 """
 
-import hashlib
+import json
 import math
 import time
-from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from grambounds import (
-    CorpusResult,
     FamilySpec,
     Vector,
     bessel_sum,
@@ -28,35 +26,15 @@ from grambounds import (
     random_family,
     random_orthonormal_family,
     random_specs,
-    standard_corpus,
-    verify_corpus,
 )
-from grambounds.cli import case_row, main
+from grambounds.cli import main
+from golden_bits import GOLDEN, blas_kernel, digests
+from helpers import CorpusRun, run_full_corpus
 
 REL_TOL = 1e-10
 ABS_TOL = 1e-12
 CORPUS_BUDGET_SECONDS = 60.0
 SCAN_BUDGET_SECONDS = 5.0
-
-
-class CorpusRun(NamedTuple):
-    result: CorpusResult
-    elapsed: float
-    digest: str
-
-
-def run_full_corpus() -> CorpusRun:
-    """Verify the standard corpus, hashing every case row in stream order."""
-    h = hashlib.sha256()
-
-    def observe(spec, case):
-        h.update(case_row(case.bound_id, case.p, case.flavor, case.lhs, case.rhs).encode())
-        h.update(b"\n")
-
-    start = time.perf_counter()
-    result = verify_corpus(standard_corpus(), on_case=observe)
-    elapsed = time.perf_counter() - start
-    return CorpusRun(result, elapsed, h.hexdigest())
 
 
 @pytest.fixture(scope="session")
@@ -220,3 +198,13 @@ def test_criterion_8_determinism(corpus_run, tmp_path):
     assert out_a.read_bytes() == out_b.read_bytes()
     print(f"[acceptance] criterion 8: PASS (corpus sha256 {second.digest[:16]}..., "
           f"scan files identical)")
+
+
+def test_golden_bits(corpus_run, tmp_path):
+    """The corpus digest, the large records and the compute and scan CSVs match the bits
+    recorded for the running BLAS kernel (see golden_bits.py for how to record one)."""
+    kernel = blas_kernel()
+    expected = json.loads(GOLDEN.read_text()).get(kernel)
+    if expected is None:
+        pytest.skip(f"no golden bits for the BLAS kernel {kernel or '(name unreadable)'}")
+    assert digests(corpus_run.digest, tmp_path) == expected
