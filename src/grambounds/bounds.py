@@ -192,24 +192,24 @@ class _Ingredients:
 
     # One method per bound, returning its record: p is normalized and q = conjugate_exponent(p).
 
-    def _span_value(self, p: float, q: float, flavor: str) -> np.ndarray:
+    def _span_value(self, p: float, flavor: str) -> np.ndarray:
         if flavor == "gram":
-            fam_factor = self.gram(q)
+            fam_factor = self.gram(conjugate_exponent(p))
         elif flavor == "norms":
-            member_factor = self.abs_norms.pnorm(_normalize_exponent(q))  # a q within SNAP_TOL of 1 reads as 1
+            member_factor = self.abs_norms.pnorm(conjugate_exponent(p))
             fam_factor = member_factor * member_factor
         else:
             raise DomainError(f"flavor must be 'gram' or 'norms', got {flavor!r}")
         coef = self.abs_c.pnorm(p)
         return (coef * coef) * fam_factor
 
-    def span(self, p: float, q: float, flavor: str) -> BoundResult:
-        value = self._span_value(p, q, flavor)
+    def span(self, p: float, flavor: str) -> BoundResult:
+        value = self._span_value(p, flavor)
         return BoundResult(BoundId(f"span_{flavor}"), self.combination_norm_sq, value, p, flavor)
 
-    def combo(self, p: float, q: float, flavor: str) -> BoundResult:
+    def combo(self, p: float, flavor: str) -> BoundResult:
         # ‖x‖² times the span value, not a span record: its lhs ‖Σ c_i y_i‖² would go unused.
-        value = self.nx2 * self._span_value(p, q, flavor)
+        value = self.nx2 * self._span_value(p, flavor)
         return BoundResult(BoundId(f"combo_{flavor}"), self.weighted_inner_sum_sq, value, p, flavor)
 
     def chain(self) -> tuple[BoundResult, BoundResult]:
@@ -220,25 +220,26 @@ class _Ingredients:
             BoundResult(BoundId.REFINEMENT_CHAIN, middle, self.c_sq * self.norms_sq_total, None, "outer"),
         )
 
-    def thm27(self, p: float, q: float) -> BoundResult:
-        value = self.nx * self.abs_t.pnorm(p) * np.sqrt(self.gram(q))
+    def thm27(self, p: float) -> BoundResult:
+        value = self.nx * self.abs_t.pnorm(p) * np.sqrt(self.gram(conjugate_exponent(p)))
         return BoundResult(BoundId.WEIGHTED_BESSEL, self.bessel_sum, value, p)
 
-    def orthonormal_27a(self, p: float, q: float) -> BoundResult:
+    def orthonormal_27a(self, p: float) -> BoundResult:
+        q = conjugate_exponent(p)
         expo = 0.0 if math.isinf(q) else 1.0 / (2.0 * q)
         value = self.nx * float(self.n) ** expo * self.abs_t.pnorm(p)
         return BoundResult(BoundId.ORTHONORMAL_BESSEL, self.bessel_sum, value, p)
 
-    def _power_mean_value(self, p: float, q: float) -> np.ndarray:
+    def _power_mean_value(self, p: float) -> np.ndarray:
         # Frobenius is this at p = q = 2, where scale = n^0 = 1.0 exactly.
         scale = float(self.n) ** (2.0 / p - 1.0)
-        return scale * self.nx2 * self.gram(q)
+        return scale * self.nx2 * self.gram(conjugate_exponent(p))
 
-    def power_mean(self, p: float, q: float) -> BoundResult:
-        return BoundResult(BoundId.POWER_MEAN, self.bessel_sum, self._power_mean_value(p, q), p)
+    def power_mean(self, p: float) -> BoundResult:
+        return BoundResult(BoundId.POWER_MEAN, self.bessel_sum, self._power_mean_value(p), p)
 
     def frobenius(self) -> BoundResult:
-        return BoundResult(BoundId.FROBENIUS, self.bessel_sum, self._power_mean_value(2.0, 2.0))
+        return BoundResult(BoundId.FROBENIUS, self.bessel_sum, self._power_mean_value(2.0))
 
     def bombieri(self) -> BoundResult:
         return BoundResult(BoundId.BOMBIERI, self.bessel_sum, self.nx2 * self.gram("row"))
@@ -283,8 +284,7 @@ def span_bound(alphas, family: VectorFamily, p, flavor: str = "gram") -> BoundRe
     flavor is never larger (entrywise |g_ij| ≤ ‖z_i‖‖z_j‖).
     """
     pf = _normalize_exponent(p)
-    q = conjugate_exponent(pf)
-    return _one(_Ingredients.of(family, c=alphas).span(pf, q, flavor))
+    return _one(_Ingredients.of(family, c=alphas).span(pf, flavor))
 
 
 def combo_bound(x, family: VectorFamily, c, p, flavor: str = "gram") -> BoundResult:
@@ -295,8 +295,7 @@ def combo_bound(x, family: VectorFamily, c, p, flavor: str = "gram") -> BoundRes
     identity holds bitwise.
     """
     pf = _normalize_exponent(p)
-    q = conjugate_exponent(pf)
-    return _one(_Ingredients.of(family, x, c).combo(pf, q, flavor))
+    return _one(_Ingredients.of(family, x, c).combo(pf, flavor))
 
 
 def refinement_chain(alphas, family: VectorFamily) -> tuple[BoundResult, BoundResult]:
@@ -315,8 +314,7 @@ def bessel_sum_bound(x, family: VectorFamily, p) -> BoundResult:
     """Ceiling ‖x‖ · seq_pnorm(t, p) · gram_entry_qnorm(G, q)^(1/2) with
     t_i = |(x, y_i)| — the square root of the combo bound at c_i = conj(x, y_i)."""
     pf = _normalize_exponent(p)
-    q = conjugate_exponent(pf)
-    return _one(_Ingredients.of(family, x).thm27(pf, q))
+    return _one(_Ingredients.of(family, x).thm27(pf))
 
 
 def orthonormal_bessel_bound(x, family: VectorFamily, p, tol: float = ORTHONORMAL_TOL) -> BoundResult:
@@ -329,7 +327,7 @@ def orthonormal_bessel_bound(x, family: VectorFamily, p, tol: float = ORTHONORMA
     pf = _normalize_exponent(p)
     ing = _Ingredients.of(family, x)
     family.require_orthonormal(tol)
-    return _one(ing.orthonormal_27a(pf, conjugate_exponent(pf)))
+    return _one(ing.orthonormal_27a(pf))
 
 
 def frobenius_bound(x, family: VectorFamily, _ing: Optional[_Ingredients] = None) -> BoundResult:
@@ -346,8 +344,7 @@ def power_mean_bound(x, family: VectorFamily, p) -> BoundResult:
     extend it by limits.
     """
     pf = power_mean_exponent(p)
-    q = conjugate_exponent(pf)
-    return _one(_Ingredients.of(family, x).power_mean(pf, q))
+    return _one(_Ingredients.of(family, x).power_mean(pf))
 
 
 def bombieri_bound(x, family: VectorFamily) -> BoundResult:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .core import VectorFamily, _check_int, _check_real
 from .errors import DomainError
-from .norms import _as_gram, conjugate_exponent, gram_entry_qnorm, max_row_abs_sum, power_mean_exponent
+from .norms import SNAP_TOL, _as_gram, conjugate_exponent, gram_entry_qnorm, max_row_abs_sum, power_mean_exponent
 
 __all__ = [
     "DOMINANCE_TOL",
@@ -96,6 +96,8 @@ def sign_scan(nb: int, np_count: int, eps: float = 0.01, zero_tol: float = 1e-12
     """
     nb, np_count = _check_int("nb", nb, 2, math.inf), _check_int("np_count", np_count, 2, math.inf)
     epsf, ztol = _check_real("eps", eps, 1.0, positive=True), _check_real("zero_tol", zero_tol)
+    if epsf <= SNAP_TOL:  # power_mean_exponent's rule, so every p of the grid passes it
+        raise DomainError(f"eps must exceed SNAP_TOL = {SNAP_TOL:g}, got {eps!r}")
 
     grid_b = np.linspace(0.0, 1.0, nb)
     grid_p = np.linspace(1.0 + epsf, 2.0, np_count)

@@ -47,13 +47,14 @@ def _normalize_exponent(p) -> float:
 
 
 def conjugate_exponent(p) -> float:
-    """The q with 1/p + 1/q = 1, using the limit pairs (1, inf) and (inf, 1)."""
+    """The q with 1/p + 1/q = 1, using the limit pairs (1, inf) and (inf, 1); q is snapped
+    as p is, so the conjugate of every p above about 1/SNAP_TOL is 1."""
     pf = _normalize_exponent(p)
     if pf == 1.0:
         return math.inf
     if math.isinf(pf):
         return 1.0
-    return pf / (pf - 1.0)
+    return _normalize_exponent(pf / (pf - 1.0))
 
 
 def power_mean_exponent(p) -> float:

@@ -195,15 +195,14 @@ def _cases(ing: _Ingredients, p_list, frobenius, *, orthonormal_tol=None) -> Cas
         columns += ing.chain()
     orthonormal = orthonormal_tol is not None and bool((ing.gram("eye") <= orthonormal_tol).all())
     for pf in ps:
-        q = conjugate_exponent(pf)
         if ing.c is not None:
             for flavor in ("gram", "norms"):
-                columns += (ing.span(pf, q, flavor), ing.combo(pf, q, flavor))
-        columns.append(ing.thm27(pf, q))
+                columns += (ing.span(pf, flavor), ing.combo(pf, flavor))
+        columns.append(ing.thm27(pf))
         if 1.0 < pf <= 2.0:
-            columns += (ing.power_mean(pf, q), ing.gap(pf))
+            columns += (ing.power_mean(pf), ing.gap(pf))
         if orthonormal:
-            columns.append(ing.orthonormal_27a(pf, q))
+            columns.append(ing.orthonormal_27a(pf))
     return CaseTable([(c.bound_id, c.p, c.flavor) for c in columns],
                      np.stack([c.lhs for c in columns], axis=1), np.stack([c.value for c in columns], axis=1))
 

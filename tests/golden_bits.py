@@ -50,6 +50,11 @@ def _complex_normal(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+def _pairs(a) -> list:
+    """Complex values as the [re, im] pairs of a compute document."""
+    return np.stack([a.real, a.imag], axis=-1).tolist()
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -71,9 +76,8 @@ def compute_csv(workdir: Path) -> bytes:
     """The ``grambounds compute`` CSV of a complex (300, 64) family of seed 1729 with x and coefficients."""
     rng = np.random.default_rng(1729)
     x, rows, c = _complex_normal(rng, 64), _complex_normal(rng, (300, 64)), _complex_normal(rng, 300)
-    pairs = lambda a: np.stack([a.real, a.imag], axis=-1).tolist()  # noqa: E731
     doc, out = workdir / "golden.json", workdir / "golden.csv"
-    doc.write_text(json.dumps({"field": "complex", "x": pairs(x), "family": pairs(rows), "coefficients": pairs(c)}))
+    doc.write_text(json.dumps({"field": "complex", "x": _pairs(x), "family": _pairs(rows), "coefficients": _pairs(c)}))
     assert main(["compute", "--input", str(doc), "--out", str(out)]) == 0
     return out.read_bytes()
 

@@ -22,8 +22,11 @@ from grambounds import (
     bombieri_bound,
     combination_norm_sq,
     combo_bound,
+    conjugate_exponent,
     evaluate_cases,
     frobenius_bound,
+    gram,
+    gram_entry_qnorm,
     orthonormal_bessel_bound,
     power_mean_bound,
     power_mean_gap,
@@ -130,6 +133,17 @@ class TestSpanBound:
         rows = {case.bound_id: case for case in evaluate_cases(x, fam, c, [1e13]) if case.flavor == "norms"}
         assert rows[BoundId.SPAN_NORMS] == span_bound(c, fam, 1e13, "norms")
         assert rows[BoundId.COMBO_NORMS] == combo_bound(x, fam, c, 1e13, "norms")
+
+    def test_gram_exponent_within_snap_of_one_reads_one(self):
+        # The Gram flavor reads G's q-norm at conjugate_exponent(1e13) = 1, the q the norms flavor reads.
+        rng = np.random.default_rng(5)
+        fam = VectorFamily(rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3)))
+        c, x = rng.standard_normal(6), rng.standard_normal(3)
+        expected = seq_pnorm(c, 1e13) ** 2 * gram_entry_qnorm(gram(fam), conjugate_exponent(1e13))
+        assert span_bound(c, fam, 1e13, "gram").value.hex() == expected.hex()
+        rows = {case.bound_id: case for case in evaluate_cases(x, fam, c, [1e13]) if case.flavor == "gram"}
+        assert rows[BoundId.SPAN_GRAM] == span_bound(c, fam, 1e13, "gram")
+        assert rows[BoundId.COMBO_GRAM] == combo_bound(x, fam, c, 1e13, "gram")
 
 
 class TestComboBound:

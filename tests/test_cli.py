@@ -355,6 +355,13 @@ class TestScanCommand:
         code = main(["scan", "--nb", "1", "--np", "10", "--out", str(tmp_path / "s.csv")])
         assert code == 2
 
+    def test_eps_within_snap_of_zero_rejected(self, tmp_path, capsys):
+        code = main(["scan", "--eps", "1e-13", "--out", str(tmp_path / "s.csv")])
+        assert code == 2
+        assert not (tmp_path / "s.csv").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: eps ") and err.count("\n") == 1
+
     def test_unwritable_output(self, tmp_path, capsys):
         code = main(["scan", "--nb", "5", "--np", "5", "--out", str(tmp_path / "d" / "s.csv")])
         assert code == 3

@@ -9,6 +9,7 @@ import pytest
 from grambounds import (
     DomainError,
     ExponentRangeError,
+    SNAP_TOL,
     VectorFamily,
     dominance_search,
     gap_closed_form,
@@ -138,9 +139,10 @@ class TestSignScan:
         with pytest.raises(DomainError):
             sign_scan(nb, np_count)
 
-    @pytest.mark.parametrize("eps", [0.0, -0.5, 1.5])
+    @pytest.mark.parametrize("eps", [0.0, -0.5, 1.5, 1e-13, SNAP_TOL])
     def test_rejects_bad_eps(self, eps):
-        with pytest.raises(DomainError):
+        # named as eps, not as the exponent 1 + eps that power_mean_exponent would reject per cell
+        with pytest.raises(DomainError, match="eps"):
             sign_scan(5, 5, eps=eps)
 
 

@@ -48,6 +48,11 @@ class TestConjugateExponent:
         assert conjugate_exponent(1.0 + 1e-13) == math.inf
         assert conjugate_exponent(1.0 - 1e-13) == math.inf
 
+    def test_conjugate_within_snap_of_one_snaps_to_one(self):
+        # q = p/(p-1) is snapped as p is: 1e13 has q = 1.0000000000001, 1e12 has q - 1 just above SNAP_TOL
+        assert conjugate_exponent(1e13) == 1.0
+        assert conjugate_exponent(1e12) > 1.0
+
     def test_rejects_below_one(self):
         with pytest.raises(ExponentError):
             conjugate_exponent(0.5)
