@@ -2,17 +2,20 @@
 
 A Gram build rounds as the OpenBLAS kernel that numpy's bundled library picks
 for the CPU rounds, so golden_bits.json keys each entry by that library's
-version and core name (``blas_kernel``).  An entry holds four digests:
+version and core name (``blas_kernel``).  An entry holds five digests:
 
-    corpus   the case-row digest of the standard corpus (helpers.run_full_corpus)
-    large    the float.hex records of verify_all on four (1000, 256) families of seed 1729
-    compute  the ``grambounds compute`` CSV of one seeded complex document with coefficients
-    scan     the default ``grambounds scan`` CSV
+    corpus     the case-row digest of the standard corpus (helpers.run_corpus)
+    corpus_1k  the case-row digest of the first 1,000 specs of the standard corpus
+    large      the float.hex records of verify_all on four (1000, 256) families of seed 1729
+    compute    the ``grambounds compute`` CSV of one seeded complex document with coefficients
+    scan       the default ``grambounds scan`` CSV
 
-Record the entry of the running kernel, or of another one that
-OPENBLAS_CORETYPE selects, with one process per kernel:
+The tests check the running kernel's entry in process, and every other recorded
+kernel in a child whose OPENBLAS_CORETYPE selects it (``run_child``).  Run
+directly, this script re-records, one child per core, the running kernel and every
+core already in the manifest; a core this CPU cannot run is reported and kept:
 
-    OPENBLAS_CORETYPE=Haswell PYTHONPATH=src python tests/golden_bits.py
+    PYTHONPATH=src python tests/golden_bits.py
 """
 
 from __future__ import annotations
@@ -23,15 +26,18 @@ import hashlib
 import json
 import os
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
 
 from grambounds import VectorFamily, verify_all
 from grambounds.cli import main
+from helpers import run_corpus, run_fresh
 
 GOLDEN = Path(__file__).with_name("golden_bits.json")
+
+#: The instructions /proc/cpuinfo must list for OPENBLAS_CORETYPE to select each recorded core.
+CORE_FLAGS = {"SkylakeX": ("avx512f",), "Haswell": ("avx2", "fma"), "Sandybridge": ("avx",)}
 
 
 def blas_kernel() -> str | None:
@@ -44,6 +50,21 @@ def blas_kernel() -> str | None:
         return None
     config.restype = core.restype = ctypes.c_char_p
     return f"OpenBLAS {config().decode().split()[1]} {core().decode()}"
+
+
+def unrunnable(core: str) -> str | None:
+    """Why a child with OPENBLAS_CORETYPE=core cannot be checked on this machine, or None."""
+    if blas_kernel() is None:
+        return "numpy's BLAS is not its bundled OpenBLAS"
+    if core not in CORE_FLAGS:
+        return f"no instruction list for the core {core}"
+    try:
+        with open("/proc/cpuinfo") as fh:
+            flags = {word for line in fh if line.startswith("flags") for word in line.split()}
+    except OSError:
+        flags = set()
+    missing = sorted(set(CORE_FLAGS[core]) - flags)
+    return f"the CPU lacks {', '.join(missing)} for the core {core}" if missing else None
 
 
 def _complex_normal(rng, shape):
@@ -89,25 +110,41 @@ def scan_csv(workdir: Path) -> bytes:
     return out.read_bytes()
 
 
-def digests(corpus_digest: str, workdir: Path) -> dict[str, str]:
-    """The entry of the running kernel, given the standard corpus's digest."""
+def digests(workdir: Path, corpus_digest: str | None = None) -> dict[str, str]:
+    """The entry of the running kernel; it holds the standard corpus's digest only when given it."""
     return {
-        "corpus": corpus_digest,
+        **({} if corpus_digest is None else {"corpus": corpus_digest}),
+        "corpus_1k": run_corpus(1000).digest,
         "large": _sha256(large_records()),
         "compute": _sha256(compute_csv(workdir)),
         "scan": _sha256(scan_csv(workdir)),
     }
 
 
-if __name__ == "__main__":
-    from helpers import run_full_corpus
+def run_child(core: str, full_corpus: bool) -> tuple[str | None, dict[str, str]]:
+    """The kernel name and the entry of a fresh interpreter in which OPENBLAS_CORETYPE is ``core``;
+    the entry holds the full corpus's digest only when full_corpus is true."""
+    script = (f"sys.path.insert(0, {str(GOLDEN.parent)!r})\n"
+              "import json, tempfile\nfrom pathlib import Path\n"
+              "from golden_bits import blas_kernel, digests, run_corpus\n"
+              "with tempfile.TemporaryDirectory() as tmp:\n"
+              f"    entry = digests(Path(tmp), run_corpus().digest if {full_corpus} else None)\n"
+              "print(json.dumps([blas_kernel(), entry]))")
+    kernel, entry = json.loads(run_fresh(script, env={"OPENBLAS_CORETYPE": core}).splitlines()[-1])
+    return kernel, entry
 
-    kernel = blas_kernel()
-    if kernel is None:
+
+if __name__ == "__main__":
+    native = blas_kernel()
+    if native is None:
         sys.exit("cannot read the name of numpy's BLAS kernel")
-    with tempfile.TemporaryDirectory() as tmp:
-        entry = digests(run_full_corpus().digest, Path(tmp))
     golden = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
-    golden[kernel] = entry
+    for core in dict.fromkeys(kernel.split()[-1] for kernel in (native, *golden)):
+        reason = unrunnable(core)
+        if reason is not None:
+            print(f"{core}: kept as recorded, {reason}")
+            continue
+        kernel, entry = run_child(core, full_corpus=True)
+        golden[kernel] = entry
+        print(kernel, entry)
     GOLDEN.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n")
-    print(kernel, entry)

@@ -1,6 +1,8 @@
 """Checks and runs shared by several test modules."""
 
 import hashlib
+import itertools
+import os
 import subprocess
 import sys
 import time
@@ -32,8 +34,9 @@ class CorpusRun(NamedTuple):
     digest: str
 
 
-def run_full_corpus() -> CorpusRun:
-    """Verify the standard corpus, hashing every case row in stream order."""
+def run_corpus(count: int | None = None) -> CorpusRun:
+    """Verify the first ``count`` specs of the standard corpus (all of them when None), hashing every
+    case row in stream order."""
     h = hashlib.sha256()
 
     def observe(spec, case):
@@ -41,7 +44,7 @@ def run_full_corpus() -> CorpusRun:
         h.update(b"\n")
 
     start = time.perf_counter()
-    result = verify_corpus(standard_corpus(), on_case=observe)
+    result = verify_corpus(itertools.islice(standard_corpus(), count), on_case=observe)
     elapsed = time.perf_counter() - start
     return CorpusRun(result, elapsed, h.hexdigest())
 
@@ -56,12 +59,14 @@ def peak_rss_mib():
 """
 
 
-def run_fresh(script: str) -> str:
+def run_fresh(script: str, env: dict | None = None, timeout: float = 300.0) -> str:
     """Run ``script`` in a fresh isolated interpreter (``-I``, the source tree first on sys.path),
-    in which a RuntimeWarning is an error, and return its output; it may call peak_rss_mib()."""
+    in which a RuntimeWarning is an error, and return its output; it may call peak_rss_mib().
+    ``env`` adds variables to the child's environment alone; a child still running after
+    ``timeout`` seconds is killed and fails the call (subprocess.TimeoutExpired)."""
     src = Path(__file__).resolve().parents[1] / "src"
     code = f"import sys; sys.path.insert(0, {str(src)!r})\n{_PEAK_RSS}\n{script}"
     proc = subprocess.run([sys.executable, "-I", "-W", "error::RuntimeWarning", "-c", code],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env={**os.environ, **(env or {})}, timeout=timeout)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout

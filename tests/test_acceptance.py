@@ -28,8 +28,8 @@ from grambounds import (
     random_specs,
 )
 from grambounds.cli import main
-from golden_bits import GOLDEN, blas_kernel, digests
-from helpers import CorpusRun, run_full_corpus
+from golden_bits import GOLDEN, blas_kernel, digests, run_child, unrunnable
+from helpers import CorpusRun, run_corpus
 
 REL_TOL = 1e-10
 ABS_TOL = 1e-12
@@ -39,7 +39,7 @@ SCAN_BUDGET_SECONDS = 5.0
 
 @pytest.fixture(scope="session")
 def corpus_run() -> CorpusRun:
-    return run_full_corpus()
+    return run_corpus()
 
 
 def read_scan_csv(path):
@@ -185,7 +185,7 @@ def test_criterion_7_refinement_chain(corpus_run):
 
 def test_criterion_8_determinism(corpus_run, tmp_path):
     """Repeating the corpus and the scan reproduces byte-identical output."""
-    second = run_full_corpus()
+    second = run_corpus()
     assert second.digest == corpus_run.digest
     assert second.result.n_cases == corpus_run.result.n_cases
 
@@ -201,10 +201,26 @@ def test_criterion_8_determinism(corpus_run, tmp_path):
 
 
 def test_golden_bits(corpus_run, tmp_path):
-    """The corpus digest, the large records and the compute and scan CSVs match the bits
+    """The corpus digests, the large records and the compute and scan CSVs match the bits
     recorded for the running BLAS kernel (see golden_bits.py for how to record one)."""
     kernel = blas_kernel()
     expected = json.loads(GOLDEN.read_text()).get(kernel)
     if expected is None:
         pytest.skip(f"no golden bits for the BLAS kernel {kernel or '(name unreadable)'}")
-    assert digests(corpus_run.digest, tmp_path) == expected
+    assert digests(tmp_path, corpus_run.digest) == expected
+
+
+@pytest.mark.parametrize("kernel", sorted(set(json.loads(GOLDEN.read_text())) - {blas_kernel()}))
+def test_golden_bits_of_other_kernels(kernel):
+    """Every other recorded kernel, in a child whose OPENBLAS_CORETYPE selects it: all but the
+    full corpus's digest match, the first 1,000 corpus specs standing in for it."""
+    core = kernel.split()[-1]
+    reason = unrunnable(core)
+    if reason is not None:
+        pytest.skip(reason)
+    ran, entry = run_child(core, full_corpus=False)
+    if ran != kernel:
+        pytest.skip(f"OPENBLAS_CORETYPE={core} runs {ran or '(name unreadable)'}, not {kernel}")
+    expected = json.loads(GOLDEN.read_text())[kernel]
+    del expected["corpus"]
+    assert entry == expected
