@@ -16,6 +16,4 @@ from .verify import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-# REL_TOL and ABS_TOL are exported by bounds and verify alike; each name is listed once.
-__all__ = ["__version__", *dict.fromkeys(name for module in (errors, core, norms, bounds, compare, verify)
-                                         for name in module.__all__)]
+__all__ = ["__version__", *(name for m in (errors, core, norms, bounds, compare, verify) for name in m.__all__)]

@@ -32,7 +32,6 @@ __all__ = [
     "ABS_TOL",
     "BoundId",
     "BoundResult",
-    "ORTHONORMAL_TOL",
     "combination_norm_sq",
     "weighted_inner_sum_sq",
     "bessel_sum",
@@ -105,78 +104,74 @@ class BoundResult:
 _ABSENT = object()  # an argument not given, unlike a given None, which is rejected
 
 
-class _Ingredients:
-    """Everything the bound formulas read from a batch of B inputs of one family size n.
+def _joined(f, *lists):
+    """f of each stack and its x or c, a reduction along d, joined in stack order (a tuple column by column)."""
+    parts = [f(*arrays) for arrays in zip(*lists)]
+    return tuple(map(np.concatenate, zip(*parts))) if isinstance(parts[0], tuple) else np.concatenate(parts)
 
-    The inputs are stacked complex128 arrays: the family rows (B, n, d), x (B, d) and
-    c (B, n), x or c None when absent; a single input is a batch of one (views, no
-    copies).  Every quantity is a (B,) column computed on first use and kept, so
-    evaluating all bounds at many exponents reads each left-hand side, p-norm and Gram
-    q-norm once: |t|, |c| and the member norms are each a _Scaled, divided by its maximum
-    once and keeping its p-norm at each p.  The Gram matrix is read only through
-    ``gram(read)``, whose first call makes one pass over the Gram products that folds |G|
-    into that read and those in ``reads`` and no others (core._fold: a q for each q-norm,
-    "row" for Bombieri's row sum, "eye" for max |G - I|); a caller that reads several names
-    them in ``reads`` first.  Each bound is one method below that returns its finished
-    BoundResult, whose lhs and value are (B,) columns: the one place that names the bound's
-    id, left-hand side, p, flavor and Gram read, and the single arithmetic path for its
-    value, which is what makes the p = 2 and composition identities bitwise.
+
+class _Ingredients:
+    """Everything the bound formulas read from B inputs of one family size n.
+
+    The inputs are lists of complex128 stacks: the family rows (B_s, n, d_s), x (B_s, d_s) and c (B_s, n),
+    xs or cs None when absent; n is read from the first row stack, and a single input is the one-stack
+    case.  Every quantity is a (B,) column computed on first use and kept, so evaluating all bounds at
+    many exponents reads each left-hand side, p-norm and Gram q-norm once: each reduction along d is
+    made per stack and joined by _joined, and |t|, |c| and the member norms are each a _Scaled, divided
+    by its maximum once and keeping its p-norm at each p.  The Gram matrix is read only through
+    ``gram(read)``, whose first call makes one pass over the stacks' Gram products that folds |G| into
+    that read and those in ``reads`` (see core._fold); a caller that reads several names them in
+    ``reads`` first.  Each bound is one method below that returns its finished BoundResult, whose lhs
+    and value are (B,) columns: the one place that names the bound's id, left-hand side, p, flavor and
+    Gram read, and the single arithmetic path for its value, which is what makes the p = 2 and
+    composition identities bitwise.
     """
 
-    #: The quantities read from the coordinates besides ``gram``, which reads the row stacks
-    #: on first use; every other one reads only these, c and n.
-    _REDUCED = ("t", "nx", "norms", "combination_norm_sq", "norms_sq_total")
-
-    def __init__(self, n: int, rows=None, x=None, c=None):
-        self.n, self.rows, self.x, self.c, self.reads = n, rows, x, c, ()
-        self.stacks = [] if rows is None else [rows]
-        self._gram = None
+    def __init__(self, stacks, xs=None, cs=None):
+        self.stacks, self.xs, self.cs, self.reads, self._gram = stacks, xs, cs, (), None
+        self.n = stacks[0].shape[1]
 
     @classmethod
     def of(cls, family: VectorFamily, x=_ABSENT, c=_ABSENT) -> "_Ingredients":
-        """One input as a batch of one, of views; x and c are validated here, in this order."""
-        ing = cls(_check_family(family).size, family.vectors[None])
+        """One input as the one-stack case; x and c are validated here, in this order."""
+        ing = cls([_check_family(family).vectors[None]])
         if x is not _ABSENT:
             x = _as_complex(x)
-            ing.x, ing.t = x[None], inner_each(x, family)[None]  # inner_each also checks the dimension
+            ing.xs, ing.t = [x[None]], inner_each(x, family)[None]  # inner_each also checks the dimension
         if c is not _ABSENT:
-            ing.c = _as_complex(c, what="coefficients", allow_empty=True, size=family.size)[None]
+            ing.cs = [_as_complex(c, what="coefficients", allow_empty=True, size=family.size)[None]]
         return ing
 
     @classmethod
     def stack(cls, x, rows, c) -> "_Ingredients":
-        """Inputs as equal-length lists of stacks x (B, d), family rows (B, n, d) and c (B, n) that
-        share n (d may differ), their inputs taken in order.  Stage 1 reduces each stack along d
-        to the _REDUCED columns; stage 2, one object over them joined, does the rest, and makes
-        one Gram pass over the stacks when a bound first reads it."""
+        """Inputs as equal-length lists of stacks x (B, d), family rows (B, n, d) and c (B, n) of one n (d
+        may differ), their inputs in order: every row stack is checked first, then part by part x and c."""
         if not (all(isinstance(a, list) for a in (x, rows, c)) and 0 < len(rows) == len(x) == len(c)):
             raise ShapeError("need equal-length nonempty lists of x, family and c stacks")
         rows = [_as_complex(ys, what="family stack", ndim=3) for ys in rows]  # first: a plain-list family lands here
-        parts = [(_as_complex(xs, what="x stack", ndim=2), ys,
-                  _as_complex(cs, what="c stack", ndim=2, allow_empty=True)) for xs, ys, cs in zip(x, rows, c)]
-        for xs, ys, cs in parts:
-            if xs.shape != ys.shape[::2] or cs.shape != ys.shape[:2] or ys.shape[1] != parts[0][1].shape[1]:
+        parts = [(_as_complex(xs, what="x stack", ndim=2), _as_complex(cs, what="c stack", ndim=2, allow_empty=True))
+                 for xs, cs in zip(x, c)]
+        for (xs, cs), ys in zip(parts, rows):
+            if xs.shape != ys.shape[::2] or cs.shape != ys.shape[:2] or ys.shape[1] != rows[0].shape[1]:
                 raise ShapeError(f"need stacks x (B, d), family (B, n, d), c (B, n) with one n, "
                                  f"got {xs.shape}, {ys.shape}, {cs.shape}")
-        reduced = [cls(ys.shape[1], ys, xs, cs) for xs, ys, cs in parts]
-        ing = cls(reduced[0].n, c=np.concatenate([r.c for r in reduced]))
-        ing.stacks = [ys for _, ys, _ in parts]
-        ing.__dict__.update({name: np.concatenate([getattr(r, name) for r in reduced]) for name in cls._REDUCED})
-        return ing
+        return cls(rows, *zip(*parts))  # the x stacks, then the c stacks
 
     # The ingredients, each computed on first use.
-    t = cached_property(lambda self: _inner_each(self.rows, self.x))
-    nx = cached_property(lambda self: np.sqrt(_sum_sq(self.x)))
+    t = cached_property(lambda self: _joined(_inner_each, self.stacks, self.xs))
+    nx = cached_property(lambda self: np.sqrt(_joined(_sum_sq, self.xs)))
     nx2 = cached_property(lambda self: self.nx * self.nx)
+    c = cached_property(lambda self: None if self.cs is None else np.concatenate(self.cs))
     abs_t = cached_property(lambda self: _Scaled(_magnitudes(self.t)))
     abs_c = cached_property(lambda self: _Scaled(_magnitudes(self.c)))
-    sq_norms = cached_property(lambda self: _sq_norms(self.rows))
+    sq_norms = cached_property(lambda self: _joined(_sq_norms, self.stacks))
     norms = cached_property(lambda self: np.sqrt(self.sq_norms[0]))
     norms_sq_total = cached_property(lambda self: self.sq_norms[1])
     abs_norms = cached_property(lambda self: _Scaled(_magnitudes(self.norms)))
     bessel_sum = cached_property(lambda self: _sum_sq(self.t))
     c_sq = cached_property(lambda self: _sum_sq(self.c))
-    combination_norm_sq = cached_property(lambda self: _sum_sq((self.c[:, None, :] @ self.rows)[:, 0]))
+    combination_norm_sq = cached_property(
+        lambda self: _joined(lambda ys, c: _sum_sq((c[:, None, :] @ ys)[:, 0]), self.stacks, self.cs))
 
     @cached_property
     def weighted_inner_sum_sq(self) -> np.ndarray:

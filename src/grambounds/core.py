@@ -30,6 +30,7 @@ __all__ = [
     "norm",
     "gram",
     "inner_each",
+    "ORTHONORMAL_TOL",
 ]
 
 ArrayLike = Union["Vector", Sequence, np.ndarray]

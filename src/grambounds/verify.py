@@ -1,7 +1,7 @@
 """Randomized input generation and batch verification of every inequality.
 
 Every case is a bounds.BoundResult, checked with BoundResult.holds at the
-tolerances REL_TOL and ABS_TOL (re-exported here from bounds).
+tolerances REL_TOL and ABS_TOL of bounds.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ from .errors import DomainError
 from .norms import _normalize_exponent, conjugate_exponent
 
 __all__ = [
-    "REL_TOL",
-    "ABS_TOL",
     "STANDARD_P_LIST",
     "CORPUS_SEED",
     "FamilySpec",

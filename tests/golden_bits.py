@@ -130,8 +130,7 @@ def run_child(core: str, full_corpus: bool) -> tuple[str | None, dict[str, str]]
               "with tempfile.TemporaryDirectory() as tmp:\n"
               f"    entry = digests(Path(tmp), run_corpus().digest if {full_corpus} else None)\n"
               "print(json.dumps([blas_kernel(), entry]))")
-    kernel, entry = json.loads(run_fresh(script, env={"OPENBLAS_CORETYPE": core}).splitlines()[-1])
-    return kernel, entry
+    return tuple(json.loads(run_fresh(script, env={"OPENBLAS_CORETYPE": core}).splitlines()[-1]))
 
 
 if __name__ == "__main__":

@@ -36,6 +36,7 @@ from grambounds import (
     weighted_inner_sum_sq,
 )
 from grambounds import core
+from grambounds.bounds import _Ingredients
 
 E2 = VectorFamily(np.eye(2))
 ONES_1D = VectorFamily([[1.0], [1.0]])
@@ -457,3 +458,50 @@ class TestBoundResult:
         assert records[:2] == [bombieri_bound(x[0], fam), frobenius_bound(x[0], fam)]
         assert records[2:4] == list(refinement_chain([1.0, -1.0], fam))
         assert all(type(r) is BoundResult and type(r.lhs) is float and type(r.value) is float for r in records)
+
+
+def _ingredient_columns(ing) -> dict:
+    """Every cached column of the ingredients, as uint64 bit patterns."""
+    names = ("t", "nx", "nx2", "c", "norms", "norms_sq_total", "bessel_sum", "c_sq", "combination_norm_sq",
+             "weighted_inner_sum_sq")
+    columns = {name: getattr(ing, name) for name in names}
+    columns.update({"sq_norms[0]": ing.sq_norms[0], "sq_norms[1]": ing.sq_norms[1]})
+    return {name: np.ascontiguousarray(a).view(np.uint64) for name, a in columns.items()}
+
+
+def _assert_same_bits(got: dict, expected: dict):
+    assert got.keys() == expected.keys()
+    for name in got:
+        assert got[name].shape == expected[name].shape and np.array_equal(got[name], expected[name]), name
+
+
+class TestIngredientsRepresentation:
+    """_Ingredients.of and _Ingredients.stack build one representation: one input reads every column
+    in the same bits from either, and a list of stacks reads its inputs' columns joined in order."""
+
+    rng = np.random.default_rng(71)
+    INPUTS = {
+        "complex": (rng.normal(size=3) + 1j * rng.normal(size=3),
+                    rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3)),
+                    rng.normal(size=5) - 1j * rng.normal(size=5)),
+        "real": (rng.normal(size=2), rng.normal(size=(4, 2)), rng.normal(size=4)),
+        "n0": (rng.normal(size=3), np.zeros((0, 3)), np.zeros(0)),
+        "empty c": (rng.normal(size=2) + 1j, np.zeros((0, 2)), []),
+    }
+
+    @pytest.mark.parametrize("name", INPUTS)
+    def test_one_input_reads_the_same_bits_either_way(self, name):
+        x, rows, c = self.INPUTS[name]
+        single = _Ingredients.of(VectorFamily(rows, dim=len(x)), x, c)
+        stacked = _Ingredients.stack([np.asarray(x)[None]], [rows[None]], [np.asarray(c)[None]])
+        _assert_same_bits(_ingredient_columns(stacked), _ingredient_columns(single))
+
+    def test_two_stacks_of_other_dims_join_their_inputs_in_order(self):
+        rng = np.random.default_rng(72)
+        draws = [(rng.normal(size=(2, d)) + 1j * rng.normal(size=(2, d)),
+                  rng.normal(size=(2, 4, d)) + 1j * rng.normal(size=(2, 4, d)), rng.normal(size=(2, 4)))
+                 for d in (3, 5)]
+        stacked = _ingredient_columns(_Ingredients.stack(*map(list, zip(*draws))))
+        singles = [_ingredient_columns(_Ingredients.of(VectorFamily(rows[b]), x[b], c[b]))
+                   for x, rows, c in draws for b in range(2)]
+        _assert_same_bits(stacked, {name: np.concatenate([one[name] for one in singles]) for name in stacked})

@@ -19,11 +19,11 @@ PUBLIC = {
     "GramBoundsError", "DimensionError", "ShapeError", "ExponentError", "ExponentRangeError", "DomainError",
     "NotOrthonormalError",
     # core
-    "Vector", "VectorFamily", "GramMatrix", "inner", "norm", "gram", "inner_each",
+    "Vector", "VectorFamily", "GramMatrix", "inner", "norm", "gram", "inner_each", "ORTHONORMAL_TOL",
     # norms
     "SNAP_TOL", "conjugate_exponent", "seq_pnorm", "gram_entry_qnorm", "max_row_abs_sum", "power_mean_exponent",
     # bounds
-    "REL_TOL", "ABS_TOL", "ORTHONORMAL_TOL", "BoundId", "BoundResult", "combination_norm_sq",
+    "REL_TOL", "ABS_TOL", "BoundId", "BoundResult", "combination_norm_sq",
     "weighted_inner_sum_sq", "bessel_sum", "span_bound", "combo_bound", "refinement_chain", "bessel_sum_bound",
     "orthonormal_bessel_bound", "frobenius_bound", "power_mean_bound", "bombieri_bound", "power_mean_gap",
     # compare
@@ -39,6 +39,12 @@ PUBLIC = {
 def test_each_public_name_is_listed_once():
     assert len(grambounds.__all__) == len(set(grambounds.__all__))
     assert set(grambounds.__all__) == PUBLIC
+
+
+def test_each_name_is_exported_by_one_module():
+    """A name is in the export list of its defining module alone, so the package list needs no dedup."""
+    names = [name for module in MODULES for name in module.__all__]
+    assert sorted(name for name in set(names) if names.count(name) > 1) == []
 
 
 def test_star_import_gives_the_listed_names():

@@ -819,6 +819,14 @@ class TestStackLists:
         with pytest.raises(ShapeError, match="stack"):
             evaluate_cases(*change(*self.stacks(2)))
 
+    def test_checks_x_then_c_part_by_part(self):
+        # A NaN in part 0's c is named before one in part 1's x: the row stacks are checked first,
+        # then each part's x and c in turn, not every x stack before every c stack.
+        xs, ys, cs = self.stacks(2)
+        cs[0], xs[1] = cs[0] * np.nan, xs[1] * np.nan
+        with pytest.raises(DomainError, match=r"^c stack must be finite$"):
+            evaluate_cases(xs, ys, cs)
+
     @pytest.mark.parametrize("part", [0, 2])
     @pytest.mark.parametrize("which", [0, 1, 2])
     def test_rejects_nan_in_any_part_up_front(self, monkeypatch, part, which):
