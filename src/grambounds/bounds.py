@@ -105,9 +105,8 @@ _ABSENT = object()  # an argument not given, unlike a given None, which is rejec
 
 
 def _joined(f, *lists):
-    """f of each stack and its x or c, a reduction along d, joined in stack order (a tuple column by column)."""
-    parts = [f(*arrays) for arrays in zip(*lists)]
-    return tuple(map(np.concatenate, zip(*parts))) if isinstance(parts[0], tuple) else np.concatenate(parts)
+    """f of each stack and its x or c, a reduction along d, joined in stack order."""
+    return np.concatenate([f(*arrays) for arrays in zip(*lists)])
 
 
 class _Ingredients:
@@ -164,7 +163,7 @@ class _Ingredients:
     c = cached_property(lambda self: None if self.cs is None else np.concatenate(self.cs))
     abs_t = cached_property(lambda self: _Scaled(_magnitudes(self.t)))
     abs_c = cached_property(lambda self: _Scaled(_magnitudes(self.c)))
-    sq_norms = cached_property(lambda self: _joined(_sq_norms, self.stacks))
+    sq_norms = cached_property(lambda self: tuple(map(np.concatenate, zip(*map(_sq_norms, self.stacks)))))  # a pair
     norms = cached_property(lambda self: np.sqrt(self.sq_norms[0]))
     norms_sq_total = cached_property(lambda self: self.sq_norms[1])
     abs_norms = cached_property(lambda self: _Scaled(_magnitudes(self.norms)))

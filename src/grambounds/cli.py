@@ -15,12 +15,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bounds import ORTHONORMAL_TOL, BoundId, _Ingredients, frobenius_bound
+from .bounds import ABS_TOL, REL_TOL, BoundId, _Ingredients, frobenius_bound
 from .compare import sign_scan
-from .core import _FIELDS, Vector, VectorFamily, _as_complex, _check_real
+from .core import _FIELDS, ORTHONORMAL_TOL, Vector, VectorFamily, _as_complex, _check_real
 from .errors import DomainError, ExponentError, GramBoundsError, ShapeError
 from .norms import _normalize_exponent
-from .verify import ABS_TOL, REL_TOL, STANDARD_P_LIST, _cases, random_specs, verify_corpus
+from .verify import STANDARD_P_LIST, _cases, random_specs, verify_corpus
 
 __all__ = ["main", "cmd_compute", "cmd_verify", "cmd_scan", "CASE_HEADER", "SCAN_HEADER"]
 

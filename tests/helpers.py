@@ -59,14 +59,14 @@ def peak_rss_mib():
 """
 
 
-def run_fresh(script: str, env: dict | None = None, timeout: float = 300.0) -> str:
+def run_fresh(script: str, env: dict | None = None) -> str:
     """Run ``script`` in a fresh isolated interpreter (``-I``, the source tree first on sys.path),
     in which a RuntimeWarning is an error, and return its output; it may call peak_rss_mib().
     ``env`` adds variables to the child's environment alone; a child still running after
-    ``timeout`` seconds is killed and fails the call (subprocess.TimeoutExpired)."""
+    300 s is killed and fails the call (subprocess.TimeoutExpired)."""
     src = Path(__file__).resolve().parents[1] / "src"
     code = f"import sys; sys.path.insert(0, {str(src)!r})\n{_PEAK_RSS}\n{script}"
     proc = subprocess.run([sys.executable, "-I", "-W", "error::RuntimeWarning", "-c", code],
-                          capture_output=True, text=True, env={**os.environ, **(env or {})}, timeout=timeout)
+                          capture_output=True, text=True, env={**os.environ, **(env or {})}, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
