@@ -2,19 +2,21 @@
 
 A Gram build rounds as the OpenBLAS kernel that numpy's bundled library picks
 for the CPU rounds, so golden_bits.json keys each entry by that library's
-version and core name (``blas_kernel``).  An entry holds five digests:
+version and core name (``blas_kernel``).  An entry holds six digests:
 
-    corpus     the case-row digest of the standard corpus (helpers.run_corpus)
-    corpus_1k  the case-row digest of the first 1,000 specs of the standard corpus
-    large      the float.hex records of verify_all on four (1000, 256) families of seed 1729
-    compute    the ``grambounds compute`` CSV of one seeded complex document with coefficients
-    scan       the default ``grambounds scan`` CSV
+    corpus         the case-row digest of the standard corpus (helpers.run_corpus)
+    corpus_1k      the case-row digest of the first 1,000 specs of the standard corpus
+    large          the float.hex records of verify_all on four (1000, 256) families of seed 1729
+    compute        the ``grambounds compute`` CSV of one seeded complex document with coefficients
+    compute_bench  the compute rows of the benchmark's compute document, a complex (1000, 256) family
+    scan           the default ``grambounds scan`` CSV
 
 The tests check the running kernel's entry in process, and every other recorded
 kernel in a child whose OPENBLAS_CORETYPE selects it (``run_child``).  Run
 directly, this script re-records, one child per core, the running kernel (whatever its
 core) and every core already in the manifest; another core this CPU cannot run is
-reported and kept:
+reported and kept.  Before it writes, it prints each value that changed, with its old and
+new digest prefix:
 
     PYTHONPATH=src python tests/golden_bits.py
 """
@@ -32,7 +34,8 @@ from pathlib import Path
 import numpy as np
 
 from grambounds import VectorFamily, verify_all
-from grambounds.cli import main
+from grambounds.cli import compute_rows, main
+from grambounds.verify import STANDARD_P_LIST
 from helpers import run_corpus, run_fresh
 
 GOLDEN = Path(__file__).with_name("golden_bits.json")
@@ -104,6 +107,14 @@ def compute_csv(workdir: Path) -> bytes:
     return out.read_bytes()
 
 
+def compute_bench_rows() -> bytes:
+    """compute_rows at STANDARD_P_LIST on the benchmark's compute document: a complex (1000, 256)
+    family of seed 1729 with x and coefficients, drawn as x, the rows and c."""
+    rng = np.random.default_rng(1729)
+    x, rows, c = _complex_normal(rng, 256), _complex_normal(rng, (1000, 256)), _complex_normal(rng, 1000)
+    return "\n".join(compute_rows(x, VectorFamily(rows), c, list(STANDARD_P_LIST))).encode()
+
+
 def scan_csv(workdir: Path) -> bytes:
     """The default ``grambounds scan`` CSV."""
     out = workdir / "golden_scan.csv"
@@ -118,6 +129,7 @@ def digests(workdir: Path, corpus_digest: str | None = None) -> dict[str, str]:
         "corpus_1k": run_corpus(1000).digest,
         "large": _sha256(large_records()),
         "compute": _sha256(compute_csv(workdir)),
+        "compute_bench": _sha256(compute_bench_rows()),
         "scan": _sha256(scan_csv(workdir)),
     }
 
@@ -145,6 +157,9 @@ if __name__ == "__main__":
             print(f"{core}: kept as recorded, {reason}")
             continue
         kernel, entry = run_child(core, full_corpus=True)
+        old = golden.get(kernel, {})
+        moved = [f"{key} {old.get(key, '-')[:8]} -> {entry.get(key, '-')[:8]}"
+                 for key in sorted({*old, *entry}) if old.get(key) != entry.get(key)]
+        print(f"{kernel}: {'; '.join(moved) or 'unchanged'}")
         golden[kernel] = entry
-        print(kernel, entry)
     GOLDEN.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n")
