@@ -232,30 +232,28 @@ def _sq_norms(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class _Scaled:
     """Rows (B, m) of nonnegative floats with each row's maximum factored out, for p-norms at many p.
 
-    The maximum is factored out before powering: q = p/(p-1) grows without
-    bound as p -> 1 (q = 11 already at p = 1.1), and raising raw magnitudes
-    to such powers overflows long before the norm itself does.  The maxima are
-    shared by every exponent; each exponent divides into a new array, powers it in
-    place and drops it once summed.  The p-norm column of each exponent is kept.
+    The maximum is factored out before powering, the scaling of Blue (ACM TOMS 4(1), 1978) and
+    LAPACK dlassq (Anderson, ACM TOMS 44(1), 2017): q = p/(p-1) grows without bound as p -> 1
+    (q = 11 already at p = 1.1), and raising raw magnitudes to such powers overflows long before
+    the norm itself does.  The maxima are taken on first use and shared by every exponent; each
+    exponent divides into a new array, powers it in place and drops it once summed.  The p-norm
+    column of each exponent is kept.
     """
 
     def __init__(self, a: np.ndarray):
         self.a = a
-        self.max = a.max(axis=-1, initial=0.0)
         self._pnorms: dict = {}
 
+    max = cached_property(lambda self: self.a.max(axis=-1, initial=0.0))
     # A row of zeros is divided by 1, not 0, and stays zero.
     _divisor = cached_property(lambda self: np.where(self.max > 0.0, self.max, 1.0)[:, None])
 
-    def power_sum(self, pf: float) -> np.ndarray:
-        """Σ_i (a_i / max)^p per row; 0 for a row of zeros."""
+    def root_power_sum(self, pf: float, e: float) -> np.ndarray:
+        """(Σ_i (a_i / max)^p)^e per row; 0 for a row of zeros.  The root is a Python float power:
+        numpy's array power can round differently."""
         s = self.a / self._divisor
         np.power(s, pf, out=s)
-        return s.sum(axis=-1)
-
-    def root_power_sum(self, pf: float, e: float) -> np.ndarray:
-        """(Σ_i (a_i / max)^p)^e per row; 0 for a row of zeros."""
-        return _root(self.power_sum(pf), e)
+        return np.array([v**e for v in s.sum(axis=-1).tolist()])
 
     def pnorm(self, pf: float) -> np.ndarray:
         """(Σ a_i^p)^(1/p) per row for a normalized p, kept per p; max at p = ∞; 0 for an empty row."""
@@ -263,11 +261,6 @@ class _Scaled:
             self._pnorms[pf] = (self.max if math.isinf(pf) else self.a.sum(axis=-1) if pf == 1.0
                                 else self.max * self.root_power_sum(pf, 1.0 / pf))
         return self._pnorms[pf]
-
-
-def _root(s: np.ndarray, e: float) -> np.ndarray:
-    """s^e elementwise as a Python float power: numpy's array power can round differently."""
-    return np.array([v**e for v in s.tolist()])
 
 
 # Reductions of |G| without the n-by-n matrix.  Every ceiling reads the Gram matrix only
@@ -336,10 +329,9 @@ def _gram_blocks(stacks: list, size: int = _BLOCK):
 
     ``re`` (k, r, n) holds the real parts of rows r0..r0+r of G of inputs b..b+k, counted across the
     stacks, so whole matrices from several stacks share a block; ``im`` holds the imaginary parts,
-    or is None when every input in the block is real.  Both are made Hermitian by _mirror.  Two
-    buffers, reused by every block, hold them; the second exists only if some input is complex.  A
-    block with a complex input takes the four products for all of them: a real input's extra
-    products are zeros.
+    or is None when every input is real.  Both are made Hermitian by _mirror.  Two buffers, reused
+    by every block, hold them; the second exists only if some input is complex, and then every
+    block takes the four products for all its inputs: a real input's extra products are zeros.
     """
     n = stacks[0].shape[1] if stacks else 0
     starts = list(itertools.accumulate(map(len, stacks), initial=0))
@@ -351,7 +343,7 @@ def _gram_blocks(stacks: list, size: int = _BLOCK):
         parts = [(rows[max(b - lo, 0):b + k - lo], slice(max(lo - b, 0), hi - b))  # its inputs, their place
                  for rows, lo, hi in zip(stacks, starts, starts[1:]) if lo < b + k and b < hi]
         re = buf_re[:k * r * n].reshape(k, r, n)
-        im = buf_im[:k * r * n].reshape(k, r, n) if any(cols.imag.any() for cols, _ in parts) else None
+        im = None if buf_im is None else buf_im[:k * r * n].reshape(k, r, n)
         for cols, at in parts:
             _products(cols[:, r0:r0 + r], cols, re[at], None if im is None else im[at])
         _mirror(re, im, r0)
@@ -365,41 +357,26 @@ def _fold(blocks, count: int, reads) -> dict:
     given G.  A read is a normalized q, for (Σ |g_ij|^q)^(1/q), the largest entry at q = ∞; "row",
     for max_i Σ_j |g_ij|, Bombieri's factor; or "eye", for max |G - I|, the orthonormality test.
 
-    Each q-norm keeps the pair (M, S) of the largest entry so far and Σ (|g_ij| / M)^q, the
-    scaled sum of Blue (ACM TOMS 4(1), 1978) and LAPACK dlassq (Anderson, ACM TOMS 44(1), 2017).
-    An input's first block (r0 = 0) sets the pair to its own largest entry m and scaled sum s;
-    each later block joins it as (M', S') = (max(M, m), S (M/M')^q + s (m/M')^q).  So every
-    n ≤ 1,024, one block, has the bits of one pass over the whole |G|.  "eye" is read last from
-    each block: |g_ii - 1| is written over the block's diagonal and the block's maximum taken.
+    Each read takes one value per block, and one rule joins an input's blocks: a q-norm over
+    blocks is the q-norm of the blocks' q-norms, and "row" and "eye" are maxima, the q-norm at
+    q = ∞.  An input's first block (r0 = 0) sets its value and each later block joins it through
+    _Scaled.pnorm, so every n ≤ 1,024, one block, has the bits of one pass over the whole |G|.
+    "eye" is read last from each block, since it writes |g_ii - 1| over the block's diagonal.
     """
-    reads = list(dict.fromkeys(reads))
-    qs = [read for read in reads if read not in ("row", "eye")]
-    top, row, eye = np.zeros(count), np.zeros(count), np.zeros(count)
-    sums = {q: np.zeros(count) for q in qs if math.isfinite(q)}  # the plain sum at q = 1
+    columns = {read: np.zeros(count) for read in sorted(dict.fromkeys(reads), key=lambda read: read == "eye")}
     for b, r0, block in blocks:
         k, r, n = block.shape
-        at = slice(b, b + k)
-        if qs:
-            scaled = _Scaled(block.reshape(k, r * n))
-            joined = np.maximum(top[at], scaled.max)  # the block's own maximum on an input's first block
-            divisor = np.where(joined > 0.0, joined, 1.0)
-            for q, acc in sums.items():
-                s = scaled.a.sum(axis=-1) if q == 1.0 else scaled.power_sum(q)
-                if r0 == 0:
-                    acc[at] = s
-                elif q == 1.0:
-                    acc[at] += s
-                else:
-                    acc[at] = acc[at] * (top[at] / divisor) ** q + s * (scaled.max / divisor) ** q
-            top[at] = joined
-        if "row" in reads:
-            row[at] = np.maximum(row[at], block.sum(axis=-1).max(axis=-1, initial=0.0))
-        if "eye" in reads:
-            diagonal = (slice(None), range(r), range(r0, r0 + r))
-            block[diagonal] = np.abs(block[diagonal] - 1.0)
-            eye[at] = np.maximum(eye[at], block.reshape(k, r * n).max(axis=-1, initial=0.0))
-    sums.update({q: top * _root(s, 1.0 / q) for q, s in sums.items() if q != 1.0})
-    columns = {"row": row, "eye": eye, math.inf: top, **sums}
+        scaled = _Scaled(block.reshape(k, r * n))
+        for read, column in columns.items():
+            if read == "row":
+                part, q = block.sum(axis=-1).max(axis=-1, initial=0.0), math.inf
+            elif read == "eye":
+                diagonal = (slice(None), range(r), range(r0, r0 + r))
+                block[diagonal] = np.abs(block[diagonal] - 1.0)
+                part, q = block.reshape(k, r * n).max(axis=-1, initial=0.0), math.inf
+            else:
+                part, q = scaled.pnorm(read), read
+            column[b:b + k] = part if r0 == 0 else _Scaled(np.stack([column[b:b + k], part], -1)).pnorm(q)
     return {read: columns[read] for read in reads}
 
 

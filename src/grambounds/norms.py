@@ -3,8 +3,10 @@
 The three branch families used throughout the package (max / Hölder / sum)
 are a single parametric family here: an exponent p ∈ [1, ∞] selects the
 branch, with p = ∞ giving the max, p = 1 the plain sum, and everything in
-between the genuine Hölder case.  That keeps the branch logic in one place
-and makes the limit behavior testable instead of assumed.
+between the genuine Hölder case.  The branch itself is ``core._Scaled.pnorm``,
+the one place it is written: every p-norm of a sequence and every q-norm of
+|G|, whose row blocks ``core._fold`` joins by the same rule, goes through it.
+That makes the limit behavior testable instead of assumed.
 """
 
 from __future__ import annotations

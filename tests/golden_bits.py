@@ -2,11 +2,12 @@
 
 A Gram build rounds as the OpenBLAS kernel that numpy's bundled library picks
 for the CPU rounds, so golden_bits.json keys each entry by that library's
-version and core name (``blas_kernel``).  An entry holds six digests:
+version and core name (``blas_kernel``).  An entry holds seven digests:
 
     corpus         the case-row digest of the standard corpus (helpers.run_corpus)
     corpus_1k      the case-row digest of the first 1,000 specs of the standard corpus
     large          the float.hex records of verify_all on four (1000, 256) families of seed 1729
+    row_blocks     the same records on two (1100, 4) families, each |G| folded in two row blocks
     compute        the ``grambounds compute`` CSV of one seeded complex document with coefficients
     compute_bench  the compute rows of the benchmark's compute document, a complex (1000, 256) family
     scan           the default ``grambounds scan`` CSV
@@ -84,14 +85,14 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def large_records() -> bytes:
-    """One line per verify_all record on four (1000, 256) families of seed 1729, alternately
+def verify_records(count: int, n: int, d: int) -> bytes:
+    """One line per verify_all record on ``count`` (n, d) families of seed 1729, alternately
     complex and real, drawn as x, the rows and c; lhs and value in float.hex."""
     rng = np.random.default_rng(1729)
     lines = []
-    for k in range(4):
+    for k in range(count):
         draw = (lambda shape: _complex_normal(rng, shape)) if k % 2 == 0 else rng.standard_normal
-        x, rows, c = draw(256), draw((1000, 256)), draw(1000)
+        x, rows, c = draw(d), draw((n, d)), draw(n)
         report = verify_all(x, VectorFamily(rows, field="real" if k % 2 else "complex"), c)
         lines += [f"{r.bound_id} {r.p!r} {r.flavor} {r.lhs.hex()} {r.value.hex()}" for r in report.cases]
     return "\n".join(lines).encode()
@@ -127,7 +128,8 @@ def digests(workdir: Path, corpus_digest: str | None = None) -> dict[str, str]:
     return {
         **({} if corpus_digest is None else {"corpus": corpus_digest}),
         "corpus_1k": run_corpus(1000).digest,
-        "large": _sha256(large_records()),
+        "large": _sha256(verify_records(4, 1000, 256)),
+        "row_blocks": _sha256(verify_records(2, 1100, 4)),
         "compute": _sha256(compute_csv(workdir)),
         "compute_bench": _sha256(compute_bench_rows()),
         "scan": _sha256(scan_csv(workdir)),

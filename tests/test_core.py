@@ -492,7 +492,8 @@ class TestGramReductions:
 
     def test_stack_cut_along_the_batch_has_the_bits_of_each_input(self):
         # 13 inputs of n = 300 hold more than _BLOCK entries: blocks of 11 inputs, across both stacks,
-        # and of 2.  The last four inputs are real: two in the first, complex block, two in the second.
+        # and of 2.  The last four inputs are real, two in each block, and both blocks take the complex
+        # products: the second holds only real inputs, but some input of the pass is complex.
         rng = np.random.default_rng(59)
         rows = rng.normal(size=(13, 300, 3)) + 1j * rng.normal(size=(13, 300, 3))
         rows[9:] = rows[9:].real
@@ -509,11 +510,16 @@ class TestGramReductions:
     def test_blocks_agree_with_one_pass_and_long_double(self, kind, n, d, qs=(math.inf, 11.0, 3.0, 2.0, 1.5, 1.0)):
         """Each reduction is within γ_k of the long-double value (taken as exact) times the same
         reduction of P, P_ij = Σ_l |y_il||y_jl| ≥ |g_ij|, and within 2γ_k of the one-pass value, with
-        γ_k = k u / (1 - k u), u = 2⁻⁵³ and k = 53, the largest over these shapes of
-          2(d + 1) + 2 = 12    for a Gram entry: per part two length-d dot products and one add, hypot;
-          19 + ⌈log₂(n²/128)⌉ = 35  for numpy's pairwise sum of n² terms in blocks of 128;
-          6                    for the divide, power, root, product by the maximum and a block's rescale.
-        (The power's q-fold amplification of the ratio's rounding is undone by the 1/q root.)"""
+        γ_k = k u / (1 - k u), u = 2⁻⁵³ and k = 53 ≥ e + 3 + (s + 1)/q + J (2 + (q + 3)/(2q)), the
+        largest over these shapes and finite q > 1 (at q = 1.5: 12 + 3 + 22 + 14 = 51), of
+          e = 2(d + 1) + 2 = 12   for a Gram entry: per part two length-d dot products and one add, hypot;
+          s = 19 + ⌈log₂(m/128)⌉ = 32  for numpy's pairwise sum of a block's m = r n terms in blocks of 128;
+          3 + (s + 1)/q           for the block's divide, power, sum, root and product by its maximum;
+          2 + (q + 3)/(2q)        for each of the J = 4 joins of five row blocks: its root and product, and
+                                  the divide and power of the smaller term, at most half the sum, and the add.
+        (The power's q-fold amplification of a ratio's rounding is undone by the 1/q root, which also
+        divides the power's and the sum's by q.)  At q = 1 the blocks' plain sums are added: e + s + J = 48.
+        The one-pass value is one block of m = n² terms: s = 35 and k = 12 + 3 + 24 = 39 at q = 1.5."""
         if kind == "rank_one":
             rows = _rank_one_tied(n, d)
         else:
@@ -538,6 +544,58 @@ class TestGramReductions:
         if kind == "rank_one":  # every entry exactly 1
             assert got["row"][0] == n and got["eye"][0] == 1.0
             assert got[math.inf][0] == 1.0 and got[1.0][0] == n * n
+
+    @pytest.mark.parametrize("kind", ["random", "zero_row_blocks", "wide_range"])
+    @pytest.mark.parametrize("n", [1, 7, 40])
+    def test_row_blocks_join_as_one_block(self, n, kind, reads=("row", "eye", 1.0, 1.5, 2.0, 3.0, 11.0, math.inf)):
+        """A (1, n, n) |G|-like array folded as row blocks of 1, 3 and 13 rows: up to 40 blocks, cut
+        anywhere, some of them zero.  "row", "eye" and ∞ are maxima and keep the one-block bits.  A
+        q-norm joined over B blocks of m entries is within γ_k of the exact value, as is the one-block
+        value (B = 1, m = n²), with γ_k = k u / (1 - k u), u = 2⁻⁵³ and
+          k = depth(m) + 4 + 5 (B - 1),
+          depth(m) = 25 + ⌈log₂(m/128)⌉⁺  for numpy's pairwise sum: 15 adds into each of 8 accumulators,
+                                            3 to join them and 7 for a remainder, one more per halving;
+          4 for a block's divide, power, root and product by its maximum;
+          5 for each join's divide, power, add, root and product.
+        (The power's q-fold amplification of the ratio's rounding is undone by the 1/q root, and a join
+        passes on its inputs' relative errors unchanged.)  Underflowed powers lose at most n² · 2⁻¹⁰⁷⁴
+        against a scaled sum of at least 1."""
+        rng = np.random.default_rng(61 + n)
+        a = rng.random((1, n, n))
+        if kind == "zero_row_blocks":  # rows 0-12 and 26-38: the first block of every cut and a middle one
+            a[:, :13] = a[:, 26:39] = 0.0
+        if kind == "wide_range":
+            a = 10.0 ** rng.uniform(-300.0, 300.0, (1, n, n))
+        depth = lambda m: 25 + max(math.ceil(math.log2(m / 128)), 0)
+        whole = core._fold([(0, 0, a.copy())], 1, reads)
+        for rows in (1, 3, 13):
+            starts = range(0, n, rows)
+            got = core._fold([(0, r0, a[:, r0:r0 + rows].copy()) for r0 in starts], 1, reads)
+            assert list(got) == list(reads)
+            for read in ("row", "eye", math.inf):
+                assert np.array_equal(_bits(got[read]), _bits(whole[read])), (rows, read)
+            k = max(depth(min(rows, n) * n) + 4 + 5 * (len(starts) - 1), depth(n * n) + 4)
+            gamma = k * 2.0**-53 / (1 - k * 2.0**-53)
+            for q in reads[2:-1]:
+                value, want = got[q][0], whole[q][0]
+                assert abs(value - want) <= 2 * gamma * want / (1 - gamma), (rows, q)
+
+    def test_row_and_eye_take_no_block_maximum(self, monkeypatch):
+        """A fold of only "row" or "eye" (the orthonormality test, max_row_abs_sum) takes no maximum
+        of the unwritten block, which only the q-norms read; it takes only the maxima of the pairs
+        that join row blocks.  One block, and row blocks."""
+        widths, cached = [], core._Scaled.__dict__["max"]
+        monkeypatch.setattr(core._Scaled, "max", property(lambda self: widths.append(self.a.shape[-1])
+                                                            or cached.__get__(self)))
+        for n in (300, 1100):
+            fam = _build_family("complex", (n, 3))
+            widths.clear()
+            fam.is_orthonormal()
+            max_row_abs_sum(gram(fam))
+            _gram_reductions([fam.vectors[None]], ("row", "eye"))
+            assert set(widths) <= {2}
+            _gram_reductions([fam.vectors[None]], ("eye", 3.0))
+            assert max(widths) >= n
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_upper_entries_in_the_block_come_from_their_partners(self, monkeypatch, field):
