@@ -553,8 +553,9 @@ class TestGramReductions:
         q-norm joined over B blocks of m entries is within γ_k of the exact value, as is the one-block
         value (B = 1, m = n²), with γ_k = k u / (1 - k u), u = 2⁻⁵³ and
           k = depth(m) + 4 + 5 (B - 1),
-          depth(m) = 25 + ⌈log₂(m/128)⌉⁺  for numpy's pairwise sum: 15 adds into each of 8 accumulators,
-                                            3 to join them and 7 for a remainder, one more per halving;
+          depth(m) = 25 + ⌈log₂(m/128)⌉⁺  for numpy's pairwise sum: at most 15 adds into each of 8
+                                            accumulators, 3 to join them, 7 for a remainder, and one more
+                                            per halving;
           4 for a block's divide, power, root and product by its maximum;
           5 for each join's divide, power, add, root and product.
         (The power's q-fold amplification of the ratio's rounding is undone by the 1/q root, and a join
