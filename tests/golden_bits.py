@@ -2,7 +2,7 @@
 
 A Gram build rounds as the OpenBLAS kernel that numpy's bundled library picks
 for the CPU rounds, so golden_bits.json keys each entry by that library's
-version and core name (``blas_kernel``).  An entry holds seven digests:
+version and core name (``blas_kernel``).  An entry holds eight digests:
 
     corpus         the case-row digest of the standard corpus (helpers.run_corpus)
     corpus_1k      the case-row digest of the first 1,000 specs of the standard corpus
@@ -11,6 +11,10 @@ version and core name (``blas_kernel``).  An entry holds seven digests:
     compute        the ``grambounds compute`` CSV of one seeded complex document with coefficients
     compute_bench  the compute rows of the benchmark's compute document, a complex (1000, 256) family
     scan           the default ``grambounds scan`` CSV
+    scan_bench     the ``grambounds scan`` CSV of the benchmark's 1001 × 250 grid at its seeded eps
+
+The scan is Python-float arithmetic with no BLAS call, so its two digests are the same
+under every kernel.
 
 The tests check the running kernel's entry in process, and every other recorded
 kernel in a child whose OPENBLAS_CORETYPE selects it (``run_child``).  Run
@@ -116,11 +120,17 @@ def compute_bench_rows() -> bytes:
     return "\n".join(compute_rows(x, VectorFamily(rows), c, list(STANDARD_P_LIST))).encode()
 
 
-def scan_csv(workdir: Path) -> bytes:
-    """The default ``grambounds scan`` CSV."""
+def scan_csv(workdir: Path, *args: str) -> bytes:
+    """The ``grambounds scan`` CSV with these arguments (the default grid when none are given)."""
     out = workdir / "golden_scan.csv"
-    assert main(["scan", "--out", str(out)]) == 0
+    assert main(["scan", *args, "--out", str(out)]) == 0
     return out.read_bytes()
+
+
+def scan_bench_csv(workdir: Path) -> bytes:
+    """The scan CSV of the benchmark's grid: 1001 × 250 cells from p = 1 + eps, eps drawn from seed 1729."""
+    eps = 0.005 + 0.01 * float(np.random.default_rng(1729).random())
+    return scan_csv(workdir, "--nb", "1001", "--np", "250", "--eps", repr(eps))
 
 
 def digests(workdir: Path, corpus_digest: str | None = None) -> dict[str, str]:
@@ -133,6 +143,7 @@ def digests(workdir: Path, corpus_digest: str | None = None) -> dict[str, str]:
         "compute": _sha256(compute_csv(workdir)),
         "compute_bench": _sha256(compute_bench_rows()),
         "scan": _sha256(scan_csv(workdir)),
+        "scan_bench": _sha256(scan_bench_csv(workdir)),
     }
 
 
