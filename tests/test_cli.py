@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from grambounds import BoundId, cli, random_family, random_specs, verify_all
+from grambounds import BoundId, cli, random_family, random_specs, sign_scan, verify_all
 from grambounds.cli import (
     CASE_HEADER,
     SCAN_HEADER,
@@ -343,6 +343,15 @@ class TestScanCommand:
         assert f"n_positive={pos}" in summary
         assert f"n_negative={neg}" in summary
         assert f"n_zero={zero}" in summary
+
+    def test_rows_are_the_reports_floats(self, tmp_path):
+        out = tmp_path / "scan.csv"
+        assert main(["scan", "--nb", "7", "--np", "5", "--eps", "0.3", "--out", str(out)]) == 0
+        rep = sign_scan(7, 5, 0.3)
+        rows = [f"{b!r},{p!r},{v!r}" for b, row in zip(rep.grid_b.tolist(), rep.values.tolist())
+                for p, v in zip(rep.grid_p.tolist(), row)]
+        footer = f"# n_positive={rep.n_positive} n_negative={rep.n_negative} n_zero={rep.n_zero}"
+        assert out.read_text().splitlines() == [SCAN_HEADER, *rows, footer]
 
     def test_single_sign_is_regression(self, tmp_path, capsys):
         out = tmp_path / "scan.csv"

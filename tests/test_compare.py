@@ -112,6 +112,13 @@ class TestSignScan:
         pi = list(rep.grid_p).index(rep.min_cell.p)
         assert rep.values[bi, pi] == rep.min_cell.value
 
+    def test_cells_are_the_closed_form(self):
+        rep = sign_scan(7, 5, eps=0.3)
+        assert rep.values.dtype == np.float64 and not rep.values.flags.writeable
+        for i, b in enumerate(rep.grid_b):
+            for j, p in enumerate(rep.grid_p):
+                assert float(rep.values[i, j]).hex() == gap_closed_form(float(b), float(p)).hex()
+
     def test_p2_only_grid_has_no_positives(self):
         # eps = 1.0 collapses the p range to the single value 2 (two equal points)
         rep = sign_scan(11, 2, eps=1.0)
