@@ -39,11 +39,7 @@ def format_number(v: float) -> str:
 
 
 def format_p(p: Optional[float]) -> str:
-    if p is None:
-        return "-"
-    if math.isinf(p):
-        return "inf"
-    return format_number(p)
+    return "-" if p is None else format_number(p)
 
 
 def case_row(bound_id: str, p: Optional[float], flavor: Optional[str], lhs: float, rhs: float) -> str:
@@ -198,12 +194,9 @@ def cmd_verify(
 
 def cmd_scan(nb: int, np_count: int, eps: float, out_path: str) -> int:
     report = sign_scan(nb, np_count, eps)
-    lines = [SCAN_HEADER]
-    for i, b in enumerate(report.grid_b):
-        for j, p in enumerate(report.grid_p):
-            lines.append(
-                f"{format_number(b)},{format_number(p)},{format_number(report.values[i, j])}"
-            )
+    lines, ps = [SCAN_HEADER], [repr(p) for p in report.grid_p.tolist()]
+    for b, row in zip(report.grid_b.tolist(), report.values):
+        lines += [f"{b!r},{p},{v!r}" for p, v in zip(ps, row.tolist())]
     lines.append(
         f"# n_positive={report.n_positive} n_negative={report.n_negative} n_zero={report.n_zero}"
     )

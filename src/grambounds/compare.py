@@ -102,9 +102,9 @@ def sign_scan(nb: int, np_count: int, eps: float = 0.01, zero_tol: float = 1e-12
     grid_b = np.linspace(0.0, 1.0, nb)
     grid_p = np.linspace(1.0 + epsf, 2.0, np_count)
     values = np.empty((nb, np_count), dtype=np.float64)
-    for i, b in enumerate(grid_b):
-        for j, p in enumerate(grid_p):
-            values[i, j] = gap_closed_form(b, p)
+    ps = grid_p.tolist()
+    for i, b in enumerate(grid_b.tolist()):
+        values[i] = [gap_closed_form(b, p) for p in ps]
 
     n_positive = int((values > ztol).sum())
     n_negative = int((values < -ztol).sum())
