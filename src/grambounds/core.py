@@ -2,8 +2,8 @@
 
 Everything downstream (norm machinery, the bound evaluators, the
 verification harness) works with the three types defined here.  The
-design goal is exactness where exactness is cheap: the inner product is
-assembled from four real dot products so that ``inner(x, y)`` and
+design goal is exactness where exactness is cheap: ``_inner_each`` assembles
+each inner product from four real dot products so that ``inner(x, y)`` and
 ``inner(y, x)`` are conjugates *bitwise*, and Gram matrices are built by
 mirroring a lower triangle so they are Hermitian by construction rather
 than up to rounding.
@@ -155,14 +155,8 @@ class Vector:
 def inner(x: ArrayLike, y: ArrayLike) -> complex:
     """Inner product (x, y), conjugate-linear in the second argument.
 
-    Computed from four real dot products:
-
-        re = x_re . y_re + x_im . y_im
-        im = x_im . y_re - x_re . y_im
-
-    Because IEEE subtraction is antisymmetric, swapping x and y negates
-    ``im`` and fixes ``re`` exactly, so conjugate symmetry holds bitwise,
-    not merely to rounding.
+    The batch of one of :func:`_inner_each`, which forms the four real dot
+    products.
     """
     xa = _as_complex(x, what="first argument")
     ya = _as_complex(y, what="second argument")
@@ -170,9 +164,7 @@ def inner(x: ArrayLike, y: ArrayLike) -> complex:
         raise DimensionError(
             f"dimension mismatch: {xa.shape[0]} vs {ya.shape[0]}"
         )
-    re = float(xa.real @ ya.real) + float(xa.imag @ ya.imag)
-    im = float(xa.imag @ ya.real) - float(xa.real @ ya.imag)
-    return complex(re, im)
+    return complex(_inner_each(ya[None], xa)[0])
 
 
 def norm(x: ArrayLike) -> float:
@@ -197,11 +189,19 @@ def _sum_sq(v: np.ndarray) -> np.ndarray:
 
 
 def _inner_each(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """(x, y_i) for the rows y_i of ``rows`` (..., n, d) and ``x`` (..., d), as in :func:`inner`."""
+    """(x, y_i) for the rows y_i of ``rows`` (..., n, d) and ``x`` (..., d), from four real dot products:
+
+        re = x_re . y_re + x_im . y_im
+        im = x_im . y_re - x_re . y_im
+
+    Because IEEE subtraction is antisymmetric, swapping x and y negates ``im`` and fixes ``re``
+    exactly, so conjugate symmetry holds bitwise, not merely to rounding.  The two parts are placed
+    side by side, not added as re + 1j·im, whose 0·im would turn an overflowed im into a NaN real part.
+    """
     xr, xi = x.real[..., None], x.imag[..., None]
     re = rows.real @ xr + rows.imag @ xi
     im = rows.real @ xi - rows.imag @ xr
-    return (re + 1j * im)[..., 0]
+    return np.concatenate((re, im), axis=-1).view(np.complex128)[..., 0]
 
 
 def _products(rows: np.ndarray, cols: np.ndarray, re: np.ndarray, im: np.ndarray | None) -> None:

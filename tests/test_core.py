@@ -1,7 +1,9 @@
 """Vectors, families, inner products, and Gram matrices."""
 
+import functools
 import inspect
 import math
+import operator
 import re
 import tracemalloc
 
@@ -101,6 +103,12 @@ class TestInner:
 
     def test_accepts_plain_sequences(self):
         assert inner([1.0, 0.0], [1.0, 0.0]) == 1.0
+
+    def test_overflowed_part_leaves_the_other_part(self):
+        # (x, y) = 1e400 i overflows its imaginary part alone; 0 * inf would make the real part NaN
+        with np.errstate(over="ignore"):
+            assert inner([1e200j], [1e200]) == complex(0.0, math.inf)
+            assert inner_each([1e200j], VectorFamily([[1e200]]))[0] == complex(0.0, math.inf)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
@@ -439,6 +447,44 @@ def _materialised(abs_g, qs):
     return abs_g.sum(axis=-1).max(axis=-1, initial=0.0), deviation, {q: scaled.pnorm(q) for q in qs}
 
 
+@functools.cache
+def _sum_roundings(m: int) -> int:
+    """The most roundings a term passes through in numpy's add.reduce over m contiguous terms, a
+    pairwise sum started at -0.0 (exact): fewer than 8 terms are added in turn; up to 128 go into 8
+    accumulators, which 3 adds join before the remainder is added in turn; a longer run splits at
+    ⌊m/2⌋ rounded down to a multiple of 8, one more add.  _pairwise_sum is that order."""
+    if m < 8:
+        return max(m - 1, 0)
+    if m <= 128:
+        return m // 8 - 1 + 3 + m % 8
+    h = m // 2 - m // 2 % 8
+    return 1 + max(_sum_roundings(h), _sum_roundings(m - h))
+
+
+def _pairwise_sum(terms: list) -> float:
+    """The sum of Python floats in the order that _sum_roundings counts."""
+    m, add = len(terms), functools.partial(functools.reduce, operator.add)
+    if m < 8:
+        return add(terms, -0.0)
+    if m <= 128:
+        r = [add(terms[j:m - m % 8:8]) for j in range(8)]
+        return add(terms[m - m % 8:], ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])))
+    h = m // 2 - m // 2 % 8
+    return _pairwise_sum(terms[:h]) + _pairwise_sum(terms[h:])
+
+
+@pytest.mark.parametrize("m", [1, 7, 8, 15, 127, 128, 129, 1000, 2050])
+def test_sum_roundings_follows_numpys_order(m):
+    """numpy sums a contiguous run, alone or as each row of a stack, in _pairwise_sum's order bit for
+    bit, so _sum_roundings counts its roundings: 24 at m = 127 (14 adds into an accumulator, 3 to
+    join them, 7 for the remainder), not the 19 + ⌈log₂(m/128)⌉ once assumed."""
+    rng = np.random.default_rng(67 + m)
+    terms = rng.random((2, m)) * 10.0 ** rng.uniform(-8.0, 8.0, (2, m))
+    for row, total in zip(terms, terms.sum(axis=-1)):
+        assert np.add.reduce(row).hex() == total.hex() == _pairwise_sum(row.tolist()).hex()
+    assert _sum_roundings(127) == 24
+
+
 def _longdouble_reference(rows, qs):
     """The reductions of |G| of one family (n, d) in np.longdouble, 256 rows at a time, at q in
     {∞, 11, 3, 2, 1.5, 1}: powers by products and square roots, which powl is too slow for."""
@@ -511,26 +557,32 @@ class TestGramReductions:
         """Each reduction is within γ_k of the long-double value (taken as exact) times the same
         reduction of P, P_ij = Σ_l |y_il||y_jl| ≥ |g_ij|, and within 2γ_k of the one-pass value, with
         γ_k = k u / (1 - k u), u = 2⁻⁵³ and k = 53 ≥ e + 3 + (s + 1)/q + J (2 + (q + 3)/(2q)), the
-        largest over these shapes and finite q > 1 (at q = 1.5: 12 + 3 + 22 + 14 = 51), of
-          e = 2(d + 1) + 2 = 12   for a Gram entry: per part two length-d dot products and one add, hypot;
-          s = 19 + ⌈log₂(m/128)⌉ = 32  for numpy's pairwise sum of a block's m = r n terms in blocks of 128;
+        largest over these shapes and finite q > 1 (at n = 2,100 and q = 1.5: 12 + 3 + 21⅓ + 14), of
+          e = 2(d + 1) + 2 ≤ 12   for a Gram entry: per part two length-d dot products and one add, hypot;
+          s = max _sum_roundings(m) ≤ 31  for numpy's pairwise sum of a block's m = r n terms (22 at
+                                  m = 2,050, 31 at 1,047,900 and 1,048,575);
           3 + (s + 1)/q           for the block's divide, power, sum, root and product by its maximum;
-          2 + (q + 3)/(2q)        for each of the J = 4 joins of five row blocks: its root and product, and
-                                  the divide and power of the smaller term, at most half the sum, and the add.
+          2 + (q + 3)/(2q)        for each of the J ≤ 4 joins of up to five row blocks: its root and product,
+                                  and the divide and power of the smaller term, at most half the sum, and the add.
         (The power's q-fold amplification of a ratio's rounding is undone by the 1/q root, which also
-        divides the power's and the sum's by q.)  At q = 1 the blocks' plain sums are added: e + s + J = 48.
-        The one-pass value is one block of m = n² terms: s = 35 and k = 12 + 3 + 24 = 39 at q = 1.5."""
+        divides the power's and the sum's by q.)  At q = 1 the blocks' plain sums are added: e + s + J ≤ 47.
+        The one-pass value is one block of m = n² terms: s ≤ 33 (at n = 2,100) and e + 3 + (s + 1)/q ≤ 37⅔
+        at q = 1.5.  The test checks each count against k for its own shape."""
         if kind == "rank_one":
             rows = _rank_one_tied(n, d)
         else:
             rows = _build_family(kind, (n, d)).vectors
-        assert len(_cuts(1, n, n, _BLOCK)) > 1
+        cuts, k, u = _cuts(1, n, n, _BLOCK), 53, 2.0**-53
+        e, s, joins = 2 * (d + 1) + 2, max(_sum_roundings(r * n) for *_, r in cuts), len(cuts) - 1
+        finite = [q for q in qs if 1.0 < q < math.inf]
+        assert joins > 0 and e + s + joins <= k
+        assert all(e + 3 + (s + 1) / q + joins * (2 + (q + 3) / (2 * q)) <= k for q in finite)
+        assert all(e + 3 + (_sum_roundings(n * n) + 1) / q <= k for q in finite)
         got = _gram_reductions([rows[None]], ("row", "eye", *qs))
         one_pass = _materialised(_abs_gram(rows[None]), qs)
         exact = _longdouble_reference(rows, qs)
         p = np.abs(rows) @ np.abs(rows).T
         scale = _abs_reductions(p, ("row", *qs))
-        k, u = 53, 2.0**-53
         gamma = k * u / (1 - k * u)
         pairs = [(got["row"][0], one_pass[0][0], exact[0], scale["row"][0]),
                  (got["eye"][0], one_pass[1][0], exact[1], max(scale[math.inf][0], 1.0))]
@@ -552,10 +604,8 @@ class TestGramReductions:
         anywhere, some of them zero.  "row", "eye" and ∞ are maxima and keep the one-block bits.  A
         q-norm joined over B blocks of m entries is within γ_k of the exact value, as is the one-block
         value (B = 1, m = n²), with γ_k = k u / (1 - k u), u = 2⁻⁵³ and
-          k = depth(m) + 4 + 5 (B - 1),
-          depth(m) = 25 + ⌈log₂(m/128)⌉⁺  for numpy's pairwise sum: at most 15 adds into each of 8
-                                            accumulators, 3 to join them, 7 for a remainder, and one more
-                                            per halving;
+          k = _sum_roundings(m) + 4 + 5 (B - 1),
+          _sum_roundings(m)  for numpy's pairwise sum of the block's m entries;
           4 for a block's divide, power, root and product by its maximum;
           5 for each join's divide, power, add, root and product.
         (The power's q-fold amplification of the ratio's rounding is undone by the 1/q root, and a join
@@ -567,7 +617,6 @@ class TestGramReductions:
             a[:, :13] = a[:, 26:39] = 0.0
         if kind == "wide_range":
             a = 10.0 ** rng.uniform(-300.0, 300.0, (1, n, n))
-        depth = lambda m: 25 + max(math.ceil(math.log2(m / 128)), 0)
         whole = core._fold([(0, 0, a.copy())], 1, reads)
         for rows in (1, 3, 13):
             starts = range(0, n, rows)
@@ -575,7 +624,7 @@ class TestGramReductions:
             assert list(got) == list(reads)
             for read in ("row", "eye", math.inf):
                 assert np.array_equal(_bits(got[read]), _bits(whole[read])), (rows, read)
-            k = max(depth(min(rows, n) * n) + 4 + 5 * (len(starts) - 1), depth(n * n) + 4)
+            k = max(_sum_roundings(min(rows, n) * n) + 4 + 5 * (len(starts) - 1), _sum_roundings(n * n) + 4)
             gamma = k * 2.0**-53 / (1 - k * 2.0**-53)
             for q in reads[2:-1]:
                 value, want = got[q][0], whole[q][0]
