@@ -20,7 +20,7 @@ class DimensionError(GramBoundsError):
 
 
 class ShapeError(GramBoundsError):
-    """A coefficient sequence does not match the family size."""
+    """An argument has the wrong shape: ragged, the wrong number of axes or length, empty, or not square."""
 
 
 class ExponentError(GramBoundsError):
