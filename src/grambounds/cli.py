@@ -33,17 +33,13 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 
-def format_number(v: float) -> str:
-    """Shortest decimal that round-trips to the same float."""
-    return repr(float(v))
-
-
 def format_p(p: Optional[float]) -> str:
-    return "-" if p is None else format_number(p)
+    """An optional exponent: "-" for none, else the shortest decimal that round-trips to the same float."""
+    return "-" if p is None else repr(float(p))
 
 
 def case_row(bound_id: str, p: Optional[float], flavor: Optional[str], lhs: float, rhs: float) -> str:
-    # str(bound_id), not {bound_id}: format() of a str-mixin Enum changed in Python 3.12.
+    # str(bound_id), not {bound_id}: the same text, without format()'s several times slower Enum.__format__.
     return f"{str(bound_id)},{format_p(p)},{flavor or '-'},{float(lhs)!r},{float(rhs)!r},{float(rhs - lhs)!r}"
 
 
@@ -181,13 +177,13 @@ def cmd_verify(
         spec, case = result.worst
         print(
             f"tightest: bound_id={case.bound_id} p={format_p(case.p)} "
-            f"margin={format_number(case.margin)} (seed={spec.seed})"
+            f"margin={case.margin!r} (seed={spec.seed})"
         )
     for spec, case in result.failures:
         print(
             f"fail: seed={spec.seed} dim={spec.dim} n={spec.n} field={spec.field} "
-            f"scale={format_number(spec.scale)} bound_id={case.bound_id} p={format_p(case.p)} "
-            f"flavor={case.flavor or '-'} lhs={format_number(case.lhs)} rhs={format_number(case.rhs)}"
+            f"scale={spec.scale!r} bound_id={case.bound_id} p={format_p(case.p)} "
+            f"flavor={case.flavor or '-'} lhs={case.lhs!r} rhs={case.rhs!r}"
         )
     return EXIT_REGRESSION if result.n_fail else EXIT_OK
 

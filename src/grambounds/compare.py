@@ -65,7 +65,7 @@ class GridCell(NamedTuple):
     value: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SignScanReport:
     """Grid evaluation of gap_closed_form with sign counts and extremal cells."""
 

@@ -110,8 +110,6 @@ def _as_complex(
         raise DomainError(f"{what} must be numeric, got dtype {arr.dtype}")
     if size is not None and arr.shape[0] != size:
         raise ShapeError(f"got {arr.shape[0]} {what} for a family of size {size}")
-    if isinstance(data, Vector):
-        return arr  # finite, read-only complex128 by construction
     out = arr.astype(np.complex128, copy=copy)
     if not np.isfinite(out).all():  # complex isfinite: both parts finite
         raise DomainError(f"{what} must be finite")
@@ -149,7 +147,7 @@ class Vector:
         return self.dim == other.dim and bool(np.all(self._coords == other._coords))
 
     def __hash__(self):
-        return hash((self.dim, self._coords.tobytes()))
+        return hash((self.dim, (self._coords + 0.0).tobytes()))  # + 0.0 turns -0.0 parts to +0.0, as == sees them
 
 
 def inner(x: ArrayLike, y: ArrayLike) -> complex:

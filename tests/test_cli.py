@@ -12,7 +12,6 @@ from grambounds.cli import (
     CASE_HEADER,
     SCAN_HEADER,
     case_row,
-    format_number,
     format_p,
     main,
 )
@@ -51,7 +50,7 @@ def run_compute(tmp_path, doc, extra=()):
 class TestFormatting:
     def test_format_number_round_trip(self):
         for v in (0.1, 1.25, 1e-300, 12345.6789, -0.25):
-            assert float(format_number(v)) == v
+            assert float(format_p(v)) == v
 
     def test_format_p(self):
         assert format_p(None) == "-"
@@ -67,8 +66,8 @@ class TestFormatting:
         for bound_id, flavor in ((BoundId.POWER_MEAN_GAP, None), (BoundId.SPAN_GRAM, "gram"), ("cor28", None)):
             for p in (None, 1.0, 2, math.inf, 1.0 + 4504 * 2.0**-52):
                 for lhs, rhs in itertools.product(values, repeat=2):
-                    fields = (str(bound_id), format_p(p), flavor or "-", format_number(lhs), format_number(rhs),
-                              format_number(rhs - lhs))
+                    fields = (str(bound_id), format_p(p), flavor or "-", format_p(lhs), format_p(rhs),
+                              format_p(rhs - lhs))
                     assert case_row(bound_id, p, flavor, lhs, rhs) == ",".join(fields), (bound_id, p, lhs, rhs)
         assert type(str(BoundId.SPAN_GRAM)) is str and str(BoundId.SPAN_GRAM) == "span_gram"
 
@@ -266,15 +265,15 @@ class TestVerifyCommand:
             if tightest is not None and (worst is None or tightest.margin < worst[1].margin):
                 worst = (spec, tightest)
             fails += [f"fail: seed={spec.seed} dim={spec.dim} n={spec.n} field={spec.field} "
-                      f"scale={format_number(spec.scale)} bound_id={case.bound_id} p={format_p(case.p)} "
-                      f"flavor={case.flavor or '-'} lhs={format_number(case.lhs)} rhs={format_number(case.rhs)}"
+                      f"scale={format_p(spec.scale)} bound_id={case.bound_id} p={format_p(case.p)} "
+                      f"flavor={case.flavor or '-'} lhs={format_p(case.lhs)} rhs={format_p(case.rhs)}"
                       for case in report.failures]
         spec, case = worst
         assert code == 1 and fails
         assert capsys.readouterr().out.splitlines() == [
             f"specs=60 cases={n_cases} pass={n_cases - len(fails)} fail={len(fails)}",
             f"tightest: bound_id={case.bound_id} p={format_p(case.p)} "
-            f"margin={format_number(case.margin)} (seed={spec.seed})",
+            f"margin={format_p(case.margin)} (seed={spec.seed})",
             *fails,
         ]
 
@@ -385,17 +384,19 @@ class TestScanCommand:
 
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
+        """``python -m grambounds`` on the source tree writes the CSV that main writes."""
+        import os
         import subprocess
         import sys
+        from pathlib import Path
 
-        out = tmp_path / "s.csv"
-        proc = subprocess.run(
-            [sys.executable, "-m", "grambounds", "scan", "--nb", "5", "--np", "4",
-             "--out", str(out)],
-            capture_output=True,
-        )
-        assert proc.returncode == 0
-        assert out.exists()
+        args = ["scan", "--nb", "3", "--np", "2", "--out"]
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run([sys.executable, "-m", "grambounds", *args, str(tmp_path / "child.csv")],
+                              capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 0, proc.stderr
+        assert main([*args, str(tmp_path / "main.csv")]) == 0
+        assert (tmp_path / "child.csv").read_bytes() == (tmp_path / "main.csv").read_bytes()
 
     def test_library_bug_is_not_an_input_error(self, tmp_path, monkeypatch):
         # main names the input errors it reports; any other exception propagates

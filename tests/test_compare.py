@@ -141,6 +141,12 @@ class TestSignScan:
             b.n_zero,
         )
 
+    def test_equality_and_hash_go_by_identity(self):
+        # field by field, == would compare the numpy grids and raise
+        a, b = sign_scan(5, 4), sign_scan(5, 4)
+        assert a == a and a != b
+        assert hash(a) == hash(a) and len({a, b}) == 2
+
     @pytest.mark.parametrize("nb,np_count", [(1, 10), (10, 1), (0, 0)])
     def test_rejects_tiny_grids(self, nb, np_count):
         with pytest.raises(DomainError):

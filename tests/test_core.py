@@ -43,6 +43,7 @@ class TestVector:
         assert v.coords.dtype == np.complex128
         assert v.dim == 3
         assert len(v) == 3
+        assert repr(v) == "Vector([1.+0.j, 2.+0.j, 3.+0.j])"
 
     def test_coords_read_only(self):
         v = Vector([1.0, 2.0])
@@ -71,6 +72,17 @@ class TestVector:
         assert a == b
         assert hash(a) == hash(b)
         assert a != Vector([1.0, 3.0])
+        assert a.__eq__([1.0, 2.0]) is NotImplemented and a != [1.0, 2.0]
+        for u, w in (([0.0, 1.0], [-0.0, 1.0]), ([1.0, 2j], [complex(1.0, -0.0), 2j])):  # a real, an imaginary -0.0
+            assert Vector(u) == Vector(w) and len({Vector(u), Vector(w)}) == 1
+
+    def test_coercion_takes_a_vector_like_any_array(self):
+        v = Vector([1.0, 2j])
+        assert core._as_complex(v) is v.coords  # no copy when none is asked for
+        fresh = core._as_complex(v, copy=True)
+        assert fresh is not v.coords and fresh.flags.writeable and np.array_equal(fresh, v.coords)
+        with pytest.raises(ShapeError, match="got 2 coefficients for a family of size 3"):
+            core._as_complex(v, what="coefficients", size=3)
 
 
 class TestInner:
@@ -145,6 +157,7 @@ class TestVectorFamily:
         assert fam.size == 2
         assert fam.dim == 2
         assert len(fam) == 2
+        assert repr(fam) == "VectorFamily(n=2, dim=2, field='complex')"
 
     def test_from_member_list(self):
         fam = VectorFamily([[1.0], [0.5]])
@@ -183,6 +196,7 @@ class TestVectorFamily:
         assert grambounds.ORTHONORMAL_TOL is bounds.ORTHONORMAL_TOL is core.ORTHONORMAL_TOL == 1e-10
 
     def test_real_field_rejects_imag(self):
+        assert VectorFamily([[1.0]], field="real").field == "real"
         with pytest.raises(DomainError):
             VectorFamily([[1 + 1j]], field="real")
 
@@ -784,6 +798,7 @@ class TestGramMatrix:
     def test_accepts_hermitian_complex(self):
         g = GramMatrix(np.array([[2.0, 1 - 1j], [1 + 1j, 3.0]]))
         assert g.size == 2
+        assert repr(g) == "GramMatrix(n=2)"
 
     def test_quad_form_real_and_psd(self):
         rng = np.random.default_rng(31)
