@@ -2,7 +2,7 @@
 
 A Gram build rounds as the OpenBLAS kernel that numpy's bundled library picks
 for the CPU rounds, so golden_bits.json keys each entry by that library's
-version and core name (``blas_kernel``).  An entry holds eight digests:
+version and core name (``blas_kernel``).  An entry holds ten digests:
 
     corpus         the case-row digest of the standard corpus (helpers.run_corpus)
     corpus_1k      the case-row digest of the first 1,000 specs of the standard corpus
@@ -10,8 +10,10 @@ version and core name (``blas_kernel``).  An entry holds eight digests:
     row_blocks     the same records on two (1100, 4) families, each |G| folded in two row blocks
     compute        the ``grambounds compute`` CSV of one seeded complex document with coefficients
     compute_bench  the compute rows of the benchmark's compute document, a complex (1000, 256) family
+    compute_orthonormal  the compute rows of an orthonormal complex (40, 64) family, orthonormal_27a among them
     scan           the default ``grambounds scan`` CSV
     scan_bench     the ``grambounds scan`` CSV of the benchmark's 1001 × 250 grid at its seeded eps
+    verify_zero_tol  the ``grambounds verify`` stdout of 300 specs of seed 1 at zero tolerances, which exits 1
 
 The scan is Python-float arithmetic with no BLAS call, so its two digests are the same
 under every kernel.
@@ -28,9 +30,11 @@ new digest prefix:
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import glob
 import hashlib
+import io
 import json
 import os
 import sys
@@ -40,7 +44,7 @@ import numpy as np
 
 from grambounds import VectorFamily, verify_all
 from grambounds.cli import compute_rows, main
-from grambounds.verify import STANDARD_P_LIST
+from grambounds.verify import STANDARD_P_LIST, random_orthonormal_family
 from helpers import run_corpus, run_fresh
 
 GOLDEN = Path(__file__).with_name("golden_bits.json")
@@ -120,6 +124,16 @@ def compute_bench_rows() -> bytes:
     return "\n".join(compute_rows(x, VectorFamily(rows), c, list(STANDARD_P_LIST))).encode()
 
 
+def compute_orthonormal_rows() -> bytes:
+    """compute_rows at STANDARD_P_LIST on the orthonormal complex (40, 64) family of seed 1729, with x and
+    coefficients drawn from seed 1729 as x, then c; the family passes the orthonormality check."""
+    rng = np.random.default_rng(1729)
+    x, c = _complex_normal(rng, 64), _complex_normal(rng, 40)
+    rows = compute_rows(x, random_orthonormal_family(64, 40, "complex", seed=1729), c, list(STANDARD_P_LIST))
+    assert any(row.startswith("orthonormal_27a,") for row in rows)
+    return "\n".join(rows).encode()
+
+
 def scan_csv(workdir: Path, *args: str) -> bytes:
     """The ``grambounds scan`` CSV with these arguments (the default grid when none are given)."""
     out = workdir / "golden_scan.csv"
@@ -133,6 +147,15 @@ def scan_bench_csv(workdir: Path) -> bytes:
     return scan_csv(workdir, "--nb", "1001", "--np", "250", "--eps", repr(eps))
 
 
+def verify_zero_tol_stdout() -> bytes:
+    """The stdout of ``grambounds verify --trials 300 --seed 1 --rel-tol 0 --abs-tol 0``: the totals, the
+    tightest case with its seed and every ``fail:`` line in order."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["verify", "--trials", "300", "--seed", "1", "--rel-tol", "0", "--abs-tol", "0"]) == 1
+    return out.getvalue().encode()
+
+
 def digests(workdir: Path, corpus_digest: str | None = None) -> dict[str, str]:
     """The entry of the running kernel; it holds the standard corpus's digest only when given it."""
     return {
@@ -142,8 +165,10 @@ def digests(workdir: Path, corpus_digest: str | None = None) -> dict[str, str]:
         "row_blocks": _sha256(verify_records(2, 1100, 4)),
         "compute": _sha256(compute_csv(workdir)),
         "compute_bench": _sha256(compute_bench_rows()),
+        "compute_orthonormal": _sha256(compute_orthonormal_rows()),
         "scan": _sha256(scan_csv(workdir)),
         "scan_bench": _sha256(scan_bench_csv(workdir)),
+        "verify_zero_tol": _sha256(verify_zero_tol_stdout()),
     }
 
 
