@@ -14,7 +14,6 @@ Gram-entry q-norms with conjugate (p, q).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -171,11 +170,7 @@ class _Ingredients:
     c_sq = cached_property(lambda self: _sum_sq(self.c))
     combination_norm_sq = cached_property(
         lambda self: _joined(lambda ys, c: _sum_sq((c[:, None, :] @ ys)[:, 0]), self.stacks, self.cs))
-
-    @cached_property
-    def weighted_inner_sum_sq(self) -> np.ndarray:
-        s = _dot(self.c, self.t)
-        return s.real * s.real + s.imag * s.imag
+    weighted_inner_sum_sq = cached_property(lambda self: _sum_sq(_dot(self.c, self.t)[:, None]))
 
     def gram(self, read) -> np.ndarray:
         """The column of one Gram reduction.  The first call makes the one Gram pass, over ``reads``
@@ -219,9 +214,7 @@ class _Ingredients:
         return BoundResult(BoundId.WEIGHTED_BESSEL, self.bessel_sum, value, p)
 
     def orthonormal_27a(self, p: float) -> BoundResult:
-        q = conjugate_exponent(p)
-        expo = 0.0 if math.isinf(q) else 1.0 / (2.0 * q)
-        value = self.nx * float(self.n) ** expo * self.abs_t.pnorm(p)
+        value = self.nx * float(self.n) ** (1.0 / (2.0 * conjugate_exponent(p))) * self.abs_t.pnorm(p)
         return BoundResult(BoundId.ORTHONORMAL_BESSEL, self.bessel_sum, value, p)
 
     def _power_mean_value(self, p: float) -> np.ndarray:

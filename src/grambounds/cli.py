@@ -17,10 +17,10 @@ import numpy as np
 
 from .bounds import ABS_TOL, REL_TOL, BoundId, _Ingredients, frobenius_bound
 from .compare import sign_scan
-from .core import _FIELDS, ORTHONORMAL_TOL, Vector, VectorFamily, _as_complex, _check_real
+from .core import _FIELDS, ORTHONORMAL_TOL, Vector, VectorFamily, _as_complex, _check_int, _check_real
 from .errors import DomainError, ExponentError, GramBoundsError, ShapeError
 from .norms import _normalize_exponent
-from .verify import STANDARD_P_LIST, _cases, random_specs, verify_corpus
+from .verify import _DIM_CAP, _N_CAP, STANDARD_P_LIST, _cases, random_specs, verify_corpus
 
 __all__ = ["main", "cmd_compute", "cmd_verify", "cmd_scan", "CASE_HEADER", "SCAN_HEADER"]
 
@@ -167,6 +167,8 @@ def cmd_verify(
     p_values=None,
 ) -> int:
     rel_tol, abs_tol = _check_real("--rel-tol", rel_tol), _check_real("--abs-tol", abs_tol)
+    trials, seed = _check_int("--trials", trials, 0, math.inf), _check_int("--seed", seed, 0, math.inf)
+    dims, n_max = _check_int("--dims", dims, 1, _DIM_CAP), _check_int("--n", n_max, 0, _N_CAP)
     specs = random_specs(trials, seed, dim_max=dims, n_max=n_max, field=field)
     result = verify_corpus(specs, list(p_values or STANDARD_P_LIST), rel_tol=rel_tol, abs_tol=abs_tol)
     print(

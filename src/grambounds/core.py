@@ -331,7 +331,7 @@ def _gram_blocks(stacks: list, size: int = _BLOCK):
     by every block, hold them; the second exists only if some input is complex, and then every
     block takes the four products for all its inputs: a real input's extra products are zeros.
     """
-    n = stacks[0].shape[1] if stacks else 0
+    n = stacks[0].shape[1]
     starts = list(itertools.accumulate(map(len, stacks), initial=0))
     pieces = _cuts(starts[-1], n, n, size)
     most = max((k * r * n for _, k, _, r in pieces), default=0)

@@ -298,8 +298,12 @@ class TestVerifyCommand:
             ["verify", "--seed", "-1"],
         ],
     )
-    def test_bad_flags(self, argv):
+    def test_bad_flags(self, capsys, argv):
+        # the error names the flag, not the parameter of random_specs it feeds
+        flag = argv[1].split("=")[0]
         assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {flag} must be")
 
     @pytest.mark.parametrize("flag", ["--rel-tol", "--abs-tol"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1e-9"])
