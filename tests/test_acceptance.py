@@ -201,8 +201,9 @@ def test_criterion_8_determinism(corpus_run, tmp_path):
 
 
 def test_golden_bits(corpus_run, tmp_path):
-    """The corpus digests, the verify_all records, the compute rows and CSV and the scan CSV match
-    the bits recorded for the running BLAS kernel (see golden_bits.py for how to record one)."""
+    """The corpus digests, the verify_all records, the compute rows and CSV, the scan CSV and the
+    verify report match the bits recorded for the running BLAS kernel (see golden_bits.py for how
+    to record one)."""
     kernel = blas_kernel()
     expected = json.loads(GOLDEN.read_text()).get(kernel)
     if expected is None:
