@@ -24,7 +24,7 @@ import numpy as np
 from .core import ORTHONORMAL_TOL, VectorFamily, _as_complex, _dot, _gram_reductions, _inner_each, _Scaled, _sq_norms
 from .core import _check_family, _sum_sq, inner_each
 from .errors import DomainError, ShapeError
-from .norms import _magnitudes, _normalize_exponent, conjugate_exponent, power_mean_exponent
+from .norms import _exponents, _magnitudes, _normalize_exponent, conjugate_exponent, power_mean_exponent
 
 __all__ = [
     "REL_TOL",
@@ -97,7 +97,35 @@ class BoundResult:
         return self.value - self.lhs
 
     def holds(self, rel_tol: float = REL_TOL, abs_tol: float = ABS_TOL) -> bool:
-        return self.lhs <= self.value * (1.0 + rel_tol) + abs_tol
+        """lhs ≤ value·(1 + rel_tol) + abs_tol with both sides finite: an overflowed or NaN side never holds."""
+        finite = (abs(self.lhs) < np.inf) & (abs(self.value) < np.inf)
+        return (self.lhs <= self.value * (1.0 + rel_tol) + abs_tol) & finite
+
+
+@dataclass(eq=False)
+class CaseTable:
+    """The cases of B inputs, K per input, as columns.
+
+    ``keys`` holds the K cases' (bound_id, p, flavor), and ``lhs`` and ``value``
+    are (B, K) matrices; ``records(b)`` builds input b's K BoundResults, and the
+    length is the number of cases, B·K.
+    """
+
+    keys: list
+    lhs: np.ndarray
+    value: np.ndarray
+
+    # The record's margin and its one tolerance predicate, here on whole (B, K) matrices.
+    margin = BoundResult.margin
+    holds = BoundResult.holds
+
+    def records(self, b: int) -> list[BoundResult]:
+        """The K records of input b, in case order."""
+        rows = zip(self.keys, self.lhs[b].tolist(), self.value[b].tolist())
+        return [BoundResult(bound_id, lhs, value, p, flavor) for (bound_id, p, flavor), lhs, value in rows]
+
+    def __len__(self) -> int:
+        return self.lhs.size
 
 
 _ABSENT = object()  # an argument not given, unlike a given None, which is rejected
@@ -117,12 +145,12 @@ class _Ingredients:
     many exponents reads each left-hand side, p-norm and Gram q-norm once: each reduction along d is
     made per stack and joined by _joined, and |t|, |c| and the member norms are each a _Scaled, divided
     by its maximum once and keeping its p-norm at each p.  The Gram matrix is read only through
-    ``gram(read)``, whose first call makes one pass over the stacks' Gram products that folds |G| into
-    that read and those in ``reads`` (see core._fold); a caller that reads several names them in
-    ``reads`` first.  Each bound is one method below that returns its finished BoundResult, whose lhs
-    and value are (B,) columns: the one place that names the bound's id, left-hand side, p, flavor and
-    Gram read, and the single arithmetic path for its value, which is what makes the p = 2 and
-    composition identities bitwise.
+    ``gram(read)``, whose first call makes one pass over the stacks' Gram products that folds |G| into that
+    read and those in ``reads`` (see core._fold); a caller that reads several names them in ``reads`` first.
+    Each bound is one method below that returns its finished BoundResult, whose lhs and value are (B,)
+    columns: the one place that names the bound's id, left-hand side, p, flavor and Gram read, and the single
+    arithmetic path for its value, which is what makes the p = 2 and composition identities bitwise.
+    ``cases`` is the one list of the standard cases: their report order, guards and Gram reads.
     """
 
     def __init__(self, stacks, xs=None, cs=None):
@@ -233,6 +261,36 @@ class _Ingredients:
 
     def gap(self, p: float) -> BoundResult:
         return _power_mean_gap(self.abs_t, p)
+
+    def cases(self, p_list, frobenius, *, orthonormal_tol=None) -> CaseTable:
+        """Every standard case of these inputs, in report order, each column the record of one method above.
+
+        Report order: Bombieri, cor28 and, with c, the refinement chain's two links (the outer link's lhs
+        is the middle term, so both inequalities are checked); then per exponent of p_list, the first
+        occurrence of each in order: with c, span and combo of the gram flavor, then of the norms flavor;
+        thm27; for p ∈ (1, 2], eq211 and the raw power-mean comparison on |(x, y_i)|; and orthonormal_27a
+        when every input's max |G - I| is within orthonormal_tol, which adds "eye" to the reads.  The Gram
+        reads ("row" for Bombieri, 2 for cor28 and the chain, each conjugate exponent) are declared before
+        the first case, so one Gram pass gives them all.  cor28 goes through the caller's frobenius_bound,
+        so a patched one there reaches the batch.
+        """
+        ps = _exponents(p_list)
+        self.reads = ("row", 2.0, *map(conjugate_exponent, ps), *(() if orthonormal_tol is None else ("eye",)))
+        columns = [self.bombieri(), frobenius(None, None, self)]
+        if self.c is not None:
+            columns += self.chain()
+        orthonormal = orthonormal_tol is not None and bool((self.gram("eye") <= orthonormal_tol).all())
+        for pf in ps:
+            if self.c is not None:
+                for flavor in ("gram", "norms"):
+                    columns += (self.span(pf, flavor), self.combo(pf, flavor))
+            columns.append(self.thm27(pf))
+            if 1.0 < pf <= 2.0:
+                columns += (self.power_mean(pf), self.gap(pf))
+            if orthonormal:
+                columns.append(self.orthonormal_27a(pf))
+        return CaseTable([(c.bound_id, c.p, c.flavor) for c in columns],
+                         np.stack([c.lhs for c in columns], axis=1), np.stack([c.value for c in columns], axis=1))
 
 
 def _one(column: BoundResult) -> BoundResult:

@@ -17,10 +17,10 @@ import numpy as np
 
 from .bounds import ABS_TOL, REL_TOL, BoundId, _Ingredients, frobenius_bound
 from .compare import sign_scan
-from .core import _FIELDS, ORTHONORMAL_TOL, Vector, VectorFamily, _as_complex, _check_int, _check_real
+from .core import _DIM_CAP, _FIELDS, _N_CAP, ORTHONORMAL_TOL, Vector, VectorFamily, _as_complex, _check_int, _check_real
 from .errors import DomainError, ExponentError, GramBoundsError, ShapeError
 from .norms import _normalize_exponent
-from .verify import _DIM_CAP, _N_CAP, STANDARD_P_LIST, _cases, random_specs, verify_corpus
+from .verify import STANDARD_P_LIST, random_specs, verify_corpus
 
 __all__ = ["main", "cmd_compute", "cmd_verify", "cmd_scan", "CASE_HEADER", "SCAN_HEADER"]
 
@@ -135,7 +135,7 @@ def compute_rows(x, family, coefficients, p_values) -> list[str]:
     are dropped here, since which rows the CSV holds is the command line's choice.
     """
     ing = _Ingredients.of(family, x) if coefficients is None else _Ingredients.of(family, x, coefficients)
-    cases = _cases(ing, p_values, frobenius_bound, orthonormal_tol=ORTHONORMAL_TOL).records(0)
+    cases = ing.cases(p_values, frobenius_bound, orthonormal_tol=ORTHONORMAL_TOL).records(0)
     return [case_row(r.bound_id, r.p, r.flavor, r.lhs, r.rhs) for r in cases
             if r.bound_id is not BoundId.POWER_MEAN_GAP]
 

@@ -51,12 +51,17 @@ _FIELDS = ("real", "complex")
 #: The largest dimension of a complex128 row that numpy can index: 16 bytes a coordinate.
 _DIM_MAX = sys.maxsize // 16
 
+#: Largest dimension and family size a verify.FamilySpec, and so random_specs and the verify command, may ask for.
+_DIM_CAP = 16
+_N_CAP = 32
+
 
 def _check_int(name: str, value, low: int, high) -> int:
     """``value`` as an int in [low, high]; bools are not integers, and an int skips the slower ABC check."""
     if not (type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool)) \
             or not low <= value <= high:
-        raise DomainError(f"{name} must be an integer in [{low}, {high}], got {value!r}")
+        interval = f"[{low}, {high}{')' if high == math.inf else ']'}"  # an unbounded range is open, as in _check_real
+        raise DomainError(f"{name} must be an integer in {interval}, got {value!r}")
     return int(value)
 
 

@@ -12,6 +12,7 @@ That makes the limit behavior testable instead of assumed.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -46,6 +47,14 @@ def _normalize_exponent(p) -> float:
     if pf < 1.0:
         raise ExponentError(f"exponent must be >= 1, got {pf}")
     return pf
+
+
+def _exponents(p_list) -> list[float]:
+    """The exponents of p_list, any iterable of them, each checked, the first occurrence of each in order."""
+    # A 0-d array passes the Iterable check, but iterating it raises.
+    if isinstance(p_list, (str, bytes)) or not isinstance(p_list, Iterable) or getattr(p_list, "ndim", 1) == 0:
+        raise DomainError(f"p_list must be an iterable of exponents, got {type(p_list).__name__}")
+    return list(dict.fromkeys(map(_normalize_exponent, p_list)))
 
 
 def conjugate_exponent(p) -> float:

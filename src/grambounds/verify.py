@@ -14,10 +14,10 @@ from typing import Callable, Iterable, Iterator, Optional, Union
 
 import numpy as np
 
-from .bounds import ABS_TOL, REL_TOL, BoundResult, _Ingredients, frobenius_bound
-from .core import _DIM_MAX, _FIELDS, Vector, VectorFamily, _check_int, _check_real
+from .bounds import ABS_TOL, REL_TOL, BoundResult, CaseTable, _Ingredients, frobenius_bound
+from .core import _DIM_CAP, _DIM_MAX, _FIELDS, _N_CAP, Vector, VectorFamily, _check_int, _check_real
 from .errors import DomainError
-from .norms import _normalize_exponent, conjugate_exponent
+from .norms import _exponents
 
 __all__ = [
     "STANDARD_P_LIST",
@@ -44,10 +44,6 @@ CORPUS_SEED = 1729
 CORPUS_SIZE = 10_000
 CORPUS_DIM_MAX = 8
 CORPUS_N_MAX = 10
-
-#: Largest dimension and family size a FamilySpec, and so random_specs, may ask for.
-_DIM_CAP = 16
-_N_CAP = 32
 
 
 @dataclass(frozen=True)
@@ -144,76 +140,8 @@ def standard_corpus() -> Iterator[FamilySpec]:
     return random_specs(CORPUS_SIZE, CORPUS_SEED, dim_max=CORPUS_DIM_MAX, n_max=CORPUS_N_MAX, field="both")
 
 
-@dataclass(eq=False)
-class CaseTable:
-    """The cases of B inputs, K per input, as columns.
-
-    ``keys`` holds the K cases' (bound_id, p, flavor), and ``lhs`` and ``value``
-    are (B, K) matrices; ``records(b)`` builds input b's K BoundResults, and the
-    length is the number of cases, B·K.
-    """
-
-    keys: list
-    lhs: np.ndarray
-    value: np.ndarray
-
-    # The record's margin and its one tolerance predicate, here on whole (B, K) matrices.
-    margin = BoundResult.margin
-    holds = BoundResult.holds
-
-    def records(self, b: int) -> list[BoundResult]:
-        """The K records of input b, in case order."""
-        rows = zip(self.keys, self.lhs[b].tolist(), self.value[b].tolist())
-        return [BoundResult(bound_id, lhs, value, p, flavor) for (bound_id, p, flavor), lhs, value in rows]
-
-    def __len__(self) -> int:
-        return self.lhs.size
-
-
-def _exponents(p_list) -> list[float]:
-    """The exponents of p_list, any iterable of them, each checked, the first occurrence of each in order."""
-    # A 0-d array passes the Iterable check, but iterating it raises.
-    if isinstance(p_list, (str, bytes)) or not isinstance(p_list, Iterable) or getattr(p_list, "ndim", 1) == 0:
-        raise DomainError(f"p_list must be an iterable of exponents, got {type(p_list).__name__}")
-    return list(dict.fromkeys(map(_normalize_exponent, p_list)))
-
-
-def _cases(ing: _Ingredients, p_list, frobenius, *, orthonormal_tol=None) -> CaseTable:
-    """Every case of the ingredients' inputs, in report order (see evaluate_cases), each
-    column the record of one ing method; coefficient cases need ing.c.  cor28 goes through
-    the caller's frobenius_bound, so a patched one there reaches the batch.  The Gram
-    reductions the cases read ("row" for Bombieri, 2 for cor28 and the chain, each conjugate
-    exponent) are declared before the first case, so one Gram pass gives them all.  With
-    orthonormal_tol, "eye" is read too, and the orthonormal cases are added when every
-    input's max |G - I| is within it."""
-    ps = _exponents(p_list)
-    ing.reads = ("row", 2.0, *map(conjugate_exponent, ps), *(() if orthonormal_tol is None else ("eye",)))
-    columns = [ing.bombieri(), frobenius(None, None, ing)]
-    if ing.c is not None:
-        columns += ing.chain()
-    orthonormal = orthonormal_tol is not None and bool((ing.gram("eye") <= orthonormal_tol).all())
-    for pf in ps:
-        if ing.c is not None:
-            for flavor in ("gram", "norms"):
-                columns += (ing.span(pf, flavor), ing.combo(pf, flavor))
-        columns.append(ing.thm27(pf))
-        if 1.0 < pf <= 2.0:
-            columns += (ing.power_mean(pf), ing.gap(pf))
-        if orthonormal:
-            columns.append(ing.orthonormal_27a(pf))
-    return CaseTable([(c.bound_id, c.p, c.flavor) for c in columns],
-                     np.stack([c.lhs for c in columns], axis=1), np.stack([c.value for c in columns], axis=1))
-
-
 def evaluate_cases(x, family, c, p_list=STANDARD_P_LIST) -> Union[list[BoundResult], CaseTable]:
-    """Evaluate every implemented inequality on one input.
-
-    Exponent-free bounds come first (classical row-sum, Frobenius, and the
-    two links of the refinement chain — the outer link's lhs is the middle
-    term, so both inequalities of the chain are checked).  Then, per
-    exponent: both span flavors, both combo flavors, the weighted
-    Bessel-sum bound, and — for p ∈ (1, 2] — the power-mean bound plus the
-    raw power-mean comparison on the values |(x, y_i)|.
+    """Evaluate every standard case on one input, in the report order of bounds._Ingredients.cases.
 
     Given equal-length lists of stacks instead of a VectorFamily — x (B, d),
     the family rows (B, n, d) and c (B, n), with one n for every stack and d
@@ -222,8 +150,8 @@ def evaluate_cases(x, family, c, p_list=STANDARD_P_LIST) -> Union[list[BoundResu
     that input's single call.
     """
     if isinstance(family, VectorFamily):
-        return _cases(_Ingredients.of(family, x, c), p_list, frobenius_bound).records(0)
-    return _cases(_Ingredients.stack(x, family, c), p_list, frobenius_bound)
+        return _Ingredients.of(family, x, c).cases(p_list, frobenius_bound).records(0)
+    return _Ingredients.stack(x, family, c).cases(p_list, frobenius_bound)
 
 
 class _Verdicts:
@@ -296,7 +224,7 @@ def verify_all(
 ) -> VerificationReport:
     """Evaluate and check every inequality on one input; each verdict is computed once."""
     verdicts = _Verdicts(rel_tol, abs_tol)
-    table = _cases(_Ingredients.of(family, x, c), p_list, frobenius_bound)
+    table = _Ingredients.of(family, x, c).cases(p_list, frobenius_bound)
     verdicts.add(table, [None])
     return VerificationReport(
         cases=tuple(table.records(0)),

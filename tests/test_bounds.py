@@ -9,6 +9,7 @@ import pytest
 from grambounds import (
     BoundId,
     BoundResult,
+    CaseTable,
     DimensionError,
     DomainError,
     ExponentError,
@@ -418,6 +419,21 @@ class TestBoundResult:
         r = bombieri_bound(Vector([1.0]), HALF_1D)
         assert r.holds()
         assert r.holds(rel_tol=0.0, abs_tol=0.0)
+
+    @pytest.mark.parametrize("lhs, value", [(math.inf, math.inf), (1.0, math.inf), (math.inf, 1.0),
+                                            (math.nan, 1.0), (1.0, math.nan), (-math.inf, 1.0)])
+    def test_non_finite_side_never_holds(self, lhs, value):
+        # an overflowed inf <= inf is a comparison that was never made, not a pass, at any tolerance
+        r = BoundResult(BoundId.BOMBIERI, lhs, value)
+        assert r.holds() is False and r.holds(rel_tol=1.0, abs_tol=1.0) is False
+
+    def test_case_table_holds_needs_finite_sides(self):
+        inf, nan = math.inf, math.nan
+        keys = [(BoundId.BOMBIERI, None, None), (BoundId.FROBENIUS, None, None), (BoundId.POWER_MEAN, 2.0, None)]
+        lhs, value = np.array([[1.0, inf, 2.0], [nan, 0.0, -inf]]), np.array([[1.0, inf, 1.0], [1.0, inf, 0.0]])
+        table = CaseTable(keys, lhs, value)
+        assert table.holds().tolist() == [[True, False, False], [False, False, False]]
+        assert [[r.holds() for r in table.records(b)] for b in (0, 1)] == table.holds().tolist()
 
     def test_construction_and_defaults(self):
         r = BoundResult(BoundId.SPAN_GRAM, 1.0, 2.0, 1.5, "gram")

@@ -304,6 +304,8 @@ class TestVerifyCommand:
         assert main(argv) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith(f"error: {flag} must be")
+        if argv[1:] == ["--trials", "-5"]:  # an unbounded range is written open, as for the tolerances
+            assert err == "error: --trials must be an integer in [0, inf), got -5\n"
 
     @pytest.mark.parametrize("flag", ["--rel-tol", "--abs-tol"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1e-9"])

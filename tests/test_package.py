@@ -79,6 +79,15 @@ def test_readme_library_quickstart_runs():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_readme_bounds_table_has_a_row_per_bound_id():
+    """Each row of the table under the README's "The bounds" heading names one backticked id, and the ids
+    are the BoundId values, each once."""
+    section = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = section.split("\n## The bounds\n", 1)[1].split("\n## ", 1)[0].splitlines()
+    ids = [row.split("|")[1].strip() for row in rows if row.startswith("| `")]
+    assert sorted(ids) == sorted(f"`{bound_id.value}`" for bound_id in bounds.BoundId)
+
+
 def test_runtime_dependencies_are_numpy_alone():
     """Importing the package, its command line and its entry point in a fresh isolated interpreter
     (``-I``, the source tree first on sys.path) loads no top-level module outside the standard
