@@ -20,7 +20,7 @@ from .compare import sign_scan
 from .core import _DIM_CAP, _FIELDS, _N_CAP, ORTHONORMAL_TOL, Vector, VectorFamily, _as_complex, _check_int, _check_real
 from .errors import DomainError, ExponentError, GramBoundsError, ShapeError
 from .norms import _normalize_exponent
-from .verify import STANDARD_P_LIST, random_specs, verify_corpus
+from .verify import CORPUS_DIM_MAX, CORPUS_N_MAX, STANDARD_P_LIST, random_specs, verify_corpus
 
 __all__ = ["main", "cmd_compute", "cmd_verify", "cmd_scan", "CASE_HEADER", "SCAN_HEADER"]
 
@@ -44,12 +44,9 @@ def case_row(bound_id: str, p: Optional[float], flavor: Optional[str], lhs: floa
 
 
 def _parse_extended(value, what: str = "--p") -> float:
-    """An exponent from CLI/JSON: a number, or text that is a number or 'inf'."""
+    """An exponent from CLI/JSON: a number, or text that ``float`` reads ('inf' included)."""
     try:
-        if isinstance(value, str):
-            s = value.strip().lower()
-            value = math.inf if s in ("inf", "+inf", "infinity") else float(s)
-        return _normalize_exponent(value)
+        return _normalize_exponent(float(value) if isinstance(value, str) else value)
     except (ValueError, ExponentError) as exc:
         raise DomainError(f"{what}: {exc}") from exc
 
@@ -112,7 +109,8 @@ def parse_input_document(path: str):
 
     x = Vector(_decode_array(doc["x"], field, "x"))
     rows = doc["family"]  # [] is an empty family in the dimension of x
-    family = VectorFamily(_decode_array(rows, field, "family", 2) if rows != [] else [], field=field, dim=x.dim)
+    family = (VectorFamily([], field=field, dim=x.dim) if rows == [] else
+              VectorFamily(_decode_array(rows, field, "family", 2), field=field))
     coefficients = None
     if "coefficients" in doc:
         coefficients = _decode_array(doc["coefficients"], field, "coefficients", allow_empty=True)
@@ -191,7 +189,8 @@ def cmd_verify(
 
 
 def cmd_scan(nb: int, np_count: int, eps: float, out_path: str) -> int:
-    report = sign_scan(nb, np_count, eps)
+    nb, np_count = _check_int("--nb", nb, 2, math.inf), _check_int("--np", np_count, 2, math.inf)
+    report = sign_scan(nb, np_count, _check_real("--eps", eps, 1.0, positive=True))
     lines, ps = [SCAN_HEADER], [repr(p) for p in report.grid_p.tolist()]
     for b, row in zip(report.grid_b.tolist(), report.values):
         lines += [f"{b!r},{p},{v!r}" for p, v in zip(ps, row.tolist())]
@@ -225,13 +224,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="randomized verification of every inequality")
     p_verify.add_argument("--trials", type=int, default=1000, help="number of random inputs (default 1000)")
     p_verify.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    p_verify.add_argument("--dims", type=int, default=8, help="maximum ambient dimension (default 8)")
-    p_verify.add_argument("--n", type=int, default=10, help="maximum family size (default 10)")
+    p_verify.add_argument("--dims", type=int, default=CORPUS_DIM_MAX,
+                          help="maximum ambient dimension (default %(default)s)")
+    p_verify.add_argument("--n", type=int, default=CORPUS_N_MAX, help="maximum family size (default %(default)s)")
     p_verify.add_argument("--field", choices=("both", *_FIELDS), default="both")
     p_verify.add_argument("--rel-tol", type=float, default=REL_TOL)
     p_verify.add_argument("--abs-tol", type=float, default=ABS_TOL)
-    p_verify.add_argument("--p", action="append", default=None, metavar="P",
-                          help="exponent to exercise; repeatable (default: 1 1.1 1.5 2 3 inf)")
+    p_verify.add_argument("--p", action="append", default=None, metavar="P", help="exponent to exercise; repeatable "
+                          f"(default: {' '.join(f'{p:g}' for p in STANDARD_P_LIST)})")
 
     p_scan = sub.add_parser("scan", help="sign scan of the bound-factor gap over [0,1] x (1,2]")
     p_scan.add_argument("--nb", type=int, default=201, help="grid points along b (default 201)")

@@ -79,10 +79,6 @@ class SignScanReport:
     max_cell: GridCell
     zero_tol: float
 
-    @property
-    def n_cells(self) -> int:
-        return int(self.values.size)
-
     def both_signs(self) -> bool:
         return self.n_positive > 0 and self.n_negative > 0
 

@@ -140,9 +140,6 @@ class Vector:
     def dim(self) -> int:
         return self._coords.shape[0]
 
-    def __len__(self) -> int:
-        return self.dim
-
     def __repr__(self) -> str:
         return f"Vector({np.array2string(self._coords, separator=', ')})"
 
@@ -417,23 +414,20 @@ class VectorFamily:
     ):
         if field not in _FIELDS:
             raise DomainError(f"field must be 'real' or 'complex', got {field!r}")
+        dim = None if dim is None else _check_int("dim", dim, 1, _DIM_MAX)
 
         if isinstance(members, np.ndarray):
             rows = _as_complex(members, what="family", ndim=2, copy=True)
         else:  # each member a view where it can be: np.vstack makes the one copy
             coerced = [_as_complex(m, what="family member") for m in members]
-            if coerced:
-                d0 = coerced[0].shape[0]
-                for k, v in enumerate(coerced):
-                    if v.shape[0] != d0:
-                        raise DimensionError(
-                            f"member {k} has dimension {v.shape[0]}, expected {d0}"
-                        )
-                rows = np.vstack(coerced)
-            else:
-                if dim is None:
-                    raise ShapeError("empty family needs an explicit dim")
-                rows = np.zeros((0, _check_int("dim", dim, 1, _DIM_MAX)), dtype=np.complex128)
+            if not coerced and dim is None:
+                raise ShapeError("empty family needs an explicit dim")
+            for k, v in enumerate(coerced):
+                if v.shape[0] != coerced[0].shape[0]:
+                    raise DimensionError(f"member {k} has dimension {v.shape[0]}, expected {coerced[0].shape[0]}")
+            rows = np.vstack(coerced) if coerced else np.zeros((0, dim), dtype=np.complex128)
+        if dim is not None and rows.shape[1] != dim:
+            raise DimensionError(f"members have dimension {rows.shape[1]}, expected dim {dim}")
 
         if field == "real" and rows.size and np.any(rows.imag != 0.0):
             raise DomainError("field='real' but some member has a nonzero imaginary part")
@@ -460,16 +454,6 @@ class VectorFamily:
     def dim(self) -> int:
         """Ambient dimension d."""
         return self._vectors.shape[1]
-
-    def __len__(self) -> int:
-        return self.size
-
-    def __getitem__(self, i: int) -> Vector:
-        return Vector(self._vectors[i])
-
-    def __iter__(self):
-        for row in self._vectors:
-            yield Vector(row)
 
     def __repr__(self) -> str:
         return f"VectorFamily(n={self.size}, dim={self.dim}, field={self._field!r})"

@@ -4,10 +4,11 @@ import functools
 import itertools
 import json
 import math
+import re
 
 import pytest
 
-from grambounds import BoundId, cli, random_family, random_specs, sign_scan, verify_all
+from grambounds import STANDARD_P_LIST, BoundId, DomainError, cli, random_family, random_specs, sign_scan, verify_all
 from grambounds.cli import (
     CASE_HEADER,
     SCAN_HEADER,
@@ -15,6 +16,7 @@ from grambounds.cli import (
     format_p,
     main,
 )
+from grambounds.verify import CORPUS_DIM_MAX, CORPUS_N_MAX
 
 REAL_DOC = {
     "field": "real",
@@ -56,6 +58,16 @@ class TestFormatting:
         assert format_p(None) == "-"
         assert format_p(math.inf) == "inf"
         assert format_p(2.0) == "2.0"
+
+    @pytest.mark.parametrize("text", [" Infinity ", "INF", "+inf", "1e400"])
+    def test_exponent_text_for_infinity(self, text):
+        assert cli._parse_extended(text) == math.inf
+
+    @pytest.mark.parametrize("text, message", [("-inf", "--p: exponent must be >= 1, got -inf"),
+                                               ("nan", "--p: exponent must not be NaN")])
+    def test_exponent_text_outside_the_domain(self, text, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            cli._parse_extended(text)
 
     def test_case_row(self):
         assert case_row("bombieri", None, None, 1.25, 1.5) == "bombieri,-,-,1.25,1.5,0.25"
@@ -197,6 +209,11 @@ class TestComputeCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: {name}")
 
+    def test_x_of_another_dimension_than_the_members(self, tmp_path, capsys):
+        code, text = run_compute(tmp_path, {"field": "real", "x": [1.0, 2.0], "family": [[1, 0, 0], [0, 1, 0]]})
+        assert code == 2 and text == ""
+        assert capsys.readouterr().err == "error: vector dimension 2 does not match family dimension 3\n"
+
     def test_nesting_too_deep_for_the_json_parser(self, tmp_path):
         path = tmp_path / "deep.json"
         path.write_text('{"field": "real", "x": ' + "[" * 100_000 + "1.0" + "]" * 100_000 + ', "family": []}')
@@ -321,6 +338,16 @@ class TestVerifyCommand:
         assert code == 0
         assert "fail=0" in capsys.readouterr().out
 
+    def test_parser_defaults_are_the_library_constants(self, capsys, monkeypatch):
+        args = cli.build_parser().parse_args(["verify"])
+        assert (args.dims, args.n) == (CORPUS_DIM_MAX, CORPUS_N_MAX)
+        monkeypatch.setenv("COLUMNS", "200")  # one help line per flag
+        with pytest.raises(SystemExit):
+            main(["verify", "--help"])
+        help_lines = capsys.readouterr().out.splitlines()
+        assert any(ln.endswith(f"maximum ambient dimension (default {CORPUS_DIM_MAX})") for ln in help_lines)
+        assert any(ln.endswith(f"(default: {' '.join(f'{p:g}' for p in STANDARD_P_LIST)})") for ln in help_lines)
+
     def test_single_field_flag(self, capsys):
         code = main(["verify", "--trials", "25", "--field", "complex"])
         assert code == 0
@@ -364,6 +391,23 @@ class TestScanCommand:
         assert code == 1
         assert out.exists()  # the CSV is still written
         assert "regression" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scan", "--nb", "1"],
+            ["scan", "--np", "1"],
+            ["scan", "--eps", "0"],
+            ["scan", "--eps", "2"],
+        ],
+    )
+    def test_bad_flags(self, tmp_path, capsys, argv):
+        # the error names the flag, not the parameter of sign_scan it feeds
+        out_csv = tmp_path / "s.csv"
+        assert main([*argv, "--out", str(out_csv)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {argv[1]} must be")
+        assert not out_csv.exists()
 
     def test_tiny_grid_rejected(self, tmp_path):
         code = main(["scan", "--nb", "1", "--np", "10", "--out", str(tmp_path / "s.csv")])

@@ -96,8 +96,8 @@ class TestSignScan:
 
     def test_counts_sum_to_grid(self):
         rep = sign_scan(21, 10)
-        assert rep.n_positive + rep.n_negative + rep.n_zero == rep.n_cells
-        assert rep.n_cells == 21 * 10
+        assert rep.n_positive + rep.n_negative + rep.n_zero == rep.values.size
+        assert rep.values.size == 21 * 10
 
     def test_corner_grid_contains_zero_line(self):
         rep = sign_scan(2, 2)

@@ -42,7 +42,6 @@ class TestVector:
         v = Vector([1, 2, 3])
         assert v.coords.dtype == np.complex128
         assert v.dim == 3
-        assert len(v) == 3
         assert repr(v) == "Vector([1.+0.j, 2.+0.j, 3.+0.j])"
 
     def test_coords_read_only(self):
@@ -156,7 +155,6 @@ class TestVectorFamily:
         fam = VectorFamily(np.eye(2))
         assert fam.size == 2
         assert fam.dim == 2
-        assert len(fam) == 2
         assert repr(fam) == "VectorFamily(n=2, dim=2, field='complex')"
 
     def test_from_member_list(self):
@@ -170,8 +168,25 @@ class TestVectorFamily:
 
     def test_member_access_and_iter(self):
         fam = VectorFamily([[1.0, 2.0], [3.0, 4.0]])
-        assert fam[1] == Vector([3.0, 4.0])
-        assert list(fam) == [Vector([1.0, 2.0]), Vector([3.0, 4.0])]
+        assert Vector(fam.vectors[1]) == Vector([3.0, 4.0])
+        assert [Vector(row) for row in fam.vectors] == [Vector([1.0, 2.0]), Vector([3.0, 4.0])]
+        with pytest.raises(TypeError):
+            fam[1]
+
+    def test_given_dim_must_match_the_members(self):
+        assert VectorFamily(np.ones((2, 3)), dim=3).dim == 3
+        assert VectorFamily(np.zeros((0, 2)), dim=2).size == 0
+        with pytest.raises(DimensionError, match=re.escape("members have dimension 3, expected dim 5")):
+            VectorFamily(np.ones((2, 3)), dim=5)
+        with pytest.raises(DimensionError):
+            VectorFamily([[1.0, 2.0]], dim=1)
+        with pytest.raises(DimensionError):
+            VectorFamily(np.zeros((0, 3)), dim=2)
+
+    @pytest.mark.parametrize("dim", [0, -1, "x", 2.0, True])
+    def test_given_dim_is_checked_when_members_are_given(self, dim):
+        with pytest.raises(DomainError, match=re.escape(f"dim must be an integer in [1, {core._DIM_MAX}], got {dim!r}")):
+            VectorFamily([[1.0, 2.0]], dim=dim)
 
     def test_empty_family_needs_dim(self):
         fam = VectorFamily([], dim=3)
@@ -264,7 +279,7 @@ class TestGram:
         g = gram(fam).entries
         for i in range(4):
             for j in range(4):
-                z = inner(fam[i], fam[j])
+                z = inner(fam.vectors[i], fam.vectors[j])
                 assert g[i, j] == pytest.approx(z, rel=1e-13, abs=1e-13)
 
     def test_no_n_squared_array_outlives_gram_and_its_reductions(self):
@@ -822,7 +837,7 @@ class TestInnerEach:
         x = Vector(rng.normal(size=3) + 1j * rng.normal(size=3))
         t = inner_each(x, fam)
         for i in range(5):
-            assert t[i] == pytest.approx(inner(x, fam[i]), rel=1e-12, abs=1e-12)
+            assert t[i] == pytest.approx(inner(x, fam.vectors[i]), rel=1e-12, abs=1e-12)
 
     def test_conjugate_linear_in_members(self):
         x = Vector([1 + 2j, -1j])

@@ -66,7 +66,7 @@ class TestInnerProductProperties:
     @given(dims, fields, scales, seeds)
     def test_cauchy_schwarz(self, dim, field, scale, seed):
         x, fam, _ = draw_triple(dim, 1, field, scale, seed)
-        y = fam[0]
+        y = fam.vectors[0]
         assert abs(inner(x, y)) <= norm(x) * norm(y) * (1 + 1e-12)
 
     @SLOW
