@@ -31,6 +31,7 @@ __all__ = [
     "ABS_TOL",
     "BoundId",
     "BoundResult",
+    "CaseTable",
     "combination_norm_sq",
     "weighted_inner_sum_sq",
     "bessel_sum",

@@ -17,7 +17,8 @@ import numpy as np
 
 from .bounds import ABS_TOL, REL_TOL, BoundId, _Ingredients, frobenius_bound
 from .compare import sign_scan
-from .core import _DIM_CAP, _FIELDS, _N_CAP, ORTHONORMAL_TOL, Vector, VectorFamily, _as_complex, _check_int, _check_real
+from .core import (_DIM_CAP, _FIELDS, _N_CAP, ORTHONORMAL_TOL, Vector, VectorFamily, _as_complex, _check_field,
+                   _check_int, _check_real)
 from .errors import DomainError, ExponentError, GramBoundsError, ShapeError
 from .norms import _normalize_exponent
 from .verify import CORPUS_DIM_MAX, CORPUS_N_MAX, STANDARD_P_LIST, random_specs, verify_corpus
@@ -103,9 +104,7 @@ def parse_input_document(path: str):
     for key in ("field", "x", "family"):
         if key not in doc:
             raise DomainError(f"input document is missing {key!r}")
-    field = doc["field"]
-    if field not in _FIELDS:
-        raise DomainError(f"field must be 'real' or 'complex', got {field!r}")
+    field = _check_field(doc["field"])
 
     x = Vector(_decode_array(doc["x"], field, "x"))
     rows = doc["family"]  # [] is an empty family in the dimension of x
@@ -146,28 +145,21 @@ def _write_lines(path: str, lines: list[str]) -> None:
         raise OSError(f"cannot write {path}: {exc}") from exc
 
 
-def cmd_compute(input_path: str, p_values, out_path: str) -> int:
-    x, family, coefficients, doc_p = parse_input_document(input_path)
+def cmd_compute(args: argparse.Namespace) -> int:
+    p_values = [_parse_extended(s) for s in args.p or ()]  # --p first, before the document is read
+    x, family, coefficients, doc_p = parse_input_document(args.input)
     # the --p flags override the document's p_list, which overrides the standard list
     rows = compute_rows(x, family, coefficients, list(p_values or doc_p or STANDARD_P_LIST))
-    _write_lines(out_path, [CASE_HEADER] + rows)
+    _write_lines(args.out, [CASE_HEADER] + rows)
     return EXIT_OK
 
 
-def cmd_verify(
-    trials: int,
-    seed: int,
-    dims: int,
-    n_max: int,
-    field: str,
-    rel_tol: float,
-    abs_tol: float,
-    p_values=None,
-) -> int:
-    rel_tol, abs_tol = _check_real("--rel-tol", rel_tol), _check_real("--abs-tol", abs_tol)
-    trials, seed = _check_int("--trials", trials, 0, math.inf), _check_int("--seed", seed, 0, math.inf)
-    dims, n_max = _check_int("--dims", dims, 1, _DIM_CAP), _check_int("--n", n_max, 0, _N_CAP)
-    specs = random_specs(trials, seed, dim_max=dims, n_max=n_max, field=field)
+def cmd_verify(args: argparse.Namespace) -> int:
+    p_values = [_parse_extended(s) for s in args.p or ()]  # --p first, before the other flags
+    rel_tol, abs_tol = _check_real("--rel-tol", args.rel_tol), _check_real("--abs-tol", args.abs_tol)
+    trials, seed = _check_int("--trials", args.trials, 0, math.inf), _check_int("--seed", args.seed, 0, math.inf)
+    dims, n_max = _check_int("--dims", args.dims, 1, _DIM_CAP), _check_int("--n", args.n, 0, _N_CAP)
+    specs = random_specs(trials, seed, dim_max=dims, n_max=n_max, field=args.field)
     result = verify_corpus(specs, list(p_values or STANDARD_P_LIST), rel_tol=rel_tol, abs_tol=abs_tol)
     print(
         f"specs={result.n_specs} cases={result.n_cases} "
@@ -188,16 +180,16 @@ def cmd_verify(
     return EXIT_REGRESSION if result.n_fail else EXIT_OK
 
 
-def cmd_scan(nb: int, np_count: int, eps: float, out_path: str) -> int:
-    nb, np_count = _check_int("--nb", nb, 2, math.inf), _check_int("--np", np_count, 2, math.inf)
-    report = sign_scan(nb, np_count, _check_real("--eps", eps, 1.0, positive=True))
+def cmd_scan(args: argparse.Namespace) -> int:
+    nb, np_count = _check_int("--nb", args.nb, 2, math.inf), _check_int("--np", args.np, 2, math.inf)
+    report = sign_scan(nb, np_count, _check_real("--eps", args.eps, 1.0, positive=True))
     lines, ps = [SCAN_HEADER], [repr(p) for p in report.grid_p.tolist()]
     for b, row in zip(report.grid_b.tolist(), report.values):
         lines += [f"{b!r},{p},{v!r}" for p, v in zip(ps, row.tolist())]
     lines.append(
         f"# n_positive={report.n_positive} n_negative={report.n_negative} n_zero={report.n_zero}"
     )
-    _write_lines(out_path, lines)
+    _write_lines(args.out, lines)
     if not report.both_signs():
         print(
             f"regression: expected both signs, got n_positive={report.n_positive} "
@@ -216,12 +208,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_compute = sub.add_parser("compute", help="evaluate every bound on one input document, emit CSV")
+    p_compute.set_defaults(run=cmd_compute)
     p_compute.add_argument("--input", required=True, help="JSON input document")
     p_compute.add_argument("--out", required=True, help="output CSV path")
     p_compute.add_argument("--p", action="append", default=None, metavar="P",
                            help="exponent in [1, inf] ('inf' allowed); repeatable; overrides the document")
 
     p_verify = sub.add_parser("verify", help="randomized verification of every inequality")
+    p_verify.set_defaults(run=cmd_verify)
     p_verify.add_argument("--trials", type=int, default=1000, help="number of random inputs (default 1000)")
     p_verify.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     p_verify.add_argument("--dims", type=int, default=CORPUS_DIM_MAX,
@@ -234,6 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
                           f"(default: {' '.join(f'{p:g}' for p in STANDARD_P_LIST)})")
 
     p_scan = sub.add_parser("scan", help="sign scan of the bound-factor gap over [0,1] x (1,2]")
+    p_scan.set_defaults(run=cmd_scan)
     p_scan.add_argument("--nb", type=int, default=201, help="grid points along b (default 201)")
     p_scan.add_argument("--np", type=int, default=100, help="grid points along p (default 100)")
     p_scan.add_argument("--eps", type=float, default=0.01, help="p grid starts at 1+eps (default 0.01)")
@@ -246,13 +241,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     one ``error:`` line.  Input errors are named one by one, so a bug in the library still raises."""
     args = build_parser().parse_args(argv)
     try:
-        p_values = [_parse_extended(s) for s in args.p] if getattr(args, "p", None) else None
-        if args.command == "compute":
-            return cmd_compute(args.input, p_values, args.out)
-        if args.command == "verify":
-            return cmd_verify(args.trials, args.seed, args.dims, args.n, args.field,
-                              args.rel_tol, args.abs_tol, p_values)
-        return cmd_scan(args.nb, args.np, args.eps, args.out)
+        return args.run(args)
     except OSError as exc:  # every OSError is an I/O error
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -90,6 +90,13 @@ def _check_real(name: str, value, high: float = math.inf, *, positive: bool = Fa
     return v
 
 
+def _check_field(field, fields=_FIELDS) -> str:
+    """``field`` if it is one of ``fields``, which the error lists."""
+    if field not in fields:
+        raise DomainError(f"field must be {', '.join(map(repr, fields[:-1]))} or {fields[-1]!r}, got {field!r}")
+    return field
+
+
 def _as_complex(
     data: ArrayLike, *, what: str = "vector", ndim: int = 1, allow_empty: bool = False,
     size: int | None = None, copy: bool = False,
@@ -412,8 +419,7 @@ class VectorFamily:
         field: str = "complex",
         dim: int | None = None,
     ):
-        if field not in _FIELDS:
-            raise DomainError(f"field must be 'real' or 'complex', got {field!r}")
+        _check_field(field)
         dim = None if dim is None else _check_int("dim", dim, 1, _DIM_MAX)
 
         if isinstance(members, np.ndarray):

@@ -10,12 +10,12 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
 from .bounds import ABS_TOL, REL_TOL, BoundResult, CaseTable, _Ingredients, frobenius_bound
-from .core import _DIM_CAP, _DIM_MAX, _FIELDS, _N_CAP, Vector, VectorFamily, _check_int, _check_real
+from .core import _DIM_CAP, _DIM_MAX, _FIELDS, _N_CAP, Vector, VectorFamily, _check_field, _check_int, _check_real
 from .errors import DomainError
 from .norms import _exponents
 
@@ -25,7 +25,6 @@ __all__ = [
     "FamilySpec",
     "VerificationReport",
     "CorpusResult",
-    "CaseTable",
     "random_family",
     "random_orthonormal_family",
     "random_specs",
@@ -59,8 +58,7 @@ class FamilySpec:
     def __post_init__(self):
         object.__setattr__(self, "dim", _check_int("dim", self.dim, 1, _DIM_CAP))
         object.__setattr__(self, "n", _check_int("n", self.n, 0, _N_CAP))
-        if self.field not in _FIELDS:
-            raise DomainError(f"field must be 'real' or 'complex', got {self.field!r}")
+        _check_field(self.field)
         object.__setattr__(self, "scale", _check_real("scale", self.scale, positive=True))
         object.__setattr__(self, "seed", _check_int("seed", self.seed, 0, 2**64 - 1))
 
@@ -94,9 +92,9 @@ def random_family(spec: FamilySpec) -> tuple[Vector, VectorFamily, np.ndarray]:
 def random_orthonormal_family(dim: int, n: int, field: str = "real", seed: int = 0) -> VectorFamily:
     """n orthonormal vectors in dimension dim ≥ n, via QR of a random matrix."""
     dim = _check_int("dim", dim, 1, _DIM_MAX)
-    n = _check_int("n", n, 1, dim)  # VectorFamily checks the field
+    n = _check_int("n", n, 1, dim)
     rng = np.random.default_rng(_check_int("seed", seed, 0, math.inf))
-    a = _draw(rng, (dim, n), field)
+    a = _draw(rng, (dim, n), _check_field(field))  # checked before the draw, which may be large
     q_mat, _ = np.linalg.qr(a)
     return VectorFamily(q_mat.T, field=field)
 
@@ -116,8 +114,7 @@ def random_specs(
     master_seed = _check_int("master_seed", master_seed, 0, math.inf)
     dim_max = _check_int("dim_max", dim_max, 1, _DIM_CAP)
     n_max = _check_int("n_max", n_max, 0, _N_CAP)
-    if field not in _FIELDS + ("both",):
-        raise DomainError(f"field must be 'real', 'complex' or 'both', got {field!r}")
+    _check_field(field, _FIELDS + ("both",))
     if _check_real("scale_low", scale_low, positive=True) > _check_real("scale_high", scale_high, positive=True):
         raise DomainError("need 0 < scale_low <= scale_high < inf")
     rng = np.random.default_rng(master_seed)
@@ -140,18 +137,11 @@ def standard_corpus() -> Iterator[FamilySpec]:
     return random_specs(CORPUS_SIZE, CORPUS_SEED, dim_max=CORPUS_DIM_MAX, n_max=CORPUS_N_MAX, field="both")
 
 
-def evaluate_cases(x, family, c, p_list=STANDARD_P_LIST) -> Union[list[BoundResult], CaseTable]:
-    """Evaluate every standard case on one input, in the report order of bounds._Ingredients.cases.
-
-    Given equal-length lists of stacks instead of a VectorFamily — x (B, d),
-    the family rows (B, n, d) and c (B, n), with one n for every stack and d
-    free to differ — it evaluates their inputs in one pass and returns one
-    CaseTable, whose row for each input, in list order, holds the records of
-    that input's single call.
-    """
-    if isinstance(family, VectorFamily):
-        return _Ingredients.of(family, x, c).cases(p_list, frobenius_bound).records(0)
-    return _Ingredients.stack(x, family, c).cases(p_list, frobenius_bound)
+def evaluate_cases(x, rows, c, p_list=STANDARD_P_LIST) -> CaseTable:
+    """Evaluate every standard case, in the report order of bounds._Ingredients.cases, on the inputs of
+    equal-length lists of stacks: x (B, d), the family rows (B, n, d) and c (B, n), with one n for every
+    stack and d free to differ.  The one CaseTable holds a row for each input, in list order."""
+    return _Ingredients.stack(x, rows, c).cases(p_list, frobenius_bound)
 
 
 class _Verdicts:

@@ -34,6 +34,7 @@ from grambounds import (
     refinement_chain,
     seq_pnorm,
     span_bound,
+    verify_all,
     weighted_inner_sum_sq,
 )
 from grambounds import core
@@ -132,7 +133,7 @@ class TestSpanBound:
         c, x = rng.standard_normal(6), rng.standard_normal(3)
         a, m = seq_pnorm(c, 1e13), seq_pnorm(np.sqrt(core._sq_norms(fam.vectors)[0]), 1.0)
         assert span_bound(c, fam, 1e13, "norms").value.hex() == ((a * a) * (m * m)).hex()
-        rows = {case.bound_id: case for case in evaluate_cases(x, fam, c, [1e13]) if case.flavor == "norms"}
+        rows = {case.bound_id: case for case in verify_all(x, fam, c, [1e13]).cases if case.flavor == "norms"}
         assert rows[BoundId.SPAN_NORMS] == span_bound(c, fam, 1e13, "norms")
         assert rows[BoundId.COMBO_NORMS] == combo_bound(x, fam, c, 1e13, "norms")
 
@@ -143,7 +144,7 @@ class TestSpanBound:
         c, x = rng.standard_normal(6), rng.standard_normal(3)
         expected = seq_pnorm(c, 1e13) ** 2 * gram_entry_qnorm(gram(fam), conjugate_exponent(1e13))
         assert span_bound(c, fam, 1e13, "gram").value.hex() == expected.hex()
-        rows = {case.bound_id: case for case in evaluate_cases(x, fam, c, [1e13]) if case.flavor == "gram"}
+        rows = {case.bound_id: case for case in verify_all(x, fam, c, [1e13]).cases if case.flavor == "gram"}
         assert rows[BoundId.SPAN_GRAM] == span_bound(c, fam, 1e13, "gram")
         assert rows[BoundId.COMBO_GRAM] == combo_bound(x, fam, c, 1e13, "gram")
 

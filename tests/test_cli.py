@@ -202,6 +202,8 @@ class TestComputeCommand:
             pytest.param(dict(REAL_DOC, family=[[1.0], [1.0, 2.0]]),
                          "family must be a rectangular array, not a ragged sequence", id="ragged-family"),
             pytest.param([1, 2], "input document", id="array-document"),
+            pytest.param(dict(REAL_DOC, field="octonion"), "field must be 'real' or 'complex', got 'octonion'",
+                         id="unknown-field"),
         ],
     )
     def test_invalid_arrays_name_the_array(self, tmp_path, capsys, doc, name):
@@ -259,6 +261,14 @@ class TestComputeCommand:
         inp = write_doc(tmp_path, REAL_DOC)
         code = main(["compute", "--input", inp, "--out", str(tmp_path / "o.csv"), "--p", "zero"])
         assert code == 2
+
+    def test_p_is_checked_before_the_document_is_read(self, tmp_path, capsys):
+        # a missing input would be an I/O error (exit 3); the bad --p is named first
+        code = main(["compute", "--p", "0.5", "--input", str(tmp_path / "missing.json"),
+                     "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: --p: exponent must be >= 1, got 0.5\n"
+        assert not (tmp_path / "o.csv").exists()
 
 
 class TestVerifyCommand:
@@ -331,6 +341,11 @@ class TestVerifyCommand:
         assert main(["verify", "--trials", "3", f"{flag}={value}"]) == 2
         out, err = capsys.readouterr()
         assert out == "" and f"error: {flag} must be a real number in [0, inf)" in err
+
+    def test_p_is_checked_before_the_other_flags(self, capsys):
+        assert main(["verify", "--p", "nan", "--rel-tol", "-1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: --p: exponent must not be NaN\n"
 
     def test_smallest_unsnapped_p(self, capsys):
         # 1 + 4504 * 2**-52: not snapped to 1, so inside the power-mean domain (1, 2]
@@ -409,6 +424,13 @@ class TestScanCommand:
         assert out == "" and err.startswith(f"error: {argv[1]} must be")
         assert not out_csv.exists()
 
+    def test_p_is_not_a_scan_flag(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["scan", "--p", "2", "--out", str(tmp_path / "s.csv")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --p 2" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
+
     def test_tiny_grid_rejected(self, tmp_path):
         code = main(["scan", "--nb", "1", "--np", "10", "--out", str(tmp_path / "s.csv")])
         assert code == 2
@@ -456,6 +478,15 @@ class TestEntryPoint:
         monkeypatch.setattr(cli, "compute_rows", broken)
         with pytest.raises(KeyError):
             main(["compute", "--input", write_doc(tmp_path, REAL_DOC), "--out", str(tmp_path / "o.csv")])
+
+    @pytest.mark.parametrize("argv", [["compute", "--input", "doc.json", "--out", "o.csv"], ["verify"],
+                                      ["scan", "--out", "s.csv"]])
+    def test_each_command_runs_the_module_function_of_its_name(self, monkeypatch, argv):
+        # the command is looked up when the parser is built, so a function patched into the module runs
+        seen = []
+        monkeypatch.setattr(cli, f"cmd_{argv[0]}", lambda args: seen.append(args) or 7)
+        assert main(argv) == 7
+        assert [args.command for args in seen] == [argv[0]]
 
     def test_missing_subcommand_usage_exit(self):
         with pytest.raises(SystemExit) as exc:

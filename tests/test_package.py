@@ -23,14 +23,14 @@ PUBLIC = {
     # norms
     "SNAP_TOL", "conjugate_exponent", "seq_pnorm", "gram_entry_qnorm", "max_row_abs_sum", "power_mean_exponent",
     # bounds
-    "REL_TOL", "ABS_TOL", "BoundId", "BoundResult", "combination_norm_sq",
+    "REL_TOL", "ABS_TOL", "BoundId", "BoundResult", "CaseTable", "combination_norm_sq",
     "weighted_inner_sum_sq", "bessel_sum", "span_bound", "combo_bound", "refinement_chain", "bessel_sum_bound",
     "orthonormal_bessel_bound", "frobenius_bound", "power_mean_bound", "bombieri_bound", "power_mean_gap",
     # compare
     "DOMINANCE_TOL", "GridCell", "SignScanReport", "DominancePair", "power_mean_factor", "gap_closed_form",
     "sign_scan", "dominance_search",
     # verify
-    "STANDARD_P_LIST", "CORPUS_SEED", "FamilySpec", "VerificationReport", "CorpusResult", "CaseTable",
+    "STANDARD_P_LIST", "CORPUS_SEED", "FamilySpec", "VerificationReport", "CorpusResult",
     "random_family", "random_orthonormal_family", "random_specs", "standard_corpus", "evaluate_cases",
     "verify_all", "verify_corpus",
 }
@@ -61,11 +61,13 @@ def test_exports_are_the_modules_objects(module):
 
 
 def test_classes_and_functions_come_from_their_defining_module():
+    """Each exported class and function is in the export list of the module that defines it."""
     for name in grambounds.__all__:
         obj = getattr(grambounds, name)
         home = getattr(obj, "__module__", None)
         if isinstance(home, str) and home.startswith("grambounds."):
             assert getattr(sys.modules[home], name) is obj, name
+            assert name in sys.modules[home].__all__, name
 
 
 def test_readme_library_quickstart_runs():

@@ -15,7 +15,6 @@ from grambounds import (
     bombieri_bound,
     combo_bound,
     conjugate_exponent,
-    evaluate_cases,
     frobenius_bound,
     gap_closed_form,
     gram,
@@ -31,6 +30,7 @@ from grambounds import (
     random_orthonormal_family,
     seq_pnorm,
     span_bound,
+    verify_all,
 )
 
 from helpers import check_schwarz_chain
@@ -105,7 +105,7 @@ class TestBoundSoundness:
     @given(dims, sizes, fields, scales, seeds)
     def test_every_case_holds(self, dim, n, field, scale, seed):
         x, fam, c = draw_triple(dim, n, field, scale, seed)
-        for case in evaluate_cases(x, fam, c):
+        for case in verify_all(x, fam, c).cases:
             assert case.holds(), (case.bound_id, case.p, case.flavor, case.margin)
 
     @SLOW

@@ -170,6 +170,15 @@ class TestRandomOrthonormalFamily:
         with pytest.raises(DomainError, match="field must be 'real' or 'complex'"):
             random_orthonormal_family(3, 2, field="quaternion")
 
+    def test_field_is_checked_before_the_draw(self, monkeypatch):
+        # The draw of a (dim, n) matrix this tall would ask for gigabytes; _draw must never be reached.
+        def untouched(*args):
+            raise AssertionError("drew before checking the field")
+
+        monkeypatch.setattr(verify, "_draw", untouched)
+        with pytest.raises(DomainError, match=r"^field must be 'real' or 'complex', got 'bogus'$"):
+            random_orthonormal_family(10**9, 2, field="bogus")
+
     def test_deterministic(self):
         a = random_orthonormal_family(5, 5, seed=8)
         b = random_orthonormal_family(5, 5, seed=8)
@@ -224,13 +233,13 @@ class TestRandomSpecs:
 class TestEvaluateCases:
     def test_case_count_full_p_list(self):
         x, fam, c = random_family(FamilySpec(dim=4, n=5, field="complex", seed=13))
-        cases = evaluate_cases(x, fam, c, STANDARD_P_LIST)
+        table = evaluate_cases(*_as_stacks(x.coords, fam, c), STANDARD_P_LIST)
         # 4 p-free cases, 5 per p value, plus 2 extra for each p in (1, 2]
-        assert len(cases) == 4 + 6 * 5 + 3 * 2
+        assert len(table) == 4 + 6 * 5 + 3 * 2
 
     def test_case_order_is_stable(self):
         x, fam, c = random_family(FamilySpec(dim=2, n=3, seed=17))
-        ids = [case.bound_id for case in evaluate_cases(x, fam, c, [2.0])]
+        ids = [bound_id for bound_id, _, _ in evaluate_cases(*_as_stacks(x.coords, fam, c), [2.0]).keys]
         assert ids == [
             "bombieri",
             "cor28",
@@ -247,9 +256,9 @@ class TestEvaluateCases:
 
     def test_duplicate_p_collapsed(self):
         x, fam, c = random_family(FamilySpec(dim=2, n=2, seed=19))
-        once = evaluate_cases(x, fam, c, [2.0])
-        twice = evaluate_cases(x, fam, c, [2.0, 2.0, 2])
-        assert once == twice
+        once = evaluate_cases(*_as_stacks(x.coords, fam, c), [2.0])
+        twice = evaluate_cases(*_as_stacks(x.coords, fam, c), [2.0, 2.0, 2])
+        assert once.records(0) == twice.records(0)
 
 
 class TestVerifyAll:
@@ -374,7 +383,7 @@ assert report.n_fail == 0 and not orthonormal and peak < 300, (report.n_fail, or
         monkeypatch.setattr(core, "GramMatrix", untouched)
         x, fam, c = random_family(FamilySpec(5, 7, field="complex", seed=61))
         ortho = random_orthonormal_family(6, 4, field="complex", seed=61)
-        for run in (lambda: verify_all(x, fam, c), lambda: evaluate_cases(x, fam, c),
+        for run in (lambda: verify_all(x, fam, c), lambda: evaluate_cases(*_as_stacks(x.coords, fam, c)),
                     lambda: compute_rows(x, fam, c, STANDARD_P_LIST),
                     lambda: compute_rows(np.ones(6), ortho, None, STANDARD_P_LIST),
                     lambda: orthonormal_bessel_bound(np.ones(6), ortho, 2.0)):
@@ -402,7 +411,7 @@ assert report.n_fail == 0 and not orthonormal and peak < 300, (report.n_fail, or
         g = gram(fam)
         for run, want in [
             (lambda: verify_all(x, fam, c), cases),
-            (lambda: evaluate_cases(x, fam, c), cases),
+            (lambda: evaluate_cases(*_as_stacks(x.coords, fam, c)), cases),
             (lambda: verify_corpus(specs), cases),
             (lambda: compute_rows(x, fam, c, STANDARD_P_LIST), cases | {"eye"}),
             (lambda: compute_rows(np.ones(6), ortho, None, STANDARD_P_LIST), cases | {"eye"}),
@@ -451,7 +460,7 @@ class TestPowerMeanDomain:
 
     def test_smallest_unsnapped_p_is_in_domain(self):
         x, fam, c = random_family(FamilySpec(dim=4, n=5, field="complex", seed=7))
-        cases = [case for case in evaluate_cases(x, fam, c, [self.P_KEPT]) if case.p == self.P_KEPT]
+        cases = [case for case in verify_all(x, fam, c, [self.P_KEPT]).cases if case.p == self.P_KEPT]
         eq211, gap = [case for case in cases if case.bound_id in ("eq211", "power_mean")]
         assert (eq211.bound_id, gap.bound_id) == ("eq211", "power_mean")
         assert eq211.holds() and gap.holds()
@@ -463,7 +472,7 @@ class TestPowerMeanDomain:
         for call in (power_mean_exponent, lambda p: power_mean_bound(x, fam, p), lambda p: power_mean_gap([1.0], p)):
             with pytest.raises(ExponentRangeError):
                 call(self.P_SNAPPED)
-        ids = {case.bound_id for case in evaluate_cases(x, fam, c, [self.P_SNAPPED])}
+        ids = {case.bound_id for case in verify_all(x, fam, c, [self.P_SNAPPED]).cases}
         assert not ids & {"eq211", "power_mean"}
 
 
@@ -624,7 +633,7 @@ class TestOracle:
     def test_evaluate_cases(self):
         for spec in self.SPECS:
             x, fam, c = random_family(spec)
-            cases = evaluate_cases(x, fam, c, STANDARD_P_LIST)
+            cases = evaluate_cases(*_as_stacks(x.coords, fam, c), STANDARD_P_LIST).records(0)
             assert len(cases) == 40
             got = {(k.bound_id, k.p, k.flavor): (k.lhs, k.rhs) for k in cases}
             assert len(got) == 40
@@ -680,7 +689,7 @@ class TestBatchMatchesEvaluators:
         seen = set()
         for spec in self.SPECS:
             x, fam, c = random_family(spec)
-            for case in evaluate_cases(x, fam, c, STANDARD_P_LIST):
+            for case in evaluate_cases(*_as_stacks(x.coords, fam, c), STANDARD_P_LIST).records(0):
                 assert case == _public_record(x, fam, c, case), (spec, case)
                 seen.add(case.bound_id)
         assert seen == set(BoundId) - {BoundId.ORTHONORMAL_BESSEL}
@@ -706,6 +715,11 @@ def _one_stack(x, rows, c):
     return [x], [rows], [c]
 
 
+def _as_stacks(x, fam, c):
+    """One input as evaluate_cases takes it: lists of one stack each, [x], the family's rows and [c]."""
+    return [[x]], [fam.vectors[None]], [[c]]
+
+
 def _records(table):
     """Every record of a CaseTable, input by input."""
     return [case for b in range(len(table.lhs)) for case in table.records(b)]
@@ -721,7 +735,7 @@ class TestBatchForm:
     def test_records_match_single_calls_and_evaluators(self):
         for specs in self.GROUPS:
             table = evaluate_cases(*_one_stack(*_stacks(specs)), STANDARD_P_LIST)
-            singles = [evaluate_cases(*random_family(spec), STANDARD_P_LIST) for spec in specs]
+            singles = [verify_all(*random_family(spec), STANDARD_P_LIST).cases for spec in specs]
             assert isinstance(table, CaseTable)
             assert len(table) == len(specs) * len(singles[0]) == table.lhs.size
             assert _records(table) == [case for cases in singles for case in cases]
@@ -733,7 +747,7 @@ class TestBatchForm:
     def test_batch_of_one_is_the_single_call(self):
         spec = self.GROUPS[0][0]
         table = evaluate_cases(*_one_stack(*_stacks([spec])), [1.5, 3.0])
-        assert table.records(0) == evaluate_cases(*random_family(spec), [1.5, 3.0])
+        assert table.records(0) == list(verify_all(*random_family(spec), [1.5, 3.0]).cases)
 
     @pytest.mark.parametrize("change, error", [
         (lambda x, rows, c: (x[:, :-1], rows, c), ShapeError),
@@ -748,7 +762,7 @@ class TestBatchForm:
             evaluate_cases(*_one_stack(*change(*_stacks(self.GROUPS[0]))))
 
     def test_a_family_given_as_a_nested_list_is_named(self):
-        # No VectorFamily, so the stack path: the error names the family, not x.
+        # A plain-list family: the error names the family stack, not x.
         with pytest.raises(ShapeError, match=r"family stack must be 3-dimensional, got shape \(2,\)"):
             evaluate_cases([1.0, 0.0], [[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0])
 
@@ -779,7 +793,7 @@ class TestStackLists:
             per_stack = [case for specs in stacks
                          for case in _records(evaluate_cases(*_one_stack(*_stacks(specs)), p_list))]
             singles = [case for specs in stacks for spec in specs
-                       for case in evaluate_cases(*random_family(spec), p_list)]
+                       for case in verify_all(*random_family(spec), p_list).cases]
             assert _hex_rows(_records(table)) == _hex_rows(per_stack) == _hex_rows(singles)
             # B·K: the benchmark counts the cases of a run with len() on this table.
             assert len(table) == sum(map(len, stacks)) * len(table.keys) == len(singles) == table.lhs.size
@@ -794,7 +808,7 @@ class TestStackLists:
         x, c = rng.normal(size=(b, d)) + 0j, rng.normal(size=(b, n)) + 1j * rng.normal(size=(b, n))
         assert b * n * n > core._BLOCK
         table = evaluate_cases(*_one_stack(x, rows, c))
-        singles = [case for k in range(b) for case in evaluate_cases(x[k], VectorFamily(rows[k]), c[k])]
+        singles = [case for k in range(b) for case in verify_all(x[k], VectorFamily(rows[k]), c[k]).cases]
         assert _hex_rows(_records(table)) == _hex_rows(singles)
 
     def test_one_stack_list_is_the_stack(self):
@@ -802,7 +816,7 @@ class TestStackLists:
         specs = self.PASSES[2][0]
         one = evaluate_cases(*_one_stack(*_stacks(specs)))
         assert _hex_rows(_records(one)) == _hex_rows(
-            case for spec in specs for case in evaluate_cases(*random_family(spec)))
+            case for spec in specs for case in verify_all(*random_family(spec)).cases)
         with pytest.raises(ShapeError, match="stack"):
             evaluate_cases(*_stacks(specs))
 
@@ -894,7 +908,7 @@ class TestCorpusBatching:
         # n = 0: every case is 0 <= 0, so every margin ties and the first spec's first case is the worst
         monkeypatch.setattr(verify, "_CHUNK", 4)
         specs = [FamilySpec(dim, 0, field, seed=dim) for dim in (3, 1, 2, 1, 3) for field in ("complex", "real")]
-        first = (specs[0], evaluate_cases(*random_family(specs[0]))[0])
+        first = (specs[0], verify_all(*random_family(specs[0])).cases[0])
         assert verify_corpus(specs).worst == self.reference(specs, 1e-10, 1e-12)[2] == first
 
     def test_overflowing_spec_still_raises(self):
@@ -971,6 +985,8 @@ _BAD_C = _BAD + [
     # two faults: the length check comes before the finiteness check
     ("long_nan", [1.0, math.nan, 2.0], ShapeError),
 ]
+# A c stack is checked whole, finiteness included, before its length is compared with the family's.
+_BAD_C_STACK = _BAD_C[:-1] + [("long_nan", [1.0, math.nan, 2.0], DomainError)]
 _BAD_GAP = _BAD + [
     ("complex", [1.0 + 1.0j, 2.0], DomainError),
     ("negative", [-1.0, 2.0], DomainError),
@@ -1003,11 +1019,13 @@ _ENTRY_POINTS = [  # (name, call on the bad value, bad values with the error eac
     ("inner_each", lambda v: inner_each(v, _FAM), _BAD_X),
     ("combo_bound_x", lambda v: combo_bound(v, _FAM, _GOOD, 2.0), _BAD_X),
     ("weighted_inner_sum_sq_x", lambda v: weighted_inner_sum_sq(v, _FAM, _GOOD), _BAD_X),
-    ("evaluate_cases_x", lambda v: evaluate_cases(v, _FAM, _GOOD), _BAD_X),
+    ("verify_all_x", lambda v: verify_all(v, _FAM, _GOOD), _BAD_X),
+    ("evaluate_cases_x", lambda v: evaluate_cases(*_as_stacks(v, _FAM, _GOOD)), _BAD_X),
     ("span_bound", lambda c: span_bound(c, _FAM, 2.0), _BAD_C),
     ("combo_bound_c", lambda c: combo_bound(_GOOD, _FAM, c, 2.0), _BAD_C),
     ("weighted_inner_sum_sq_c", lambda c: weighted_inner_sum_sq(_GOOD, _FAM, c), _BAD_C),
-    ("evaluate_cases_c", lambda c: evaluate_cases(_GOOD, _FAM, c), _BAD_C),
+    ("verify_all_c", lambda c: verify_all(_GOOD, _FAM, c), _BAD_C),
+    ("evaluate_cases_c", lambda c: evaluate_cases(*_as_stacks(_GOOD, _FAM, c)), _BAD_C_STACK),
     ("seq_pnorm", lambda v: seq_pnorm(v, 2.0), _BAD),
     ("power_mean_gap", lambda v: power_mean_gap(v, 1.5), _BAD_GAP),
     ("VectorFamily_ndarray", lambda m: VectorFamily(np.array(m)), _as_arrays(_BAD_2D)),
@@ -1074,8 +1092,19 @@ _SCALAR_ARGS = [  # (name, call on the bad value, the bad values); each raises a
     ("inner_each_family", lambda v: inner_each(_GOOD, v), _NOT_FAMILIES),
     ("verify_all_p_list", lambda v: verify_all(_GOOD, _FAM, _GOOD, v), _NOT_EXPONENT_LISTS),
     ("verify_corpus_p_list", lambda v: verify_corpus([], v), _NOT_EXPONENT_LISTS),
-    ("evaluate_cases_p_list", lambda v: evaluate_cases(_GOOD, _FAM, _GOOD, v), _NOT_EXPONENT_LISTS),
+    ("evaluate_cases_p_list", lambda v: evaluate_cases(*_STACKS, v), _NOT_EXPONENT_LISTS),
 ]
+
+
+@pytest.mark.parametrize("call, fields", [
+    (lambda: VectorFamily([[1.0]], field="bogus"), "'real' or 'complex'"),
+    (lambda: FamilySpec(2, 2, field="bogus"), "'real' or 'complex'"),
+    (lambda: random_specs(1, 1, field="bogus"), "'real', 'complex' or 'both'"),
+], ids=["VectorFamily", "FamilySpec", "random_specs"])
+def test_field_error_lists_the_fields(call, fields):
+    with pytest.raises(DomainError) as exc:
+        call()
+    assert str(exc.value) == f"field must be {fields}, got 'bogus'"
 
 
 class TestBatchValidation:
@@ -1102,9 +1131,11 @@ class TestBatchValidation:
         with pytest.raises(DomainError):
             call(value)
 
-    @pytest.mark.parametrize(
-        "x, c, error",
-        [
+    @pytest.mark.parametrize("entry, x, c, error", [
+        pytest.param(entry, x, c, error, id=f"{name}-x{k}-c{k}-{error.__name__}")
+        for name, entry in (("evaluate_cases", lambda x, fam, c: evaluate_cases(*_as_stacks(x, fam, c))),
+                            ("verify_all", verify_all))
+        for k, (x, c, error) in enumerate([
             ([1.0, 2.0], [1.0], ShapeError),
             ([1.0, 2.0], [1.0, 2.0, 3.0], ShapeError),
             ([1.0, 2.0, 3.0], [1.0, 1.0], DimensionError),
@@ -1112,9 +1143,10 @@ class TestBatchValidation:
             ([1.0, math.inf], [1.0, 1.0], DomainError),
             ([1.0, 2.0], [math.inf, 1.0], DomainError),
             ([1.0, 2.0], [1.0, complex(0.0, math.nan)], DomainError),
-        ],
-    )
-    @pytest.mark.parametrize("entry", [evaluate_cases, verify_all])
+        ])
+        # In stacks, an x of another d than the rows is a ShapeError (TestBatchForm.test_rejects_bad_stacks).
+        if name == "verify_all" or error is not DimensionError
+    ])
     def test_raises(self, entry, x, c, error):
         with pytest.raises(error):
             entry(x, self.FAM, c)
