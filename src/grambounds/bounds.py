@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import ORTHONORMAL_TOL, VectorFamily, _as_complex, _dot, _gram_reductions, _inner_each, _Scaled, _sq_norms
 from .core import _check_family, _sum_sq, inner_each
-from .errors import DomainError, ShapeError
+from .errors import DimensionError, DomainError, ShapeError
 from .norms import _exponents, _magnitudes, _normalize_exponent, conjugate_exponent, power_mean_exponent
 
 __all__ = [
@@ -179,6 +179,8 @@ class _Ingredients:
         parts = [(_as_complex(xs, what="x stack", ndim=2), _as_complex(cs, what="c stack", ndim=2, allow_empty=True))
                  for xs, cs in zip(x, c)]
         for (xs, cs), ys in zip(parts, rows):
+            if xs.shape[0] == ys.shape[0] and xs.shape[1] != ys.shape[2]:  # as for one input: DimensionError
+                raise DimensionError(f"x stack dimension {xs.shape[1]} does not match family stack {ys.shape[2]}")
             if xs.shape != ys.shape[::2] or cs.shape != ys.shape[:2] or ys.shape[1] != rows[0].shape[1]:
                 raise ShapeError(f"need stacks x (B, d), family (B, n, d), c (B, n) with one n, "
                                  f"got {xs.shape}, {ys.shape}, {cs.shape}")

@@ -750,7 +750,8 @@ class TestBatchForm:
         assert table.records(0) == list(verify_all(*random_family(spec), [1.5, 3.0]).cases)
 
     @pytest.mark.parametrize("change, error", [
-        (lambda x, rows, c: (x[:, :-1], rows, c), ShapeError),
+        (lambda x, rows, c: (x[:, :-1], rows, c), DimensionError),
+        (lambda x, rows, c: (x[:1], rows, c), ShapeError),
         (lambda x, rows, c: (x, rows, c[:1]), ShapeError),
         (lambda x, rows, c: (x, rows[0], c), ShapeError),
         (lambda x, rows, c: (x, np.where(np.arange(3) == 2, np.inf, rows), c), DomainError),
@@ -1144,8 +1145,6 @@ class TestBatchValidation:
             ([1.0, 2.0], [math.inf, 1.0], DomainError),
             ([1.0, 2.0], [1.0, complex(0.0, math.nan)], DomainError),
         ])
-        # In stacks, an x of another d than the rows is a ShapeError (TestBatchForm.test_rejects_bad_stacks).
-        if name == "verify_all" or error is not DimensionError
     ])
     def test_raises(self, entry, x, c, error):
         with pytest.raises(error):
