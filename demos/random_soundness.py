@@ -21,7 +21,7 @@ tightest = defaultdict(lambda: None)
 
 
 def track(spec, case):
-    rel = case.margin / case.rhs if case.rhs else 0.0
+    rel = case.margin / case.value if case.value else 0.0
     prev = tightest[case.bound_id]
     if prev is None or rel < prev:
         tightest[case.bound_id] = rel

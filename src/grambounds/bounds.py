@@ -22,8 +22,8 @@ from typing import Optional
 import numpy as np
 
 from .core import ORTHONORMAL_TOL, VectorFamily, _as_complex, _dot, _gram_reductions, _inner_each, _Scaled, _sq_norms
-from .core import _check_family, _sum_sq, inner_each
-from .errors import DimensionError, DomainError, ShapeError
+from .core import _check_dim, _check_family, _sum_sq
+from .errors import DomainError, ShapeError
 from .norms import _exponents, _magnitudes, _normalize_exponent, conjugate_exponent, power_mean_exponent
 
 __all__ = [
@@ -163,25 +163,23 @@ class _Ingredients:
         """One input as the one-stack case; x and c are validated here, in this order."""
         ing = cls([_check_family(family).vectors[None]])
         if x is not _ABSENT:
-            x = _as_complex(x)
-            ing.xs, ing.t = [x[None]], inner_each(x, family)[None]  # inner_each also checks the dimension
+            ing.xs = [_check_dim(_as_complex(x), family.dim, "vector")[None]]
         if c is not _ABSENT:
             ing.cs = [_as_complex(c, what="coefficients", allow_empty=True, size=family.size)[None]]
         return ing
 
     @classmethod
     def stack(cls, x, rows, c) -> "_Ingredients":
-        """Inputs as equal-length lists of stacks x (B, d), family rows (B, n, d) and c (B, n) of one n (d
-        may differ), their inputs in order: every row stack is checked first, then part by part x and c."""
+        """Inputs as equal-length lists of stacks x (B, d), family rows (B, n, d) and c (B, n) of one n (d may
+        differ), in order: every row stack is checked, then each part as one input is, then batch lengths and n."""
         if not (all(isinstance(a, list) for a in (x, rows, c)) and 0 < len(rows) == len(x) == len(c)):
             raise ShapeError("need equal-length nonempty lists of x, family and c stacks")
         rows = [_as_complex(ys, what="family stack", ndim=3) for ys in rows]  # first: a plain-list family lands here
-        parts = [(_as_complex(xs, what="x stack", ndim=2), _as_complex(cs, what="c stack", ndim=2, allow_empty=True))
-                 for xs, cs in zip(x, c)]
+        parts = [(_check_dim(_as_complex(xs, what="x stack", ndim=2), ys.shape[2], "x stack"),
+                  _as_complex(cs, what="c stack", ndim=2, allow_empty=True, size=ys.shape[1]))
+                 for xs, ys, cs in zip(x, rows, c)]
         for (xs, cs), ys in zip(parts, rows):
-            if xs.shape[0] == ys.shape[0] and xs.shape[1] != ys.shape[2]:  # as for one input: DimensionError
-                raise DimensionError(f"x stack dimension {xs.shape[1]} does not match family stack {ys.shape[2]}")
-            if xs.shape != ys.shape[::2] or cs.shape != ys.shape[:2] or ys.shape[1] != rows[0].shape[1]:
+            if not len(xs) == len(ys) == len(cs) or ys.shape[1] != rows[0].shape[1]:
                 raise ShapeError(f"need stacks x (B, d), family (B, n, d), c (B, n) with one n, "
                                  f"got {xs.shape}, {ys.shape}, {cs.shape}")
         return cls(rows, *zip(*parts))  # the x stacks, then the c stacks

@@ -133,7 +133,7 @@ def compute_rows(x, family, coefficients, p_values) -> list[str]:
     """
     ing = _Ingredients.of(family, x) if coefficients is None else _Ingredients.of(family, x, coefficients)
     cases = ing.cases(p_values, frobenius_bound, orthonormal_tol=ORTHONORMAL_TOL).records(0)
-    return [case_row(r.bound_id, r.p, r.flavor, r.lhs, r.rhs) for r in cases
+    return [case_row(r.bound_id, r.p, r.flavor, r.lhs, r.value) for r in cases
             if r.bound_id is not BoundId.POWER_MEAN_GAP]
 
 
@@ -175,7 +175,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(
             f"fail: seed={spec.seed} dim={spec.dim} n={spec.n} field={spec.field} "
             f"scale={spec.scale!r} bound_id={case.bound_id} p={format_p(case.p)} "
-            f"flavor={case.flavor or '-'} lhs={case.lhs!r} rhs={case.rhs!r}"
+            f"flavor={case.flavor or '-'} lhs={case.lhs!r} rhs={case.value!r}"
         )
     return EXIT_REGRESSION if result.n_fail else EXIT_OK
 

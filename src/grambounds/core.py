@@ -106,7 +106,7 @@ def _as_complex(
     The one coercion path for every input array: vectors, families, Gram
     matrices, coefficients, sequences and stacks.  Checks run in a fixed
     order: shape, emptiness of the last axis (rejected unless ``allow_empty``),
-    dtype (bools and text are not numbers), length of the first axis (when
+    dtype (bools and text are not numbers), length of the last axis (when
     ``size`` is given), finiteness.  With ``copy`` the result is a fresh array,
     for an object to keep; otherwise data is converted only if its dtype differs.
     """
@@ -120,8 +120,8 @@ def _as_complex(
         raise ShapeError(f"{what} must have at least one coordinate")
     if arr.size and not np.issubdtype(arr.dtype, np.number):
         raise DomainError(f"{what} must be numeric, got dtype {arr.dtype}")
-    if size is not None and arr.shape[0] != size:
-        raise ShapeError(f"got {arr.shape[0]} {what} for a family of size {size}")
+    if size is not None and arr.shape[-1] != size:
+        raise ShapeError(f"got {arr.shape[-1]} {what} for a family of size {size}")
     out = arr.astype(np.complex128, copy=copy)
     if not np.isfinite(out).all():  # complex isfinite: both parts finite
         raise DomainError(f"{what} must be finite")
@@ -542,14 +542,17 @@ def _check_family(family, _cls=VectorFamily) -> VectorFamily:
     return family
 
 
+def _check_dim(x: np.ndarray, dim: int, what: str) -> np.ndarray:
+    """``x``, a vector or an x stack, if its last axis has the family's dimension ``dim``."""
+    if x.shape[-1] != dim:
+        raise DimensionError(f"{what} dimension {x.shape[-1]} does not match family dimension {dim}")
+    return x
+
+
 def inner_each(x: ArrayLike, family: VectorFamily) -> np.ndarray:
     """Array of inner products ((x, y_1), ..., (x, y_n)).
 
     Conjugate-linear in the family members, matching :func:`inner`.
     """
-    xa = _as_complex(x)
-    if xa.shape[0] != _check_family(family).dim:
-        raise DimensionError(
-            f"vector dimension {xa.shape[0]} does not match family dimension {family.dim}"
-        )
+    xa = _check_dim(_as_complex(x), _check_family(family).dim, "vector")
     return _inner_each(family.vectors, xa)

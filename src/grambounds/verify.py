@@ -179,28 +179,23 @@ class _Verdicts:
             b, k = np.unravel_index(np.argmax(margin == least), margin.shape)
             self.worst = (labels[b], table.records(b)[k])
 
+    def counts(self) -> dict:
+        """The case, pass and failure counts, under the names of the report fields that hold them."""
+        return {"n_cases": self.n_cases, "n_pass": self.n_cases - len(self.failures), "n_fail": len(self.failures)}
+
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Batch of checked inequalities: every case, the failing ones, and the tightest."""
+    """Batch of checked inequalities: every case, the failing ones, the tightest, and their counts."""
 
     cases: tuple[BoundResult, ...]
     failures: tuple[BoundResult, ...]
     worst_margin_case: Optional[BoundResult]
     rel_tol: float
     abs_tol: float
-
-    @property
-    def n_cases(self) -> int:
-        return len(self.cases)
-
-    @property
-    def n_fail(self) -> int:
-        return len(self.failures)
-
-    @property
-    def n_pass(self) -> int:
-        return len(self.cases) - len(self.failures)
+    n_cases: int
+    n_pass: int
+    n_fail: int
 
 
 def verify_all(
@@ -222,6 +217,7 @@ def verify_all(
         worst_margin_case=None if verdicts.worst is None else verdicts.worst[1],
         rel_tol=verdicts.rel_tol,
         abs_tol=verdicts.abs_tol,
+        **verdicts.counts(),
     )
 
 
@@ -288,9 +284,7 @@ def verify_corpus(
         verdicts.add(table, chunk)
     return CorpusResult(
         n_specs=verdicts.n_inputs,
-        n_cases=verdicts.n_cases,
-        n_pass=verdicts.n_cases - len(verdicts.failures),
-        n_fail=len(verdicts.failures),
+        **verdicts.counts(),
         cases_by_id=dict(verdicts.cases_by_id),
         fails_by_id=dict(verdicts.fails_by_id),
         failures=tuple(verdicts.failures),

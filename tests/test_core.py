@@ -82,6 +82,9 @@ class TestVector:
         assert fresh is not v.coords and fresh.flags.writeable and np.array_equal(fresh, v.coords)
         with pytest.raises(ShapeError, match="got 2 coefficients for a family of size 3"):
             core._as_complex(v, what="coefficients", size=3)
+        # The length is the last axis, as in a c stack (B, n): a (2, 3) stack has n = 3, not 2.
+        with pytest.raises(ShapeError, match="got 3 coefficients for a family of size 2"):
+            core._as_complex(np.ones((2, 3)), what="coefficients", ndim=2, size=2)
 
 
 class TestInner:

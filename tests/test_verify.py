@@ -449,6 +449,10 @@ class TestTightestCase:
         assert math.isfinite(report.worst_margin_case.margin)
         assert report.worst_margin_case.margin == min(finite)
         assert result.worst == (self.SPEC, report.worst_margin_case)
+        # Both reports take their counts from one fold: the 26 cases with an overflowed side fail.
+        assert report.n_cases == len(report.cases)
+        for counted in (report, result):
+            assert (counted.n_cases, counted.n_pass, counted.n_fail) == (40, 14, 26)
 
 
 class TestPowerMeanDomain:
@@ -986,8 +990,6 @@ _BAD_C = _BAD + [
     # two faults: the length check comes before the finiteness check
     ("long_nan", [1.0, math.nan, 2.0], ShapeError),
 ]
-# A c stack is checked whole, finiteness included, before its length is compared with the family's.
-_BAD_C_STACK = _BAD_C[:-1] + [("long_nan", [1.0, math.nan, 2.0], DomainError)]
 _BAD_GAP = _BAD + [
     ("complex", [1.0 + 1.0j, 2.0], DomainError),
     ("negative", [-1.0, 2.0], DomainError),
@@ -1026,7 +1028,7 @@ _ENTRY_POINTS = [  # (name, call on the bad value, bad values with the error eac
     ("combo_bound_c", lambda c: combo_bound(_GOOD, _FAM, c, 2.0), _BAD_C),
     ("weighted_inner_sum_sq_c", lambda c: weighted_inner_sum_sq(_GOOD, _FAM, c), _BAD_C),
     ("verify_all_c", lambda c: verify_all(_GOOD, _FAM, c), _BAD_C),
-    ("evaluate_cases_c", lambda c: evaluate_cases(*_as_stacks(_GOOD, _FAM, c)), _BAD_C_STACK),
+    ("evaluate_cases_c", lambda c: evaluate_cases(*_as_stacks(_GOOD, _FAM, c)), _BAD_C),
     ("seq_pnorm", lambda v: seq_pnorm(v, 2.0), _BAD),
     ("power_mean_gap", lambda v: power_mean_gap(v, 1.5), _BAD_GAP),
     ("VectorFamily_ndarray", lambda m: VectorFamily(np.array(m)), _as_arrays(_BAD_2D)),
@@ -1149,3 +1151,15 @@ class TestBatchValidation:
     def test_raises(self, entry, x, c, error):
         with pytest.raises(error):
             entry(x, self.FAM, c)
+
+    @pytest.mark.parametrize("x, c, error", [
+        ([1.0, 2.0], [1.0, math.nan, 2.0], ShapeError),  # c's length before its finiteness
+        ([1.0, 2.0, 3.0], [math.nan, 1.0], DimensionError),  # x's dimension before c
+        ([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], DimensionError),
+    ], ids=["c-long-nan", "x-long-c-nan", "x-long-c-long"])
+    def test_two_faults_raise_alike_for_one_input_and_a_stack_of_one(self, x, c, error):
+        # A single input is the one-stack case: its first fault is named the same way on both paths.
+        with pytest.raises(error):
+            verify_all(x, self.FAM, c)
+        with pytest.raises(error):
+            evaluate_cases(*_as_stacks(x, self.FAM, c))
