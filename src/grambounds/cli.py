@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bounds import ABS_TOL, REL_TOL, BoundId, _Ingredients, frobenius_bound
-from .compare import sign_scan
+from .compare import _check_eps, sign_scan
 from .core import (_DIM_CAP, _FIELDS, _N_CAP, ORTHONORMAL_TOL, Vector, VectorFamily, _as_complex, _check_field,
                    _check_int, _check_real)
 from .errors import DomainError, ExponentError, GramBoundsError, ShapeError
@@ -182,7 +182,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_scan(args: argparse.Namespace) -> int:
     nb, np_count = _check_int("--nb", args.nb, 2, math.inf), _check_int("--np", args.np, 2, math.inf)
-    report = sign_scan(nb, np_count, _check_real("--eps", args.eps, 1.0, positive=True))
+    report = sign_scan(nb, np_count, _check_eps("--eps", args.eps))
     lines, ps = [SCAN_HEADER], [repr(p) for p in report.grid_p.tolist()]
     for b, row in zip(report.grid_b.tolist(), report.values):
         lines += [f"{b!r},{p},{v!r}" for p, v in zip(ps, row.tolist())]

@@ -83,6 +83,13 @@ class SignScanReport:
         return self.n_positive > 0 and self.n_negative > 0
 
 
+def _check_eps(name: str, eps) -> float:
+    """eps in (SNAP_TOL, 1], checked under name: power_mean_exponent's rule, so every p of the grid passes it."""
+    if (epsf := _check_real(name, eps, 1.0, positive=True)) <= SNAP_TOL:
+        raise DomainError(f"{name} must exceed SNAP_TOL = {SNAP_TOL:g}, got {eps!r}")
+    return epsf
+
+
 def sign_scan(nb: int, np_count: int, eps: float = 0.01, zero_tol: float = 1e-12) -> SignScanReport:
     """Evaluate the factor gap on the uniform grid [0,1] × [1+eps, 2].
 
@@ -91,9 +98,7 @@ def sign_scan(nb: int, np_count: int, eps: float = 0.01, zero_tol: float = 1e-12
     arguments give identical reports.
     """
     nb, np_count = _check_int("nb", nb, 2, math.inf), _check_int("np_count", np_count, 2, math.inf)
-    epsf, ztol = _check_real("eps", eps, 1.0, positive=True), _check_real("zero_tol", zero_tol)
-    if epsf <= SNAP_TOL:  # power_mean_exponent's rule, so every p of the grid passes it
-        raise DomainError(f"eps must exceed SNAP_TOL = {SNAP_TOL:g}, got {eps!r}")
+    epsf, ztol = _check_eps("eps", eps), _check_real("zero_tol", zero_tol)
 
     grid_b = np.linspace(0.0, 1.0, nb)
     grid_p = np.linspace(1.0 + epsf, 2.0, np_count)

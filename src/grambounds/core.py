@@ -121,7 +121,8 @@ def _as_complex(
     if arr.size and not np.issubdtype(arr.dtype, np.number):
         raise DomainError(f"{what} must be numeric, got dtype {arr.dtype}")
     if size is not None and arr.shape[-1] != size:
-        raise ShapeError(f"got {arr.shape[-1]} {what} for a family of size {size}")
+        raise ShapeError(f"got {arr.shape[-1]} {what} for a family of size {size}" if ndim == 1 else
+                         f"in each {what} row, got {arr.shape[-1]} coefficients for a family of size {size}")
     out = arr.astype(np.complex128, copy=copy)
     if not np.isfinite(out).all():  # complex isfinite: both parts finite
         raise DomainError(f"{what} must be finite")

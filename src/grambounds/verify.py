@@ -8,8 +8,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
@@ -156,22 +155,21 @@ class _Verdicts:
 
     def __init__(self, rel_tol: float, abs_tol: float):
         self.rel_tol, self.abs_tol = _check_real("rel_tol", rel_tol), _check_real("abs_tol", abs_tol)
-        self.n_inputs = self.n_cases = 0
-        self.cases_by_id: Counter = Counter()
-        self.fails_by_id: Counter = Counter()
+        self.n_specs = self.n_cases = 0
+        self.cases_by_id, self.fails_by_id = {}, {}
         self.failures: list[tuple] = []
         self.worst: Optional[tuple] = None
 
     def add(self, table: CaseTable, labels: list) -> None:
         """Fold in a table whose input rows carry the given labels, in order."""
-        self.n_inputs += len(labels)
+        self.n_specs += len(labels)
         self.n_cases += len(table)
         for bound_id, _, _ in table.keys:
-            self.cases_by_id[str(bound_id)] += len(labels)
+            self.cases_by_id[str(bound_id)] = self.cases_by_id.get(str(bound_id), 0) + len(labels)
         for b, k in zip(*np.nonzero(~table.holds(self.rel_tol, self.abs_tol))):  # row-major: input, then case
             case = table.records(b)[k]
             self.failures.append((labels[b], case))
-            self.fails_by_id[str(case.bound_id)] += 1
+            self.fails_by_id[str(case.bound_id)] = self.fails_by_id.get(str(case.bound_id), 0) + 1
         with np.errstate(invalid="ignore"):  # inf - inf gives a NaN margin, which is never the least
             margin = table.margin
         least = np.fmin.reduce(margin, axis=None)  # NaN when every margin is
@@ -179,9 +177,12 @@ class _Verdicts:
             b, k = np.unravel_index(np.argmax(margin == least), margin.shape)
             self.worst = (labels[b], table.records(b)[k])
 
-    def counts(self) -> dict:
-        """The case, pass and failure counts, under the names of the report fields that hold them."""
-        return {"n_cases": self.n_cases, "n_pass": self.n_cases - len(self.failures), "n_fail": len(self.failures)}
+    n_fail = property(lambda self: len(self.failures))
+    n_pass = property(lambda self: self.n_cases - self.n_fail)  # the one place the pass count is formed
+
+    def report(self, cls: type, **given):
+        """A report of dataclass cls: each field from given, or else from the attribute of its name here."""
+        return cls(**{f.name: getattr(self, f.name) for f in fields(cls) if f.name not in given}, **given)
 
 
 @dataclass(frozen=True)
@@ -211,14 +212,9 @@ def verify_all(
     verdicts = _Verdicts(rel_tol, abs_tol)
     table = _Ingredients.of(family, x, c).cases(p_list, frobenius_bound)
     verdicts.add(table, [None])
-    return VerificationReport(
-        cases=tuple(table.records(0)),
-        failures=tuple(case for _, case in verdicts.failures),
-        worst_margin_case=None if verdicts.worst is None else verdicts.worst[1],
-        rel_tol=verdicts.rel_tol,
-        abs_tol=verdicts.abs_tol,
-        **verdicts.counts(),
-    )
+    return verdicts.report(VerificationReport, cases=tuple(table.records(0)),
+                           failures=tuple(case for _, case in verdicts.failures),
+                           worst_margin_case=None if verdicts.worst is None else verdicts.worst[1])
 
 
 @dataclass(frozen=True)
@@ -282,11 +278,4 @@ def verify_corpus(
                 for case in table.records(i):
                     on_case(spec, case)
         verdicts.add(table, chunk)
-    return CorpusResult(
-        n_specs=verdicts.n_inputs,
-        **verdicts.counts(),
-        cases_by_id=dict(verdicts.cases_by_id),
-        fails_by_id=dict(verdicts.fails_by_id),
-        failures=tuple(verdicts.failures),
-        worst=verdicts.worst,
-    )
+    return verdicts.report(CorpusResult, failures=tuple(verdicts.failures))

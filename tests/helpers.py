@@ -40,7 +40,7 @@ def run_corpus(count: int | None = None) -> CorpusRun:
     h = hashlib.sha256()
 
     def observe(spec, case):
-        h.update(case_row(case.bound_id, case.p, case.flavor, case.lhs, case.rhs).encode())
+        h.update(case_row(case.bound_id, case.p, case.flavor, case.lhs, case.value).encode())
         h.update(b"\n")
 
     start = time.perf_counter()

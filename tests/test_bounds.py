@@ -359,18 +359,18 @@ class TestBombieriBound:
 class TestPowerMeanGap:
     def test_p2_pair_equality(self):
         gp = power_mean_gap([1.0, 1.0], 2.0)
-        assert (gp.bound_id, gp.lhs, gp.rhs, gp.p) == (BoundId.POWER_MEAN_GAP, 2.0, 2.0, 2.0)
+        assert (gp.bound_id, gp.lhs, gp.value, gp.p) == (BoundId.POWER_MEAN_GAP, 2.0, 2.0, 2.0)
 
     def test_constant_sequences(self):
         for n in (1, 3, 7):
             for p in (1.3, 1.8, 2.0):
                 gp = power_mean_gap([2.5] * n, p)
-                assert gp.lhs == pytest.approx(gp.rhs, rel=1e-14)
+                assert gp.lhs == pytest.approx(gp.value, rel=1e-14)
 
     def test_p15_oracle(self):
         gp = power_mean_gap([1.0, 0.5], 1.5)
         assert gp.lhs == pytest.approx(PM_GAP_15[0], rel=1e-15)
-        assert gp.rhs == pytest.approx(PM_GAP_15[1], rel=1e-15)
+        assert gp.value == pytest.approx(PM_GAP_15[1], rel=1e-15)
 
     def test_inequality_on_random(self):
         rng = np.random.default_rng(71)
@@ -378,15 +378,15 @@ class TestPowerMeanGap:
             v = np.abs(rng.normal(size=rng.integers(1, 9))) * 10.0 ** rng.integers(-3, 4)
             for p in (1.01, 1.5, 2.0):
                 gp = power_mean_gap(v, p)
-                assert gp.lhs <= gp.rhs * (1 + 1e-12)
+                assert gp.lhs <= gp.value * (1 + 1e-12)
 
     def test_empty(self):
         gp = power_mean_gap([], 1.5)
-        assert (gp.lhs, gp.rhs) == (0.0, 0.0)
+        assert (gp.lhs, gp.value) == (0.0, 0.0)
 
     def test_all_zero(self):
         gp = power_mean_gap([0.0, 0.0], 1.5)
-        assert (gp.lhs, gp.rhs) == (0.0, 0.0)
+        assert (gp.lhs, gp.value) == (0.0, 0.0)
 
     def test_real_vector_same_as_list(self):
         assert power_mean_gap(Vector([1.0, 2.0]), 1.5) == power_mean_gap([1.0, 2.0], 1.5)

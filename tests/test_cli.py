@@ -293,7 +293,7 @@ class TestVerifyCommand:
                 worst = (spec, tightest)
             fails += [f"fail: seed={spec.seed} dim={spec.dim} n={spec.n} field={spec.field} "
                       f"scale={format_p(spec.scale)} bound_id={case.bound_id} p={format_p(case.p)} "
-                      f"flavor={case.flavor or '-'} lhs={format_p(case.lhs)} rhs={format_p(case.rhs)}"
+                      f"flavor={case.flavor or '-'} lhs={format_p(case.lhs)} rhs={format_p(case.value)}"
                       for case in report.failures]
         spec, case = worst
         assert code == 1 and fails
@@ -440,7 +440,7 @@ class TestScanCommand:
         assert code == 2
         assert not (tmp_path / "s.csv").exists()
         err = capsys.readouterr().err
-        assert err.startswith("error: eps ") and err.count("\n") == 1
+        assert err.startswith("error: --eps ") and err.count("\n") == 1
 
     def test_unwritable_output(self, tmp_path, capsys):
         code = main(["scan", "--nb", "5", "--np", "5", "--out", str(tmp_path / "d" / "s.csv")])

@@ -178,7 +178,7 @@ class TestBoundSoundness:
     )
     def test_power_mean_gap_holds(self, values, p):
         gp = power_mean_gap(values, p)
-        assert gp.lhs <= gp.rhs * (1 + 1e-12)
+        assert gp.lhs <= gp.value * (1 + 1e-12)
 
 
 class TestComparisonProperties:

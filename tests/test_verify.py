@@ -1,5 +1,6 @@
 """Random input generation and the batch inequality checker."""
 
+import dataclasses
 import itertools
 import math
 import reprlib
@@ -11,6 +12,7 @@ import pytest
 
 from grambounds import (
     BoundId,
+    CorpusResult,
     DimensionError,
     DomainError,
     ExponentError,
@@ -19,6 +21,7 @@ from grambounds import (
     GramMatrix,
     ShapeError,
     STANDARD_P_LIST,
+    VerificationReport,
     Vector,
     VectorFamily,
     bessel_sum,
@@ -272,14 +275,14 @@ class TestVerifyAll:
         assert report.n_pass == report.n_cases
         bombieri = [case for case in report.cases if case.bound_id == "bombieri"]
         nx = norm(x)
-        assert bombieri[0].rhs == pytest.approx(nx * nx, rel=1e-12)
+        assert bombieri[0].value == pytest.approx(nx * nx, rel=1e-12)
 
     def test_empty_family_all_zero(self):
         x = Vector([1.0, 2.0])
         fam = VectorFamily([], dim=2)
         report = verify_all(x, fam, [])
         assert report.n_fail == 0
-        assert all(case.lhs == 0.0 and case.rhs == 0.0 for case in report.cases)
+        assert all(case.lhs == 0.0 and case.value == 0.0 for case in report.cases)
 
     def test_report_totals_consistent(self):
         x, fam, c = random_family(FamilySpec(dim=3, n=6, field="complex", seed=29))
@@ -491,6 +494,21 @@ class TestVerifyCorpus:
         assert result.fails_by_id == {}
         assert result.worst is not None
 
+    def test_report_fields_and_plain_by_id_dicts(self):
+        # Both reports are built from the verdict fold by field name, so the names and their order are pinned;
+        # the by-id counts are plain dicts, in which a bound with no case or no failure is missing, not 0.
+        assert [f.name for f in dataclasses.fields(VerificationReport)] == [
+            "cases", "failures", "worst_margin_case", "rel_tol", "abs_tol", "n_cases", "n_pass", "n_fail"]
+        assert [f.name for f in dataclasses.fields(CorpusResult)] == [
+            "n_specs", "n_cases", "n_pass", "n_fail", "cases_by_id", "fails_by_id", "failures", "worst"]
+        result = verify_corpus(random_specs(20, master_seed=37))
+        assert type(result.cases_by_id) is dict and type(result.fails_by_id) is dict
+        assert result.n_fail == 0 and "bombieri" in result.cases_by_id
+        with pytest.raises(KeyError):
+            result.cases_by_id[str(BoundId.ORTHONORMAL_BESSEL)]  # verify_corpus makes no orthonormal case
+        with pytest.raises(KeyError):
+            result.fails_by_id[str(BoundId.BOMBIERI)]
+
     def test_on_case_sees_every_case(self):
         seen = []
         result = verify_corpus(
@@ -639,7 +657,7 @@ class TestOracle:
             x, fam, c = random_family(spec)
             cases = evaluate_cases(*_as_stacks(x.coords, fam, c), STANDARD_P_LIST).records(0)
             assert len(cases) == 40
-            got = {(k.bound_id, k.p, k.flavor): (k.lhs, k.rhs) for k in cases}
+            got = {(k.bound_id, k.p, k.flavor): (k.lhs, k.value) for k in cases}
             assert len(got) == 40
             _assert_matches_oracle(got, oracle_cases(x, fam, c, STANDARD_P_LIST))
 
@@ -705,7 +723,7 @@ class TestBatchMatchesEvaluators:
             x, _, c = random_family(FamilySpec(dim=6, n=n, field=field, seed=seed))
             rows = [r for r in compute_rows(x, fam, c, STANDARD_P_LIST) if r.startswith("orthonormal_27a,")]
             want = [orthonormal_bessel_bound(x, fam, p) for p in STANDARD_P_LIST]
-            assert rows == [case_row(r.bound_id, r.p, r.flavor, r.lhs, r.rhs) for r in want]
+            assert rows == [case_row(r.bound_id, r.p, r.flavor, r.lhs, r.value) for r in want]
 
 
 def _stacks(specs):
@@ -1039,7 +1057,7 @@ _ENTRY_POINTS = [  # (name, call on the bad value, bad values with the error eac
     ("evaluate_cases_x_stack", lambda v: evaluate_cases([np.array([v])], *_STACKS[1:]), _as_arrays(_BAD)),
     ("evaluate_cases_rows_stack", lambda v: evaluate_cases(_STACKS[0], [np.array([[v, v]])], _STACKS[2]),
      _as_arrays(_BAD)),
-    ("evaluate_cases_c_stack", lambda v: evaluate_cases(*_STACKS[:2], [np.array([v])]), _as_arrays(_BAD)),
+    ("evaluate_cases_c_stack", lambda v: evaluate_cases(*_STACKS[:2], [np.array([v])]), _as_arrays(_BAD_C)),
 ]
 
 _ONB = VectorFamily(np.eye(2))
@@ -1163,3 +1181,7 @@ class TestBatchValidation:
             verify_all(x, self.FAM, c)
         with pytest.raises(error):
             evaluate_cases(*_as_stacks(x, self.FAM, c))
+
+    def test_c_stack_of_another_n_names_the_stack_and_both_lengths(self):
+        with pytest.raises(ShapeError, match=r"^in each c stack row, got 3 coefficients for a family of size 2$"):
+            evaluate_cases([np.ones((1, 2))], [np.ones((1, 2, 2))], [np.ones((1, 3))])
