@@ -108,8 +108,8 @@ class CaseTable:
     """The cases of B inputs, K per input, as columns.
 
     ``keys`` holds the K cases' (bound_id, p, flavor), and ``lhs`` and ``value``
-    are (B, K) matrices; ``records(b)`` builds input b's K BoundResults, and the
-    length is the number of cases, B·K.
+    are (B, K) matrices; ``records(b)`` builds input b's K BoundResults, ``record(b, k)``
+    the one of case k, and the length is the number of cases, B·K.
     """
 
     keys: list
@@ -124,6 +124,11 @@ class CaseTable:
         """The K records of input b, in case order."""
         rows = zip(self.keys, self.lhs[b].tolist(), self.value[b].tolist())
         return [BoundResult(bound_id, lhs, value, p, flavor) for (bound_id, p, flavor), lhs, value in rows]
+
+    def record(self, b: int, k: int) -> BoundResult:
+        """records(b)[k], built alone."""
+        bound_id, p, flavor = self.keys[k]
+        return BoundResult(bound_id, self.lhs.item(b, k), self.value.item(b, k), p, flavor)
 
     def __len__(self) -> int:
         return self.lhs.size

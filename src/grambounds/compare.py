@@ -15,12 +15,12 @@ structure, and a randomized search for explicit witness families.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import VectorFamily, _check_int, _check_real
+from .core import VectorFamily, _check_family, _check_int, _check_real
 from .errors import DomainError
 from .norms import SNAP_TOL, _as_gram, conjugate_exponent, gram_entry_qnorm, max_row_abs_sum, power_mean_exponent
 
@@ -67,17 +67,32 @@ class GridCell(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class SignScanReport:
-    """Grid evaluation of gap_closed_form with sign counts and extremal cells."""
+    """gap_closed_form on a grid: the arrays are made read-only, the counts and cells derived from values."""
 
     grid_b: np.ndarray
     grid_p: np.ndarray
     values: np.ndarray  # shape (len(grid_b), len(grid_p))
-    n_positive: int
-    n_negative: int
-    n_zero: int
-    min_cell: GridCell
-    max_cell: GridCell
+    n_positive: int = field(init=False)
+    n_negative: int = field(init=False)
+    n_zero: int = field(init=False)
+    min_cell: GridCell = field(init=False)
+    max_cell: GridCell = field(init=False)
     zero_tol: float
+
+    def __post_init__(self):
+        for a in (self.grid_b, self.grid_p, self.values):
+            a.setflags(write=False)
+        n_positive = int((self.values > self.zero_tol).sum())
+        n_negative = int((self.values < -self.zero_tol).sum())
+        derived = dict(n_positive=n_positive, n_negative=n_negative, n_zero=self.values.size - n_positive - n_negative,
+                       min_cell=self._cell(np.argmin(self.values)), max_cell=self._cell(np.argmax(self.values)))
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
+
+    def _cell(self, flat) -> GridCell:
+        """The cell at a row-major index of values: argmin and argmax give the first extreme."""
+        i, j = np.unravel_index(int(flat), self.values.shape)
+        return GridCell(float(self.grid_b[i]), float(self.grid_p[j]), float(self.values[i, j]))
 
     def both_signs(self) -> bool:
         return self.n_positive > 0 and self.n_negative > 0
@@ -102,34 +117,9 @@ def sign_scan(nb: int, np_count: int, eps: float = 0.01, zero_tol: float = 1e-12
 
     grid_b = np.linspace(0.0, 1.0, nb)
     grid_p = np.linspace(1.0 + epsf, 2.0, np_count)
-    values = np.empty((nb, np_count), dtype=np.float64)
     ps = grid_p.tolist()
-    for i, b in enumerate(grid_b.tolist()):
-        values[i] = [gap_closed_form(b, p) for p in ps]
-
-    n_positive = int((values > ztol).sum())
-    n_negative = int((values < -ztol).sum())
-    n_zero = int(values.size) - n_positive - n_negative
-
-    imin = np.unravel_index(int(np.argmin(values)), values.shape)
-    imax = np.unravel_index(int(np.argmax(values)), values.shape)
-    min_cell = GridCell(float(grid_b[imin[0]]), float(grid_p[imin[1]]), float(values[imin]))
-    max_cell = GridCell(float(grid_b[imax[0]]), float(grid_p[imax[1]]), float(values[imax]))
-
-    values.setflags(write=False)
-    grid_b.setflags(write=False)
-    grid_p.setflags(write=False)
-    return SignScanReport(
-        grid_b=grid_b,
-        grid_p=grid_p,
-        values=values,
-        n_positive=n_positive,
-        n_negative=n_negative,
-        n_zero=n_zero,
-        min_cell=min_cell,
-        max_cell=max_cell,
-        zero_tol=ztol,
-    )
+    values = np.array([[gap_closed_form(b, p) for p in ps] for b in grid_b.tolist()], dtype=np.float64)
+    return SignScanReport(grid_b, grid_p, values, ztol)
 
 
 @dataclass(frozen=True)
@@ -137,19 +127,26 @@ class DominancePair:
     """Two witness families on which the two bound factors order oppositely.
 
     family_a has the power-mean factor strictly larger, family_b strictly
-    smaller; both gaps exceed DOMINANCE_TOL in magnitude.  Each family is
-    the one-dimensional pair (1), (b).
+    smaller; both gaps exceed DOMINANCE_TOL in magnitude.  Each family's
+    factors come from its own Gram matrix, so a pair cannot carry another
+    family's factors.  A searched family is the one-dimensional pair (1), (b).
     """
 
     family_a: VectorFamily
     family_b: VectorFamily
     p: float
-    bombieri_a: float
-    power_mean_a: float
-    bombieri_b: float
-    power_mean_b: float
+    bombieri_a: float = field(init=False)
+    power_mean_a: float = field(init=False)
+    bombieri_b: float = field(init=False)
+    power_mean_b: float = field(init=False)
 
     def __post_init__(self):
+        families = _check_family(self.family_a), _check_family(self.family_b)  # both before any Gram call
+        ga, gb = (family.gram() for family in families)
+        derived = dict(bombieri_a=max_row_abs_sum(ga), power_mean_a=power_mean_factor(ga, self.p),
+                       bombieri_b=max_row_abs_sum(gb), power_mean_b=power_mean_factor(gb, self.p))
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
         if not (self.gap_a > DOMINANCE_TOL and self.gap_b < -DOMINANCE_TOL):
             raise DomainError(
                 f"witness gaps must have strict opposite signs, got {self.gap_a} and {self.gap_b}"
@@ -185,27 +182,14 @@ def dominance_search(seed: int, max_trials: int, p) -> Optional[DominancePair]:
     pf = power_mean_exponent(p)
     trials = _check_int("max_trials", max_trials, 0, math.inf)
     rng = np.random.default_rng(_check_int("seed", seed, 0, math.inf))
-    pos: Optional[tuple[VectorFamily, float, float]] = None
-    neg: Optional[tuple[VectorFamily, float, float]] = None
+    first: dict[bool, VectorFamily] = {}  # the first family of each strict sign, keyed by gap > 0
     for _ in range(trials):
         b = float(rng.uniform())
         fam = VectorFamily(np.array([[1.0], [b]]), field="real")
         g = fam.gram()
-        f_row = max_row_abs_sum(g)
-        f_pm = power_mean_factor(g, pf)
-        gap = f_pm - f_row
-        if pos is None and gap > DOMINANCE_TOL:
-            pos = (fam, f_row, f_pm)
-        elif neg is None and gap < -DOMINANCE_TOL:
-            neg = (fam, f_row, f_pm)
-        if pos is not None and neg is not None:
-            return DominancePair(
-                family_a=pos[0],
-                family_b=neg[0],
-                p=pf,
-                bombieri_a=pos[1],
-                power_mean_a=pos[2],
-                bombieri_b=neg[1],
-                power_mean_b=neg[2],
-            )
+        gap = power_mean_factor(g, pf) - max_row_abs_sum(g)
+        if abs(gap) > DOMINANCE_TOL:
+            first.setdefault(gap > 0.0, fam)
+        if len(first) == 2:
+            return DominancePair(first[True], first[False], pf)
     return None

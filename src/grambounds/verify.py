@@ -167,7 +167,7 @@ class _Verdicts:
         for bound_id, _, _ in table.keys:
             self.cases_by_id[str(bound_id)] = self.cases_by_id.get(str(bound_id), 0) + len(labels)
         for b, k in zip(*np.nonzero(~table.holds(self.rel_tol, self.abs_tol))):  # row-major: input, then case
-            case = table.records(b)[k]
+            case = table.record(b, k)
             self.failures.append((labels[b], case))
             self.fails_by_id[str(case.bound_id)] = self.fails_by_id.get(str(case.bound_id), 0) + 1
         with np.errstate(invalid="ignore"):  # inf - inf gives a NaN margin, which is never the least
@@ -175,7 +175,7 @@ class _Verdicts:
         least = np.fmin.reduce(margin, axis=None)  # NaN when every margin is
         if not np.isnan(least) and (self.worst is None or least < self.worst[1].margin):
             b, k = np.unravel_index(np.argmax(margin == least), margin.shape)
-            self.worst = (labels[b], table.records(b)[k])
+            self.worst = (labels[b], table.record(b, k))
 
     n_fail = property(lambda self: len(self.failures))
     n_pass = property(lambda self: self.n_cases - self.n_fail)  # the one place the pass count is formed

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from grambounds import (
+    DominancePair,
     DomainError,
     ExponentRangeError,
     SNAP_TOL,
+    SignScanReport,
     VectorFamily,
     dominance_search,
     gap_closed_form,
@@ -147,6 +149,26 @@ class TestSignScan:
         assert a == a and a != b
         assert hash(a) == hash(a) and len({a, b}) == 2
 
+    def test_init_fields_are_the_inputs(self):
+        init = [f.name for f in dataclasses.fields(SignScanReport) if f.init]
+        assert init == ["grid_b", "grid_p", "values", "zero_tol"]
+
+    def test_hand_built_report_derives_its_numbers(self):
+        # an arbitrary array, ties included: the counts and first extremes are numpy's
+        values = np.array([[0.5, -2.0, 1e-13], [3.0, -2.0, 0.0], [3.0, -1e-13, -0.25]])
+        grid_b, grid_p = np.array([0.0, 0.4, 1.0]), np.array([1.1, 1.5, 2.0])
+        rep = SignScanReport(grid_b, grid_p, values, 1e-12)
+        assert (rep.n_positive, rep.n_negative, rep.n_zero) == (
+            int(np.count_nonzero(values > 1e-12)),
+            int(np.count_nonzero(values < -1e-12)),
+            int(np.count_nonzero(np.abs(values) <= 1e-12)),
+        ) == (3, 3, 3)
+        for cell, flat in ((rep.min_cell, np.argmin(values)), (rep.max_cell, np.argmax(values))):
+            i, j = np.unravel_index(flat, values.shape)
+            assert cell == (grid_b[i], grid_p[j], values[i, j])
+        assert rep.min_cell == (0.0, 1.5, -2.0) and rep.max_cell == (0.4, 1.1, 3.0)
+        assert not any(a.flags.writeable for a in (rep.grid_b, rep.grid_p, rep.values))
+
     @pytest.mark.parametrize("nb,np_count", [(1, 10), (10, 1), (0, 0)])
     def test_rejects_tiny_grids(self, nb, np_count):
         with pytest.raises(DomainError):
@@ -179,8 +201,24 @@ class TestDominanceSearch:
             assert max_row_abs_sum(g) == m1
             assert power_mean_factor(g, pair.p) == m2
         with pytest.raises(DomainError):  # two gaps of one sign are no witness pair
-            dataclasses.replace(pair, family_b=pair.family_a, bombieri_b=pair.bombieri_a,
-                                power_mean_b=pair.power_mean_a)
+            dataclasses.replace(pair, family_b=pair.family_a)
+
+    def test_init_fields_are_the_inputs(self):
+        assert [f.name for f in dataclasses.fields(DominancePair) if f.init] == ["family_a", "family_b", "p"]
+
+    def test_hand_built_pair_reproduces_the_search_bitwise(self):
+        pair = dominance_search(seed=5, max_trials=10_000, p=1.5)
+        assert pair is not None
+        again = DominancePair(pair.family_a, pair.family_b, pair.p)
+        ga, gb = gram(pair.family_a), gram(pair.family_b)
+        searched = [max_row_abs_sum(ga), power_mean_factor(ga, 1.5), max_row_abs_sum(gb), power_mean_factor(gb, 1.5)]
+        factors = [again.bombieri_a, again.power_mean_a, again.bombieri_b, again.power_mean_b]
+        assert [f.hex() for f in factors] == [f.hex() for f in searched]
+        assert again == pair
+        with pytest.raises(DomainError):  # swapped, each family's gap has the wrong sign
+            DominancePair(pair.family_b, pair.family_a, pair.p)
+        with pytest.raises(DomainError):
+            DominancePair(pair.family_a, pair.family_a, pair.p)
 
     def test_p2_finds_nothing(self):
         assert dominance_search(seed=1, max_trials=2_000, p=2.0) is None

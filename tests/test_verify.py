@@ -14,6 +14,7 @@ from grambounds import (
     BoundId,
     CorpusResult,
     DimensionError,
+    DominancePair,
     DomainError,
     ExponentError,
     ExponentRangeError,
@@ -509,6 +510,23 @@ class TestVerifyCorpus:
         with pytest.raises(KeyError):
             result.fails_by_id[str(BoundId.BOMBIERI)]
 
+    def test_zero_tolerance_run_builds_only_the_kept_records(self, monkeypatch):
+        # Each failure and the tightest case are built from their one cell, so a run without on_case
+        # builds no input's row of records, and keeps the records the row form gives.
+        rows = []
+        row_form = verify_corpus(random_specs(300, master_seed=1), rel_tol=0.0, abs_tol=0.0,
+                                 on_case=lambda spec, case: rows.append((spec, case)))
+        calls = []
+        records = CaseTable.records
+        monkeypatch.setattr(CaseTable, "records", lambda table, b: calls.append(b) or records(table, b))
+        result = verify_corpus(random_specs(300, master_seed=1), rel_tol=0.0, abs_tol=0.0)
+        assert calls == []
+        failing = tuple((spec, case) for spec, case in rows if not case.holds(0.0, 0.0))
+        assert len(failing) > 100 and result.failures == row_form.failures == failing
+        assert all(type(case.lhs) is float and type(case.value) is float for _, case in result.failures)
+        tightest = min((row for row in rows if not math.isnan(row[1].margin)), key=lambda row: row[1].margin)
+        assert result.worst == row_form.worst == tightest
+
     def test_on_case_sees_every_case(self):
         seen = []
         result = verify_corpus(
@@ -992,6 +1010,8 @@ class TestCorpusGeneration:
 
 _FAM = VectorFamily([[1.0, 2.0], [3.0, 4.0]])
 _GOOD = [1.0, 2.0]
+# A valid witness pair at p = 1.5 (gaps about +0.16 and -0.14); built here, so the families are good ones.
+_PAIR = DominancePair(VectorFamily([[1.0], [0.1]]), VectorFamily([[1.0], [0.5]]), 1.5)
 _BAD = [
     ("2d", [[1.0, 2.0]], ShapeError),
     ("text", ["a", "b"], DomainError),
@@ -1111,6 +1131,8 @@ _SCALAR_ARGS = [  # (name, call on the bad value, the bad values); each raises a
     ("verify_all_family", lambda v: verify_all(_GOOD, v, _GOOD), _NOT_FAMILIES),
     ("orthonormal_bessel_bound_family", lambda v: orthonormal_bessel_bound(_GOOD, v, 2.0), _NOT_FAMILIES),
     ("inner_each_family", lambda v: inner_each(_GOOD, v), _NOT_FAMILIES),
+    ("DominancePair_family_a", lambda v: DominancePair(v, _PAIR.family_b, 1.5), _NOT_FAMILIES),
+    ("DominancePair_family_b", lambda v: DominancePair(_PAIR.family_a, v, 1.5), _NOT_FAMILIES),
     ("verify_all_p_list", lambda v: verify_all(_GOOD, _FAM, _GOOD, v), _NOT_EXPONENT_LISTS),
     ("verify_corpus_p_list", lambda v: verify_corpus([], v), _NOT_EXPONENT_LISTS),
     ("evaluate_cases_p_list", lambda v: evaluate_cases(*_STACKS, v), _NOT_EXPONENT_LISTS),
