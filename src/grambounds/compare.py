@@ -20,8 +20,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import VectorFamily, _check_family, _check_int, _check_real
-from .errors import DomainError
+from .core import VectorFamily, _check_int, _check_real
+from .errors import DomainError, ShapeError
 from .norms import SNAP_TOL, _as_gram, conjugate_exponent, gram_entry_qnorm, max_row_abs_sum, power_mean_exponent
 
 __all__ = [
@@ -67,7 +67,7 @@ class GridCell(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class SignScanReport:
-    """gap_closed_form on a grid: the arrays are made read-only, the counts and cells derived from values."""
+    """gap_closed_form on a grid: inputs checked, arrays made read-only, counts and cells derived from values."""
 
     grid_b: np.ndarray
     grid_p: np.ndarray
@@ -80,12 +80,18 @@ class SignScanReport:
     zero_tol: float
 
     def __post_init__(self):
-        for a in (self.grid_b, self.grid_p, self.values):
+        grid_b, grid_p, values = self.grid_b, self.grid_p, self.values
+        if grid_b.ndim != 1 or grid_p.ndim != 1 or values.shape != (grid_b.size, grid_p.size) or values.size == 0:
+            raise ShapeError(f"need 1-D grids and values of shape (len(grid_b), len(grid_p)) with at least one cell, "
+                             f"got grids {grid_b.shape}, {grid_p.shape} and values {values.shape}")
+        if not np.isfinite(values).all():
+            raise DomainError("values must be finite")
+        ztol = _check_real("zero_tol", self.zero_tol)
+        for a in (grid_b, grid_p, values):
             a.setflags(write=False)
-        n_positive = int((self.values > self.zero_tol).sum())
-        n_negative = int((self.values < -self.zero_tol).sum())
-        derived = dict(n_positive=n_positive, n_negative=n_negative, n_zero=self.values.size - n_positive - n_negative,
-                       min_cell=self._cell(np.argmin(self.values)), max_cell=self._cell(np.argmax(self.values)))
+        n_positive, n_negative = int((values > ztol).sum()), int((values < -ztol).sum())
+        derived = dict(n_positive=n_positive, n_negative=n_negative, n_zero=values.size - n_positive - n_negative,
+                       min_cell=self._cell(np.argmin(values)), max_cell=self._cell(np.argmax(values)), zero_tol=ztol)
         for name, value in derived.items():
             object.__setattr__(self, name, value)
 
@@ -113,38 +119,46 @@ def sign_scan(nb: int, np_count: int, eps: float = 0.01, zero_tol: float = 1e-12
     arguments give identical reports.
     """
     nb, np_count = _check_int("nb", nb, 2, math.inf), _check_int("np_count", np_count, 2, math.inf)
-    epsf, ztol = _check_eps("eps", eps), _check_real("zero_tol", zero_tol)
+    epsf = _check_eps("eps", eps)  # zero_tol is checked by the report that stores it
 
     grid_b = np.linspace(0.0, 1.0, nb)
     grid_p = np.linspace(1.0 + epsf, 2.0, np_count)
     ps = grid_p.tolist()
     values = np.array([[gap_closed_form(b, p) for p in ps] for b in grid_b.tolist()], dtype=np.float64)
-    return SignScanReport(grid_b, grid_p, values, ztol)
+    return SignScanReport(grid_b, grid_p, values, zero_tol)
+
+
+def _witness(b: float, pf: float) -> tuple[VectorFamily, float, float]:
+    """The family (1), (b) with its max-row-sum and power-mean factors, both from its one Gram matrix."""
+    family = VectorFamily(np.array([[1.0], [b]]), field="real")
+    g = family.gram()
+    return family, max_row_abs_sum(g), power_mean_factor(g, pf)
 
 
 @dataclass(frozen=True)
 class DominancePair:
-    """Two witness families on which the two bound factors order oppositely.
+    """Two witness families (1), (b_a) and (1), (b_b) on which the two bound factors order oppositely.
 
     family_a has the power-mean factor strictly larger, family_b strictly
-    smaller; both gaps exceed DOMINANCE_TOL in magnitude.  Each family's
-    factors come from its own Gram matrix, so a pair cannot carry another
-    family's factors.  A searched family is the one-dimensional pair (1), (b).
+    smaller; both gaps exceed DOMINANCE_TOL in magnitude.  Families and
+    factors derive from the b values, so == and hash go by the numbers.
     """
 
-    family_a: VectorFamily
-    family_b: VectorFamily
+    b_a: float
+    b_b: float
     p: float
+    family_a: VectorFamily = field(init=False, compare=False)
+    family_b: VectorFamily = field(init=False, compare=False)
     bombieri_a: float = field(init=False)
     power_mean_a: float = field(init=False)
     bombieri_b: float = field(init=False)
     power_mean_b: float = field(init=False)
 
     def __post_init__(self):
-        families = _check_family(self.family_a), _check_family(self.family_b)  # both before any Gram call
-        ga, gb = (family.gram() for family in families)
-        derived = dict(bombieri_a=max_row_abs_sum(ga), power_mean_a=power_mean_factor(ga, self.p),
-                       bombieri_b=max_row_abs_sum(gb), power_mean_b=power_mean_factor(gb, self.p))
+        b_a, b_b, pf = _check_real("b_a", self.b_a, 1.0), _check_real("b_b", self.b_b, 1.0), power_mean_exponent(self.p)
+        derived = dict(b_a=b_a, b_b=b_b, p=pf)  # all three checked before any family is built
+        derived.update(zip(("family_a", "bombieri_a", "power_mean_a"), _witness(b_a, pf)))
+        derived.update(zip(("family_b", "bombieri_b", "power_mean_b"), _witness(b_b, pf)))
         for name, value in derived.items():
             object.__setattr__(self, name, value)
         if not (self.gap_a > DOMINANCE_TOL and self.gap_b < -DOMINANCE_TOL):
@@ -160,21 +174,13 @@ class DominancePair:
     def gap_b(self) -> float:
         return self.power_mean_b - self.bombieri_b
 
-    @property
-    def b_a(self) -> float:
-        return float(self.family_a.vectors[1, 0].real)
-
-    @property
-    def b_b(self) -> float:
-        return float(self.family_b.vectors[1, 0].real)
-
 
 def dominance_search(seed: int, max_trials: int, p) -> Optional[DominancePair]:
     """Randomized search for a DominancePair at the given p.
 
     Draws b uniformly from [0, 1], evaluates both factors from the realized
-    Gram matrix of (1), (b) (not from the closed form), and returns as soon
-    as both a strictly positive and a strictly negative gap have been seen.
+    Gram matrix of (1), (b) with the pair's witness builder, and returns
+    DominancePair(b_a, b_b, p) on the first b of each strict gap sign.
     Returns None if max_trials draws do not produce both signs — at p = 2
     the gap is b² - b ≤ 0, so None is the expected outcome there.
     Deterministic given seed.
@@ -182,14 +188,12 @@ def dominance_search(seed: int, max_trials: int, p) -> Optional[DominancePair]:
     pf = power_mean_exponent(p)
     trials = _check_int("max_trials", max_trials, 0, math.inf)
     rng = np.random.default_rng(_check_int("seed", seed, 0, math.inf))
-    first: dict[bool, VectorFamily] = {}  # the first family of each strict sign, keyed by gap > 0
+    first: dict[bool, float] = {}  # the first b of each strict sign, keyed by gap > 0
     for _ in range(trials):
         b = float(rng.uniform())
-        fam = VectorFamily(np.array([[1.0], [b]]), field="real")
-        g = fam.gram()
-        gap = power_mean_factor(g, pf) - max_row_abs_sum(g)
-        if abs(gap) > DOMINANCE_TOL:
-            first.setdefault(gap > 0.0, fam)
+        _, bombieri, power_mean = _witness(b, pf)
+        if abs(power_mean - bombieri) > DOMINANCE_TOL:
+            first.setdefault(power_mean > bombieri, b)
         if len(first) == 2:
             return DominancePair(first[True], first[False], pf)
     return None

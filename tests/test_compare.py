@@ -11,6 +11,7 @@ from grambounds import (
     DomainError,
     ExponentRangeError,
     SNAP_TOL,
+    ShapeError,
     SignScanReport,
     VectorFamily,
     dominance_search,
@@ -169,6 +170,32 @@ class TestSignScan:
         assert rep.min_cell == (0.0, 1.5, -2.0) and rep.max_cell == (0.4, 1.1, 3.0)
         assert not any(a.flags.writeable for a in (rep.grid_b, rep.grid_p, rep.values))
 
+    @pytest.mark.parametrize("grid_b", [np.array([0.0, 1.0, 2.0]), np.array([0.0])], ids=["three_b_two_rows", "one_b"])
+    def test_grids_must_match_values(self, grid_b):
+        with pytest.raises(ShapeError):
+            SignScanReport(grid_b, np.array([1.5, 2.0]), np.array([[1.0, -1.0], [2.0, -3.0]]), 1e-12)
+
+    @pytest.mark.parametrize("grids, values", [
+        ((np.array([0.0, 1.0]), np.array([1.5, 2.0])), np.array([1.0, -1.0, 2.0, -3.0])),
+        ((np.array([[0.0, 1.0]]), np.array([1.5, 2.0])), np.array([[1.0, -1.0], [2.0, -3.0]])),
+        ((np.array([]), np.array([1.5, 2.0])), np.empty((0, 2))),
+    ], ids=["flat_values", "2d_grid", "no_cell"])
+    def test_rejects_other_shapes(self, grids, values):
+        with pytest.raises(ShapeError):
+            SignScanReport(*grids, values, 1e-12)
+
+    @pytest.mark.parametrize("cell, zero_tol", [(math.nan, 1e-12), (math.inf, 1e-12), (-2.0, math.nan), (-2.0, -1.0)],
+                             ids=["nan_cell", "inf_cell", "nan_zero_tol", "negative_zero_tol"])
+    def test_rejects_non_finite_values_and_bad_zero_tol(self, cell, zero_tol):
+        values = np.array([[1.0, cell], [2.0, -3.0]])
+        with pytest.raises(DomainError):
+            SignScanReport(np.array([0.0, 1.0]), np.array([1.5, 2.0]), values, zero_tol)
+        assert values.flags.writeable  # checked before the arrays are made read-only
+
+    def test_stores_the_checked_zero_tol(self):
+        rep = SignScanReport(np.array([0.0, 1.0]), np.array([1.5, 2.0]), np.array([[1.0, -1.0], [2.0, -3.0]]), 0)
+        assert type(rep.zero_tol) is float and rep.zero_tol == 0.0
+
     @pytest.mark.parametrize("nb,np_count", [(1, 10), (10, 1), (0, 0)])
     def test_rejects_tiny_grids(self, nb, np_count):
         with pytest.raises(DomainError):
@@ -201,24 +228,37 @@ class TestDominanceSearch:
             assert max_row_abs_sum(g) == m1
             assert power_mean_factor(g, pair.p) == m2
         with pytest.raises(DomainError):  # two gaps of one sign are no witness pair
-            dataclasses.replace(pair, family_b=pair.family_a)
+            dataclasses.replace(pair, b_b=pair.b_a)
 
     def test_init_fields_are_the_inputs(self):
-        assert [f.name for f in dataclasses.fields(DominancePair) if f.init] == ["family_a", "family_b", "p"]
+        assert [f.name for f in dataclasses.fields(DominancePair) if f.init] == ["b_a", "b_b", "p"]
 
     def test_hand_built_pair_reproduces_the_search_bitwise(self):
-        pair = dominance_search(seed=5, max_trials=10_000, p=1.5)
-        assert pair is not None
-        again = DominancePair(pair.family_a, pair.family_b, pair.p)
-        ga, gb = gram(pair.family_a), gram(pair.family_b)
-        searched = [max_row_abs_sum(ga), power_mean_factor(ga, 1.5), max_row_abs_sum(gb), power_mean_factor(gb, 1.5)]
-        factors = [again.bombieri_a, again.power_mean_a, again.bombieri_b, again.power_mean_b]
-        assert [f.hex() for f in factors] == [f.hex() for f in searched]
-        assert again == pair
+        q = dominance_search(seed=5, max_trials=10_000, p=1.5)
+        assert q is not None
+        again = DominancePair(q.b_a, q.b_b, q.p)
+        assert again == q and hash(again) == hash(q)
+        ga, gb = gram(q.family_a), gram(q.family_b)
+        from_gram = [max_row_abs_sum(ga), power_mean_factor(ga, q.p), max_row_abs_sum(gb), power_mean_factor(gb, q.p)]
+        factors = [q.bombieri_a, q.power_mean_a, q.bombieri_b, q.power_mean_b]
+        assert [f.hex() for f in factors] == [f.hex() for f in from_gram]
+        assert q.family_a.vectors.tolist() == [[1.0], [q.b_a]] and q.family_b.vectors.tolist() == [[1.0], [q.b_b]]
         with pytest.raises(DomainError):  # swapped, each family's gap has the wrong sign
-            DominancePair(pair.family_b, pair.family_a, pair.p)
+            DominancePair(q.b_b, q.b_a, q.p)
         with pytest.raises(DomainError):
-            DominancePair(pair.family_a, pair.family_a, pair.p)
+            DominancePair(q.b_a, q.b_a, q.p)
+
+    def test_stores_the_checked_numbers(self):
+        pair = DominancePair(np.float64(0.1), 0.5, np.float64(1.5))
+        assert [type(v) for v in (pair.b_a, pair.b_b, pair.p)] == [float, float, float]
+        assert pair == DominancePair(0.1, 0.5, 1.5)
+
+    @pytest.mark.parametrize("b_a, b_b, p, match", [
+        (math.nan, 1.2, 2.5, "^b_a "), (0.1, 1.2, 2.5, "^b_b "), (0.1, 0.5, 2.5, "^exponent "),
+    ], ids=["b_a", "b_b", "p"])
+    def test_checks_b_a_then_b_b_then_p(self, b_a, b_b, p, match):
+        with pytest.raises(DomainError, match=match):
+            DominancePair(b_a, b_b, p)
 
     def test_p2_finds_nothing(self):
         assert dominance_search(seed=1, max_trials=2_000, p=2.0) is None

@@ -1010,8 +1010,8 @@ class TestCorpusGeneration:
 
 _FAM = VectorFamily([[1.0, 2.0], [3.0, 4.0]])
 _GOOD = [1.0, 2.0]
-# A valid witness pair at p = 1.5 (gaps about +0.16 and -0.14); built here, so the families are good ones.
-_PAIR = DominancePair(VectorFamily([[1.0], [0.1]]), VectorFamily([[1.0], [0.5]]), 1.5)
+# A valid witness pair at p = 1.5 (gaps about +0.16 and -0.14); built here, so its b values are good ones.
+_PAIR = DominancePair(0.1, 0.5, 1.5)
 _BAD = [
     ("2d", [[1.0, 2.0]], ShapeError),
     ("text", ["a", "b"], DomainError),
@@ -1122,6 +1122,8 @@ _SCALAR_ARGS = [  # (name, call on the bad value, the bad values); each raises a
     ("span_bound_flavor", lambda v: span_bound(_GOOD, _FAM, 2.0, flavor=v), _BAD_SCALARS),
     ("dominance_search_seed", lambda v: dominance_search(v, 5, 1.5), _BAD_SCALARS),
     ("dominance_search_max_trials", lambda v: dominance_search(0, v, 1.5), _BAD_SCALARS),
+    ("DominancePair_b_a", lambda v: DominancePair(v, _PAIR.b_b, 1.5), _BAD_SCALARS),
+    ("DominancePair_b_b", lambda v: DominancePair(_PAIR.b_a, v, 1.5), _BAD_SCALARS),
     ("verify_all_rel_tol", lambda v: verify_all(_GOOD, _FAM, _GOOD, rel_tol=v), _BAD_REALS),
     ("verify_all_abs_tol", lambda v: verify_all(_GOOD, _FAM, _GOOD, abs_tol=v), _BAD_REALS),
     ("verify_corpus_rel_tol", lambda v: verify_corpus([], rel_tol=v), _BAD_REALS),
@@ -1131,8 +1133,6 @@ _SCALAR_ARGS = [  # (name, call on the bad value, the bad values); each raises a
     ("verify_all_family", lambda v: verify_all(_GOOD, v, _GOOD), _NOT_FAMILIES),
     ("orthonormal_bessel_bound_family", lambda v: orthonormal_bessel_bound(_GOOD, v, 2.0), _NOT_FAMILIES),
     ("inner_each_family", lambda v: inner_each(_GOOD, v), _NOT_FAMILIES),
-    ("DominancePair_family_a", lambda v: DominancePair(v, _PAIR.family_b, 1.5), _NOT_FAMILIES),
-    ("DominancePair_family_b", lambda v: DominancePair(_PAIR.family_a, v, 1.5), _NOT_FAMILIES),
     ("verify_all_p_list", lambda v: verify_all(_GOOD, _FAM, _GOOD, v), _NOT_EXPONENT_LISTS),
     ("verify_corpus_p_list", lambda v: verify_corpus([], v), _NOT_EXPONENT_LISTS),
     ("evaluate_cases_p_list", lambda v: evaluate_cases(*_STACKS, v), _NOT_EXPONENT_LISTS),
