@@ -114,18 +114,18 @@ def _check_eps(name: str, eps) -> float:
 def sign_scan(nb: int, np_count: int, eps: float = 0.01, zero_tol: float = 1e-12) -> SignScanReport:
     """Evaluate the factor gap on the uniform grid [0,1] × [1+eps, 2].
 
-    nb and np_count are the point counts along b and p (each at least 2);
-    cells within zero_tol of 0 count as zeros.  Deterministic: identical
-    arguments give identical reports.
+    nb and np_count are the point counts along b and p (each at least 2); cells within zero_tol of 0
+    count as zeros.  Every argument is checked before any cell is evaluated, and zero_tol again by the
+    report.  Deterministic: identical arguments give identical reports.
     """
     nb, np_count = _check_int("nb", nb, 2, math.inf), _check_int("np_count", np_count, 2, math.inf)
-    epsf = _check_eps("eps", eps)  # zero_tol is checked by the report that stores it
+    epsf, ztol = _check_eps("eps", eps), _check_real("zero_tol", zero_tol)  # before any cell; the report rechecks it
 
     grid_b = np.linspace(0.0, 1.0, nb)
     grid_p = np.linspace(1.0 + epsf, 2.0, np_count)
     ps = grid_p.tolist()
     values = np.array([[gap_closed_form(b, p) for p in ps] for b in grid_b.tolist()], dtype=np.float64)
-    return SignScanReport(grid_b, grid_p, values, zero_tol)
+    return SignScanReport(grid_b, grid_p, values, ztol)
 
 
 def _witness(b: float, pf: float) -> tuple[VectorFamily, float, float]:

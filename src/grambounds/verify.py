@@ -108,23 +108,25 @@ def random_specs(
     scale_low: float = 0.1,
     scale_high: float = 10.0,
 ) -> Iterator[FamilySpec]:
-    """Stream of deterministic FamilySpecs with log-uniform scales; the arguments are checked on the call."""
+    """Stream of deterministic FamilySpecs, each scale log-uniform in [scale_low, scale_high]; checked on the call."""
     count = _check_int("count", count, 0, math.inf)
     master_seed = _check_int("master_seed", master_seed, 0, math.inf)
     dim_max = _check_int("dim_max", dim_max, 1, _DIM_CAP)
     n_max = _check_int("n_max", n_max, 0, _N_CAP)
     _check_field(field, _FIELDS + ("both",))
-    if _check_real("scale_low", scale_low, positive=True) > _check_real("scale_high", scale_high, positive=True):
+    low, high = _check_real("scale_low", scale_low, positive=True), _check_real("scale_high", scale_high, positive=True)
+    if low > high:
         raise DomainError("need 0 < scale_low <= scale_high < inf")
     rng = np.random.default_rng(master_seed)
-    lo, hi = math.log10(scale_low), math.log10(scale_high)
+    lo, hi = math.log10(low), math.log10(high)
 
     def stream() -> Iterator[FamilySpec]:
         for _ in range(count):
             dim = int(rng.integers(1, dim_max + 1))
             n = int(rng.integers(0, n_max + 1))
             fld = field if field != "both" else _FIELDS[int(rng.integers(2))]
-            scale = float(10.0 ** rng.uniform(lo, hi))
+            u = rng.uniform(lo, hi)  # 10 ** hi may overflow, and 10 ** u may round past either bound
+            scale = high if u >= hi else min(max(10.0 ** u, low), high)
             seed = int(rng.integers(0, 2**63))
             yield FamilySpec(dim=dim, n=n, field=fld, scale=scale, seed=seed)
 
@@ -261,12 +263,9 @@ def verify_corpus(
             by_n.setdefault(spec.n, {}).setdefault(spec.dim, []).append(i)
         # One table for the chunk, in spec order: each n's rows go to its specs' rows.
         table = None
-        for n, by_dim in by_n.items():  # one call per n, its draws going straight into stacks it checks
-            stacks = [[np.empty((len(members), *shape), np.complex128) for shape in ((dim,), (n, dim), (n,))]
-                      for dim, members in by_dim.items()]  # one (x, rows, c) per dim, both fields together
-            for (x, rows, c), members in zip(stacks, by_dim.values()):
-                for b, i in enumerate(members):
-                    x[b], rows[b], c[b] = _draws(chunk[i])
+        for by_dim in by_n.values():  # one call per n, on stacks built from its specs' draws
+            stacks = [[np.array(arrays, np.complex128) for arrays in zip(*[_draws(chunk[i]) for i in members])]
+                      for members in by_dim.values()]  # one (x, rows, c) per dim, both fields together
             part = evaluate_cases(*map(list, zip(*stacks)), p_list)  # the lists of x, rows and c stacks
             if table is None:  # the same K cases for every n
                 shape = (len(chunk), len(part.keys))

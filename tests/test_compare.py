@@ -21,6 +21,7 @@ from grambounds import (
     power_mean_factor,
     sign_scan,
 )
+from grambounds import compare
 
 HALF = gram(VectorFamily([[1.0], [0.5]]))
 TENTH = gram(VectorFamily([[1.0], [0.1]]))
@@ -206,6 +207,15 @@ class TestSignScan:
         # named as eps, not as the exponent 1 + eps that power_mean_exponent would reject per cell
         with pytest.raises(DomainError, match="eps"):
             sign_scan(5, 5, eps=eps)
+
+    @pytest.mark.parametrize("zero_tol", [-1.0, math.nan, "x"])
+    def test_rejects_bad_zero_tol_before_any_cell(self, monkeypatch, zero_tol):
+        def no_cell(b, p):
+            raise AssertionError("a cell was evaluated")
+
+        monkeypatch.setattr(compare, "gap_closed_form", no_cell)
+        with pytest.raises(DomainError, match="zero_tol"):
+            sign_scan(3, 3, zero_tol=zero_tol)
 
 
 class TestDominanceSearch:

@@ -111,11 +111,13 @@ class TestScaleCheck:
         with pytest.raises(DomainError, match=rf"{name} must be a real number in \(0, inf\)"):
             random_specs(5, 1, **{name: scale})
 
-    @pytest.mark.parametrize("scale", [1, 2.5, np.float64(1e-30), np.int64(3), 1e30])
+    @pytest.mark.parametrize("scale", [1, 2.5, np.float64(1e-30), np.int64(3), 1e30, sys.float_info.max])
     def test_accepts_real_numbers(self, scale):
         assert FamilySpec(1, 1, scale=scale).scale == float(scale)
         assert type(FamilySpec(1, 1, scale=scale).scale) is float
-        assert len(list(random_specs(3, 1, scale_low=scale, scale_high=scale))) == 3
+        specs = list(random_specs(3, 1, scale_low=scale, scale_high=scale))
+        assert len(specs) == 3
+        assert all(scale <= spec.scale <= scale for spec in specs)  # 10 ** log10(scale) may round past it, or overflow
 
 
 class TestRandomFamily:
