@@ -20,9 +20,9 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import VectorFamily, _check_int, _check_real
+from .core import VectorFamily, _check_int, _check_real, _gram_reductions
 from .errors import DomainError, ShapeError
-from .norms import SNAP_TOL, _as_gram, conjugate_exponent, gram_entry_qnorm, max_row_abs_sum, power_mean_exponent
+from .norms import SNAP_TOL, _as_gram, conjugate_exponent, gram_entry_qnorm, power_mean_exponent
 
 __all__ = [
     "DOMINANCE_TOL",
@@ -59,6 +59,17 @@ def gap_closed_form(b, p) -> float:
     return 2.0 ** (2.0 / pf - 1.0) * (1.0 + bf**q) ** (2.0 / q) - 1.0 - bf
 
 
+def _real_array(name: str, data) -> np.ndarray:
+    """data as a float64 array, the array itself if it is one; bools, text and complex numbers are not real."""
+    try:
+        arr = np.asarray(data)
+    except ValueError as exc:  # numpy's error for a ragged nested sequence
+        raise ShapeError(f"{name} must be a rectangular array, not a ragged sequence") from exc
+    if arr.dtype.kind not in "iuf":
+        raise DomainError(f"{name} must hold real numbers, got dtype {arr.dtype}")
+    return arr.astype(np.float64, copy=False)
+
+
 class GridCell(NamedTuple):
     b: float
     p: float
@@ -80,15 +91,17 @@ class SignScanReport:
     zero_tol: float
 
     def __post_init__(self):
-        grid_b, grid_p, values = self.grid_b, self.grid_p, self.values
+        names = ("grid_b", "grid_p", "values")
+        grid_b, grid_p, values = arrays = [_real_array(name, getattr(self, name)) for name in names]
         if grid_b.ndim != 1 or grid_p.ndim != 1 or values.shape != (grid_b.size, grid_p.size) or values.size == 0:
             raise ShapeError(f"need 1-D grids and values of shape (len(grid_b), len(grid_p)) with at least one cell, "
                              f"got grids {grid_b.shape}, {grid_p.shape} and values {values.shape}")
         if not np.isfinite(values).all():
             raise DomainError("values must be finite")
         ztol = _check_real("zero_tol", self.zero_tol)
-        for a in (grid_b, grid_p, values):
+        for name, a in zip(names, arrays):
             a.setflags(write=False)
+            object.__setattr__(self, name, a)
         n_positive, n_negative = int((values > ztol).sum()), int((values < -ztol).sum())
         derived = dict(n_positive=n_positive, n_negative=n_negative, n_zero=values.size - n_positive - n_negative,
                        min_cell=self._cell(np.argmin(values)), max_cell=self._cell(np.argmax(values)), zero_tol=ztol)
@@ -128,11 +141,14 @@ def sign_scan(nb: int, np_count: int, eps: float = 0.01, zero_tol: float = 1e-12
     return SignScanReport(grid_b, grid_p, values, ztol)
 
 
-def _witness(b: float, pf: float) -> tuple[VectorFamily, float, float]:
-    """The family (1), (b) with its max-row-sum and power-mean factors, both from its one Gram matrix."""
-    family = VectorFamily(np.array([[1.0], [b]]), field="real")
-    g = family.gram()
-    return family, max_row_abs_sum(g), power_mean_factor(g, pf)
+_CHUNK = 256  # b values that dominance_search draws and reads together
+
+
+def _factors(bs: np.ndarray, pf: float) -> tuple[np.ndarray, np.ndarray]:
+    """The max-row-sum and power-mean factors of the families (1), (b) for b in bs, from one Gram fold."""
+    q = conjugate_exponent(pf)
+    reads = _gram_reductions([np.stack([np.ones_like(bs), bs], -1)[..., None]], ("row", q))
+    return reads["row"], 2.0 ** (2.0 / pf - 1.0) * reads[q]  # power_mean_factor's operations at n = 2
 
 
 @dataclass(frozen=True)
@@ -157,43 +173,40 @@ class DominancePair:
     def __post_init__(self):
         b_a, b_b, pf = _check_real("b_a", self.b_a, 1.0), _check_real("b_b", self.b_b, 1.0), power_mean_exponent(self.p)
         derived = dict(b_a=b_a, b_b=b_b, p=pf)  # all three checked before any family is built
-        derived.update(zip(("family_a", "bombieri_a", "power_mean_a"), _witness(b_a, pf)))
-        derived.update(zip(("family_b", "bombieri_b", "power_mean_b"), _witness(b_b, pf)))
+        factors = zip(*(column.tolist() for column in _factors(np.array([b_a, b_b]), pf)))  # (bombieri, power_mean)
+        for key, b, (bombieri, power_mean) in zip("ab", (b_a, b_b), factors):
+            derived.update({f"family_{key}": VectorFamily(np.array([[1.0], [b]]), field="real"),
+                            f"bombieri_{key}": bombieri, f"power_mean_{key}": power_mean})
         for name, value in derived.items():
             object.__setattr__(self, name, value)
         if not (self.gap_a > DOMINANCE_TOL and self.gap_b < -DOMINANCE_TOL):
-            raise DomainError(
-                f"witness gaps must have strict opposite signs, got {self.gap_a} and {self.gap_b}"
-            )
+            raise DomainError(f"witness gaps must have strict opposite signs, got {self.gap_a} and {self.gap_b}")
 
-    @property
-    def gap_a(self) -> float:
-        return self.power_mean_a - self.bombieri_a
-
-    @property
-    def gap_b(self) -> float:
-        return self.power_mean_b - self.bombieri_b
+    gap_a = property(lambda self: self.power_mean_a - self.bombieri_a)
+    gap_b = property(lambda self: self.power_mean_b - self.bombieri_b)
 
 
 def dominance_search(seed: int, max_trials: int, p) -> Optional[DominancePair]:
     """Randomized search for a DominancePair at the given p.
 
-    Draws b uniformly from [0, 1], evaluates both factors from the realized
-    Gram matrix of (1), (b) with the pair's witness builder, and returns
-    DominancePair(b_a, b_b, p) on the first b of each strict gap sign.
-    Returns None if max_trials draws do not produce both signs — at p = 2
-    the gap is b² - b ≤ 0, so None is the expected outcome there.
-    Deterministic given seed.
+    Draws b uniformly from [0, 1], _CHUNK values at a time, reads both factors
+    of a chunk's families (1), (b) from one Gram fold, the pair's own read,
+    and returns DominancePair(b_a, b_b, p) on the first b of each strict gap
+    sign, in draw order.  Returns None if max_trials draws do not produce
+    both signs — at p = 2 the gap is b² - b ≤ 0, so None is the expected
+    outcome there.  Deterministic given seed.
     """
     pf = power_mean_exponent(p)
     trials = _check_int("max_trials", max_trials, 0, math.inf)
     rng = np.random.default_rng(_check_int("seed", seed, 0, math.inf))
     first: dict[bool, float] = {}  # the first b of each strict sign, keyed by gap > 0
-    for _ in range(trials):
-        b = float(rng.uniform())
-        _, bombieri, power_mean = _witness(b, pf)
-        if abs(power_mean - bombieri) > DOMINANCE_TOL:
-            first.setdefault(power_mean > bombieri, b)
+    for start in range(0, trials, _CHUNK):  # a chunk of m draws has the values of m scalar draws
+        bs = rng.uniform(size=min(_CHUNK, trials - start))
+        bombieri, power_mean = _factors(bs, pf)
+        gaps = power_mean - bombieri
+        for sign, strict in ((True, gaps > DOMINANCE_TOL), (False, gaps < -DOMINANCE_TOL)):
+            if strict.any():  # argmax: the first strict b of the chunk
+                first.setdefault(sign, float(bs[strict.argmax()]))
         if len(first) == 2:
             return DominancePair(first[True], first[False], pf)
     return None

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from grambounds import (
+    DOMINANCE_TOL,
     DominancePair,
     DomainError,
     ExponentRangeError,
@@ -18,10 +19,11 @@ from grambounds import (
     gap_closed_form,
     gram,
     max_row_abs_sum,
+    power_mean_exponent,
     power_mean_factor,
     sign_scan,
 )
-from grambounds import compare
+from grambounds import compare, core
 
 HALF = gram(VectorFamily([[1.0], [0.5]]))
 TENTH = gram(VectorFamily([[1.0], [0.1]]))
@@ -197,6 +199,34 @@ class TestSignScan:
         rep = SignScanReport(np.array([0.0, 1.0]), np.array([1.5, 2.0]), np.array([[1.0, -1.0], [2.0, -3.0]]), 0)
         assert type(rep.zero_tol) is float and rep.zero_tol == 0.0
 
+    def test_takes_sequences_as_float_arrays(self):
+        rep = SignScanReport([0, 1], (1.5, 2.0), [[1, -1], [2.0, -3.0]], 1e-12)
+        want = SignScanReport(np.array([0.0, 1.0]), np.array([1.5, 2.0]), np.array([[1.0, -1.0], [2.0, -3.0]]), 1e-12)
+        for got, arr in zip((rep.grid_b, rep.grid_p, rep.values), (want.grid_b, want.grid_p, want.values)):
+            assert type(got) is np.ndarray and got.dtype == np.float64 and not got.flags.writeable
+            assert got.tobytes() == arr.tobytes()
+        assert (rep.n_positive, rep.n_negative, rep.min_cell, rep.max_cell) == (2, 2, want.min_cell, want.max_cell)
+        assert SignScanReport([0.0, 1.0], [1.5, 2.0], np.zeros((2, 2)), 1e-12).n_zero == 4
+
+    def test_keeps_a_float_array_as_it_is(self):
+        scan = sign_scan(5, 4)
+        rep = SignScanReport(scan.grid_b, scan.grid_p, scan.values, scan.zero_tol)
+        assert rep.grid_b is scan.grid_b and rep.grid_p is scan.grid_p and rep.values is scan.values
+
+    @pytest.mark.parametrize("name", ["grid_b", "grid_p", "values"])
+    @pytest.mark.parametrize("bad", [["a", "b"], [1j, 0.0], [True, False], [None, 1.0]],
+                             ids=["text", "complex", "bool", "object"])
+    def test_rejects_non_real_input_by_name(self, name, bad):
+        inputs = dict(grid_b=np.array([0.0, 1.0]), grid_p=np.array([1.5, 2.0]), values=np.array([[1.0, -1.0]] * 2))
+        inputs[name] = [bad, bad] if name == "values" else bad
+        with pytest.raises(DomainError, match=f"^{name} "):
+            SignScanReport(**inputs, zero_tol=1e-12)
+        assert all(a.flags.writeable for a in inputs.values() if isinstance(a, np.ndarray))  # nothing made read-only
+
+    def test_rejects_a_ragged_sequence(self):
+        with pytest.raises(ShapeError, match="^values "):
+            SignScanReport([0.0, 1.0], [1.5, 2.0], [[1.0, -1.0], [2.0]], 1e-12)
+
     @pytest.mark.parametrize("nb,np_count", [(1, 10), (10, 1), (0, 0)])
     def test_rejects_tiny_grids(self, nb, np_count):
         with pytest.raises(DomainError):
@@ -283,3 +313,76 @@ class TestDominanceSearch:
     def test_rejects_bad_p(self):
         with pytest.raises(ExponentRangeError):
             dominance_search(seed=0, max_trials=10, p=2.5)
+
+
+_DRAWS: dict = {}  # (seed, p) -> (generator, the draws taken from it so far)
+
+
+def _given_g_draw(seed, pf, t):
+    """Draw t of the generator at seed, one scalar draw at a time, with the max-row-sum and power-mean
+    factors of its family's gram() from the public given-G readers; kept per (seed, p)."""
+    rng, draws = _DRAWS.setdefault((seed, pf), (np.random.default_rng(seed), []))
+    while len(draws) <= t:
+        b = float(rng.uniform())
+        g = VectorFamily(np.array([[1.0], [b]]), field="real").gram()
+        draws.append((b, max_row_abs_sum(g), power_mean_factor(g, pf)))
+    return draws[t]
+
+
+def _reference_search(seed, max_trials, p):
+    """dominance_search one draw at a time: the first b of each strict gap sign, in draw order."""
+    pf = power_mean_exponent(p)
+    first = {}
+    for t in range(max_trials):
+        b, bombieri, power_mean = _given_g_draw(seed, pf, t)
+        if abs(power_mean - bombieri) > DOMINANCE_TOL:
+            first.setdefault(power_mean > bombieri, b)
+        if len(first) == 2:
+            return DominancePair(first[True], first[False], pf)
+    return None
+
+
+#: Every (seed, p) that the tests, the demo and the README search.
+SEARCHED = [(0, 1.1), (5, 1.5), (1, 2.0), (42, 1.2), (6, 1.1), (6, 2.0), (0, 1.05), (0, 1.5), (0, 1.9), (0, 2.0)]
+
+
+class TestBatchedSearch:
+    """The search reads chunks of draws through compare._factors, one Gram fold a chunk, and returns
+    the pair of the per-draw search with the given-G readers."""
+
+    CHUNK = compare._CHUNK
+
+    @pytest.mark.parametrize("max_trials", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+    @pytest.mark.parametrize("p", [1.1, 1.5, 2.0])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_the_per_draw_search(self, seed, p, max_trials):
+        assert dominance_search(seed, max_trials, p) == _reference_search(seed, max_trials, p)
+
+    @pytest.mark.parametrize("seed, p", SEARCHED)
+    def test_factors_equal_the_given_gram_readers_bitwise(self, seed, p):
+        pf = power_mean_exponent(p)
+        draws = [_given_g_draw(seed, pf, t) for t in range(200)]
+        bs = np.random.default_rng(seed).uniform(size=200)  # a chunk draws the scalar draws' values
+        assert [b.hex() for b in bs.tolist()] == [b.hex() for b, _, _ in draws]
+        bombieri, power_mean = compare._factors(bs, pf)
+        assert [f.hex() for f in bombieri.tolist()] == [f.hex() for _, f, _ in draws]
+        assert [f.hex() for f in power_mean.tolist()] == [f.hex() for _, _, f in draws]
+
+    def test_one_fold_a_chunk_and_one_for_a_pair(self, monkeypatch):
+        calls = []
+        fold = core._fold
+
+        def counted(*args):
+            calls.append(args[1])
+            return fold(*args)
+
+        monkeypatch.setattr(core, "_fold", counted)
+        assert dominance_search(6, 10_000, 2.0) is None
+        assert calls == [self.CHUNK] * (10_000 // self.CHUNK) + [10_000 % self.CHUNK]  # ⌈10,000 / chunk⌉ folds
+        calls.clear()
+        DominancePair(0.1, 0.5, 1.5)
+        assert calls == [2]
+
+    def test_memory_is_bounded_by_the_chunk(self):
+        # 10^12 draws at once would need 8 TB; chunks stop at the first pair
+        assert dominance_search(0, 10**12, 1.1) == dominance_search(0, 10_000, 1.1) is not None

@@ -52,6 +52,7 @@ from grambounds import (
     seq_pnorm,
     sign_scan,
     span_bound,
+    standard_corpus,
     verify_all,
     verify_corpus,
     weighted_inner_sum_sq,
@@ -265,6 +266,49 @@ class TestEvaluateCases:
         once = evaluate_cases(*_as_stacks(x.coords, fam, c), [2.0])
         twice = evaluate_cases(*_as_stacks(x.coords, fam, c), [2.0, 2.0, 2])
         assert once.records(0) == twice.records(0)
+
+
+class TestHomogeneity:
+    """Every case is homogeneous of degree 2 in x, in the family and in c, bitwise for powers of
+    two, and conjugating all three keeps every bit.  Checked on the first 3,000 standard-corpus
+    specs, their draws stacked by (n, dim) as verify_corpus stacks them.  Multiplication by i is
+    left out: ‖Σ c_i y_i‖², the span and chain lhs, comes from a complex matmul and is not
+    phase-symmetric bitwise."""
+
+    READS = {  # the cases that read each input
+        "x": lambda bound_id: not bound_id.startswith("span_") and bound_id != "cor22_chain",
+        "family": lambda bound_id: True,
+        "c": lambda bound_id: bound_id.startswith(("span_", "combo_")) or bound_id == "cor22_chain",
+    }
+
+    @pytest.fixture(scope="class")
+    def groups(self):
+        """Per n, the (x, rows, c) stack of each dim and the CaseTable of the base input."""
+        by_n: dict = {}
+        for spec in itertools.islice(standard_corpus(), 3_000):
+            by_n.setdefault(spec.n, {}).setdefault(spec.dim, []).append(verify._draws(spec))
+        groups = [[[np.array(parts, np.complex128) for parts in zip(*draws)] for draws in by_dim.values()]
+                  for by_dim in by_n.values()]
+        return [(stacks, evaluate_cases(*map(list, zip(*stacks)))) for stacks in groups]
+
+    @pytest.mark.parametrize("part, k", [("x", 7), ("family", 5), ("family", -6), ("c", 11)])
+    def test_power_of_two_scales_each_case_that_reads_it_by_four_to_the_k(self, groups, part, k):
+        at, ids = ("x", "family", "c").index(part), set()
+        for stacks, base in groups:
+            scaled = evaluate_cases(*map(list, zip(*[[a * 2.0**k if i == at else a for i, a in enumerate(arrays)]
+                                                     for arrays in stacks])))
+            assert scaled.keys == base.keys
+            reads = np.array([self.READS[part](str(bound_id)) for bound_id, _, _ in base.keys])
+            for got, want in ((scaled.lhs, base.lhs), (scaled.value, base.value)):
+                assert got.tobytes() == np.where(reads, want * 4.0**k, want).tobytes()
+            ids |= {str(bound_id) for bound_id, _, _ in base.keys}
+        assert {"span_gram", "combo_gram", "cor22_chain", "bombieri", "eq211"} <= ids
+
+    def test_conjugating_every_input_keeps_every_bit(self, groups):
+        for stacks, base in groups:
+            conjugated = evaluate_cases(*map(list, zip(*[[a.conj() for a in arrays] for arrays in stacks])))
+            assert conjugated.lhs.tobytes() == base.lhs.tobytes()
+            assert conjugated.value.tobytes() == base.value.tobytes()
 
 
 class TestVerifyAll:
