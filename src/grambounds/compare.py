@@ -173,7 +173,7 @@ class DominancePair:
     def __post_init__(self):
         b_a, b_b, pf = _check_real("b_a", self.b_a, 1.0), _check_real("b_b", self.b_b, 1.0), power_mean_exponent(self.p)
         derived = dict(b_a=b_a, b_b=b_b, p=pf)  # all three checked before any family is built
-        factors = zip(*(column.tolist() for column in _factors(np.array([b_a, b_b]), pf)))  # (bombieri, power_mean)
+        factors = zip(*(column.tolist() for column in _factors(np.array([b_a, b_b]), pf)))  # b_a's, then b_b's
         for key, b, (bombieri, power_mean) in zip("ab", (b_a, b_b), factors):
             derived.update({f"family_{key}": VectorFamily(np.array([[1.0], [b]]), field="real"),
                             f"bombieri_{key}": bombieri, f"power_mean_{key}": power_mean})

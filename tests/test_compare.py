@@ -384,5 +384,5 @@ class TestBatchedSearch:
         assert calls == [2]
 
     def test_memory_is_bounded_by_the_chunk(self):
-        # 10^12 draws at once would need 8 TB; chunks stop at the first pair
-        assert dominance_search(0, 10**12, 1.1) == dominance_search(0, 10_000, 1.1) is not None
+        pair = dominance_search(0, 10**12, 1.1)  # 10^12 draws at once would need 8 TB
+        assert pair is not None and pair == dominance_search(0, 10_000, 1.1)
