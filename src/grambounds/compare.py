@@ -141,7 +141,7 @@ def sign_scan(nb: int, np_count: int, eps: float = 0.01, zero_tol: float = 1e-12
     return SignScanReport(grid_b, grid_p, values, ztol)
 
 
-_CHUNK = 256  # b values that dominance_search draws and reads together
+_CHUNK = 128  # b values that dominance_search draws and reads together
 
 
 def _factors(bs: np.ndarray, pf: float) -> tuple[np.ndarray, np.ndarray]:
