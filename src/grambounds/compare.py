@@ -20,8 +20,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import VectorFamily, _check_int, _check_real, _gram_reductions
-from .errors import DomainError, ShapeError
+from .core import VectorFamily, _as_complex, _check_int, _check_real, _gram_reductions
+from .errors import DomainError
 from .norms import SNAP_TOL, _as_gram, conjugate_exponent, gram_entry_qnorm, power_mean_exponent
 
 __all__ = [
@@ -59,17 +59,6 @@ def gap_closed_form(b, p) -> float:
     return 2.0 ** (2.0 / pf - 1.0) * (1.0 + bf**q) ** (2.0 / q) - 1.0 - bf
 
 
-def _real_array(name: str, data) -> np.ndarray:
-    """data as a float64 array, the array itself if it is one; bools, text and complex numbers are not real."""
-    try:
-        arr = np.asarray(data)
-    except ValueError as exc:  # numpy's error for a ragged nested sequence
-        raise ShapeError(f"{name} must be a rectangular array, not a ragged sequence") from exc
-    if arr.dtype.kind not in "iuf":
-        raise DomainError(f"{name} must hold real numbers, got dtype {arr.dtype}")
-    return arr.astype(np.float64, copy=False)
-
-
 class GridCell(NamedTuple):
     b: float
     p: float
@@ -78,11 +67,11 @@ class GridCell(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class SignScanReport:
-    """gap_closed_form on a grid: inputs checked, arrays made read-only, counts and cells derived from values."""
+    """gap_closed_form on a grid: grids checked and copied, every cell evaluated, counts and cells derived."""
 
     grid_b: np.ndarray
     grid_p: np.ndarray
-    values: np.ndarray  # shape (len(grid_b), len(grid_p))
+    values: np.ndarray = field(init=False)  # shape (len(grid_b), len(grid_p)), row-major gap_closed_form(b, p)
     n_positive: int = field(init=False)
     n_negative: int = field(init=False)
     n_zero: int = field(init=False)
@@ -91,15 +80,17 @@ class SignScanReport:
     zero_tol: float
 
     def __post_init__(self):
-        names = ("grid_b", "grid_p", "values")
-        grid_b, grid_p, values = arrays = [_real_array(name, getattr(self, name)) for name in names]
-        if grid_b.ndim != 1 or grid_p.ndim != 1 or values.shape != (grid_b.size, grid_p.size) or values.size == 0:
-            raise ShapeError(f"need 1-D grids and values of shape (len(grid_b), len(grid_p)) with at least one cell, "
-                             f"got grids {grid_b.shape}, {grid_p.shape} and values {values.shape}")
-        if not np.isfinite(values).all():
-            raise DomainError("values must be finite")
-        ztol = _check_real("zero_tol", self.zero_tol)
-        for name, a in zip(names, arrays):
+        grids = []
+        for name in ("grid_b", "grid_p"):  # private float64 copies, so a caller's arrays stay theirs
+            z = _as_complex(getattr(self, name), what=name)
+            if z.imag.any():
+                raise DomainError(f"{name} must be real")
+            grids.append(z.real.copy())
+        grid_b, grid_p = grids
+        ztol = _check_real("zero_tol", self.zero_tol)  # before any cell
+        ps = grid_p.tolist()
+        values = np.array([[gap_closed_form(b, p) for p in ps] for b in grid_b.tolist()], dtype=np.float64)
+        for name, a in zip(("grid_b", "grid_p", "values"), (grid_b, grid_p, values)):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
         n_positive, n_negative = int((values > ztol).sum()), int((values < -ztol).sum())
@@ -128,17 +119,12 @@ def sign_scan(nb: int, np_count: int, eps: float = 0.01, zero_tol: float = 1e-12
     """Evaluate the factor gap on the uniform grid [0,1] × [1+eps, 2].
 
     nb and np_count are the point counts along b and p (each at least 2); cells within zero_tol of 0
-    count as zeros.  Every argument is checked before any cell is evaluated, and zero_tol again by the
-    report.  Deterministic: identical arguments give identical reports.
+    count as zeros.  The report checks zero_tol before it evaluates any cell.  Deterministic:
+    identical arguments give identical reports.
     """
     nb, np_count = _check_int("nb", nb, 2, math.inf), _check_int("np_count", np_count, 2, math.inf)
-    epsf, ztol = _check_eps("eps", eps), _check_real("zero_tol", zero_tol)  # before any cell; the report rechecks it
-
-    grid_b = np.linspace(0.0, 1.0, nb)
-    grid_p = np.linspace(1.0 + epsf, 2.0, np_count)
-    ps = grid_p.tolist()
-    values = np.array([[gap_closed_form(b, p) for p in ps] for b in grid_b.tolist()], dtype=np.float64)
-    return SignScanReport(grid_b, grid_p, values, ztol)
+    epsf = _check_eps("eps", eps)
+    return SignScanReport(np.linspace(0.0, 1.0, nb), np.linspace(1.0 + epsf, 2.0, np_count), zero_tol)
 
 
 _CHUNK = 128  # b values that dominance_search draws and reads together

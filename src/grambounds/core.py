@@ -97,6 +97,13 @@ def _check_field(field, fields=_FIELDS) -> str:
     return field
 
 
+def _check_iterable(name: str, value, items: str):
+    """``value`` if it is an iterable other than text or a 0-d array (an Iterable that cannot be iterated)."""
+    if isinstance(value, (str, bytes)) or not isinstance(value, Iterable) or getattr(value, "ndim", 1) == 0:
+        raise DomainError(f"{name} must be an iterable of {items}, got {type(value).__name__}")
+    return value
+
+
 def _as_complex(
     data: ArrayLike, *, what: str = "vector", ndim: int = 1, allow_empty: bool = False,
     size: int | None = None, copy: bool = False,
@@ -423,7 +430,7 @@ class VectorFamily:
         _check_field(field)
         dim = None if dim is None else _check_int("dim", dim, 1, _DIM_MAX)
 
-        if isinstance(members, np.ndarray):
+        if isinstance(members, np.ndarray) or not isinstance(members, Iterable):  # 3.0 or None: checked as 0-d
             rows = _as_complex(members, what="family", ndim=2, copy=True)
         else:  # each member a view where it can be: np.vstack makes the one copy
             coerced = [_as_complex(m, what="family member") for m in members]

@@ -12,11 +12,10 @@ That makes the limit behavior testable instead of assumed.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
 
 import numpy as np
 
-from .core import GramMatrix, _abs_reductions, _as_complex, _real, _Scaled
+from .core import GramMatrix, _abs_reductions, _as_complex, _check_iterable, _real, _Scaled
 from .errors import DomainError, ExponentError, ExponentRangeError
 
 __all__ = [
@@ -51,10 +50,7 @@ def _normalize_exponent(p) -> float:
 
 def _exponents(p_list) -> list[float]:
     """The exponents of p_list, any iterable of them, each checked, the first occurrence of each in order."""
-    # A 0-d array passes the Iterable check, but iterating it raises.
-    if isinstance(p_list, (str, bytes)) or not isinstance(p_list, Iterable) or getattr(p_list, "ndim", 1) == 0:
-        raise DomainError(f"p_list must be an iterable of exponents, got {type(p_list).__name__}")
-    return list(dict.fromkeys(map(_normalize_exponent, p_list)))
+    return list(dict.fromkeys(map(_normalize_exponent, _check_iterable("p_list", p_list, "exponents"))))
 
 
 def conjugate_exponent(p) -> float:

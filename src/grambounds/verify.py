@@ -14,7 +14,8 @@ from typing import Callable, Iterable, Iterator, Optional
 import numpy as np
 
 from .bounds import ABS_TOL, REL_TOL, BoundResult, CaseTable, _Ingredients, frobenius_bound
-from .core import _DIM_CAP, _DIM_MAX, _FIELDS, _N_CAP, Vector, VectorFamily, _check_field, _check_int, _check_real
+from .core import (_DIM_CAP, _DIM_MAX, _FIELDS, _N_CAP, Vector, VectorFamily, _check_field, _check_int, _check_iterable,
+                   _check_real)
 from .errors import DomainError
 from .norms import _exponents
 
@@ -254,7 +255,7 @@ def verify_corpus(
     """
     p_list = _exponents(p_list)  # checked on the call, even with no specs
     verdicts = _Verdicts(rel_tol, abs_tol)
-    stream = iter(specs)
+    stream = iter(_check_iterable("specs", specs, "FamilySpecs"))
     while chunk := list(itertools.islice(stream, _CHUNK)):
         by_n: dict = {}
         for i, spec in enumerate(chunk):

@@ -154,78 +154,103 @@ class TestSignScan:
         assert hash(a) == hash(a) and len({a, b}) == 2
 
     def test_init_fields_are_the_inputs(self):
-        init = [f.name for f in dataclasses.fields(SignScanReport) if f.init]
-        assert init == ["grid_b", "grid_p", "values", "zero_tol"]
+        fields = dataclasses.fields(SignScanReport)
+        assert [f.name for f in fields if f.init] == ["grid_b", "grid_p", "zero_tol"]
+        assert [f.name for f in fields] == ["grid_b", "grid_p", "values", "n_positive", "n_negative", "n_zero",
+                                            "min_cell", "max_cell", "zero_tol"]
 
     def test_hand_built_report_derives_its_numbers(self):
-        # an arbitrary array, ties included: the counts and first extremes are numpy's
-        values = np.array([[0.5, -2.0, 1e-13], [3.0, -2.0, 0.0], [3.0, -1e-13, -0.25]])
-        grid_b, grid_p = np.array([0.0, 0.4, 1.0]), np.array([1.1, 1.5, 2.0])
-        rep = SignScanReport(grid_b, grid_p, values, 1e-12)
+        # exact zeros on the b = 1 row and at (0, 2), b² - b at p = 2, and a tie for the least cell
+        grid_b, grid_p = np.array([0.0, 0.25, 0.75, 1.0]), np.array([1.1, 1.25, 1.5, 2.0])
+        rep = SignScanReport(grid_b, grid_p, 1e-12)
+        assert rep.values.shape == (4, 4) and rep.values.dtype == np.float64 and not rep.values.flags.writeable
+        for i, b in enumerate(grid_b.tolist()):
+            for j, p in enumerate(grid_p.tolist()):
+                assert float(rep.values[i, j]).hex() == gap_closed_form(b, p).hex()
+        assert rep.values[3].tolist() == [0.0] * 4 and rep.values[:, 3].tolist() == (grid_b**2 - grid_b).tolist()
+        values = rep.values
         assert (rep.n_positive, rep.n_negative, rep.n_zero) == (
             int(np.count_nonzero(values > 1e-12)),
             int(np.count_nonzero(values < -1e-12)),
             int(np.count_nonzero(np.abs(values) <= 1e-12)),
-        ) == (3, 3, 3)
+        ) == (7, 4, 5)
         for cell, flat in ((rep.min_cell, np.argmin(values)), (rep.max_cell, np.argmax(values))):
             i, j = np.unravel_index(flat, values.shape)
             assert cell == (grid_b[i], grid_p[j], values[i, j])
-        assert rep.min_cell == (0.0, 1.5, -2.0) and rep.max_cell == (0.4, 1.1, 3.0)
-        assert not any(a.flags.writeable for a in (rep.grid_b, rep.grid_p, rep.values))
+        assert rep.min_cell == (0.25, 2.0, -0.1875) and rep.max_cell[:2] == (0.0, 1.1)
 
-    @pytest.mark.parametrize("grid_b", [np.array([0.0, 1.0, 2.0]), np.array([0.0])], ids=["three_b_two_rows", "one_b"])
-    def test_grids_must_match_values(self, grid_b):
-        with pytest.raises(ShapeError):
-            SignScanReport(grid_b, np.array([1.5, 2.0]), np.array([[1.0, -1.0], [2.0, -3.0]]), 1e-12)
+    def test_a_report_on_a_scans_grids_is_the_scan(self):
+        s = sign_scan(201, 100)
+        rep = SignScanReport(s.grid_b, s.grid_p, s.zero_tol)
+        assert rep.values.tobytes() == s.values.tobytes()
+        assert (rep.n_positive, rep.n_negative, rep.n_zero, rep.min_cell, rep.max_cell) == (
+            s.n_positive, s.n_negative, s.n_zero, s.min_cell, s.max_cell)
 
-    @pytest.mark.parametrize("grids, values", [
-        ((np.array([0.0, 1.0]), np.array([1.5, 2.0])), np.array([1.0, -1.0, 2.0, -3.0])),
-        ((np.array([[0.0, 1.0]]), np.array([1.5, 2.0])), np.array([[1.0, -1.0], [2.0, -3.0]])),
-        ((np.array([]), np.array([1.5, 2.0])), np.empty((0, 2))),
-    ], ids=["flat_values", "2d_grid", "no_cell"])
-    def test_rejects_other_shapes(self, grids, values):
-        with pytest.raises(ShapeError):
-            SignScanReport(*grids, values, 1e-12)
+    @pytest.mark.parametrize("grids, name", [
+        ((np.array([0.0, 1.0]), np.array([[1.5, 2.0]])), "grid_p"),
+        ((np.array([]), np.array([1.5, 2.0])), "grid_b"),
+    ], ids=["2d_grid", "no_cell"])
+    def test_rejects_other_shapes(self, grids, name):
+        with pytest.raises(ShapeError, match=f"^{name} "):
+            SignScanReport(*grids, 1e-12)
 
-    @pytest.mark.parametrize("cell, zero_tol", [(math.nan, 1e-12), (math.inf, 1e-12), (-2.0, math.nan), (-2.0, -1.0)],
-                             ids=["nan_cell", "inf_cell", "nan_zero_tol", "negative_zero_tol"])
-    def test_rejects_non_finite_values_and_bad_zero_tol(self, cell, zero_tol):
-        values = np.array([[1.0, cell], [2.0, -3.0]])
+    @pytest.mark.parametrize("grid_b, grid_p, zero_tol", [
+        ([0.0, math.nan], [1.5, 2.0], 1e-12),
+        ([0.0, 1.0], [1.5, math.inf], 1e-12),
+        ([0.0, 2.0], [1.5, 2.0], 1e-12),
+        ([0.0, 1.0], [1.5, -7.0], 1e-12),
+        ([0.0, 1.0], [1.5, 2.5], 1e-12),
+        ([math.nan, math.inf], [1.5, -7.0], 1e-12),  # a report once named its least cell at b = nan, p = -7
+        ([0.0, 1.0], [1.5, 2.0], math.nan),
+        ([0.0, 1.0], [1.5, 2.0], -1.0),
+    ], ids=["nan_cell", "inf_cell", "b_2", "p_-7", "p_2.5", "nan_and_inf_b_p_-7", "nan_zero_tol", "negative_zero_tol"])
+    def test_rejects_non_finite_values_and_bad_zero_tol(self, grid_b, grid_p, zero_tol):
+        # a non-finite point, a point outside [0, 1] × (1, 2] or a bad zero_tol: no report
+        grids = np.array(grid_b), np.array(grid_p)
         with pytest.raises(DomainError):
-            SignScanReport(np.array([0.0, 1.0]), np.array([1.5, 2.0]), values, zero_tol)
-        assert values.flags.writeable  # checked before the arrays are made read-only
+            SignScanReport(*grids, zero_tol)
+        assert all(g.flags.writeable for g in grids)
 
     def test_stores_the_checked_zero_tol(self):
-        rep = SignScanReport(np.array([0.0, 1.0]), np.array([1.5, 2.0]), np.array([[1.0, -1.0], [2.0, -3.0]]), 0)
+        rep = SignScanReport(np.array([0.0, 1.0]), np.array([1.5, 2.0]), 0)
         assert type(rep.zero_tol) is float and rep.zero_tol == 0.0
 
     def test_takes_sequences_as_float_arrays(self):
-        rep = SignScanReport([0, 1], (1.5, 2.0), [[1, -1], [2.0, -3.0]], 1e-12)
-        want = SignScanReport(np.array([0.0, 1.0]), np.array([1.5, 2.0]), np.array([[1.0, -1.0], [2.0, -3.0]]), 1e-12)
-        for got, arr in zip((rep.grid_b, rep.grid_p, rep.values), (want.grid_b, want.grid_p, want.values)):
-            assert type(got) is np.ndarray and got.dtype == np.float64 and not got.flags.writeable
-            assert got.tobytes() == arr.tobytes()
-        assert (rep.n_positive, rep.n_negative, rep.min_cell, rep.max_cell) == (2, 2, want.min_cell, want.max_cell)
-        assert SignScanReport([0.0, 1.0], [1.5, 2.0], np.zeros((2, 2)), 1e-12).n_zero == 4
+        want = SignScanReport(np.array([0.0, 1.0]), np.array([1.5, 2.0]), 1e-12)
+        # ints, a tuple and a complex array with zero imaginary parts give the float64 grids
+        for grid_b, grid_p in (([0, 1], (1.5, 2)), (np.array([0, 1], complex), [1.5, 2.0])):
+            rep = SignScanReport(grid_b, grid_p, 1e-12)
+            for got, arr in zip((rep.grid_b, rep.grid_p, rep.values), (want.grid_b, want.grid_p, want.values)):
+                assert type(got) is np.ndarray and got.dtype == np.float64 and not got.flags.writeable
+                assert got.tobytes() == arr.tobytes()
+            assert (rep.n_positive, rep.n_negative, rep.n_zero, rep.min_cell, rep.max_cell) == (
+                want.n_positive, want.n_negative, want.n_zero, want.min_cell, want.max_cell)
+        assert SignScanReport([1.0], [1.5, 2.0], 0.0).n_zero == 2
 
     def test_keeps_a_float_array_as_it_is(self):
+        # the same bytes, in a private read-only copy: the caller's arrays stay theirs, and writable
         scan = sign_scan(5, 4)
-        rep = SignScanReport(scan.grid_b, scan.grid_p, scan.values, scan.zero_tol)
-        assert rep.grid_b is scan.grid_b and rep.grid_p is scan.grid_p and rep.values is scan.values
+        grid_b, grid_p = scan.grid_b.copy(), scan.grid_p.copy()
+        rep = SignScanReport(grid_b, grid_p, scan.zero_tol)
+        for got, given in ((rep.grid_b, grid_b), (rep.grid_p, grid_p)):
+            assert got.tobytes() == given.tobytes() and not np.shares_memory(got, given)
+            assert given.flags.writeable and not got.flags.writeable
+        grid_b[0] = 0.5
+        assert rep.grid_b[0] == 0.0 and rep.values.tobytes() == scan.values.tobytes()
 
-    @pytest.mark.parametrize("name", ["grid_b", "grid_p", "values"])
+    @pytest.mark.parametrize("name", ["grid_b", "grid_p"])
     @pytest.mark.parametrize("bad", [["a", "b"], [1j, 0.0], [True, False], [None, 1.0]],
                              ids=["text", "complex", "bool", "object"])
     def test_rejects_non_real_input_by_name(self, name, bad):
-        inputs = dict(grid_b=np.array([0.0, 1.0]), grid_p=np.array([1.5, 2.0]), values=np.array([[1.0, -1.0]] * 2))
-        inputs[name] = [bad, bad] if name == "values" else bad
+        inputs = dict(grid_b=np.array([0.0, 1.0]), grid_p=np.array([1.5, 2.0]))
+        inputs[name] = bad
         with pytest.raises(DomainError, match=f"^{name} "):
             SignScanReport(**inputs, zero_tol=1e-12)
-        assert all(a.flags.writeable for a in inputs.values() if isinstance(a, np.ndarray))  # nothing made read-only
+        assert all(a.flags.writeable for a in inputs.values() if isinstance(a, np.ndarray))
 
     def test_rejects_a_ragged_sequence(self):
-        with pytest.raises(ShapeError, match="^values "):
-            SignScanReport([0.0, 1.0], [1.5, 2.0], [[1.0, -1.0], [2.0]], 1e-12)
+        with pytest.raises(ShapeError, match="^grid_p "):
+            SignScanReport([0.0, 1.0], [[1.5, 2.0], [2.0]], 1e-12)
 
     @pytest.mark.parametrize("nb,np_count", [(1, 10), (10, 1), (0, 0)])
     def test_rejects_tiny_grids(self, nb, np_count):

@@ -202,10 +202,12 @@ class TestVectorFamily:
         with pytest.raises(DimensionError):
             VectorFamily([[1.0], [1.0, 2.0]])
 
-    @pytest.mark.parametrize("shape", [(3,), (0,), (2, 2, 2)])
+    @pytest.mark.parametrize("shape", [(3,), (0,), (2, 2, 2), 3.0, None])
     def test_array_that_is_not_2d_is_named_as_the_family(self, shape):
-        with pytest.raises(ShapeError, match=re.escape(f"family must be 2-dimensional, got shape {shape}")):
-            VectorFamily(np.zeros(shape), dim=3)
+        # a tuple is the shape of a zero array; 3.0 and None are not iterable, so they are 0-d arrays
+        members = np.zeros(shape) if isinstance(shape, tuple) else shape
+        with pytest.raises(ShapeError, match=re.escape(f"family must be 2-dimensional, got shape {np.shape(members)}")):
+            VectorFamily(members, dim=3)
 
     def test_orthonormal_tolerance_is_one_constant(self):
         defaults = [inspect.signature(f).parameters["tol"].default for f in

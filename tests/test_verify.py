@@ -311,6 +311,40 @@ class TestHomogeneity:
             assert conjugated.value.tobytes() == base.value.tobytes()
 
 
+def _scaled(method, factor):
+    """method with the ceiling of its record multiplied by factor."""
+    def mutant(self, *args):
+        case = method(self, *args)
+        return bounds.BoundResult(case.bound_id, case.lhs, case.value * factor, case.p, case.flavor)
+    return mutant
+
+
+def _mean_row_sum(self):
+    """bombieri with the mean row sum Σ_ij |g_ij| / n of |G| in place of the largest (0 for an empty family)."""
+    return bounds.BoundResult(BoundId.BOMBIERI, self.bessel_sum, self.nx2 * self.gram(1.0) / max(self.n, 1))
+
+
+class TestMutants:
+    """A ceiling made too small fails the first 1,000 standard specs, on its own bound alone.  Each
+    mutant patches one bounds._Ingredients method.  The failure counts depend on the BLAS kernel, so
+    only their sign is pinned.  A ceiling made too large (thm27 × 1.01) fails nothing here: catching
+    it needs inputs that attain the bound."""
+
+    MUTANTS = {  # id: (the _Ingredients method, the mutant made of it, the bound id that fails)
+        "thm27_x0.999": ("thm27", lambda m: _scaled(m, 0.999), "thm27"),
+        "bombieri_x0.99": ("bombieri", lambda m: _scaled(m, 0.99), "bombieri"),
+        "bombieri_mean_row_sum": ("bombieri", lambda m: _mean_row_sum, "bombieri"),
+        "eq211_x0.97": ("power_mean", lambda m: _scaled(m, 0.97), "eq211"),
+        "cor28_x0.97": ("frobenius", lambda m: _scaled(m, 0.97), "cor28"),
+    }
+
+    @pytest.mark.parametrize("method, mutate, bound_id", MUTANTS.values(), ids=MUTANTS)
+    def test_fails_on_the_mutated_bound_only(self, monkeypatch, method, mutate, bound_id):
+        monkeypatch.setattr(bounds._Ingredients, method, mutate(getattr(bounds._Ingredients, method)))
+        result = verify_corpus(itertools.islice(standard_corpus(), 1_000))
+        assert result.n_fail > 0 and set(result.fails_by_id) == {bound_id}
+
+
 class TestVerifyAll:
     def test_orthonormal_all_pass(self):
         fam = random_orthonormal_family(6, 4, field="complex", seed=23)
@@ -612,6 +646,8 @@ class TestVerifyCorpus:
     def test_rejects_a_spec_that_is_no_family_spec(self):
         with pytest.raises(DomainError, match="specs must be FamilySpecs, got object"):
             verify_corpus([FamilySpec(dim=2, n=2, seed=1), object()])
+        with pytest.raises(DomainError, match="^specs must be an iterable of FamilySpecs, got int$"):
+            verify_corpus(3)
 
     def test_bessel_sum_matches_case_lhs(self):
         spec = FamilySpec(dim=3, n=4, field="complex", seed=43)
@@ -1181,6 +1217,7 @@ _SCALAR_ARGS = [  # (name, call on the bad value, the bad values); each raises a
     ("inner_each_family", lambda v: inner_each(_GOOD, v), _NOT_FAMILIES),
     ("verify_all_p_list", lambda v: verify_all(_GOOD, _FAM, _GOOD, v), _NOT_EXPONENT_LISTS),
     ("verify_corpus_p_list", lambda v: verify_corpus([], v), _NOT_EXPONENT_LISTS),
+    ("verify_corpus_specs", verify_corpus, [3, None, np.array(2.0)]),
     ("evaluate_cases_p_list", lambda v: evaluate_cases(*_STACKS, v), _NOT_EXPONENT_LISTS),
 ]
 
