@@ -31,7 +31,7 @@ print()
 print("      b: 0" + " " * (args.nb - 4) + "1")
 for j in reversed(range(args.np)):
     row = "".join(
-        "0" if abs(report.values[i, j]) <= 1e-12
+        "0" if abs(report.values[i, j]) <= report.zero_tol
         else "+" if report.values[i, j] > 0
         else "-"
         for i in range(args.nb)

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .core import ORTHONORMAL_TOL, VectorFamily, _as_complex, _dot, _gram_reductions, _inner_each, _Scaled, _sq_norms
-from .core import _check_dim, _check_family, _sum_sq
+from .core import _as_real, _check_dim, _check_family, _sum_sq
 from .errors import DomainError, ShapeError
 from .norms import _exponents, _magnitudes, _normalize_exponent, conjugate_exponent, power_mean_exponent
 
@@ -405,15 +405,9 @@ def bombieri_bound(x, family: VectorFamily) -> BoundResult:
 
 
 def power_mean_gap(values, p) -> BoundResult:
-    """Evaluate (Σv^p)^(2/p) (lhs) against n^(2/p-1) Σv² (value) for nonnegative v, p ∈ (1, 2].
-
-    Values count as complex, and are rejected, only when some imaginary part is nonzero.
-    """
+    """Evaluate (Σv^p)^(2/p) (lhs) against n^(2/p-1) Σv² (value) for real nonnegative v, p ∈ (1, 2]."""
     pf = power_mean_exponent(p)
-    z = _as_complex(values, what="values", allow_empty=True)
-    if z.imag.any():
-        raise DomainError("values must be real and nonnegative")
-    v = np.ascontiguousarray(z.real)  # a strided v @ v can round differently
+    v = _as_real(values, what="values", allow_empty=True)
     if v.size and float(v.min()) < 0.0:
         raise DomainError(f"values must be nonnegative, got {float(v.min())}")
     return _one(_power_mean_gap(_Scaled(v[None]), pf))

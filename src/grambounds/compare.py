@@ -20,7 +20,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import VectorFamily, _as_complex, _check_int, _check_real, _gram_reductions
+from .core import VectorFamily, _as_real, _check_int, _check_real, _gram_reductions
 from .errors import DomainError
 from .norms import SNAP_TOL, _as_gram, conjugate_exponent, gram_entry_qnorm, power_mean_exponent
 
@@ -80,13 +80,7 @@ class SignScanReport:
     zero_tol: float
 
     def __post_init__(self):
-        grids = []
-        for name in ("grid_b", "grid_p"):  # private float64 copies, so a caller's arrays stay theirs
-            z = _as_complex(getattr(self, name), what=name)
-            if z.imag.any():
-                raise DomainError(f"{name} must be real")
-            grids.append(z.real.copy())
-        grid_b, grid_p = grids
+        grid_b, grid_p = (_as_real(getattr(self, name), what=name) for name in ("grid_b", "grid_p"))
         ztol = _check_real("zero_tol", self.zero_tol)  # before any cell
         ps = grid_p.tolist()
         values = np.array([[gap_closed_form(b, p) for p in ps] for b in grid_b.tolist()], dtype=np.float64)

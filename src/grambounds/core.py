@@ -136,6 +136,15 @@ def _as_complex(
     return out
 
 
+def _as_real(data: ArrayLike, *, what: str, allow_empty: bool = False) -> np.ndarray:
+    """``data``, real by definition, through _as_complex into a fresh contiguous float64 copy.  It counts
+    as complex, and is rejected, only when some imaginary part is nonzero."""
+    z = _as_complex(data, what=what, allow_empty=allow_empty)
+    if z.imag.any():
+        raise DomainError(f"{what} must be real")
+    return z.real.copy()  # contiguous: a strided v @ v can round differently
+
+
 class Vector:
     """An element of R^d or C^d with immutable complex128 coordinates."""
 
@@ -174,11 +183,7 @@ def inner(x: ArrayLike, y: ArrayLike) -> complex:
     products.
     """
     xa = _as_complex(x, what="first argument")
-    ya = _as_complex(y, what="second argument")
-    if xa.shape[0] != ya.shape[0]:
-        raise DimensionError(
-            f"dimension mismatch: {xa.shape[0]} vs {ya.shape[0]}"
-        )
+    ya = _check_dim(_as_complex(y, what="second argument"), xa.shape[0], "second argument")
     return complex(_inner_each(ya[None], xa)[0])
 
 
@@ -437,11 +442,10 @@ class VectorFamily:
             if not coerced and dim is None:
                 raise ShapeError("empty family needs an explicit dim")
             for k, v in enumerate(coerced):
-                if v.shape[0] != coerced[0].shape[0]:
-                    raise DimensionError(f"member {k} has dimension {v.shape[0]}, expected {coerced[0].shape[0]}")
+                _check_dim(v, coerced[0].shape[0], f"member {k}")
             rows = np.vstack(coerced) if coerced else np.zeros((0, dim), dtype=np.complex128)
-        if dim is not None and rows.shape[1] != dim:
-            raise DimensionError(f"members have dimension {rows.shape[1]}, expected dim {dim}")
+        if dim is not None:
+            _check_dim(rows, dim, "each member")
 
         if field == "real" and rows.size and np.any(rows.imag != 0.0):
             raise DomainError("field='real' but some member has a nonzero imaginary part")
@@ -551,9 +555,10 @@ def _check_family(family, _cls=VectorFamily) -> VectorFamily:
 
 
 def _check_dim(x: np.ndarray, dim: int, what: str) -> np.ndarray:
-    """``x``, a vector or an x stack, if its last axis has the family's dimension ``dim``."""
+    """``x``, a vector, a member or a stack of either, if its last axis has the dimension ``dim``:
+    the one rule, and the one message, for every dimension mismatch."""
     if x.shape[-1] != dim:
-        raise DimensionError(f"{what} dimension {x.shape[-1]} does not match family dimension {dim}")
+        raise DimensionError(f"{what} has dimension {x.shape[-1]}, expected {dim}")
     return x
 
 

@@ -214,7 +214,7 @@ class TestComputeCommand:
     def test_x_of_another_dimension_than_the_members(self, tmp_path, capsys):
         code, text = run_compute(tmp_path, {"field": "real", "x": [1.0, 2.0], "family": [[1, 0, 0], [0, 1, 0]]})
         assert code == 2 and text == ""
-        assert capsys.readouterr().err == "error: vector dimension 2 does not match family dimension 3\n"
+        assert capsys.readouterr().err == "error: vector has dimension 2, expected 3\n"
 
     def test_nesting_too_deep_for_the_json_parser(self, tmp_path):
         path = tmp_path / "deep.json"

@@ -179,7 +179,7 @@ class TestVectorFamily:
     def test_given_dim_must_match_the_members(self):
         assert VectorFamily(np.ones((2, 3)), dim=3).dim == 3
         assert VectorFamily(np.zeros((0, 2)), dim=2).size == 0
-        with pytest.raises(DimensionError, match=re.escape("members have dimension 3, expected dim 5")):
+        with pytest.raises(DimensionError, match=re.escape("each member has dimension 3, expected 5")):
             VectorFamily(np.ones((2, 3)), dim=5)
         with pytest.raises(DimensionError):
             VectorFamily([[1.0, 2.0]], dim=1)

@@ -22,6 +22,7 @@ from grambounds import (
     GramMatrix,
     ShapeError,
     STANDARD_P_LIST,
+    SignScanReport,
     VerificationReport,
     Vector,
     VectorFamily,
@@ -324,11 +325,54 @@ def _mean_row_sum(self):
     return bounds.BoundResult(BoundId.BOMBIERI, self.bessel_sum, self.nx2 * self.gram(1.0) / max(self.n, 1))
 
 
+def _attainment(count: int, seed: int = 2027) -> dict:
+    """Per case key of verify_all, the largest over ``count`` seeded rank-one equal-magnitude families of
+    the smaller rhs/lhs of the two inputs c = conj(v) and c = v.
+
+    The members are y_i = a_i·u for a unit u and |a_i| = s, n in 1..8, d in 1..6, s log-uniform on
+    [1e-2, 1e2]: real signs a_i for a real family, complex phases for a complex one.  v = a/‖a‖ is the
+    top eigenvector of G and x = conj(v)·Y the x that attains Σ|(x, y_i)|² ≤ λ_max ‖x‖².  The span cases
+    and the chain's middle link are attained at c = conj(v), the combo cases at c = v.
+    """
+    rng = np.random.default_rng(seed)
+    worst: dict = {}
+    for k in range(count):
+        field = ("real", "complex")[k % 2]
+        n, d, s = int(rng.integers(1, 9)), int(rng.integers(1, 7)), 10.0 ** rng.uniform(-2.0, 2.0)
+        if field == "real":
+            a, u = s * rng.choice([-1.0, 1.0], n), rng.standard_normal(d)
+        else:
+            a, u = s * np.exp(2j * np.pi * rng.uniform(size=n)), rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        rows, v = a[:, None] * (u / np.linalg.norm(u)), a / np.linalg.norm(a)
+        family = VectorFamily(rows, field=field)
+        ratios = [{(case.bound_id, case.p, case.flavor): case.value / case.lhs if case.lhs else math.inf
+                   for case in verify_all(v.conj() @ rows, family, c).cases} for c in (v.conj(), v)]
+        for key, ratio in ratios[0].items():
+            worst[key] = max(worst.get(key, 0.0), min(ratio, ratios[1][key]))
+    return worst
+
+
+def _unattained(worst: dict) -> dict:
+    """The case keys of _attainment whose ceiling was not reached within REL_TOL, with their ratios."""
+    return {key: ratio for key, ratio in worst.items() if not ratio <= 1.0 + bounds.REL_TOL}
+
+
+class TestAttainment:
+    """Every ceiling is sharp: on rank-one equal-magnitude families each of verify_all's 40 case keys
+    reaches rhs/lhs ≤ 1 + REL_TOL with c = conj(v) or with c = v.  Neither c alone does: c = conj(v)
+    leaves the combo cases far from their ceilings, and c = v the span cases and the chain's middle link."""
+
+    def test_every_case_key_attains_its_ceiling(self):
+        worst = _attainment(120)
+        assert len(worst) == 40
+        assert _unattained(worst) == {}
+
+
 class TestMutants:
     """A ceiling made too small fails the first 1,000 standard specs, on its own bound alone.  Each
     mutant patches one bounds._Ingredients method.  The failure counts depend on the BLAS kernel, so
-    only their sign is pinned.  A ceiling made too large (thm27 × 1.01) fails nothing here: catching
-    it needs inputs that attain the bound."""
+    only their sign is pinned.  A ceiling made too large (thm27 × 1.01) fails none of the standard
+    specs; it fails the attainment check instead, on its own bound alone."""
 
     MUTANTS = {  # id: (the _Ingredients method, the mutant made of it, the bound id that fails)
         "thm27_x0.999": ("thm27", lambda m: _scaled(m, 0.999), "thm27"),
@@ -343,6 +387,40 @@ class TestMutants:
         monkeypatch.setattr(bounds._Ingredients, method, mutate(getattr(bounds._Ingredients, method)))
         result = verify_corpus(itertools.islice(standard_corpus(), 1_000))
         assert result.n_fail > 0 and set(result.fails_by_id) == {bound_id}
+
+    def test_too_large_a_ceiling_fails_attainment_on_its_bound_only(self, monkeypatch):
+        monkeypatch.setattr(bounds._Ingredients, "thm27", _scaled(bounds._Ingredients.thm27, 1.01))
+        unattained = _unattained(_attainment(120))
+        assert {str(bound_id) for bound_id, _, _ in unattained} == {"thm27"}
+        assert len(unattained) == len(STANDARD_P_LIST)  # thm27 at every exponent
+
+
+class TestIntegerCorpus:
+    """A corpus full of exact ties: 3,000 seeded real families with integer coordinates, x and c in −2..2,
+    d ≤ 8 and n ≤ 10, at p ∈ {1, 2, ∞}.  Every Gram entry, t_i, ‖x‖² and lhs is an integer there, so many
+    cases are ties in exact arithmetic that rounding can put on either side.  The default gate passes
+    every case, and zero tolerance fails some, so the corpus reaches the tolerance band.  How many fail at
+    zero tolerance rests on rounding, so only its sign is pinned."""
+
+    @pytest.fixture(scope="class")
+    def tables(self):
+        rng = np.random.default_rng(19)
+        by_n: dict = {}
+        for _ in range(3_000):
+            n, d = int(rng.integers(1, 11)), int(rng.integers(1, 9))
+            parts = rng.integers(-2, 3, size=d + n * d + n).astype(np.float64)
+            by_n.setdefault(n, {}).setdefault(d, []).append((parts[:d], parts[d:-n].reshape(n, d), parts[-n:]))
+        # per n, one stack (x, rows, c) per d, as verify_corpus stacks its draws
+        groups = [[[np.array(part) for part in zip(*draws)] for draws in by_d.values()] for by_d in by_n.values()]
+        return [evaluate_cases(*map(list, zip(*stacks)), (1.0, 2.0, math.inf)) for stacks in groups]
+
+    def test_every_case_holds_at_the_default_gate(self, tables):
+        assert sum(map(len, tables)) == 63_000
+        failing = {key for table in tables for key, ok in zip(table.keys, table.holds().all(axis=0)) if not ok}
+        assert failing == set()
+
+    def test_zero_tolerance_fails_some_case(self, tables):
+        assert not all(table.holds(0.0, 0.0).all() for table in tables)
 
 
 class TestVerifyAll:
@@ -1286,6 +1364,29 @@ class TestBatchValidation:
             verify_all(x, self.FAM, c)
         with pytest.raises(error):
             evaluate_cases(*_as_stacks(x, self.FAM, c))
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: inner([1.0, 2.0], [1.0]), "second argument has dimension 1, expected 2"),
+        (lambda: inner_each([1.0, 2.0], VectorFamily([[1.0]])), "vector has dimension 2, expected 1"),
+        (lambda: VectorFamily([[1.0, 2.0], [1.0]]), "member 1 has dimension 1, expected 2"),
+        (lambda: VectorFamily([[1.0, 2.0]], dim=3), "each member has dimension 2, expected 3"),
+        (lambda: verify_all([1.0, 2.0, 3.0], _FAM, _GOOD), "vector has dimension 3, expected 2"),
+        (lambda: evaluate_cases([np.ones((1, 3))], *_STACKS[1:]), "x stack has dimension 3, expected 2"),
+    ], ids=["inner", "inner_each", "VectorFamily_members", "VectorFamily_dim", "verify_all", "evaluate_cases"])
+    def test_every_dimension_mismatch_has_one_wording(self, call, message):
+        with pytest.raises(DimensionError, match=r"has dimension \d+, expected \d+$") as exc:
+            call()
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("call, name", [
+        (lambda: power_mean_gap([1j], 1.5), "values"),
+        (lambda: SignScanReport([0.0, 1j], [1.5, 2.0], 1e-12), "grid_b"),
+        (lambda: SignScanReport([0.0, 1.0], [1.5, 2.0 + 1e-3j], 1e-12), "grid_p"),
+    ], ids=["power_mean_gap", "SignScanReport_grid_b", "SignScanReport_grid_p"])
+    def test_every_real_only_array_has_one_wording(self, call, name):
+        with pytest.raises(DomainError) as exc:
+            call()
+        assert str(exc.value) == f"{name} must be real"
 
     def test_c_stack_of_another_n_names_the_stack_and_both_lengths(self):
         with pytest.raises(ShapeError, match=r"^in each c stack row, got 3 coefficients for a family of size 2$"):
